@@ -12,24 +12,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import clustering, lattice, partitions, precoding, regions, schedules
+from . import checks, clustering, lattice, partitions, precoding, regions, schedules
+from .checks import decimal_str
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
-
-
-def decimal_str(fr: Fraction, places: int = 6) -> str:
-    """Exact decimal expansion of a rational, round-half-even."""
-    with localcontext() as ctx:
-        ctx.prec = 80
-        d = Decimal(fr.numerator) / Decimal(fr.denominator)
-        return str(d.quantize(Decimal(1).scaleb(-places), rounding=ROUND_HALF_EVEN))
 
 
 def _fraction(text: str) -> Fraction:
@@ -43,6 +36,20 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
+
+
+def _sample_count(text: str) -> int:
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"need at least 2 samples, got {text}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
     return value
 
 
@@ -114,10 +121,11 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     if args.check_counts:
         tx = clustering.count_links(plan, clustering.TX)
         rx = clustering.count_links(plan, clustering.RX)
-        ok = tx == 36 * t * t and rx == 18 * t * t
+        want_tx, want_rx = checks.links_per_cluster(t)
+        ok = tx == want_tx and rx == want_rx
         print(
-            f"cluster t={t}: tx links {tx} (want {36 * t * t}), "
-            f"rx links {rx} (want {18 * t * t}): {'ok' if ok else 'MISMATCH'}"
+            f"cluster t={t}: tx links {tx} (want {want_tx}), "
+            f"rx links {rx} (want {want_rx}): {'ok' if ok else 'MISMATCH'}"
         )
         if not ok:
             status = CHECK_FAILED
@@ -136,7 +144,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 # region
 
 def _region_rows(name: str, region: regions.Region, samples: int) -> List[str]:
-    pts = regions.boundary_samples(region, max(2, samples))
+    pts = regions.boundary_samples(region, samples)
     return [f"{name},{decimal_str(p.sf)},{decimal_str(p.ss)}" for p in pts]
 
 
@@ -189,6 +197,11 @@ def _default_t_values(args: argparse.Namespace) -> Optional[List[int]]:
 
 def cmd_region(args: argparse.Namespace) -> int:
     params = regions.SystemParams(m=args.m, mu_tx=args.mu_tx, mu_rx=args.mu_rx, d=args.d)
+    if args.t is not None and args.t > regions.slow_t_max(args.d):
+        raise ValueError(
+            f"--t {args.t} enters no scheme for --d {args.d}; "
+            f"t must be at most {regions.slow_t_max(args.d)}"
+        )
     t_values = _default_t_values(args)
     which = args.which or "both"
     curves: List[Tuple[str, regions.Region]] = []
@@ -223,7 +236,7 @@ def cmd_region(args: argparse.Namespace) -> int:
         _write_or_print(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.emit, args.out)
     else:  # svg
         sampled = [
-            (name, regions.boundary_samples(region, max(2, args.samples)))
+            (name, regions.boundary_samples(region, args.samples))
             for name, region in curves
         ]
         _write_or_print(region_svg(sampled), args.emit, args.out)
@@ -281,10 +294,10 @@ def cmd_converse(args: argparse.Namespace) -> int:
         print(f"converse partition={kind} radius={args.radius}: census written to {args.emit}")
     if args.check_fractions:
         worst = max(row.abs_error for row in rows)
-        ok = worst <= Fraction(1, 50)
+        ok = worst <= checks.FRACTION_TOL
         print(
             f"converse fraction check: worst error {decimal_str(worst)} "
-            f"({'within' if ok else 'EXCEEDS'} 0.02)"
+            f"({'within' if ok else 'EXCEEDS'} {float(checks.FRACTION_TOL):g})"
         )
         return 0 if ok else CHECK_FAILED
     return 0
@@ -322,220 +335,13 @@ def cmd_schedule(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # verify-all
 
-def _fig6_checks(add: Callable[[str, bool, str], None]) -> None:
-    large = regions.SystemParams(m=3, mu_tx=10, mu_rx=10, d=20)
-    small = regions.SystemParams(m=3, mu_tx=Fraction(1, 10), mu_rx=Fraction(1, 5), d=20)
-
-    def disp(region: regions.Region) -> List[Tuple[str, str]]:
-        return sorted((decimal_str(v.sf, 4), decimal_str(v.ss, 4)) for v in region.vertices)
-
-    cases = [
-        ("outer bound, large prelogs", regions.outer_bound(large),
-         [("0.0000", "0.0000"), ("0.0000", "2.9964"), ("1.5000", "0.0000"), ("1.5000", "1.4964")]),
-        ("outer bound, small prelogs", regions.outer_bound(small),
-         [("0.0000", "0.0000"), ("0.0000", "1.7667"), ("1.5000", "0.0000"), ("1.5000", "0.2667")]),
-        ("inner bound, large prelogs", regions.inner_bound(large, [4]),
-         [("0.0000", "0.0000"), ("0.0000", "2.7500"), ("1.0000", "1.7500"), ("1.5000", "0.0000")]),
-        ("inner bound, small prelogs", regions.inner_bound(small, [4]),
-         [("0.0000", "0.0000"), ("0.0000", "1.5536"), ("1.4792", "0.0727"), ("1.5000", "0.0000")]),
-    ]
-    for name, region, want in cases:
-        got = disp(region)
-        add(f"region: {name}", got == want, f"vertices {got}")
-
-
-def _counting_checks(add: Callable[[str, bool, str], None]) -> None:
-    for t in (1, 2, 3, 4):
-        net = lattice.build_network(6 * t)
-        plan = clustering.clusters(net, t)
-        tx = clustering.count_links(plan, clustering.TX)
-        rx = clustering.count_links(plan, clustering.RX)
-        add(
-            f"counting: links per cluster t={t}",
-            tx == 36 * t * t and rx == 18 * t * t,
-            f"tx {tx}/{36 * t * t}, rx {rx}/{18 * t * t}",
-        )
-        ok_msgs = True
-        detail = []
-        for m in (1, 3):
-            tx_m = clustering.conferencing_message_count(plan, "s4", m, clustering.TX)
-            rx_m = clustering.conferencing_message_count(plan, "s4", m, clustering.RX)
-            ok_msgs &= tx_m == 2 * m * t * (8 * t * t + 3 * t - 2)
-            ok_msgs &= rx_m == 3 * m * (3 * t * t - 1)
-            detail.append(f"m={m}: tx {tx_m}, rx {rx_m}")
-        add(f"counting: conferencing messages t={t}", ok_msgs, "; ".join(detail))
-        ok_prelogs = True
-        for m in (1, 3):
-            r2 = clustering.required_prelogs("s2", t, m)
-            r3 = clustering.required_prelogs("s3", t, m)
-            r4 = clustering.required_prelogs("s4", t, m)
-            r5 = clustering.required_prelogs("s5", t, m)
-            ok_prelogs &= (r2.mu_tx, r2.mu_rx) == (0, Fraction(m * (2 * t - 1), 3))
-            ok_prelogs &= (r3.mu_tx, r3.mu_rx) == (Fraction(m * (2 * t - 1), 3), 0)
-            ok_prelogs &= r4.mu_tx == Fraction(
-                2 * m * t * (8 * t * t + 3 * t - 2), 36 * t * t
-            ) and r4.mu_rx == Fraction(3 * m * (3 * t * t - 1), 18 * t * t)
-            ok_prelogs &= r5.mu_tx == Fraction(
-                6 * m * t * (2 * t - 1), 36 * t * t
-            ) and r5.mu_rx == Fraction(m * (8 * t ** 3 + 6 * t * t + t - 3), 18 * t * t)
-            ok_prelogs &= r4.total == r5.total
-        add(
-            f"counting: prelog formulas and s4/s5 duality t={t}",
-            ok_prelogs,
-            f"sum {clustering.required_prelogs('s4', t, 3).total}",
-        )
-
-
-def _fraction_checks(add: Callable[[str, bool, str], None], radius: int) -> None:
-    tol = Fraction(1, 50)
-    net = lattice.build_network(radius)
-    for t in (1, 2, 3, 4):
-        plan = clustering.assign_messages(clustering.clusters(net, t), clustering.MODE_MIXED)
-        fr = clustering.assignment_fractions(plan)
-        want = {
-            clustering.SILENT: Fraction(1, 3 * t),
-            clustering.FAST: Fraction(1, 3),
-            clustering.SLOW: Fraction(2 * t - 1, 3 * t),
-        }
-        worst = max(abs(fr[k] - want[k]) for k in want)
-        add(
-            f"fractions: roles t={t} radius={radius}",
-            worst <= tol,
-            f"worst error {decimal_str(worst)}",
-        )
-    part2 = partitions.partition_two(net)
-    rows = partitions.census_fractions(net, part2)
-    worst2 = max(r.abs_error for r in rows)
-    add(f"fractions: two-colour radius={radius}", worst2 <= tol, f"worst error {decimal_str(worst2)}")
-    part4 = partitions.partition_four(net, 3)
-    rows4 = partitions.census_fractions(net, part4)
-    worst4 = max(r.abs_error for r in rows4)
-    add(f"fractions: four-colour d=3 radius={radius}", worst4 <= tol, f"worst error {decimal_str(worst4)}")
-
-    shrink_ok = True
-    details = []
-    for small, big in ((20, 40),):
-        net_s, net_b = lattice.build_network(small), lattice.build_network(big)
-        for t in (1, 2):
-            fr_s = clustering.assignment_fractions(
-                clustering.assign_messages(clustering.clusters(net_s, t), clustering.MODE_MIXED)
-            )
-            fr_b = clustering.assignment_fractions(
-                clustering.assign_messages(clustering.clusters(net_b, t), clustering.MODE_MIXED)
-            )
-            want = {
-                clustering.SILENT: Fraction(1, 3 * t),
-                clustering.FAST: Fraction(1, 3),
-                clustering.SLOW: Fraction(2 * t - 1, 3 * t),
-            }
-            e_s = max(abs(fr_s[k] - want[k]) for k in want)
-            e_b = max(abs(fr_b[k] - want[k]) for k in want)
-            shrink_ok &= e_b < e_s
-            details.append(f"t={t}: {decimal_str(e_s)} -> {decimal_str(e_b)}")
-        for kind, builder in (
-            ("two", partitions.partition_two),
-            ("four", lambda n: partitions.partition_four(n, 3)),
-        ):
-            e_s = max(r.abs_error for r in partitions.census_fractions(net_s, builder(net_s)))
-            e_b = max(r.abs_error for r in partitions.census_fractions(net_b, builder(net_b)))
-            shrink_ok &= e_b < e_s
-            details.append(f"{kind}: {decimal_str(e_s)} -> {decimal_str(e_b)}")
-    add("fractions: error shrinks radius 20 -> 40", shrink_ok, "; ".join(details))
-
-
-def _zf_checks(add: Callable[[str, bool, str], None], trials: int, seed: int) -> None:
-    for t in (1, 2):
-        for m in (1, 2):
-            results = precoding.run_trials(t, m, trials, seed=seed, scheme="s4")
-            n_ok = sum(1 for r in results if r.solvable)
-            worst = max(r.max_cross_residual for r in results)
-            add(
-                f"zf: t={t} m={m} scheme=s4 trials={trials}",
-                n_ok == len(results),
-                f"{n_ok}/{len(results)} solvable, worst residual {worst:.3e}",
-            )
-
-
-def _schedule_checks(add: Callable[[str, bool, str], None]) -> None:
-    part2 = partitions.partition_two(lattice.build_network(2))
-    part4 = partitions.partition_four(lattice.build_network(9), 3)
-    for d in (3, 20):
-        ok = True
-        for d_t in range(0, d + 1):
-            d_r = d - d_t
-            p1 = schedules.schedule_two_color(part2, d_t, d_r, d)
-            p2 = schedules.schedule_four_color(part4, d_t, d_r, d)
-            ok &= schedules.validate_schedule(p1).ok
-            ok &= schedules.validate_schedule(p2).ok
-        add(f"schedules: all splits validate d={d}", ok, f"{d + 1} splits x 2 algorithms")
-
-    plan = schedules.schedule_two_color(part2, 2, 2, 4)
-    ok_del = True
-    for i, step in enumerate(plan.steps):
-        if step.kind in (schedules.DECODE, schedules.RECONSTRUCT):
-            ok_del &= not schedules.validate_schedule(plan.without_step(i)).ok
-    no_genie = schedules.SchedulePlan(
-        steps=plan.steps,
-        d_t=plan.d_t,
-        d_r=plan.d_r,
-        d=plan.d,
-        initial=plan.initial - {schedules.GENIE},
-        goals=plan.goals,
-    )
-    ok_del &= not schedules.validate_schedule(no_genie).ok
-    add("schedules: decode/reconstruct deletions and genie removal break the plan", ok_del, "")
-
-
-def _structural_checks(add: Callable[[str, bool, str], None]) -> None:
-    ok_sub, ok_mono = True, True
-    mus = [Fraction(0), Fraction(1, 10), Fraction(1, 5), Fraction(1), Fraction(10)]
-    for m in (1, 2, 3):
-        for d in (4, 8, 12, 20):
-            for mu_tx in mus:
-                for mu_rx in mus:
-                    p = regions.SystemParams(m=m, mu_tx=mu_tx, mu_rx=mu_rx, d=d)
-                    ok_sub &= regions.is_subset(
-                        regions.inner_bound(p), regions.outer_bound(p)
-                    )
-            prev_inner = prev_outer = None
-            for mu in mus:
-                p = regions.SystemParams(m=m, mu_tx=mu, mu_rx=mu, d=d)
-                inner = regions.inner_bound(p)
-                outer = regions.outer_bound(p)
-                if prev_inner is not None:
-                    ok_mono &= regions.is_subset(prev_inner, inner)
-                    ok_mono &= regions.is_subset(prev_outer, outer)
-                prev_inner, prev_outer = inner, outer
-    add("structural: inner bound inside outer bound over sweep", ok_sub, "")
-    add("structural: bounds monotone in prelogs", ok_mono, "")
-
-    ok_sum = True
-    big = regions.SystemParams(m=3, mu_tx=100, mu_rx=100, d=40)
-    for t in range(1, regions.mixed_dual_t_max(40) + 1):
-        ps = regions.scheme_point(regions.FAMILY_SLOW, t, big)
-        pm = regions.scheme_point(regions.FAMILY_MIXED, t, big)
-        ok_sum &= ps.sf + ps.ss == pm.sf + pm.ss == Fraction(3 * (3 * t - 1), 3 * t)
-    add("structural: mixed and all-slow points share the sum gain", ok_sum, "")
-
-
 def cmd_verify_all(args: argparse.Namespace) -> int:
-    results: List[Tuple[str, bool, str]] = []
-
-    def add(name: str, ok: bool, detail: str) -> None:
-        results.append((name, ok, detail))
-
-    _fig6_checks(add)
-    _counting_checks(add)
-    _fraction_checks(add, args.radius)
-    _zf_checks(add, args.zf_trials, args.seed)
-    _schedule_checks(add)
-    _structural_checks(add)
-
-    lines = []
-    for name, ok, detail in results:
-        suffix = f" ({detail})" if detail else ""
-        lines.append(f"CHECK {name}: {'PASS' if ok else 'FAIL'}{suffix}")
-    n_pass = sum(1 for _, ok, _ in results if ok)
+    results = list(checks.all_checks(args.radius, args.zf_trials, args.seed))
+    lines = [
+        f"CHECK {name}: {'PASS' if ok else 'FAIL'}" + (f" ({detail})" if detail else "")
+        for name, ok, detail in results
+    ]
+    n_pass = sum(1 for check in results if check.ok)
     lines.append(f"verify-all: {n_pass}/{len(results)} checks passed")
     report = "\n".join(lines) + "\n"
     sys.stdout.write(report)
@@ -620,7 +426,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--outer", dest="which", action="store_const", const="outer")
     group.add_argument("--both", dest="which", action="store_const", const="both")
     p.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
-    p.add_argument("--samples", type=int, default=2, help="boundary sample count")
+    p.add_argument("--samples", type=_sample_count, default=2, help="boundary sample count")
     p.add_argument("--t", type=_positive_int, default=None, help="single cluster parameter (default: floor((d-2)/4))")
     p.add_argument("--t-sweep", action="store_true", help="sweep every admissible t")
     p.add_argument("--emit", help="output file (default: stdout)")
@@ -630,7 +436,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=_positive_int, required=True)
     p.add_argument("--m", type=_positive_int, required=True)
     p.add_argument("--trials", type=_positive_int, default=100)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.add_argument("--scheme", choices=("s3", "s4", "s5"), default="s4")
     p.add_argument("--emit", help="CSV file for per-trial results")
     p.set_defaults(func=cmd_zf)

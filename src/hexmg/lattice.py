@@ -10,7 +10,6 @@ symmetric, translation invariant, and never pairs two sectors of one cell.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Tuple
 
@@ -37,24 +36,6 @@ def cell_distance(c1: Cell, c2: Cell) -> int:
     dq = c1[0] - c2[0]
     dr = c1[1] - c2[1]
     return (abs(dq) + abs(dr) + abs(dq + dr)) // 2
-
-
-def cell_distance_bfs(c1: Cell, c2: Cell) -> int:
-    """Hop distance via breadth-first search; reference oracle for tests."""
-    if c1 == c2:
-        return 0
-    seen = {c1}
-    frontier = deque([(c1, 0)])
-    while frontier:
-        cell, d = frontier.popleft()
-        for dq, dr in HEX_DIRS:
-            nxt = (cell[0] + dq, cell[1] + dr)
-            if nxt == c2:
-                return d + 1
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append((nxt, d + 1))
-    raise RuntimeError("unreachable")
 
 
 def hex_ball(radius: int) -> List[Cell]:

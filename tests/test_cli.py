@@ -1,7 +1,11 @@
 import json
-
-from hexmg.cli import decimal_str, main
 from fractions import Fraction
+
+import pytest
+
+from hexmg import checks
+from hexmg.checks import decimal_str
+from hexmg.cli import main
 
 
 def run(capsys, *argv):
@@ -69,6 +73,51 @@ def test_region_svg_deterministic(capsys, tmp_path):
 def test_region_usage_error(capsys):
     code, _, err = run(capsys, "region", "--m", "0", "--d", "20")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["region", "--m", "3", "--d", "20", "--t", "11"],
+        ["region", "--m", "3", "--d", "20", "--samples", "-5"],
+        ["region", "--m", "3", "--d", "20", "--samples", "1"],
+        ["zf", "--t", "1", "--m", "1", "--trials", "1", "--tol", "nan"],
+        ["zf", "--t", "1", "--m", "1", "--trials", "1", "--tol", "-1"],
+        ["zf", "--t", "1", "--m", "1", "--trials", "1", "--tol", "inf"],
+    ],
+    ids=["t-beyond-slow-range", "samples-negative", "samples-one", "tol-nan", "tol-negative", "tol-inf"],
+)
+def test_out_of_range_input_is_a_usage_error(capsys, argv):
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2
+    assert stdout == ""
+    assert err.strip()
+
+
+def test_region_accepts_largest_admissible_t(capsys):
+    code, stdout, _ = run(capsys, "region", "--m", "3", "--d", "20", "--t", "10")
+    assert code == 0
+    assert stdout.startswith("bound,sf,ss\n")
+
+
+def test_verify_all_reports_a_failing_check(capsys, tmp_path, monkeypatch):
+    real = checks.schedule_checks
+
+    def one_failing():
+        first, *rest = real()
+        yield first._replace(ok=False)
+        yield from rest
+
+    monkeypatch.setattr(checks, "schedule_checks", one_failing)
+    code, stdout, _ = run(
+        capsys, "verify-all", "--radius", "24", "--zf-trials", "2", "--out", str(tmp_path)
+    )
+    assert code == 1
+    report = (tmp_path / "verify_report.txt").read_text()
+    assert report == stdout
+    assert "CHECK schedules: all splits validate d=3: FAIL (4 splits x 2 algorithms)\n" in report
+    assert report.count(": FAIL") == 1
+    assert report.endswith("verify-all: 32/33 checks passed\n")
 
 
 def test_lattice_emit_sorted_directed_edges(capsys, tmp_path):

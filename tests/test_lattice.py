@@ -1,10 +1,11 @@
+from collections import deque
+
 import pytest
 
 from hexmg.lattice import (
     HEX_DIRS,
     build_network,
     cell_distance,
-    cell_distance_bfs,
     hex_ball,
     interference_graph,
     tx_neighbors,
@@ -59,6 +60,24 @@ def test_unknown_sector_rejected():
     net = build_network(2)
     with pytest.raises(ValueError):
         tx_neighbors(net, (99, 0, 0))
+
+
+def cell_distance_bfs(c1, c2):
+    """Hop distance via breadth-first search; reference oracle for cell_distance."""
+    if c1 == c2:
+        return 0
+    seen = {c1}
+    frontier = deque([(c1, 0)])
+    while frontier:
+        cell, d = frontier.popleft()
+        for dq, dr in HEX_DIRS:
+            nxt = (cell[0] + dq, cell[1] + dr)
+            if nxt == c2:
+                return d + 1
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append((nxt, d + 1))
+    raise RuntimeError("unreachable")
 
 
 def test_cell_distance_against_bfs_oracle():
