@@ -13,6 +13,12 @@ Schemes differ in where interference between slow streams is removed:
 * ``s5``: the transmitter only nulls slow streams at fast sectors; the
   remaining slow-on-slow interference is subtracted at the receivers, which
   verification models by excluding those pairs from the residual.
+
+Every s5 message shares the same fast-sector rows, so the solve factors that
+block once (one SVD gives its row rank and a null-space basis) and then
+solves one small m x m system per message, all messages in one batch.  The
+check substitutes the sampled channels into the precoder as one stack of
+m x m effective channels and takes their norms and ranks in one call each.
 """
 
 from __future__ import annotations
@@ -190,47 +196,35 @@ def solve_precoder(system: ZFSystem) -> Precoder:
             raise RankDeficientError(f"inconsistent system, residual {resid:.3e}")
         return Precoder(m=m, active=system.active, messages=system.messages, matrix=b)
 
-    # s5: per message, null at the fast sectors and pin only the own gain
+    # s5: every message is nulled at the same fast rows, so factor them once.
+    # N spans the null space of the fast block H_F; message j then needs the
+    # minimum-norm y_j with (H_own_j N) y_j = I, and B_j = N y_j is the
+    # minimum-norm solution of [H_F; H_own_j] B_j = [0; I].
     idx = {s: i for i, s in enumerate(system.active)}
-    if system.fast:
-        fast_rows = np.concatenate(
-            [np.arange(m * idx[s], m * idx[s] + m) for s in system.fast]
-        )
-    else:
-        fast_rows = np.empty(0, dtype=int)
-    b = np.zeros((m * len(system.active), m * len(system.messages)))
-    for j, msg in enumerate(system.messages):
-        own = np.arange(m * idx[msg], m * idx[msg] + m)
-        rows = np.concatenate([fast_rows, own]).astype(int)
-        a_j = system.h_net[rows, :]
-        rhs = system.target[rows, m * j : m * j + m]
-        sol, _, rank, _ = np.linalg.lstsq(a_j, rhs, rcond=None)
-        if rank < a_j.shape[0]:
-            raise RankDeficientError(f"row-rank deficiency for message {msg}")
-        if np.linalg.norm(a_j @ sol - rhs) > _CONSISTENCY_TOL:
-            raise RankDeficientError("inconsistent system")
-        b[:, m * j : m * j + m] = sol
+    h = system.h_net.reshape(len(system.active), m, -1)
+    h_fast = h[[idx[s] for s in system.fast]].reshape(-1, h.shape[-1])
+    h_own = h[[idx[s] for s in system.messages]]
+    _, sv, vt = np.linalg.svd(h_fast)
+    rank = np.count_nonzero(sv > sv[:1] * max(h_fast.shape) * np.finfo(sv.dtype).eps)
+    if rank < h_fast.shape[0]:
+        raise RankDeficientError("row-rank deficiency at the fast sectors")
+    null = vt[rank:].T
+    a = h_own @ null
+    short = np.linalg.matrix_rank(a) < m
+    if short.any():
+        msg = system.messages[int(np.argmax(short))]
+        raise RankDeficientError(f"row-rank deficiency for message {msg}")
+    try:
+        y = np.linalg.solve(a @ a.transpose(0, 2, 1), a).transpose(0, 2, 1)
+    except np.linalg.LinAlgError as exc:
+        raise RankDeficientError(str(exc)) from None
+    blocks = null @ y
+    res = np.concatenate([h_fast @ blocks, h_own @ blocks - np.eye(m)], axis=1)
+    resid = np.linalg.norm(res, axis=(1, 2))
+    if not (resid <= _CONSISTENCY_TOL).all():
+        raise RankDeficientError(f"inconsistent system, residual {resid.max():.3e}")
+    b = blocks.transpose(1, 0, 2).reshape(m * len(system.active), -1)
     return Precoder(m=m, active=system.active, messages=system.messages, matrix=b)
-
-
-def effective_channels(
-    precoder: Precoder, ch: ChannelRealization
-) -> Dict[Tuple[Sector, Sector], np.ndarray]:
-    """Effective channel from every message to every cluster sector, obtained
-    by substituting the sampled channels into the precoder directly."""
-    m = precoder.m
-    idx = {s: i for i, s in enumerate(precoder.active)}
-    out: Dict[Tuple[Sector, Sector], np.ndarray] = {}
-    for k in precoder.active:
-        total = np.zeros((m, m * len(precoder.messages)))
-        for (rx, tx), h in ch.entries.items():
-            if rx != k:
-                continue
-            i = idx[tx]
-            total += h @ precoder.matrix[m * i : m * i + m, :]
-        for j, msg in enumerate(precoder.messages):
-            out[(k, msg)] = total[:, m * j : m * j + m]
-    return out
 
 
 def verify_nulling(
@@ -246,33 +240,52 @@ def verify_nulling(
     every effective channel the scheme promises to remove (all unintended
     streams at slow sectors for s3/s4, the whole slow aggregate at fast
     sectors for s4/s5) must be negligible relative to the strongest intended
-    gain.
+    gain.  The effective channels come from substituting the sampled
+    ``ch.entries`` into the precoder directly, never from the solved system,
+    and are judged as one stack of m x m blocks.
     """
     if plan.assignment is None:
         raise ValueError("plan has no assignment")
     if scheme not in SCHEME_MODES:
         raise ValueError(f"unknown precoding scheme {scheme!r}")
-    geff = effective_channels(precoder, ch)
     m = precoder.m
-    self_norms: List[float] = []
-    ranks: List[int] = []
-    cross: List[float] = []
-    for (k, msg), g in geff.items():
-        if g.shape != (m, m):
-            raise ValueError("dimension mismatch in effective channel")
-        if k == msg:
-            self_norms.append(float(np.linalg.norm(g, 2)))
-            ranks.append(int(np.linalg.matrix_rank(g)))
-            continue
-        role = plan.assignment[k]
-        if role == FAST or (role == SLOW and scheme != "s5"):
-            cross.append(float(np.linalg.norm(g, 2)))
-    max_self = max(self_norms) if self_norms else 0.0
-    min_rank = min(ranks) if ranks else 0
+    n, n_msg = len(precoder.active), len(precoder.messages)
+    if precoder.matrix.shape != (m * n, m * n_msg):
+        raise ValueError("dimension mismatch in effective channel")
+    idx = {s: i for i, s in enumerate(precoder.active)}
+
+    # Slot d holds every receiver's d-th incoming link, so each receiver sums
+    # its terms in the entries' insertion order: the rounding of a per-link
+    # loop, bit for bit.
+    slots: List[List[Tuple[int, int, np.ndarray]]] = []
+    depth = [0] * n
+    for (rx, tx), h in ch.entries.items():
+        i = idx[rx]
+        if depth[i] == len(slots):
+            slots.append([])
+        slots[depth[i]].append((i, idx[tx], h))
+        depth[i] += 1
+    rows = precoder.matrix.reshape(n, m, -1)
+    total = np.zeros_like(rows)
+    for slot in slots:
+        rx, tx, hs = zip(*slot)
+        total[list(rx)] += np.stack(hs) @ rows[list(tx)]
+    geff = total.reshape(n, m, n_msg, m).transpose(0, 2, 1, 3)
+
+    own = np.zeros((n, n_msg), dtype=bool)
+    own[[idx[msg] for msg in precoder.messages], np.arange(n_msg)] = True
+    roles = [plan.assignment[k] for k in precoder.active]
+    heard = np.array([r == FAST or (r == SLOW and scheme != "s5") for r in roles])
+    self_gains = geff[own]
+    self_norms = np.linalg.norm(self_gains, 2, axis=(-2, -1))
+    ranks = np.linalg.matrix_rank(self_gains)
+    cross = np.linalg.norm(geff[heard[:, None] & ~own], 2, axis=(-2, -1))
+    max_self = float(self_norms.max()) if self_norms.size else 0.0
+    min_rank = int(ranks.min()) if ranks.size else 0
     if max_self == 0.0:
-        residual = float("inf") if cross and max(cross) > 0 else 0.0
+        residual = float("inf") if cross.size and cross.max() > 0 else 0.0
         return NullingReport(residual, min_rank, False)
-    residual = (max(cross) / max_self) if cross else 0.0
+    residual = (float(cross.max()) / max_self) if cross.size else 0.0
     return NullingReport(residual, min_rank, residual <= tol and min_rank == m)
 
 

@@ -1,9 +1,14 @@
+from dataclasses import replace
+from functools import cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hexmg.clustering import FAST, clusters
+from hexmg.clustering import FAST, SLOW, clusters
 from hexmg.lattice import build_network
 from hexmg.precoding import (
+    NullingReport,
     Precoder,
     RankDeficientError,
     build_zf_system,
@@ -15,6 +20,65 @@ from hexmg.precoding import (
     solve_precoder,
     verify_nulling,
 )
+
+
+def effective_channels_oracle(precoder, ch):
+    """Reference substitution: one matrix product per (receiver, link) pair,
+    summed in the entries' insertion order."""
+    m = precoder.m
+    idx = {s: i for i, s in enumerate(precoder.active)}
+    out = {}
+    for k in precoder.active:
+        total = np.zeros((m, m * len(precoder.messages)))
+        for (rx, tx), h in ch.entries.items():
+            if rx == k:
+                i = idx[tx]
+                total += h @ precoder.matrix[m * i : m * i + m, :]
+        for j, msg in enumerate(precoder.messages):
+            out[(k, msg)] = total[:, m * j : m * j + m]
+    return out
+
+
+def verify_nulling_oracle(precoder, plan, ch, tol=1e-9, scheme="s4"):
+    """Reference check: one ``norm`` and one ``matrix_rank`` per block."""
+    m = precoder.m
+    self_norms, ranks, cross = [], [], []
+    for (k, msg), g in effective_channels_oracle(precoder, ch).items():
+        if k == msg:
+            self_norms.append(float(np.linalg.norm(g, 2)))
+            ranks.append(int(np.linalg.matrix_rank(g)))
+            continue
+        role = plan.assignment[k]
+        if role == FAST or (role == SLOW and scheme != "s5"):
+            cross.append(float(np.linalg.norm(g, 2)))
+    max_self = max(self_norms) if self_norms else 0.0
+    min_rank = min(ranks) if ranks else 0
+    if max_self == 0.0:
+        residual = float("inf") if cross and max(cross) > 0 else 0.0
+        return NullingReport(residual, min_rank, False)
+    residual = (max(cross) / max_self) if cross else 0.0
+    return NullingReport(residual, min_rank, residual <= tol and min_rank == m)
+
+
+def solve_s5_oracle(system):
+    """Reference s5 solve: one minimum-norm ``lstsq`` per slow message over
+    the fast rows and the message's own rows."""
+    m = system.m
+    idx = {s: i for i, s in enumerate(system.active)}
+    fast_rows = [r for s in system.fast for r in range(m * idx[s], m * idx[s] + m)]
+    b = np.zeros((m * len(system.active), m * len(system.messages)))
+    for j, msg in enumerate(system.messages):
+        rows = fast_rows + list(range(m * idx[msg], m * idx[msg] + m))
+        sol, _, rank, _ = np.linalg.lstsq(
+            system.h_net[rows, :], system.target[rows, m * j : m * j + m], rcond=None
+        )
+        assert rank == len(rows)
+        b[:, m * j : m * j + m] = sol
+    return b
+
+
+#: Plans are read, never changed, by the tests below; build each one once.
+shared_plan = cache(certification_plan)
 
 
 def test_same_seed_same_realization():
@@ -97,18 +161,10 @@ def test_fast_sectors_hear_no_slow_aggregate_s4():
     plan = certification_plan(2, 2, "s4")
     ch = sample_channels(plan, 2, seed=9)
     precoder = solve_precoder(build_zf_system(plan, ch, "s4"))
-    m = 2
-    idx = {s: i for i, s in enumerate(precoder.active)}
-    worst = 0.0
-    for k in precoder.active:
-        if plan.assignment[k] != FAST:
-            continue
-        total = np.zeros((m, m * len(precoder.messages)))
-        for (rx, tx), h in ch.entries.items():
-            if rx == k:
-                i = idx[tx]
-                total += h @ precoder.matrix[m * i : m * i + m, :]
-        worst = max(worst, float(np.abs(total).max()))
+    geff = effective_channels_oracle(precoder, ch)
+    worst = max(
+        float(np.abs(g).max()) for (k, _), g in geff.items() if plan.assignment[k] == FAST
+    )
     assert worst <= 1e-9
 
 
@@ -127,15 +183,24 @@ def test_zero_precoder_not_solvable():
     assert report.min_self_rank == 0
 
 
-def test_degenerate_channels_flagged():
-    plan = certification_plan(1, 1, "s4")
+@pytest.mark.parametrize(
+    "scheme,role,match",
+    [("s4", None, None), ("s5", FAST, "fast sectors"), ("s5", SLOW, "for message")],
+    ids=["s4", "s5-fast-block", "s5-own-block"],
+)
+def test_degenerate_channels_flagged(scheme, role, match):
+    """Zeroing every channel into one receiver costs the constraint matrix a
+    row block.  For s5 a dead fast sector breaks the shared fast block and a
+    dead slow sector breaks its own message's block."""
+    plan = certification_plan(1, 1, scheme)
     ch = sample_channels(plan, 1, seed=2)
-    dead = sorted(origin_cluster(plan).sectors)[0]
+    members = sorted(origin_cluster(plan).sectors)
+    dead = next(s for s in members if role is None or plan.assignment[s] == role)
     for (rx, tx) in list(ch.entries):
         if rx == dead:
             ch.entries[(rx, tx)] = np.zeros((1, 1))
-    system = build_zf_system(plan, ch, "s4")
-    with pytest.raises(RankDeficientError):
+    system = build_zf_system(plan, ch, scheme)
+    with pytest.raises(RankDeficientError, match=match):
         solve_precoder(system)
 
 
@@ -144,3 +209,54 @@ def test_trial_determinism():
     a = run_trial(plan, 2, seed=77)
     b = run_trial(plan, 2, seed=77)
     assert a == b
+
+
+@pytest.mark.parametrize("scheme", ["s3", "s4", "s5"])
+@pytest.mark.parametrize("t,m", [(t, m) for t in (1, 2) for m in (1, 2, 3)])
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_batched_verify_matches_per_pair_oracle(scheme, t, m, seed):
+    """The stacked substitution, norms and ranks reproduce the per-pair loop
+    exactly: every field of the report is equal, not merely close."""
+    plan = shared_plan(t, m, scheme)
+    ch = sample_channels(plan, m, seed)
+    precoder = solve_precoder(build_zf_system(plan, ch, scheme))
+    got = verify_nulling(precoder, plan, ch, scheme=scheme)
+    assert got == verify_nulling_oracle(precoder, plan, ch, scheme=scheme)
+    assert got.solvable
+
+
+@pytest.mark.parametrize("t,m", [(t, m) for t in (1, 2, 3) for m in (1, 2)])
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_factored_s5_solve_matches_lstsq_oracle(t, m, seed):
+    plan = shared_plan(t, m, "s5")
+    system = build_zf_system(plan, sample_channels(plan, m, seed), "s5")
+    b = solve_precoder(system).matrix
+    ref = solve_s5_oracle(system)
+    assert np.linalg.norm(b - ref) <= 1e-9 * np.linalg.norm(ref)
+
+    idx = {s: i for i, s in enumerate(system.active)}
+    h = system.h_net.reshape(len(system.active), m, -1)
+    h_fast = h[[idx[s] for s in system.fast]].reshape(-1, h.shape[-1])
+    assert np.abs(h_fast @ b).max() <= 1e-9
+    for j, msg in enumerate(system.messages):
+        own = h[idx[msg]] @ b[:, m * j : m * j + m]
+        assert np.abs(own - np.eye(m)).max() <= 1e-9
+
+
+def test_s5_solvable_at_t8():
+    (result,) = run_trials(8, 1, trials=1, seed=3, scheme="s5")
+    assert result.solvable
+    assert result.min_self_rank == 1
+    assert result.max_cross_residual <= 1e-9
+
+
+def test_factored_s5_solve_without_fast_sectors():
+    """With no fast rows the null space is the whole space and each message
+    only pins its own gain."""
+    plan = certification_plan(1, 2, "s5")
+    system = replace(build_zf_system(plan, sample_channels(plan, 2, 4), "s5"), fast=())
+    b = solve_precoder(system).matrix
+    ref = solve_s5_oracle(system)
+    assert np.linalg.norm(b - ref) <= 1e-9 * np.linalg.norm(ref)
