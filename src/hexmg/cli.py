@@ -99,13 +99,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     mode = clustering.MODE_MIXED if args.mode == "mixed" else clustering.MODE_SLOW_ONLY
     plan = clustering.assign_messages(clustering.clusters(net, args.t), mode)
 
-    cluster_id: Dict[lattice.Sector, int] = {}
-    master_users = set()
-    for i, cl in enumerate(plan.clusters):
-        for s in cl.sectors:
-            cluster_id[s] = i
-        if cl.master_user is not None:
-            master_users.add(cl.master_user)
+    master_users = {cl.master_user for cl in plan.clusters}
 
     if args.emit:
         lines = ["cell_q,cell_r,orientation,role,cluster_id"]
@@ -113,7 +107,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
             role = plan.assignment[s]
             if s in master_users:
                 role = "MASTER"
-            lines.append(f"{s[0]},{s[1]},{s[2]},{role},{cluster_id.get(s, -1)}")
+            lines.append(f"{s[0]},{s[1]},{s[2]},{role},{plan.cluster_index.get(s, -1)}")
         _write_or_print("\n".join(lines) + "\n", args.emit, args.out)
 
     status = 0

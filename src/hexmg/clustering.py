@@ -20,9 +20,9 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
+from scipy.sparse.csgraph import connected_components, maximum_bipartite_matching
 
-from .lattice import Cell, Network, Sector, cell_distance
+from .lattice import Cell, Network, Sector, cell_distance, hex_ball
 
 FAST = "FAST"
 SLOW = "SLOW"
@@ -108,14 +108,27 @@ def _classify_silenced(cell: Cell, t: int) -> Tuple[int, ...]:
     raise RuntimeError(f"single nearest master at ring distance t: {cell}")
 
 
+def _torus_silenced(t: int) -> FrozenSet[Sector]:
+    """Silenced sectors of one period of the master grid, as
+    ``(q mod 3t, r mod 3t, orientation)``: masters repeat every ``3t`` cells
+    along both axial directions, so these 9t^2 cells decide every cell."""
+    period = 3 * t
+    return frozenset(
+        (q, r, o)
+        for q in range(period)
+        for r in range(period)
+        for o in _classify_silenced((q, r), t)
+    )
+
+
 def silenced_sectors(net: Network, t: int) -> FrozenSet[Sector]:
     """The silencing mask: sectors switched off to decouple the clusters."""
     _check_t(net, t)
-    out = set()
-    for cell in net.cells:
-        for o in _classify_silenced(cell, t):
-            out.add((cell[0], cell[1], o))
-    return frozenset(out)
+    torus = _torus_silenced(t)
+    period = 3 * t
+    return frozenset(
+        s for s in net.sectors if (s[0] % period, s[1] % period, s[2]) in torus
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,17 +148,14 @@ class ClusterPlan:
     masters: Tuple[Cell, ...]
     silenced: FrozenSet[Sector]
     clusters: Tuple[Cluster, ...]
-    #: every lattice cell -> the master owning it (lexicographic tie-break);
-    #: exactly 3*t**2 cells per interior master.
-    cell_owner: Dict[Cell, Cell]
+    #: every active sector -> the index of its cluster in ``clusters``
+    cluster_index: Dict[Sector, int]
     assignment: Optional[Dict[Sector, str]] = None
     mode: Optional[str] = None
 
     def cluster_of(self, sector: Sector) -> Optional[Cluster]:
-        for cl in self.clusters:
-            if sector in cl.sectors:
-                return cl
-        return None
+        i = self.cluster_index.get(sector)
+        return None if i is None else self.clusters[i]
 
     def interior_masters(self, margin: int = 2) -> List[Cell]:
         """Masters whose whole cluster context lies inside the lattice."""
@@ -156,37 +166,37 @@ class ClusterPlan:
         ]
 
 
+def _components(net: Network, active: List[Sector]) -> Tuple[int, np.ndarray]:
+    """Connected components of the interference graph on the active sectors:
+    their number and one label per entry of ``active``."""
+    index = {s: i for i, s in enumerate(active)}
+    rows: List[int] = []
+    cols: List[int] = []
+    for i, s in enumerate(active):
+        for nb in net.tx_neighbors[s]:
+            j = index.get(nb, -1)
+            if j > i:  # the relation is symmetric: keep each edge once
+                rows.append(i)
+                cols.append(j)
+    graph = csr_matrix(
+        (np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(len(active), len(active))
+    )
+    return connected_components(graph, directed=False)
+
+
 def clusters(net: Network, t: int) -> ClusterPlan:
     """Decompose the lattice into non-interfering clusters for parameter t."""
     masters = master_grid(net, t)
     silenced = silenced_sectors(net, t)
     active = [s for s in net.sectors if s not in silenced]
-    active_set = frozenset(active)
-
-    parent: Dict[Sector, Sector] = {s: s for s in active}
-
-    def find(x: Sector) -> Sector:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    for s in active:
-        for nb in net.tx_neighbors[s]:
-            if nb in active_set:
-                ra, rb = find(s), find(nb)
-                if ra != rb:
-                    parent[ra] = rb
-
-    groups: Dict[Sector, List[Sector]] = {}
-    for s in active:
-        groups.setdefault(find(s), []).append(s)
+    n_groups, labels = _components(net, active)
+    groups: List[List[Sector]] = [[] for _ in range(n_groups)]
+    for s, label in zip(active, labels.tolist()):
+        groups[label].append(s)
 
     master_set = set(masters)
     built: List[Cluster] = []
-    for members in groups.values():
+    for members in groups:
         sec = frozenset(members)
         owners = sorted({(q, r) for (q, r, _) in members if (q, r) in master_set})
         if len(owners) == 1:
@@ -199,14 +209,13 @@ def clusters(net: Network, t: int) -> ClusterPlan:
             raise RuntimeError(f"cluster contains {len(owners)} master cells")
     built.sort(key=lambda c: (c.master is None, c.master or min(c.sectors)))
 
-    owner = {c: nearest_masters(c, t)[1][0] for c in net.cells}
     return ClusterPlan(
         net=net,
         t=t,
         masters=masters,
         silenced=silenced,
         clusters=tuple(built),
-        cell_owner=owner,
+        cluster_index={s: i for i, cl in enumerate(built) for s in cl.sectors},
     )
 
 
@@ -224,15 +233,10 @@ def fast_pattern(t: int) -> FrozenSet[Sector]:
     """
     period = 3 * t
     tcells = [(q, r) for q in range(period) for r in range(period)]
-    silenced = set()
-    for c in tcells:
-        for o in _classify_silenced(c, t):
-            silenced.add((c[0], c[1], o))
-
-    index = {c: i for i, c in enumerate(tcells)}
+    silenced = _torus_silenced(t)
 
     def wrap(q: int, r: int) -> int:
-        return index[(q % period, r % period)]
+        return (q % period) * period + r % period
 
     rows: List[int] = []
     cols: List[int] = []
@@ -284,12 +288,18 @@ def assign_messages(plan: ClusterPlan, mode: str) -> ClusterPlan:
 
 
 def _interior_region(plan: ClusterPlan) -> Tuple[Cell, List[Cell]]:
-    """Pick an interior master and return it with its owned cell region."""
-    for m in sorted(plan.masters, key=lambda c: (cell_distance(c, (0, 0)), c)):
-        if cell_distance(m, (0, 0)) + plan.t + 1 <= plan.net.radius:
-            region = sorted(c for c, own in plan.cell_owner.items() if own == m)
-            return m, region
-    raise ValueError(f"no interior cluster at radius {plan.net.radius}")
+    """Pick an interior master and return it with its owned cell region.
+
+    Cells belong to their lexicographically first nearest master, all within
+    ``t`` hops of it, and ownership moves with every master translation: the
+    origin master's region, shifted, is the region of any master."""
+    candidates = plan.interior_masters(margin=1)
+    if not candidates:
+        raise ValueError(f"no interior cluster at radius {plan.net.radius}")
+    m = min(candidates, key=lambda c: (cell_distance(c, (0, 0)), c))
+    t = plan.t
+    origin = [c for c in hex_ball(t) if nearest_masters(c, t)[1][0] == (0, 0)]
+    return m, [(q + m[0], r + m[1]) for (q, r) in origin]
 
 
 def count_links(plan: ClusterPlan, side: str) -> int:

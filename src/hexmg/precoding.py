@@ -77,11 +77,6 @@ class Precoder:
     messages: Tuple[Sector, ...]
     matrix: np.ndarray             # (m*n_active, m*n_messages)
 
-    def block(self, sector: Sector) -> np.ndarray:
-        """Rows of the precoder feeding one active user's antennas."""
-        i = self.active.index(sector)
-        return self.matrix[self.m * i : self.m * (i + 1), :]
-
 
 @dataclass(frozen=True)
 class NullingReport:

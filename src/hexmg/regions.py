@@ -20,7 +20,6 @@ RatLike = Union[int, str, Fraction]
 FAMILY_NO_COOP = "no_coop"   # fast-only baseline, ignores cooperation links
 FAMILY_SLOW = "slow"         # all-slow schemes (Rx-side or Tx-side conferencing)
 FAMILY_MIXED = "mixed"       # alternating fast/slow schemes
-FAMILIES = (FAMILY_NO_COOP, FAMILY_SLOW, FAMILY_MIXED)
 
 
 def _rat(x: RatLike) -> Fraction:

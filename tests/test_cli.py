@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hexmg import checks
+from hexmg import checks, clustering, lattice
 from hexmg.checks import decimal_str
 from hexmg.cli import main
 
@@ -148,6 +148,18 @@ def test_cluster_check_counts(capsys, tmp_path):
     assert lines[0] == "cell_q,cell_r,orientation,role,cluster_id"
     roles = {line.split(",")[3] for line in lines[1:]}
     assert roles == {"FAST", "SLOW", "SILENT", "MASTER"}
+
+    # cluster_id: the position in plan.clusters of the cluster holding the
+    # sector, -1 exactly on silenced rows
+    plan = clustering.clusters(lattice.build_network(12), 2)
+    assert len(lines) == 1 + sum(len(cl.sectors) for cl in plan.clusters) + len(plan.silenced)
+    for line in lines[1:]:
+        q, r, o, role, cid = line.split(",")
+        sector, cid = (int(q), int(r), int(o)), int(cid)
+        if role == "SILENT":
+            assert cid == -1
+        else:
+            assert 0 <= cid < len(plan.clusters) and sector in plan.clusters[cid].sectors
 
 
 def test_zf_command(capsys, tmp_path):

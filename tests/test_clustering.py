@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hexmg.clustering import (
     FAST,
@@ -10,6 +11,8 @@ from hexmg.clustering import (
     SILENT,
     SLOW,
     TX,
+    _classify_silenced,
+    _interior_region,
     assign_messages,
     assignment_fractions,
     clusters,
@@ -23,6 +26,101 @@ from hexmg.clustering import (
     silenced_sectors,
 )
 from hexmg.lattice import build_network, cell_distance, hex_ball
+
+
+# ---------------------------------------------------------------------------
+# per-cell oracles: silencing, ownership and clusters computed cell by cell
+# over the whole lattice, without the 3t x 3t torus or a sparse-graph library
+
+
+def silenced_oracle(net, t):
+    return frozenset(
+        (q, r, o) for (q, r) in net.cells for o in _classify_silenced((q, r), t)
+    )
+
+
+def interior_region_oracle(net, t):
+    owner = {c: nearest_masters(c, t)[1][0] for c in net.cells}
+    for m in sorted(master_grid(net, t), key=lambda c: (cell_distance(c, (0, 0)), c)):
+        if cell_distance(m, (0, 0)) + t + 1 <= net.radius:
+            return m, sorted(c for c, own in owner.items() if own == m)
+    raise ValueError(f"no interior cluster at radius {net.radius}")
+
+
+def clusters_oracle(net, t, silenced):
+    """Union-find over the active interference graph: the ordered
+    ``[(master, sectors)]`` list, partial clusters (master None) last."""
+    active = [s for s in net.sectors if s not in silenced]
+    active_set = frozenset(active)
+    parent = {s: s for s in active}
+
+    def find(x):
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    for s in active:
+        for nb in net.tx_neighbors[s]:
+            if nb in active_set:
+                ra, rb = find(s), find(nb)
+                if ra != rb:
+                    parent[ra] = rb
+
+    groups = {}
+    for s in active:
+        groups.setdefault(find(s), []).append(s)
+    master_set = set(master_grid(net, t))
+    out = []
+    for members in groups.values():
+        owners = sorted({(q, r) for (q, r, _) in members if (q, r) in master_set})
+        assert len(owners) <= 1
+        out.append((owners[0] if owners else None, frozenset(members)))
+    out.sort(key=lambda c: (c[0] is None, c[0] or min(c[1])))
+    return out
+
+
+@pytest.mark.parametrize(
+    "t,radius", [(t, radius) for t in (1, 2, 3, 4) for radius in (3 * t, 3 * t + 2, 6 * t)]
+)
+def test_torus_plan_matches_per_cell_oracles(t, radius):
+    net = build_network(radius)
+    plan = clusters(net, t)
+    silenced = silenced_oracle(net, t)
+    assert plan.silenced == silenced
+    want = clusters_oracle(net, t, silenced)
+    assert [(cl.master, cl.sectors) for cl in plan.clusters] == want
+    assert any(master is None for master, _ in want)  # boundary pieces covered
+    assert _interior_region(plan) == interior_region_oracle(net, t)
+
+    owner = {s: i for i, (_, sectors) in enumerate(want) for s in sectors}
+    off_lattice = [(radius + 1, 0, 0), (0, -radius - 1, 2), (radius, 1, 1)]
+    for s in list(net.sectors) + off_lattice:
+        i = owner.get(s)
+        assert plan.cluster_of(s) is (None if i is None else plan.clusters[i])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    t=st.integers(1, 6),
+    q=st.integers(-80, 80),
+    r=st.integers(-80, 80),
+    a=st.integers(-6, 6),
+    b=st.integers(-6, 6),
+)
+def test_silencing_periodic_and_ownership_translates(t, q, r, a, b):
+    # silencing repeats every 3t cells along both axial directions
+    assert _classify_silenced((q + 3 * t * a, r + 3 * t * b), t) == _classify_silenced((q, r), t)
+    # any master translation carries the nearest masters, owner first, along
+    m = ((a + 2 * b) * t, (a - b) * t)
+    assert is_master_cell(m, t)
+    d, near = nearest_masters((q, r), t)
+    assert nearest_masters((q + m[0], r + m[1]), t) == (
+        d,
+        tuple((x + m[0], y + m[1]) for (x, y) in near),
+    )
 
 
 def test_master_grid_contains_origin_and_min_spacing():
