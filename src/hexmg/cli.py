@@ -69,20 +69,15 @@ def _write_or_print(text: str, path: Optional[str], out_dir: Optional[str]) -> N
 
 def cmd_lattice(args: argparse.Namespace) -> int:
     net = lattice.build_network(args.radius, args.m)
-    edges = []
-    for s in net.sectors:
-        for nb in net.tx_neighbors[s]:
-            edges.append(f"{s[0]},{s[1]},{s[2]},{nb[0]},{nb[1]},{nb[2]}")
-    edges.sort()
+    label = [f"{q},{r},{o}" for q, r, o in net.sectors]
+    src, dst = net.directed_edges()
+    edges = sorted(f"{label[i]},{label[j]}" for i, j in zip(src.tolist(), dst.tolist()))
     if args.emit:
         lines = ["sector_cell_q,sector_cell_r,orientation,neighbor_cell_q,neighbor_cell_r,neighbor_orientation"]
         lines += edges
         _write_or_print("\n".join(lines) + "\n", args.emit, args.out)
-    interior_ok = all(
-        len(net.tx_neighbors[s]) == 4
-        for s in net.sectors
-        if net.is_interior_cell((s[0], s[1]))
-    )
+    per_cell = net.nbr.reshape(len(net.q), -1)
+    interior_ok = bool((per_cell[net.interior_mask()] >= 0).all())
     print(
         f"lattice radius={args.radius} m={args.m}: {len(net.cells)} cells, "
         f"{len(net.sectors)} sectors, {len(edges)} directed interference links, "
@@ -103,11 +98,9 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
     if args.emit:
         lines = ["cell_q,cell_r,orientation,role,cluster_id"]
-        for s in net.sectors:
-            role = plan.assignment[s]
-            if s in master_users:
-                role = "MASTER"
-            lines.append(f"{s[0]},{s[1]},{s[2]},{role},{plan.cluster_index.get(s, -1)}")
+        for s, code, cid in zip(net.sectors, plan.roles.tolist(), plan.cluster_ids.tolist()):
+            role = "MASTER" if s in master_users else clustering.ROLES[code]
+            lines.append(f"{s[0]},{s[1]},{s[2]},{role},{cid}")
         _write_or_print("\n".join(lines) + "\n", args.emit, args.out)
 
     status = 0

@@ -13,6 +13,7 @@ sectors interfering.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -22,11 +23,13 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, maximum_bipartite_matching
 
-from .lattice import Cell, Network, Sector, cell_distance, hex_ball
+from .lattice import Cell, Network, Sector, SectorMap, SectorSet, cell_distance, hex_ball
 
 FAST = "FAST"
 SLOW = "SLOW"
 SILENT = "SILENT"
+#: role names by code, as stored in ``ClusterPlan.roles``
+ROLES = (FAST, SLOW, SILENT)
 
 MODE_SLOW_ONLY = "SLOW_ONLY"
 MODE_MIXED = "MIXED"
@@ -53,14 +56,17 @@ _AXIS_ORIENTATION = {0: 2, 1: 1, 2: 0}
 
 
 def is_master_cell(cell: Cell, t: int) -> bool:
+    """Whether ``cell = (q, r)`` is a master; elementwise when ``q`` and ``r``
+    are arrays."""
     q, r = cell
-    return (q + 2 * r) % (3 * t) == 0 and (q - r) % (3 * t) == 0
+    return ((q + 2 * r) % (3 * t) == 0) & ((q - r) % (3 * t) == 0)
 
 
 def master_grid(net: Network, t: int) -> Tuple[Cell, ...]:
-    """Master cells of the lattice for parameter ``t`` (origin included)."""
+    """Master cells of the lattice for parameter ``t`` (origin included), sorted."""
     _check_t(net, t)
-    return tuple(sorted(c for c in net.cells if is_master_cell(c, t)))
+    is_master = is_master_cell((net.q, net.r), t)
+    return tuple(zip(net.q[is_master].tolist(), net.r[is_master].tolist()))
 
 
 def _check_t(net: Network, t: int) -> None:
@@ -108,27 +114,29 @@ def _classify_silenced(cell: Cell, t: int) -> Tuple[int, ...]:
     raise RuntimeError(f"single nearest master at ring distance t: {cell}")
 
 
-def _torus_silenced(t: int) -> FrozenSet[Sector]:
-    """Silenced sectors of one period of the master grid, as
-    ``(q mod 3t, r mod 3t, orientation)``: masters repeat every ``3t`` cells
-    along both axial directions, so these 9t^2 cells decide every cell."""
+def _torus_index(net: Network, t: int) -> np.ndarray:
+    """Per cell: its torus cell ``(q mod 3t)·3t + (r mod 3t)``."""
     period = 3 * t
-    return frozenset(
-        (q, r, o)
-        for q in range(period)
-        for r in range(period)
-        for o in _classify_silenced((q, r), t)
-    )
+    return (net.q % period) * period + net.r % period
 
 
-def silenced_sectors(net: Network, t: int) -> FrozenSet[Sector]:
+def _torus_silenced(t: int) -> np.ndarray:
+    """Silenced orientations of one period of the master grid, a
+    ``(9t^2, 3)`` boolean table with row ``(q mod 3t)·3t + (r mod 3t)``:
+    masters repeat every ``3t`` cells along both axial directions, so these
+    9t^2 cells decide every cell."""
+    period = 3 * t
+    table = np.zeros((period * period, 3), dtype=bool)
+    for q in range(period):
+        for r in range(period):
+            table[q * period + r, list(_classify_silenced((q, r), t))] = True
+    return table
+
+
+def silenced_sectors(net: Network, t: int) -> SectorSet:
     """The silencing mask: sectors switched off to decouple the clusters."""
     _check_t(net, t)
-    torus = _torus_silenced(t)
-    period = 3 * t
-    return frozenset(
-        s for s in net.sectors if (s[0] % period, s[1] % period, s[2]) in torus
-    )
+    return SectorSet(net, _torus_silenced(t)[_torus_index(net, t)].ravel())
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,68 +154,92 @@ class ClusterPlan:
     net: Network
     t: int
     masters: Tuple[Cell, ...]
-    silenced: FrozenSet[Sector]
+    silenced: SectorSet
     clusters: Tuple[Cluster, ...]
-    #: every active sector -> the index of its cluster in ``clusters``
-    cluster_index: Dict[Sector, int]
-    assignment: Optional[Dict[Sector, str]] = None
+    #: per sector id: the index of its cluster in ``clusters``, -1 if silenced
+    cluster_ids: np.ndarray
+    #: per sector id: the index of its role in ``ROLES`` (``assign_messages``)
+    roles: Optional[np.ndarray] = None
     mode: Optional[str] = None
 
+    @property
+    def assignment(self) -> Optional[Mapping]:
+        """``sector -> FAST / SLOW / SILENT``, read off ``roles``."""
+        if self.roles is None:
+            return None
+        return SectorMap(self.net, lambda i: ROLES[self.roles[i]])
+
     def cluster_of(self, sector: Sector) -> Optional[Cluster]:
-        i = self.cluster_index.get(sector)
-        return None if i is None else self.clusters[i]
+        i = self.net.sector_id.get(sector)
+        if i is None:
+            return None
+        c = self.cluster_ids[i]
+        return None if c < 0 else self.clusters[c]
 
     def interior_masters(self, margin: int = 2) -> List[Cell]:
         """Masters whose whole cluster context lies inside the lattice."""
-        return [
-            m
-            for m in self.masters
-            if cell_distance(m, (0, 0)) + self.t + margin <= self.net.radius
-        ]
+        ids = _interior_master_ids(self, margin)
+        return list(zip(self.net.q[ids].tolist(), self.net.r[ids].tolist()))
 
 
-def _components(net: Network, active: List[Sector]) -> Tuple[int, np.ndarray]:
-    """Connected components of the interference graph on the active sectors:
-    their number and one label per entry of ``active``."""
-    index = {s: i for i, s in enumerate(active)}
-    rows: List[int] = []
-    cols: List[int] = []
-    for i, s in enumerate(active):
-        for nb in net.tx_neighbors[s]:
-            j = index.get(nb, -1)
-            if j > i:  # the relation is symmetric: keep each edge once
-                rows.append(i)
-                cols.append(j)
-    graph = csr_matrix(
-        (np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(len(active), len(active))
-    )
-    return connected_components(graph, directed=False)
+def _interior_master_ids(plan: ClusterPlan, margin: int) -> np.ndarray:
+    """Cell ids of the masters at least ``t + margin`` hops from the boundary."""
+    net = plan.net
+    return np.flatnonzero(is_master_cell((net.q, net.r), plan.t) & net.interior_mask(plan.t + margin))
 
 
 def clusters(net: Network, t: int) -> ClusterPlan:
     """Decompose the lattice into non-interfering clusters for parameter t."""
     masters = master_grid(net, t)
     silenced = silenced_sectors(net, t)
-    active = [s for s in net.sectors if s not in silenced]
-    n_groups, labels = _components(net, active)
-    groups: List[List[Sector]] = [[] for _ in range(n_groups)]
-    for s, label in zip(active, labels.tolist()):
-        groups[label].append(s)
+    n = len(net.sectors)
+    active = ~silenced.mask
+    src, dst = net.directed_edges()
+    # the coupling is symmetric: keep each edge between active sectors once
+    keep = (dst > src) & active[src] & active[dst]
+    graph = csr_matrix(
+        (np.ones(np.count_nonzero(keep), dtype=np.int8), (src[keep], dst[keep])), shape=(n, n)
+    )
+    labels = connected_components(graph, directed=False)[1]
 
-    master_set = set(masters)
+    # active sector ids grouped by component, ascending within each group
+    ids = np.flatnonzero(active)
+    ids = ids[np.argsort(labels[ids], kind="stable")]
+    new_group = np.diff(labels[ids], prepend=-1) != 0
+    first = np.flatnonzero(new_group)
+    group = np.cumsum(new_group) - 1
+
+    # any sector of a master cell makes that master the group's owner
+    cell = ids // 3
+    owned = is_master_cell((net.q, net.r), t)[cell]
+    pairs = np.unique(group[owned] * len(net.q) + cell[owned])
+    owning_group, owner_cell = np.divmod(pairs, len(net.q))
+    per_group = np.bincount(owning_group, minlength=len(first))
+    if (per_group > 1).any():
+        # would mean the silencing failed to cut the graph
+        raise RuntimeError(f"cluster contains {per_group.max()} master cells")
+    owner = np.full(len(first), -1)
+    owner[owning_group] = owner_cell
+
+    # masters in cell order, then the partial clusters by their first sector
+    # (sector and cell ids sort like the tuples they stand for)
+    rank = np.lexsort((np.where(owner >= 0, owner, ids[first]), owner < 0))
+    members = list(map(net.sectors.__getitem__, ids.tolist()))
+    bounds = first.tolist() + [len(ids)]
+    owners = owner.tolist()
     built: List[Cluster] = []
-    for members in groups:
-        sec = frozenset(members)
-        owners = sorted({(q, r) for (q, r, _) in members if (q, r) in master_set})
-        if len(owners) == 1:
-            m = owners[0]
-            built.append(Cluster(master=m, master_user=(m[0], m[1], 0), sectors=sec))
-        elif len(owners) == 0:
+    for g in rank.tolist():
+        sec = frozenset(members[bounds[g]:bounds[g + 1]])
+        c = owners[g]
+        if c < 0:
             built.append(Cluster(master=None, master_user=None, sectors=sec))
         else:
-            # would mean the silencing failed to cut the graph
-            raise RuntimeError(f"cluster contains {len(owners)} master cells")
-    built.sort(key=lambda c: (c.master is None, c.master or min(c.sectors)))
+            user = net.sectors[3 * c]
+            built.append(Cluster(master=user[:2], master_user=user, sectors=sec))
+    position = np.empty(len(first), dtype=np.intp)
+    position[rank] = np.arange(len(first))
+    cluster_ids = np.full(n, -1, dtype=np.intp)
+    cluster_ids[ids] = position[group]
 
     return ClusterPlan(
         net=net,
@@ -215,7 +247,7 @@ def clusters(net: Network, t: int) -> ClusterPlan:
         masters=masters,
         silenced=silenced,
         clusters=tuple(built),
-        cluster_index={s: i for i, cl in enumerate(built) for s in cl.sectors},
+        cluster_ids=cluster_ids,
     )
 
 
@@ -243,7 +275,7 @@ def fast_pattern(t: int) -> FrozenSet[Sector]:
     edge_sector: Dict[Tuple[int, int], Sector] = {}
     for (q, r) in tcells:
         for o in range(3):
-            if (q, r, o) in silenced:
+            if silenced[q * period + r, o]:
                 continue
             if o == 0:
                 i, j = wrap(q, r), wrap(q, r)
@@ -274,17 +306,14 @@ def assign_messages(plan: ClusterPlan, mode: str) -> ClusterPlan:
     """Attach a message assignment (FAST / SLOW / SILENT) to a cluster plan."""
     if mode not in (MODE_SLOW_ONLY, MODE_MIXED):
         raise ValueError(f"mode must be {MODE_SLOW_ONLY!r} or {MODE_MIXED!r}")
-    assignment: Dict[Sector, str] = {}
-    fast = fast_pattern(plan.t) if mode == MODE_MIXED else frozenset()
     period = 3 * plan.t
-    for s in plan.net.sectors:
-        if s in plan.silenced:
-            assignment[s] = SILENT
-        elif mode == MODE_MIXED and (s[0] % period, s[1] % period, s[2]) in fast:
-            assignment[s] = FAST
-        else:
-            assignment[s] = SLOW
-    return replace(plan, assignment=assignment, mode=mode)
+    torus = np.full((period * period, 3), ROLES.index(SLOW), dtype=np.int8)
+    if mode == MODE_MIXED:
+        for (q, r, o) in fast_pattern(plan.t):
+            torus[q * period + r, o] = ROLES.index(FAST)
+    roles = torus[_torus_index(plan.net, plan.t)].ravel()
+    roles[plan.silenced.mask] = ROLES.index(SILENT)
+    return replace(plan, roles=roles, mode=mode)
 
 
 def _interior_region(plan: ClusterPlan) -> Tuple[Cell, List[Cell]]:
@@ -293,11 +322,12 @@ def _interior_region(plan: ClusterPlan) -> Tuple[Cell, List[Cell]]:
     Cells belong to their lexicographically first nearest master, all within
     ``t`` hops of it, and ownership moves with every master translation: the
     origin master's region, shifted, is the region of any master."""
-    candidates = plan.interior_masters(margin=1)
-    if not candidates:
-        raise ValueError(f"no interior cluster at radius {plan.net.radius}")
-    m = min(candidates, key=lambda c: (cell_distance(c, (0, 0)), c))
-    t = plan.t
+    net, t = plan.net, plan.t
+    ids = _interior_master_ids(plan, margin=1)
+    if not len(ids):
+        raise ValueError(f"no interior cluster at radius {net.radius}")
+    i = ids[np.argmin(net.hops[ids])]  # the nearest to the origin; ties go to the first cell
+    m = (int(net.q[i]), int(net.r[i]))
     origin = [c for c in hex_ball(t) if nearest_masters(c, t)[1][0] == (0, 0)]
     return m, [(q + m[0], r + m[1]) for (q, r) in origin]
 
@@ -378,14 +408,10 @@ def required_prelogs(scheme: str, t: int, m: int) -> PrelogRequirement:
 
 def assignment_fractions(plan: ClusterPlan, depth: int = 2) -> Dict[str, Fraction]:
     """Census of role fractions over the interior sectors."""
-    if plan.assignment is None:
+    if plan.roles is None:
         raise ValueError("plan has no assignment; call assign_messages first")
-    counts = {FAST: 0, SLOW: 0, SILENT: 0}
-    total = 0
-    for (q, r, o), role in plan.assignment.items():
-        if plan.net.is_interior_cell((q, r), depth):
-            counts[role] += 1
-            total += 1
-    if total == 0:
+    interior = plan.roles.reshape(-1, 3)[plan.net.interior_mask(depth)]
+    if interior.size == 0:
         raise ValueError("no interior sectors at this radius")
-    return {role: Fraction(n, total) for role, n in counts.items()}
+    counts = np.bincount(interior.ravel(), minlength=len(ROLES)).tolist()
+    return {role: Fraction(n, interior.size) for role, n in zip(ROLES, counts)}

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -133,6 +134,32 @@ def test_lattice_emit_sorted_directed_edges(capsys, tmp_path):
     assert rows == sorted(rows)
     # directed: each undirected pair appears twice
     assert len(rows) % 2 == 0
+
+
+#: SHA-256 of the emitted CSV and of stdout, recorded from the dict-based
+#: lattice that preceded the array-native one: these outputs must not move.
+EMIT_DIGESTS = {
+    ("lattice", "--radius", "8", "--m", "3"): (
+        "fba3e296552ab0704d6b625fe9ff09989c237d4c9c4c1ac2c1f1370e35218580",
+        "5551503e0cd9d87d4bb8dbbbd71077a29b396081e5318b1e9afaf648bb8acb6d",
+    ),
+    ("cluster", "--radius", "30", "--t", "2", "--mode", "mixed", "--check-counts"): (
+        "d6de1763a846b837b9d2afaec242bb9e3e0d474d384d9ef6f47c2aa7fcefc5bd",
+        "8bbb34d763beb6038f062aab939db0f663a998f472a550fb34e4ac444f31f474",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(EMIT_DIGESTS), ids=lambda argv: argv[0])
+def test_emitted_outputs_are_byte_identical(capsys, tmp_path, argv):
+    out = tmp_path / "emit.csv"
+    code, stdout, _ = run(capsys, *argv, "--emit", str(out))
+    assert code == 0
+    got = (
+        hashlib.sha256(out.read_bytes()).hexdigest(),
+        hashlib.sha256(stdout.encode()).hexdigest(),
+    )
+    assert got == EMIT_DIGESTS[argv]
 
 
 def test_cluster_check_counts(capsys, tmp_path):

@@ -1,8 +1,10 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hexmg import clustering
 from hexmg.clustering import (
     FAST,
     MODE_MIXED,
@@ -25,7 +27,7 @@ from hexmg.clustering import (
     required_prelogs,
     silenced_sectors,
 )
-from hexmg.lattice import build_network, cell_distance, hex_ball
+from hexmg.lattice import SectorSet, build_network, cell_distance, hex_ball
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +243,45 @@ def test_link_count_needs_interior_cluster():
     assert count_links(plan, TX) == 36  # radius 3 still holds an interior region
     with pytest.raises(ValueError):
         count_links(plan, "sideways")
+
+
+def test_clusters_refuse_a_lattice_left_uncut(monkeypatch):
+    def nothing_silenced(net, t):
+        return SectorSet(net, np.zeros(len(net.sectors), dtype=bool))
+
+    monkeypatch.setattr(clustering, "silenced_sectors", nothing_silenced)
+    with pytest.raises(RuntimeError, match="master cells"):
+        clusters(build_network(6), 1)
+
+
+def assignment_oracle(net, t, mode):
+    """Roles sector by sector from the per-cell silencing and the fast pattern."""
+    silenced = silenced_oracle(net, t)
+    fast = fast_pattern(t) if mode == MODE_MIXED else frozenset()
+    period = 3 * t
+    roles = {}
+    for s in net.sectors:
+        if s in silenced:
+            roles[s] = SILENT
+        elif (s[0] % period, s[1] % period, s[2]) in fast:
+            roles[s] = FAST
+        else:
+            roles[s] = SLOW
+    return roles
+
+
+@pytest.mark.parametrize("mode", [MODE_MIXED, MODE_SLOW_ONLY])
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_assignment_and_fractions_match_sector_oracle(t, mode):
+    net = build_network(6 * t + 2)
+    plan = assign_messages(clusters(net, t), mode)
+    roles = assignment_oracle(net, t, mode)
+    assert dict(plan.assignment.items()) == roles
+    for depth in (2, 3):
+        interior = [s for s in net.sectors if cell_distance(s[:2], (0, 0)) <= net.radius - depth]
+        want = {role: Fraction(sum(roles[s] == role for s in interior), len(interior))
+                for role in (FAST, SLOW, SILENT)}
+        assert assignment_fractions(plan, depth) == want
 
 
 def test_mixed_assignment_fast_is_independent():

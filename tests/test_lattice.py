@@ -1,15 +1,95 @@
 from collections import deque
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hexmg.lattice import (
     HEX_DIRS,
+    NEIGHBOR_RULE,
+    NUM_ORIENTATIONS,
     build_network,
     cell_distance,
     hex_ball,
     interference_graph,
+    rx_neighbors,
     tx_neighbors,
 )
+
+
+def is_interior(net, cell, depth=2):
+    """Reference for ``Network.interior_mask``: ``depth`` hops from the boundary."""
+    return cell_distance(cell, (0, 0)) <= net.radius - depth
+
+
+# ---------------------------------------------------------------------------
+# dict oracle: the lattice built as dicts of frozensets of tuples, sector by
+# sector, without integer ids or a neighbour array
+
+
+def build_network_oracle(radius):
+    cell_list = hex_ball(radius)
+    cells = frozenset(cell_list)
+    sectors = tuple((q, r, o) for (q, r) in cell_list for o in range(NUM_ORIENTATIONS))
+    tx = {}
+    for (q, r, o) in sectors:
+        found = []
+        for dq, dr, o2 in NEIGHBOR_RULE[o]:
+            target = (q + dq, r + dr)
+            if target in cells:
+                found.append((target[0], target[1], o2))
+        tx[(q, r, o)] = frozenset(found)
+    rx = {}
+    for c in cell_list:
+        rx[c] = frozenset(
+            (c[0] + dq, c[1] + dr)
+            for dq, dr in HEX_DIRS
+            if (c[0] + dq, c[1] + dr) in cells
+        )
+    return cells, sectors, tx, rx
+
+
+def interference_graph_oracle(tx):
+    edges = set()
+    for s, nbrs in tx.items():
+        for t in nbrs:
+            edges.add((s, t) if s <= t else (t, s))
+    return sorted(edges)
+
+
+@pytest.mark.parametrize("radius", range(1, 11))
+@pytest.mark.parametrize("m", [1, 3])
+def test_array_network_matches_dict_oracle(radius, m):
+    net = build_network(radius, m)
+    cells, sectors, tx, rx = build_network_oracle(radius)
+    assert net.sectors == sectors
+    assert net.cells == cells
+    for s in sectors:
+        assert net.tx_neighbors[s] == tx[s]
+        assert tx_neighbors(net, s) == tx[s]
+    assert net.sector_id == {s: i for i, s in enumerate(sectors)}
+    for c in cells:
+        assert net.rx_neighbors[c] == rx[c]
+    assert dict(net.tx_neighbors.items()) == tx
+    assert net.tx_neighbors == tx and net.rx_neighbors == rx
+    assert interference_graph(net) == interference_graph_oracle(tx)
+    for depth in (0, 1, 2):
+        assert net.interior_cells(depth) == [c for c in hex_ball(radius) if is_interior(net, c, depth)]
+
+
+def test_neighbor_array_layout():
+    net = build_network(5)
+    n = len(net.sectors)
+    assert net.nbr.shape == (n, 4)
+    assert net.nbr.min() == -1 and net.nbr.max() < n
+    assert len(net.q) == len(net.r) == n // 3
+    for i, (q, r, o) in enumerate(net.sectors):
+        assert (net.q[i // 3], net.r[i // 3], i % 3) == (q, r, o)
+        for k, (dq, dr, o2) in enumerate(NEIGHBOR_RULE[o]):
+            j = net.nbr[i, k]
+            want = (q + dq, r + dr, o2)
+            assert (net.sectors[j] == want) if j >= 0 else (want[:2] not in net.cells)
+    with pytest.raises(ValueError):
+        net.nbr[0, 0] = 0  # the arrays are read-only
 
 
 @pytest.mark.parametrize("radius,cells,sectors", [(1, 7, 21), (2, 19, 57)])
@@ -30,7 +110,7 @@ def test_rejects_bad_radius_and_m(bad):
 def test_interior_sectors_have_exactly_four_neighbors():
     net = build_network(8, 3)
     for s in net.sectors:
-        if net.is_interior_cell((s[0], s[1])):
+        if is_interior(net, (s[0], s[1])):
             assert len(net.tx_neighbors[s]) == 4
 
 
@@ -60,6 +140,21 @@ def test_unknown_sector_rejected():
     net = build_network(2)
     with pytest.raises(ValueError):
         tx_neighbors(net, (99, 0, 0))
+
+
+@pytest.mark.parametrize("sector", [(3, 0, 0), (0, 0, 3), (0, 0, -1), (0, 0)])
+def test_malformed_sector_rejected(sector):
+    net = build_network(2)
+    with pytest.raises(ValueError):
+        tx_neighbors(net, sector)
+
+
+@pytest.mark.parametrize("cell", [(3, 0), (2, 1), (0, 0, 0)])
+def test_unknown_cell_rejected(cell):
+    net = build_network(2)
+    assert cell not in net.cells
+    with pytest.raises(ValueError):
+        rx_neighbors(net, cell)
 
 
 def cell_distance_bfs(c1, c2):
@@ -114,7 +209,7 @@ def test_translation_invariance_interior():
     }
     for s in net.sectors:
         q, r, o = s
-        if not net.is_interior_cell((q, r)):
+        if not is_interior(net, (q, r)):
             continue
         rel = {(nq - q, nr - r, no) for (nq, nr, no) in net.tx_neighbors[s]}
         assert rel == base[o]
@@ -133,5 +228,51 @@ def test_rx_neighbors_are_cell_adjacency():
     for c in net.cells:
         expected = {(c[0] + dq, c[1] + dr) for dq, dr in HEX_DIRS} & net.cells
         assert net.rx_neighbors[c] == expected
-        if net.is_interior_cell(c):
+        if is_interior(net, c):
             assert len(net.rx_neighbors[c]) == 6
+
+
+# ---------------------------------------------------------------------------
+# properties of the neighbour array and the tx relation
+
+
+@settings(max_examples=30, deadline=None)
+@given(radius=st.integers(1, 14))
+def test_neighbor_array_is_symmetric(radius):
+    net = build_network(radius)
+    src, dst = net.directed_edges()
+    pairs = set(zip(src.tolist(), dst.tolist()))
+    assert pairs == {(j, i) for i, j in pairs}  # j in nbr[i] <=> i in nbr[j]
+    assert all(i // 3 != j // 3 for i, j in pairs)  # never within one cell
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    radius=st.integers(3, 14),
+    data=st.data(),
+)
+def test_tx_relation_translation_invariant_in_interior(radius, data):
+    net = build_network(radius)
+    inner = hex_ball(radius - 1)  # every neighbour cell is on the lattice
+    q, r = data.draw(st.sampled_from(inner))
+    q2, r2 = data.draw(st.sampled_from(inner))
+    o = data.draw(st.integers(0, 2))
+    dq, dr = q2 - q, r2 - r
+    moved = {(a + dq, b + dr, c) for (a, b, c) in net.tx_neighbors[(q, r, o)]}
+    assert moved == net.tx_neighbors[(q2, r2, o)]
+    assert len(moved) == 4
+
+
+def _rotate(sector):
+    """120 degree rotation about the origin, relabelling orientations."""
+    q, r, o = sector
+    return (-q - r, q, (2, 0, 1)[o])
+
+
+@settings(max_examples=200, deadline=None)
+@given(radius=st.integers(1, 14), data=st.data())
+def test_tx_relation_invariant_under_rotation(radius, data):
+    net = build_network(radius)
+    s = data.draw(st.sampled_from(net.sectors))
+    assert _rotate(_rotate(_rotate(s))) == s
+    assert {_rotate(n) for n in net.tx_neighbors[s]} == net.tx_neighbors[_rotate(s)]
