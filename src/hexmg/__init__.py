@@ -25,6 +25,7 @@ from .clustering import (
     Cluster,
     ClusterPlan,
     PrelogRequirement,
+    UncutLatticeError,
     assign_messages,
     assignment_fractions,
     clusters,

@@ -469,7 +469,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return USAGE_ERROR
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, precoding.RankDeficientError, clustering.UncutLatticeError) as exc:
         print(f"hexmg: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

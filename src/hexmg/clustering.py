@@ -23,7 +23,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, maximum_bipartite_matching
 
-from .lattice import Cell, Network, Sector, SectorMap, SectorSet, cell_distance, hex_ball
+from .lattice import Cell, Network, Sector, SectorMap, SectorSet, cell_distance, cell_index, hex_ball
 
 FAST = "FAST"
 SLOW = "SLOW"
@@ -139,6 +139,10 @@ def silenced_sectors(net: Network, t: int) -> SectorSet:
     return SectorSet(net, _torus_silenced(t)[_torus_index(net, t)].ravel())
 
 
+class UncutLatticeError(RuntimeError):
+    """A cluster holds more than one master: the silencing failed to cut it."""
+
+
 @dataclass(frozen=True, eq=False)
 class Cluster:
     """One connected block of active sectors; ``master`` is None for the
@@ -146,7 +150,8 @@ class Cluster:
 
     master: Optional[Cell]
     master_user: Optional[Sector]
-    sectors: FrozenSet[Sector]
+    #: ``labels`` is the plan's ``cluster_ids`` and ``label`` the cluster's index
+    sectors: SectorSet
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,7 +169,8 @@ class ClusterPlan:
 
     @property
     def assignment(self) -> Optional[Mapping]:
-        """``sector -> FAST / SLOW / SILENT``, read off ``roles``."""
+        """``sector -> FAST / SLOW / SILENT``, read off ``roles``; a view for the
+        CLI, tests, demos and perfbench, which the library does not read."""
         if self.roles is None:
             return None
         return SectorMap(self.net, lambda i: ROLES[self.roles[i]])
@@ -193,7 +199,7 @@ def clusters(net: Network, t: int) -> ClusterPlan:
     masters = master_grid(net, t)
     silenced = silenced_sectors(net, t)
     n = len(net.sectors)
-    active = ~silenced.mask
+    active = ~silenced.labels
     src, dst = net.directed_edges()
     # the coupling is symmetric: keep each edge between active sectors once
     keep = (dst > src) & active[src] & active[dst]
@@ -216,39 +222,26 @@ def clusters(net: Network, t: int) -> ClusterPlan:
     owning_group, owner_cell = np.divmod(pairs, len(net.q))
     per_group = np.bincount(owning_group, minlength=len(first))
     if (per_group > 1).any():
-        # would mean the silencing failed to cut the graph
-        raise RuntimeError(f"cluster contains {per_group.max()} master cells")
+        raise UncutLatticeError(f"cluster contains {per_group.max()} master cells")
     owner = np.full(len(first), -1)
     owner[owning_group] = owner_cell
 
     # masters in cell order, then the partial clusters by their first sector
     # (sector and cell ids sort like the tuples they stand for)
     rank = np.lexsort((np.where(owner >= 0, owner, ids[first]), owner < 0))
-    members = list(map(net.sectors.__getitem__, ids.tolist()))
-    bounds = first.tolist() + [len(ids)]
-    owners = owner.tolist()
-    built: List[Cluster] = []
-    for g in rank.tolist():
-        sec = frozenset(members[bounds[g]:bounds[g + 1]])
-        c = owners[g]
-        if c < 0:
-            built.append(Cluster(master=None, master_user=None, sectors=sec))
-        else:
-            user = net.sectors[3 * c]
-            built.append(Cluster(master=user[:2], master_user=user, sectors=sec))
     position = np.empty(len(first), dtype=np.intp)
     position[rank] = np.arange(len(first))
     cluster_ids = np.full(n, -1, dtype=np.intp)
     cluster_ids[ids] = position[group]
+    stop = np.append(first[1:], len(ids))
+    spans = zip(first[rank].tolist(), stop[rank].tolist(), owner[rank].tolist())
+    built = []
+    for i, (a, b, c) in enumerate(spans):
+        user = net.sectors[3 * c] if c >= 0 else None
+        sectors = SectorSet(net, cluster_ids, i, ids[a:b])
+        built.append(Cluster(None if user is None else user[:2], user, sectors))
 
-    return ClusterPlan(
-        net=net,
-        t=t,
-        masters=masters,
-        silenced=silenced,
-        clusters=tuple(built),
-        cluster_ids=cluster_ids,
-    )
+    return ClusterPlan(net, t, masters, silenced, tuple(built), cluster_ids)
 
 
 @lru_cache(maxsize=None)
@@ -290,9 +283,7 @@ def fast_pattern(t: int) -> FrozenSet[Sector]:
             cols.append(j)
             edge_sector[key] = (q, r, o)
 
-    graph = csr_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(period * period, period * period)
-    )
+    graph = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(period * period,) * 2)
     match = maximum_bipartite_matching(graph, perm_type="column")
     if (match < 0).any():
         raise RuntimeError(f"no perfect fast pattern found for t={t}")
@@ -312,7 +303,7 @@ def assign_messages(plan: ClusterPlan, mode: str) -> ClusterPlan:
         for (q, r, o) in fast_pattern(plan.t):
             torus[q * period + r, o] = ROLES.index(FAST)
     roles = torus[_torus_index(plan.net, plan.t)].ravel()
-    roles[plan.silenced.mask] = ROLES.index(SILENT)
+    roles[plan.silenced.labels] = ROLES.index(SILENT)
     return replace(plan, roles=roles, mode=mode)
 
 
@@ -340,14 +331,12 @@ def count_links(plan: ClusterPlan, side: str) -> int:
     links between adjacent base stations on the ``rx`` side.
     """
     _, region = _interior_region(plan)
+    net = plan.net
+    cell = cell_index(net.radius, *np.array(region).T)
     if side == TX:
-        return sum(
-            len(plan.net.tx_neighbors[(q, r, o)])
-            for (q, r) in region
-            for o in range(3)
-        )
+        return int(np.count_nonzero(net.nbr.reshape(len(net.q), -1)[cell] >= 0))
     if side == RX:
-        return sum(len(plan.net.rx_neighbors[c]) for c in region)
+        return int(np.count_nonzero(net.adjacent(cell) >= 0))
     raise ValueError(f"side must be {TX!r} or {RX!r}")
 
 

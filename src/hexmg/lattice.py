@@ -13,7 +13,7 @@ integer sector ids ``3·cell + orientation``.  Since ``hex_ball`` is sorted,
 sector ids follow the sorted order of the ``(q, r, o)`` tuples.  The tuple
 forms are derived from the arrays: ``sectors`` lists every sector by id,
 ``cells`` is built on first use, and ``tx_neighbors`` / ``rx_neighbors`` are
-read-only mapping views.
+read-only mapping views; ``cell_index`` maps coordinates to cell ids.
 """
 
 from __future__ import annotations
@@ -73,7 +73,8 @@ class Network:
     to the set of sectors whose transmissions interfere with it (user-to-user
     conferencing links follow the same pairs).  ``rx_neighbors`` is plain
     6-cell adjacency restricted to the lattice and carries the base-station
-    conferencing links.
+    conferencing links.  Both are views kept for the CLI, tests, demos and
+    perfbench; the library reads ``nbr`` and ``adjacent`` instead.
     """
 
     radius: int
@@ -99,10 +100,21 @@ class Network:
 
     @property
     def rx_neighbors(self) -> Mapping:
-        return _RxView(self.cells)
+        return CellMap(self, self._rx_of)
 
     def _tx_of(self, i: int) -> FrozenSet[Sector]:
         return frozenset(self.sectors[j] for j in self.nbr[i].tolist() if j >= 0)
+
+    def _rx_of(self, i: int) -> FrozenSet[Cell]:
+        near = self.adjacent(i)
+        near = near[near >= 0]
+        return frozenset(zip(self.q[near].tolist(), self.r[near].tolist()))
+
+    def adjacent(self, cell) -> np.ndarray:
+        """Per cell id in ``cell`` (an int or an array): the ids of its six
+        adjacent cells in ``HEX_DIRS`` order, -1 where one falls off the lattice."""
+        dq, dr = np.array(HEX_DIRS).T
+        return cell_index(self.radius, self.q[cell, None] + dq, self.r[cell, None] + dr)
 
     @property
     def hops(self) -> np.ndarray:
@@ -112,10 +124,6 @@ class Network:
     def interior_mask(self, depth: int = 2) -> np.ndarray:
         """Per cell: True if it is at least ``depth`` hops from the boundary."""
         return self.hops <= self.radius - depth
-
-    def interior_cells(self, depth: int = 2) -> List[Cell]:
-        inside = self.interior_mask(depth)
-        return list(zip(self.q[inside].tolist(), self.r[inside].tolist()))
 
     def directed_edges(self) -> Tuple[np.ndarray, np.ndarray]:
         """Every coupled pair ``(id, nbr[id])`` as a source and a target id array."""
@@ -129,8 +137,7 @@ class SectorMap(Mapping):
     """Read-only ``sector -> value`` view; ``value`` maps a sector id to it."""
 
     def __init__(self, net: Network, value: Callable[[int], object]) -> None:
-        self._net = net
-        self._value = value
+        self._net, self._value = net, value
 
     def __getitem__(self, sector: Sector):
         return self._value(self._net.sector_id[sector])
@@ -143,47 +150,55 @@ class SectorMap(Mapping):
 
 
 class SectorSet(Set):
-    """Read-only set of the sectors whose entry in a boolean mask over the
-    sector ids is True; ``mask`` is there for array code."""
+    """Read-only set of the sectors whose entry in ``labels``, an array over
+    the sector ids (by default a boolean mask), equals ``label``.  ``ids``
+    lists their ids in ascending order, which iteration follows; a caller
+    that has them already passes them in."""
 
-    def __init__(self, net: Network, mask: np.ndarray) -> None:
-        self.net = net
-        self.mask = mask
+    _from_iterable = staticmethod(frozenset)
 
-    @classmethod
-    def _from_iterable(cls, it) -> FrozenSet[Sector]:
-        return frozenset(it)
+    def __init__(self, net: Network, labels: np.ndarray, label=True, ids=None) -> None:
+        self.net, self.labels, self.label = net, labels, label
+        self.ids = np.flatnonzero(labels == label) if ids is None else ids
 
     def __contains__(self, sector) -> bool:
         i = self.net.sector_id.get(sector)
-        return i is not None and bool(self.mask[i])
+        return i is not None and bool(self.labels[i] == self.label)
 
     def __iter__(self) -> Iterator[Sector]:
-        return map(self.net.sectors.__getitem__, np.flatnonzero(self.mask).tolist())
+        return map(self.net.sectors.__getitem__, self.ids.tolist())
 
     def __len__(self) -> int:
-        return int(np.count_nonzero(self.mask))
+        return len(self.ids)
 
 
-class _RxView(Mapping):
-    """``cell -> frozenset`` of its adjacent cells on the lattice."""
+class CellMap(Mapping):
+    """Read-only ``cell -> value`` view; ``value`` maps a cell id to it."""
 
-    def __init__(self, cells: FrozenSet[Cell]) -> None:
-        self._cells = cells
+    def __init__(self, net: Network, value: Callable[[int], object]) -> None:
+        self._net, self._value = net, value
 
-    def __getitem__(self, cell: Cell) -> FrozenSet[Cell]:
-        if cell not in self._cells:
+    def __getitem__(self, cell: Cell):
+        i = self._net.sector_id.get((*cell, 0)) if isinstance(cell, tuple) else None
+        if i is None:
             raise KeyError(cell)
-        q, r = cell
-        return frozenset(
-            (q + dq, r + dr) for dq, dr in HEX_DIRS if (q + dq, r + dr) in self._cells
-        )
+        return self._value(i // NUM_ORIENTATIONS)
 
     def __iter__(self) -> Iterator[Cell]:
-        return iter(self._cells)
+        return zip(self._net.q.tolist(), self._net.r.tolist())
 
     def __len__(self) -> int:
-        return len(self._cells)
+        return len(self._net.q)
+
+
+def cell_index(radius: int, q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Per coordinate pair: the id of cell ``(q, r)`` in ``hex_ball(radius)``
+    order, -1 where it falls off the ball.  That order walks the columns
+    q = -R..R (R the radius); column q starts at id ``(q + R)(2R + 1) -
+    R(R + 1)/2 - |q|(q - 1)/2``, and its first cell has r = -R + max(0, -q)."""
+    start = (q + radius) * (2 * radius + 1) - radius * (radius + 1) // 2 - np.abs(q) * (q - 1) // 2
+    cell = start + r + radius - np.maximum(0, -q)
+    return np.where(cell_distance((q, r), (0, 0)) <= radius, cell, -1)
 
 
 def build_network(radius: int, antennas_per_user: int = 1) -> Network:
@@ -191,38 +206,20 @@ def build_network(radius: int, antennas_per_user: int = 1) -> Network:
     if not isinstance(radius, int) or radius < 1:
         raise ValueError(f"radius must be a positive integer, got {radius!r}")
     if not isinstance(antennas_per_user, int) or antennas_per_user < 1:
-        raise ValueError(
-            f"antennas_per_user must be a positive integer, got {antennas_per_user!r}"
-        )
-    # hex_ball order walks the columns q = -radius..radius; column q holds
-    # r = lo[q]..lo[q] + length[q] - 1 and starts at cell index start[q].
-    column = np.arange(-radius, radius + 1)
-    lo = np.maximum(-radius, -radius - column)
-    length = 2 * radius + 1 - np.abs(column)
-    start = np.cumsum(length) - length
-    q = np.repeat(column, length)
-    r = np.arange(len(q)) - np.repeat(start - lo, length)
-
-    def cell_index(cq: np.ndarray, cr: np.ndarray) -> np.ndarray:
-        inside = cell_distance((cq, cr), (0, 0)) <= radius
-        col = np.clip(cq, -radius, radius) + radius
-        return np.where(inside, start[col] + cr - lo[col], -1)
-
+        raise ValueError(f"antennas_per_user must be a positive integer, got {antennas_per_user!r}")
+    q, r = np.mgrid[-radius : radius + 1, -radius : radius + 1].reshape(2, -1)
+    inside = cell_distance((q, r), (0, 0)) <= radius
+    q, r = q[inside], r[inside]  # sorted by (q, r), as hex_ball
     nbr = np.empty((NUM_ORIENTATIONS * len(q), 4), dtype=np.intp)
     for o, rule in NEIGHBOR_RULE.items():
         for k, (dq, dr, o2) in enumerate(rule):
-            cell = cell_index(q + dq, r + dr)
+            cell = cell_index(radius, q + dq, r + dr)
             nbr[o::NUM_ORIENTATIONS, k] = np.where(cell >= 0, NUM_ORIENTATIONS * cell + o2, -1)
     for a in (q, r, nbr):
         a.flags.writeable = False
-    sectors = tuple(zip(
-        np.repeat(q, NUM_ORIENTATIONS).tolist(),
-        np.repeat(r, NUM_ORIENTATIONS).tolist(),
-        list(range(NUM_ORIENTATIONS)) * len(q),
-    ))
-    return Network(
-        radius=radius, antennas_per_user=antennas_per_user, q=q, r=r, nbr=nbr, sectors=sectors
-    )
+    qs, rs = np.repeat(q, NUM_ORIENTATIONS).tolist(), np.repeat(r, NUM_ORIENTATIONS).tolist()
+    sectors = tuple(zip(qs, rs, list(range(NUM_ORIENTATIONS)) * len(q)))
+    return Network(radius, antennas_per_user, q, r, nbr, sectors)
 
 
 def tx_neighbors(net: Network, sector: Sector) -> FrozenSet[Sector]:

@@ -15,13 +15,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional
 
-from .lattice import Cell, Network
+import numpy as np
+
+from .lattice import CellMap, Network
 from .regions import SystemParams
 
 RED = "RED"
 WHITE = "WHITE"
 PINK = "PINK"
 BLUE = "BLUE"
+#: colour names by code, as stored in ``Partition.codes``
+COLORS = (WHITE, RED, PINK, BLUE)
 
 TWO = "two"
 FOUR = "four"
@@ -31,21 +35,27 @@ FOUR = "four"
 class Partition:
     kind: str
     d: Optional[int]
-    coloring: Dict[Cell, str]
-    census: Dict[str, int]
+    net: Network
+    #: per cell id: the index of its colour in ``COLORS``
+    codes: np.ndarray
 
+    @property
+    def coloring(self) -> CellMap:
+        """``cell -> colour``, read off ``codes``; a view kept for callers
+        outside the library, such as the tests, which the library does not read."""
+        return CellMap(self.net, lambda i: COLORS[self.codes[i]])
 
-def _census(coloring: Dict[Cell, str]) -> Dict[str, int]:
-    out: Dict[str, int] = {}
-    for color in coloring.values():
-        out[color] = out.get(color, 0) + 1
-    return out
+    @property
+    def census(self) -> Dict[str, int]:
+        """Cells per colour, for the colours that occur."""
+        counts = np.bincount(self.codes, minlength=len(COLORS)).tolist()
+        return {color: n for color, n in zip(COLORS, counts) if n}
 
 
 def partition_two(net: Network) -> Partition:
     """Alternating-column two-colouring; red fraction tends to 1/2."""
-    coloring = {c: (RED if (c[0] + c[1]) % 2 == 0 else WHITE) for c in net.cells}
-    return Partition(kind=TWO, d=None, coloring=coloring, census=_census(coloring))
+    codes = np.where((net.q + net.r) % 2 == 0, COLORS.index(RED), COLORS.index(WHITE))
+    return Partition(kind=TWO, d=None, net=net, codes=codes.astype(np.int8))
 
 
 def partition_four(net: Network, d: int) -> Partition:
@@ -55,23 +65,14 @@ def partition_four(net: Network, d: int) -> Partition:
     if net.radius < 3 * d:
         raise ValueError(f"lattice radius {net.radius} too small for d={d} (need >= {3 * d})")
     n = d * d + d + 1
-    coloring: Dict[Cell, str] = {}
-    red_cells: List[Cell] = []
-    for (q, r) in net.cells:
-        a_num = (d + 1) * q + r
-        b_num = d * r - q
-        if a_num % n == 0 and b_num % n == 0:
-            color = RED if ((a_num // n) + (b_num // n)) % 2 == 0 else BLUE
-            coloring[(q, r)] = color
-            if color == RED:
-                red_cells.append((q, r))
-        else:
-            coloring[(q, r)] = WHITE
-    for c in red_cells:
-        for nb in net.rx_neighbors[c]:
-            if coloring[nb] == WHITE:
-                coloring[nb] = PINK
-    return Partition(kind=FOUR, d=d, coloring=coloring, census=_census(coloring))
+    a, b = (d + 1) * net.q + net.r, d * net.r - net.q
+    on = (a % n == 0) & (b % n == 0)
+    red_or_blue = np.where((a // n + b // n) % 2 == 0, COLORS.index(RED), COLORS.index(BLUE))
+    codes = np.where(on, red_or_blue, COLORS.index(WHITE)).astype(np.int8)
+    red = codes == COLORS.index(RED)
+    nb = net.adjacent(np.flatnonzero(red)).ravel()
+    codes[nb[(nb >= 0) & (codes[nb] == COLORS.index(WHITE))]] = COLORS.index(PINK)
+    return Partition(kind=FOUR, d=d, net=net, codes=codes)
 
 
 def fraction_limits(kind: str, d: Optional[int] = None) -> Dict[str, Fraction]:
@@ -105,23 +106,20 @@ class CensusRow:
 
 def census_fractions(net: Network, part: Partition, depth: int = 2) -> List[CensusRow]:
     """Interior colour census against the limiting densities."""
-    interior = net.interior_cells(depth)
-    if not interior:
+    interior = part.codes[net.interior_mask(depth)]
+    if not interior.size:
         raise ValueError("no interior cells at this radius")
     limits = fraction_limits(part.kind, part.d)
-    counts = {color: 0 for color in limits}
-    for c in interior:
-        counts[part.coloring[c]] += 1
-    total = len(interior)
+    counts = dict(zip(COLORS, np.bincount(interior, minlength=len(COLORS)).tolist()))
     return [
-        CensusRow(color, counts[color], Fraction(counts[color], total), limits[color])
+        CensusRow(color, counts[color], Fraction(counts[color], interior.size), limits[color])
         for color in sorted(limits)
     ]
 
 
 def bound_arithmetic(part: Partition, params: SystemParams) -> Fraction:
     """Per-user sum multiplexing-gain cap evaluated on the finite census."""
-    k = len(part.coloring)
+    k = len(part.codes)
     if part.kind == TWO:
         red = part.census.get(RED, 0)
         return Fraction(

@@ -32,6 +32,7 @@ from .clustering import (
     FAST,
     MODE_MIXED,
     MODE_SLOW_ONLY,
+    ROLES,
     SLOW,
     Cluster,
     ClusterPlan,
@@ -106,15 +107,15 @@ def sample_channels(plan: ClusterPlan, m: int, seed: int) -> ChannelRealization:
     to the origin cluster (self links plus in-cluster interference links)."""
     if m < 1:
         raise ValueError("m must be positive")
-    cl = origin_cluster(plan)
-    members = sorted(cl.sectors)
-    member_set = cl.sectors
+    ids = origin_cluster(plan).sectors.ids
+    inside = set(ids.tolist())
+    sectors = plan.net.sectors
     rng = np.random.default_rng(seed)
     entries: Dict[Tuple[Sector, Sector], np.ndarray] = {}
-    for k in members:
-        senders = [k] + sorted(s for s in plan.net.tx_neighbors[k] if s in member_set)
-        for l in senders:
-            entries[(k, l)] = rng.standard_normal((m, m))
+    # sector ids sort like sectors, so this is the ascending tuple order
+    for k, row in zip(ids.tolist(), plan.net.nbr[ids].tolist()):
+        for l in [k] + sorted(j for j in row if j in inside):
+            entries[(sectors[k], sectors[l])] = rng.standard_normal((m, m))
     return ChannelRealization(seed=seed, m=m, entries=entries)
 
 
@@ -128,17 +129,18 @@ def build_zf_system(plan: ClusterPlan, ch: ChannelRealization, scheme: str) -> Z
     """
     if scheme not in SCHEME_MODES:
         raise ValueError(f"unknown precoding scheme {scheme!r}")
-    if plan.assignment is None:
+    if plan.roles is None:
         raise ValueError("plan has no assignment; call assign_messages first")
     if plan.mode != SCHEME_MODES[scheme]:
         raise ValueError(f"scheme {scheme} needs a {SCHEME_MODES[scheme]} assignment")
 
     cl = origin_cluster(plan)
-    active = tuple(sorted(cl.sectors))
+    active = tuple(cl.sectors)  # ascending
     if not active:
         raise ValueError("empty cluster")
-    slow = tuple(s for s in active if plan.assignment[s] == SLOW)
-    fast = tuple(s for s in active if plan.assignment[s] == FAST)
+    roles = [ROLES[code] for code in plan.roles[cl.sectors.ids].tolist()]
+    slow = tuple(s for s, role in zip(active, roles) if role == SLOW)
+    fast = tuple(s for s, role in zip(active, roles) if role == FAST)
     if not slow:
         raise ValueError("cluster carries no slow message")
 
@@ -239,7 +241,7 @@ def verify_nulling(
     ``ch.entries`` into the precoder directly, never from the solved system,
     and are judged as one stack of m x m blocks.
     """
-    if plan.assignment is None:
+    if plan.roles is None:
         raise ValueError("plan has no assignment")
     if scheme not in SCHEME_MODES:
         raise ValueError(f"unknown precoding scheme {scheme!r}")
@@ -269,19 +271,31 @@ def verify_nulling(
 
     own = np.zeros((n, n_msg), dtype=bool)
     own[[idx[msg] for msg in precoder.messages], np.arange(n_msg)] = True
-    roles = [plan.assignment[k] for k in precoder.active]
-    heard = np.array([r == FAST or (r == SLOW and scheme != "s5") for r in roles])
+    roles = plan.roles[[plan.net.sector_id[k] for k in precoder.active]]
+    heard = (roles == ROLES.index(FAST)) | ((roles == ROLES.index(SLOW)) & (scheme != "s5"))
     self_gains = geff[own]
     self_norms = np.linalg.norm(self_gains, 2, axis=(-2, -1))
     ranks = np.linalg.matrix_rank(self_gains)
-    cross = np.linalg.norm(geff[heard[:, None] & ~own], 2, axis=(-2, -1))
+    max_cross = _max_spectral_norm(geff[heard[:, None] & ~own])
     max_self = float(self_norms.max()) if self_norms.size else 0.0
     min_rank = int(ranks.min()) if ranks.size else 0
     if max_self == 0.0:
-        residual = float("inf") if cross.size and cross.max() > 0 else 0.0
+        residual = float("inf") if max_cross > 0 else 0.0
         return NullingReport(residual, min_rank, False)
-    residual = (float(cross.max()) / max_self) if cross.size else 0.0
+    residual = max_cross / max_self
     return NullingReport(residual, min_rank, residual <= tol and min_rank == m)
+
+
+def _max_spectral_norm(blocks: np.ndarray) -> float:
+    """The largest ``norm(g, 2)`` over a stack of m x m blocks, 0.0 for none.
+    As ``norm(g, 2) <= norm(g, 'fro') <= sqrt(m) norm(g, 2)``, a block whose
+    Frobenius norm is below the largest over sqrt(m) cannot hold the maximum;
+    the slack keeps any block that rounding could tie, so the result is exact."""
+    if not blocks.size:
+        return 0.0
+    fro = np.linalg.norm(blocks, axis=(-2, -1))
+    drop = fro < fro.max() / np.sqrt(blocks.shape[-1]) * (1 - 1e-12)
+    return float(np.linalg.norm(blocks[~drop], 2, axis=(-2, -1)).max())
 
 
 def certification_plan(t: int, m: int, scheme: str = "s4") -> ClusterPlan:

@@ -2,9 +2,10 @@ import hashlib
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from hexmg import checks, clustering, lattice
+from hexmg import checks, clustering, lattice, precoding
 from hexmg.checks import decimal_str
 from hexmg.cli import main
 
@@ -119,6 +120,43 @@ def test_verify_all_reports_a_failing_check(capsys, tmp_path, monkeypatch):
     assert "CHECK schedules: all splits validate d=3: FAIL (4 splits x 2 algorithms)\n" in report
     assert report.count(": FAIL") == 1
     assert report.endswith("verify-all: 32/33 checks passed\n")
+
+
+def test_uncut_lattice_is_a_usage_error(capsys, monkeypatch):
+    """The two-masters ``UncutLatticeError`` of ``clusters`` ends in a message,
+    not a traceback; no CLI input reaches it, so silencing is switched off."""
+    monkeypatch.setattr(
+        clustering, "silenced_sectors",
+        lambda net, t: lattice.SectorSet(net, np.zeros(len(net.sectors), dtype=bool)),
+    )
+    code, stdout, stderr = run(capsys, "cluster", "--radius", "6", "--t", "1")
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("hexmg: cluster contains ") and stderr.endswith(" master cells\n")
+
+
+def test_rank_deficient_escape_is_a_usage_error(capsys, monkeypatch):
+    """A ``RankDeficientError`` raised outside ``run_trial``'s own handler
+    ends in a message, not a traceback."""
+    def degenerate(*args, **kwargs):
+        raise precoding.RankDeficientError("row-rank deficiency at the fast sectors")
+
+    monkeypatch.setattr(precoding, "verify_nulling", degenerate)
+    code, stdout, stderr = run(capsys, "zf", "--t", "1", "--m", "1", "--trials", "1")
+    assert code == 2
+    assert stdout == ""
+    assert stderr == "hexmg: row-rank deficiency at the fast sectors\n"
+
+
+def test_other_runtime_errors_keep_their_traceback(monkeypatch):
+    """Only the two named errors become usage errors; any other
+    ``RuntimeError`` is a fault of the program and propagates."""
+    def broken(*args, **kwargs):
+        raise RuntimeError("internal fault")
+
+    monkeypatch.setattr(precoding, "verify_nulling", broken)
+    with pytest.raises(RuntimeError, match="internal fault"):
+        main(["zf", "--t", "1", "--m", "1", "--trials", "1"])
 
 
 def test_lattice_emit_sorted_directed_edges(capsys, tmp_path):

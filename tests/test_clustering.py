@@ -27,7 +27,7 @@ from hexmg.clustering import (
     required_prelogs,
     silenced_sectors,
 )
-from hexmg.lattice import SectorSet, build_network, cell_distance, hex_ball
+from hexmg.lattice import HEX_DIRS, SectorSet, build_network, cell_distance, hex_ball
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +102,49 @@ def test_torus_plan_matches_per_cell_oracles(t, radius):
     for s in list(net.sectors) + off_lattice:
         i = owner.get(s)
         assert plan.cluster_of(s) is (None if i is None else plan.clusters[i])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    t=st.integers(1, 3),
+    extra=st.integers(0, 4),
+    picks=st.lists(st.tuples(st.integers(-20, 20), st.integers(-20, 20), st.integers(-1, 3)),
+                   max_size=30),
+    index=st.integers(-200, 200),
+    cut=st.tuples(st.integers(-30, 30), st.integers(-30, 30), st.sampled_from([1, 2, -1, -3])),
+)
+def test_cluster_views_match_frozenset_oracle(t, extra, picks, index, cut):
+    """``plan.clusters`` is a tuple in the oracle's order; each ``sectors``
+    view behaves as the frozenset the union-find oracle computes."""
+    net = build_network(3 * t + extra)
+    plan = clusters(net, t)
+    want = clusters_oracle(net, t, silenced_oracle(net, t))
+    assert len(plan.clusters) == len(want)
+    if -len(want) <= index < len(want):
+        cl = plan.clusters[index]
+        assert cl is plan.clusters[index % len(want)]
+        assert (cl.master, cl.sectors) == want[index]
+    else:
+        with pytest.raises(IndexError):
+            plan.clusters[index]
+    sliced = plan.clusters[slice(*cut)]
+    assert isinstance(sliced, tuple)
+    assert [(cl.master, cl.sectors) for cl in sliced] == want[slice(*cut)]
+    assert all(a is b for a, b in zip(sliced, list(plan.clusters)[slice(*cut)]))
+
+    for i, (cl, (master, members)) in enumerate(zip(plan.clusters, want)):
+        view = cl.sectors
+        assert len(view) == len(members)
+        assert list(view) == sorted(members)  # ascending iteration
+        assert view == members and members == view
+        assert all(s in view for s in members)
+        assert cl.master == master
+        assert plan.cluster_of(next(iter(view))) is cl is plan.clusters[i]
+    # membership for lattice, off-lattice, silenced and malformed sectors
+    probes = list(picks) + list(plan.silenced)[:5] + [(0, 0, 0), (0, 0)]
+    for s in probes:
+        for cl, (_, members) in zip(plan.clusters, want):
+            assert (s in cl.sectors) == (s in members)
 
 
 @settings(max_examples=200, deadline=None)
@@ -229,12 +272,24 @@ def test_cluster_master_is_among_nearest():
             assert cl.master in nearest
 
 
+def count_links_oracle(plan, side):
+    """Reference count: the sizes of the tuple neighbourhoods of the region."""
+    _, region = _interior_region(plan)
+    if side == TX:
+        return sum(len(plan.net.tx_neighbors[(q, r, o)]) for (q, r) in region for o in range(3))
+    return sum((q + dq, r + dr) in plan.net.cells for (q, r) in region for dq, dr in HEX_DIRS)
+
+
 @pytest.mark.parametrize("t", [1, 2, 3, 4])
 def test_link_counts_by_enumeration(t):
     net = build_network(6 * t)
     plan = clusters(net, t)
     assert count_links(plan, TX) == 36 * t * t
     assert count_links(plan, RX) == 18 * t * t
+    for radius in (3 * t, 3 * t + 1, 6 * t):
+        plan = clusters(build_network(radius), t)
+        for side in (TX, RX):
+            assert count_links(plan, side) == count_links_oracle(plan, side)
 
 
 def test_link_count_needs_interior_cluster():
@@ -250,7 +305,7 @@ def test_clusters_refuse_a_lattice_left_uncut(monkeypatch):
         return SectorSet(net, np.zeros(len(net.sectors), dtype=bool))
 
     monkeypatch.setattr(clustering, "silenced_sectors", nothing_silenced)
-    with pytest.raises(RuntimeError, match="master cells"):
+    with pytest.raises(clustering.UncutLatticeError, match="master cells"):
         clusters(build_network(6), 1)
 
 

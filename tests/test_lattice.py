@@ -1,5 +1,6 @@
 from collections import deque
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -73,7 +74,9 @@ def test_array_network_matches_dict_oracle(radius, m):
     assert net.tx_neighbors == tx and net.rx_neighbors == rx
     assert interference_graph(net) == interference_graph_oracle(tx)
     for depth in (0, 1, 2):
-        assert net.interior_cells(depth) == [c for c in hex_ball(radius) if is_interior(net, c, depth)]
+        inside = net.interior_mask(depth)
+        interior = list(zip(net.q[inside].tolist(), net.r[inside].tolist()))
+        assert interior == [c for c in hex_ball(radius) if is_interior(net, c, depth)]
 
 
 def test_neighbor_array_layout():
@@ -230,6 +233,17 @@ def test_rx_neighbors_are_cell_adjacency():
         assert net.rx_neighbors[c] == expected
         if is_interior(net, c):
             assert len(net.rx_neighbors[c]) == 6
+
+
+@pytest.mark.parametrize("radius", [1, 2, 4])
+def test_adjacent_lists_neighbour_ids_in_hex_dirs_order(radius):
+    net = build_network(radius)
+    cells = hex_ball(radius)
+    table = net.adjacent(np.arange(len(cells)))
+    assert table.shape == (len(cells), 6)
+    for i, (q, r) in enumerate(cells):
+        want = [cells.index(nb) if nb in cells else -1 for nb in ((q + dq, r + dr) for dq, dr in HEX_DIRS)]
+        assert table[i].tolist() == want == net.adjacent(i).ravel().tolist()
 
 
 # ---------------------------------------------------------------------------

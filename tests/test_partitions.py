@@ -1,8 +1,9 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from hexmg.lattice import build_network
+from hexmg.lattice import HEX_DIRS, build_network, cell_distance
 from hexmg.partitions import (
     BLUE,
     PINK,
@@ -15,6 +16,75 @@ from hexmg.partitions import (
     partition_two,
 )
 from hexmg.regions import SystemParams
+
+
+def interior_cells(net, depth=2):
+    return {c for c in net.cells if cell_distance(c, (0, 0)) <= net.radius - depth}
+
+
+# ---------------------------------------------------------------------------
+# dict oracles: the colourings built cell by cell over ``net.cells``, without
+# colour codes, cell ids or shifted gathers
+
+
+def partition_two_oracle(net):
+    return {c: (RED if (c[0] + c[1]) % 2 == 0 else WHITE) for c in net.cells}
+
+
+def partition_four_oracle(net, d):
+    n = d * d + d + 1
+    coloring = {}
+    red_cells = []
+    for (q, r) in net.cells:
+        a_num = (d + 1) * q + r
+        b_num = d * r - q
+        if a_num % n == 0 and b_num % n == 0:
+            color = RED if ((a_num // n) + (b_num // n)) % 2 == 0 else BLUE
+            coloring[(q, r)] = color
+            if color == RED:
+                red_cells.append((q, r))
+        else:
+            coloring[(q, r)] = WHITE
+    for (q, r) in red_cells:
+        for dq, dr in HEX_DIRS:
+            nb = (q + dq, r + dr)
+            if coloring.get(nb) == WHITE:
+                coloring[nb] = PINK
+    return coloring
+
+
+def census_fractions_oracle(net, kind, d, coloring, depth=2):
+    interior = interior_cells(net, depth)
+    limits = fraction_limits(kind, d)
+    counts = Counter(coloring[c] for c in interior)
+    return [(color, counts[color], Fraction(counts[color], len(interior))) for color in sorted(limits)]
+
+
+@pytest.mark.parametrize("radius", [9, 10, 11, 12, 13, 14, 30])
+def test_colour_codes_match_dict_oracles(radius):
+    net = build_network(radius)
+    cases = [(partition_two(net), "two", None, partition_two_oracle(net))]
+    for d in (2, 3, 4):
+        if radius < 3 * d:
+            with pytest.raises(ValueError):
+                partition_four(net, d)
+            continue
+        cases.append((partition_four(net, d), "four", d, partition_four_oracle(net, d)))
+    for part, kind, d, want in cases:
+        assert (part.kind, part.d) == (kind, d)
+        assert len(part.coloring) == len(want)
+        for cell, color in want.items():
+            assert part.coloring[cell] == color, (kind, d, cell)
+        assert dict(part.coloring.items()) == want
+        assert part.census == dict(Counter(want.values()))
+        for depth in (2, 3):
+            rows = census_fractions(net, part, depth)
+            assert [(row.color, row.count, row.fraction) for row in rows] == census_fractions_oracle(
+                net, kind, d, want, depth
+            )
+    assert (radius + 1, 0) not in part.coloring
+    with pytest.raises(KeyError):
+        part.coloring[(0, 0, 0)]
 
 
 def test_two_coloring_halves():
@@ -40,7 +110,7 @@ def test_two_coloring_is_column_alternating():
 def test_every_interior_white_cell_has_red_neighbor():
     net = build_network(10)
     part = partition_two(net)
-    interior = set(net.interior_cells())
+    interior = interior_cells(net)
     for c, color in part.coloring.items():
         if color == WHITE and c in interior:
             assert any(part.coloring[nb] == RED for nb in net.rx_neighbors[c])
@@ -66,7 +136,7 @@ def test_four_coloring_census_d3():
 def test_each_interior_red_cell_has_six_pink_neighbors():
     net = build_network(20)
     part = partition_four(net, 3)
-    interior = set(net.interior_cells(depth=2))
+    interior = interior_cells(net, depth=2)
     for c, color in part.coloring.items():
         if color == RED and c in interior:
             nb_colors = [part.coloring[nb] for nb in net.rx_neighbors[c]]

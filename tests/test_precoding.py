@@ -14,6 +14,7 @@ from hexmg.precoding import (
     build_zf_system,
     certification_plan,
     origin_cluster,
+    _max_spectral_norm,
     run_trial,
     run_trials,
     sample_channels,
@@ -224,6 +225,43 @@ def test_batched_verify_matches_per_pair_oracle(scheme, t, m, seed):
     got = verify_nulling(precoder, plan, ch, scheme=scheme)
     assert got == verify_nulling_oracle(precoder, plan, ch, scheme=scheme)
     assert got.solvable
+
+
+@pytest.mark.parametrize("scheme", ["s3", "s4", "s5"])
+@pytest.mark.parametrize("t,m", [(t, m) for t in (1, 2) for m in (1, 2, 3)])
+def test_cross_norm_filter_matches_unfiltered_stack(scheme, t, m):
+    """Decomposing only the blocks that can hold the largest spectral norm
+    gives the maximum over the whole stack, bit for bit."""
+    plan = shared_plan(t, m, scheme)
+    for seed in range(4):
+        ch = sample_channels(plan, m, seed)
+        precoder = solve_precoder(build_zf_system(plan, ch, scheme))
+        blocks = effective_channels_oracle(precoder, ch)
+        heard = {FAST, SLOW} if scheme != "s5" else {FAST}
+        cross = np.stack([g for (k, msg), g in blocks.items()
+                          if k != msg and plan.assignment[k] in heard])
+        assert _max_spectral_norm(cross) == np.linalg.norm(cross, 2, axis=(-2, -1)).max()
+        every = np.stack(list(blocks.values()))
+        assert _max_spectral_norm(every) == np.linalg.norm(every, 2, axis=(-2, -1)).max()
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 4), n=st.integers(1, 60))
+def test_cross_norm_filter_near_the_threshold(seed, m, n):
+    """Blocks whose Frobenius norms crowd the cut-off (largest / sqrt(m)):
+    rank-one blocks, whose spectral norm is their Frobenius norm, against
+    orthogonal ones, whose spectral norm is their Frobenius norm / sqrt(m)."""
+    rng = np.random.default_rng(seed)
+    blocks = rng.standard_normal((n, m, m))
+    kind = rng.integers(0, 3, n)
+    blocks[kind == 1] = np.linalg.qr(blocks[kind == 1])[0]
+    k = int((kind == 2).sum())
+    blocks[kind == 2] = rng.standard_normal((k, m, 1)) * rng.standard_normal((k, 1, m))
+    fro = np.linalg.norm(blocks, axis=(-2, -1))
+    target = np.where(rng.random(n) < 0.5, 1.0, 1 / np.sqrt(m)) * (1 + rng.uniform(-1e-9, 1e-9, n))
+    blocks *= (target / fro)[:, None, None]
+    assert _max_spectral_norm(blocks) == np.linalg.norm(blocks, 2, axis=(-2, -1)).max()
+    assert _max_spectral_norm(blocks[:0]) == 0.0
 
 
 @pytest.mark.parametrize("t,m", [(t, m) for t in (1, 2, 3) for m in (1, 2)])
