@@ -7,7 +7,9 @@ hop distance exactly ``t`` from their nearest master are switched off, which
 splits the interference graph into one finite cluster per master.  On top of
 a cluster plan, messages are assigned either all-slow or mixed fast/slow,
 where the fast sectors form an exact density-1/3 pattern with no two fast
-sectors interfering.
+sectors interfering.  An assigned plan also lays out the links of the origin
+master's cluster (``ClusterPlan.origin_links``), once, for the zero-forcing
+trials.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
@@ -155,6 +157,31 @@ class Cluster:
 
 
 @dataclass(frozen=True, eq=False)
+class LinkLayout:
+    """The links of the origin master's cluster, in the order the zero-forcing
+    trials draw and sum their channels.
+
+    A position indexes ``ids``, the members' ascending sector ids, and the
+    ``active`` tuple of their sectors.  Link k runs from transmitter
+    ``tx[k]`` to receiver ``rx[k]``; each receiver's links are consecutive,
+    its self link first, then its in-cluster ``nbr`` links by ascending id.
+    ``slots[d]`` holds ``(rx, tx, link)`` for every receiver's d-th link.
+    """
+
+    ids: np.ndarray
+    active: Tuple[Sector, ...]
+    rx: np.ndarray
+    tx: np.ndarray
+    slots: Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    #: per position: the index of its role in ``ROLES``
+    roles: np.ndarray
+    slow_pos: np.ndarray
+    fast_pos: np.ndarray
+    slow: Tuple[Sector, ...]
+    fast: Tuple[Sector, ...]
+
+
+@dataclass(frozen=True, eq=False)
 class ClusterPlan:
     net: Network
     t: int
@@ -176,11 +203,45 @@ class ClusterPlan:
         return SectorMap(self.net, lambda i: ROLES[self.roles[i]])
 
     def cluster_of(self, sector: Sector) -> Optional[Cluster]:
-        i = self.net.sector_id.get(sector)
+        i = self.net.id_of(sector)
         if i is None:
             return None
         c = self.cluster_ids[i]
         return None if c < 0 else self.clusters[c]
+
+    @cached_property
+    def origin_links(self) -> LinkLayout:
+        """The link layout of the cluster owning the origin master cell,
+        built on first use; needs the message assignment."""
+        if self.roles is None:
+            raise ValueError("plan has no assignment; call assign_messages first")
+        net = self.net
+        label = self.cluster_ids[net.id_of((0, 0, 0))]
+        cluster = self.clusters[label]
+        ids = cluster.sectors.ids
+        n = len(ids)
+        # column 0 is the self link, then the in-cluster neighbours by
+        # ascending position, padded with n
+        nbr = net.nbr[ids]
+        inside = (nbr >= 0) & (self.cluster_ids[nbr] == label)
+        ends = np.sort(np.where(inside, np.searchsorted(ids, nbr), n), axis=1)
+        ends = np.column_stack([np.arange(n), ends])
+        valid = ends < n
+        link = (np.cumsum(valid) - 1).reshape(valid.shape)
+        rx, depth = np.nonzero(valid)
+        slots = tuple(
+            (rx[depth == d], ends[valid[:, d], d], link[valid[:, d], d])
+            for d in range(depth.max() + 1)
+        )
+        roles = self.roles[ids]
+        slow_pos = np.flatnonzero(roles == ROLES.index(SLOW))
+        fast_pos = np.flatnonzero(roles == ROLES.index(FAST))
+        active = tuple(cluster.sectors)
+        return LinkLayout(
+            ids, active, rx, ends[valid], slots, roles, slow_pos, fast_pos,
+            tuple(active[i] for i in slow_pos.tolist()),
+            tuple(active[i] for i in fast_pos.tolist()),
+        )
 
     def interior_masters(self, margin: int = 2) -> List[Cell]:
         """Masters whose whole cluster context lies inside the lattice."""

@@ -13,7 +13,8 @@ integer sector ids ``3·cell + orientation``.  Since ``hex_ball`` is sorted,
 sector ids follow the sorted order of the ``(q, r, o)`` tuples.  The tuple
 forms are derived from the arrays: ``sectors`` lists every sector by id,
 ``cells`` is built on first use, and ``tx_neighbors`` / ``rx_neighbors`` are
-read-only mapping views; ``cell_index`` maps coordinates to cell ids.
+read-only mapping views; ``cell_index`` maps coordinate arrays to cell ids and
+``Network.id_of`` maps one sector tuple to its id, both in closed form.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from __future__ import annotations
 from collections.abc import Mapping, Set
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, FrozenSet, Iterator, List, Tuple
+from operator import index
+from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -85,10 +87,18 @@ class Network:
     #: every sector as a ``(q, r, o)`` tuple, indexed by sector id
     sectors: Tuple[Sector, ...]
 
-    @cached_property
-    def sector_id(self) -> Dict[Sector, int]:
-        """``(q, r, o) -> sector id``, built on the first scalar lookup."""
-        return dict(zip(self.sectors, range(len(self.sectors))))
+    def id_of(self, sector) -> Optional[int]:
+        """The id of sector ``(q, r, o)``, or None unless ``sector`` is a
+        3-tuple of integers naming a sector of this lattice."""
+        if not isinstance(sector, tuple) or len(sector) != 3:
+            return None
+        try:
+            q, r, o = map(index, sector)
+        except TypeError:
+            return None
+        if not 0 <= o < NUM_ORIENTATIONS or cell_distance((q, r), (0, 0)) > self.radius:
+            return None
+        return NUM_ORIENTATIONS * _cell_id(self.radius, q, r) + o
 
     @cached_property
     def cells(self) -> FrozenSet[Cell]:
@@ -140,7 +150,10 @@ class SectorMap(Mapping):
         self._net, self._value = net, value
 
     def __getitem__(self, sector: Sector):
-        return self._value(self._net.sector_id[sector])
+        i = self._net.id_of(sector)
+        if i is None:
+            raise KeyError(sector)
+        return self._value(i)
 
     def __iter__(self) -> Iterator[Sector]:
         return iter(self._net.sectors)
@@ -162,7 +175,7 @@ class SectorSet(Set):
         self.ids = np.flatnonzero(labels == label) if ids is None else ids
 
     def __contains__(self, sector) -> bool:
-        i = self.net.sector_id.get(sector)
+        i = self.net.id_of(sector)
         return i is not None and bool(self.labels[i] == self.label)
 
     def __iter__(self) -> Iterator[Sector]:
@@ -179,7 +192,7 @@ class CellMap(Mapping):
         self._net, self._value = net, value
 
     def __getitem__(self, cell: Cell):
-        i = self._net.sector_id.get((*cell, 0)) if isinstance(cell, tuple) else None
+        i = self._net.id_of((*cell, 0)) if isinstance(cell, tuple) else None
         if i is None:
             raise KeyError(cell)
         return self._value(i // NUM_ORIENTATIONS)
@@ -191,14 +204,19 @@ class CellMap(Mapping):
         return len(self._net.q)
 
 
+def _cell_id(radius: int, q, r):
+    """The id of the on-ball cell ``(q, r)`` in ``hex_ball(radius)`` order, for
+    ints or elementwise for arrays.  That order walks the columns q = -R..R
+    (R the radius); column q starts at id ``(q + R)(2R + 1) - R(R + 1)/2 -
+    |q|(q - 1)/2``, and its first cell has r = -R + max(0, -q)."""
+    start = (q + radius) * (2 * radius + 1) - radius * (radius + 1) // 2 - abs(q) * (q - 1) // 2
+    return start + r + radius - (abs(q) - q) // 2
+
+
 def cell_index(radius: int, q: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Per coordinate pair: the id of cell ``(q, r)`` in ``hex_ball(radius)``
-    order, -1 where it falls off the ball.  That order walks the columns
-    q = -R..R (R the radius); column q starts at id ``(q + R)(2R + 1) -
-    R(R + 1)/2 - |q|(q - 1)/2``, and its first cell has r = -R + max(0, -q)."""
-    start = (q + radius) * (2 * radius + 1) - radius * (radius + 1) // 2 - np.abs(q) * (q - 1) // 2
-    cell = start + r + radius - np.maximum(0, -q)
-    return np.where(cell_distance((q, r), (0, 0)) <= radius, cell, -1)
+    order, -1 where it falls off the ball."""
+    return np.where(cell_distance((q, r), (0, 0)) <= radius, _cell_id(radius, q, r), -1)
 
 
 def build_network(radius: int, antennas_per_user: int = 1) -> Network:

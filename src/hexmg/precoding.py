@@ -14,17 +14,24 @@ Schemes differ in where interference between slow streams is removed:
   remaining slow-on-slow interference is subtracted at the receivers, which
   verification models by excluding those pairs from the residual.
 
+Every trial works on the plan's ``origin_links`` layout, built once per
+plan: a realization is one ``(L, m, m)`` array with a channel per link, drawn
+in a single call, ``build_zf_system`` scatters it into the block matrix with
+one indexed assignment, and the check adds each receiver's terms slot by slot
+in link order.
+
 Every s5 message shares the same fast-sector rows, so the solve factors that
 block once (one SVD gives its row rank and a null-space basis) and then
 solves one small m x m system per message, all messages in one batch.  The
 check substitutes the sampled channels into the precoder as one stack of
-m x m effective channels and takes their norms and ranks in one call each.
+m x m effective channels; one SVD of the intended blocks gives both their
+norms and their ranks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -34,7 +41,6 @@ from .clustering import (
     MODE_SLOW_ONLY,
     ROLES,
     SLOW,
-    Cluster,
     ClusterPlan,
     assign_messages,
     clusters,
@@ -54,8 +60,8 @@ class RankDeficientError(RuntimeError):
 class ChannelRealization:
     seed: int
     m: int
-    #: (receiving sector, transmitting sector) -> m x m real matrix
-    entries: Dict[Tuple[Sector, Sector], np.ndarray]
+    #: (L, m, m): the channel of each link of ``plan.origin_links``, in its order
+    h: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,6 +71,8 @@ class ZFSystem:
     active: Tuple[Sector, ...]
     messages: Tuple[Sector, ...]   # slow sectors, one message each
     fast: Tuple[Sector, ...]
+    message_pos: np.ndarray        # positions of ``messages`` in ``active``
+    fast_pos: np.ndarray           # positions of ``fast`` in ``active``
     h_net: np.ndarray              # (m*n_active, m*n_active) block channel matrix
     target: np.ndarray             # (m*n_active, m*n_messages) pinned effective channels
     n_unknowns: int
@@ -94,29 +102,13 @@ class TrialResult:
     min_self_rank: int
 
 
-def origin_cluster(plan: ClusterPlan) -> Cluster:
-    """The cluster anchored at the origin master."""
-    for cl in plan.clusters:
-        if cl.master == (0, 0):
-            return cl
-    raise ValueError("plan has no cluster at the origin")
-
-
 def sample_channels(plan: ClusterPlan, m: int, seed: int) -> ChannelRealization:
     """Deterministic standard-normal channel matrices for all links incident
     to the origin cluster (self links plus in-cluster interference links)."""
     if m < 1:
         raise ValueError("m must be positive")
-    ids = origin_cluster(plan).sectors.ids
-    inside = set(ids.tolist())
-    sectors = plan.net.sectors
-    rng = np.random.default_rng(seed)
-    entries: Dict[Tuple[Sector, Sector], np.ndarray] = {}
-    # sector ids sort like sectors, so this is the ascending tuple order
-    for k, row in zip(ids.tolist(), plan.net.nbr[ids].tolist()):
-        for l in [k] + sorted(j for j in row if j in inside):
-            entries[(sectors[k], sectors[l])] = rng.standard_normal((m, m))
-    return ChannelRealization(seed=seed, m=m, entries=entries)
+    n_links = len(plan.origin_links.rx)
+    return ChannelRealization(seed, m, np.random.default_rng(seed).standard_normal((n_links, m, m)))
 
 
 def build_zf_system(plan: ClusterPlan, ch: ChannelRealization, scheme: str) -> ZFSystem:
@@ -134,40 +126,31 @@ def build_zf_system(plan: ClusterPlan, ch: ChannelRealization, scheme: str) -> Z
     if plan.mode != SCHEME_MODES[scheme]:
         raise ValueError(f"scheme {scheme} needs a {SCHEME_MODES[scheme]} assignment")
 
-    cl = origin_cluster(plan)
-    active = tuple(cl.sectors)  # ascending
-    if not active:
-        raise ValueError("empty cluster")
-    roles = [ROLES[code] for code in plan.roles[cl.sectors.ids].tolist()]
-    slow = tuple(s for s, role in zip(active, roles) if role == SLOW)
-    fast = tuple(s for s, role in zip(active, roles) if role == FAST)
-    if not slow:
+    lay = plan.origin_links
+    if not lay.slow:
         raise ValueError("cluster carries no slow message")
-
     m = ch.m
-    n = len(active)
-    idx = {s: i for i, s in enumerate(active)}
-    h_net = np.zeros((m * n, m * n))
-    for (k, l), h in ch.entries.items():
-        h_net[m * idx[k] : m * idx[k] + m, m * idx[l] : m * idx[l] + m] = h
-    target = np.zeros((m * n, m * len(slow)))
-    for j, s in enumerate(slow):
-        i = idx[s]
-        target[m * i : m * i + m, m * j : m * j + m] = np.eye(m)
+    n, n_slow = len(lay.active), len(lay.slow)
+    h_net = np.zeros((n, m, n, m))
+    h_net[lay.rx, :, lay.tx, :] = ch.h
+    target = np.zeros((n, m, n_slow, m))
+    target[lay.slow_pos, :, np.arange(n_slow), :] = np.eye(m)
 
-    n_unknowns = m * m * n * len(slow)
+    n_unknowns = m * m * n * n_slow
     if scheme == "s5":
-        n_constraints = m * m * len(slow) * (len(fast) + 1)
+        n_constraints = m * m * n_slow * (len(lay.fast) + 1)
     else:
-        n_constraints = m * m * n * len(slow)
+        n_constraints = m * m * n * n_slow
     return ZFSystem(
         scheme=scheme,
         m=m,
-        active=active,
-        messages=slow,
-        fast=fast,
-        h_net=h_net,
-        target=target,
+        active=lay.active,
+        messages=lay.slow,
+        fast=lay.fast,
+        message_pos=lay.slow_pos,
+        fast_pos=lay.fast_pos,
+        h_net=h_net.reshape(m * n, m * n),
+        target=target.reshape(m * n, m * n_slow),
         n_unknowns=n_unknowns,
         n_constraints=n_constraints,
     )
@@ -197,10 +180,9 @@ def solve_precoder(system: ZFSystem) -> Precoder:
     # N spans the null space of the fast block H_F; message j then needs the
     # minimum-norm y_j with (H_own_j N) y_j = I, and B_j = N y_j is the
     # minimum-norm solution of [H_F; H_own_j] B_j = [0; I].
-    idx = {s: i for i, s in enumerate(system.active)}
     h = system.h_net.reshape(len(system.active), m, -1)
-    h_fast = h[[idx[s] for s in system.fast]].reshape(-1, h.shape[-1])
-    h_own = h[[idx[s] for s in system.messages]]
+    h_fast = h[system.fast_pos].reshape(-1, h.shape[-1])
+    h_own = h[system.message_pos]
     _, sv, vt = np.linalg.svd(h_fast)
     rank = np.count_nonzero(sv > sv[:1] * max(h_fast.shape) * np.finfo(sv.dtype).eps)
     if rank < h_fast.shape[0]:
@@ -238,44 +220,34 @@ def verify_nulling(
     streams at slow sectors for s3/s4, the whole slow aggregate at fast
     sectors for s4/s5) must be negligible relative to the strongest intended
     gain.  The effective channels come from substituting the sampled
-    ``ch.entries`` into the precoder directly, never from the solved system,
-    and are judged as one stack of m x m blocks.
+    ``ch.h`` into the precoder directly, never from the solved system, and
+    are judged as one stack of m x m blocks.
     """
     if plan.roles is None:
         raise ValueError("plan has no assignment")
     if scheme not in SCHEME_MODES:
         raise ValueError(f"unknown precoding scheme {scheme!r}")
+    lay = plan.origin_links
     m = precoder.m
-    n, n_msg = len(precoder.active), len(precoder.messages)
-    if precoder.matrix.shape != (m * n, m * n_msg):
-        raise ValueError("dimension mismatch in effective channel")
-    idx = {s: i for i, s in enumerate(precoder.active)}
+    n, n_msg = len(lay.active), len(lay.slow)
+    if precoder.matrix.shape != (m * n, m * n_msg) or precoder.messages != lay.slow:
+        raise ValueError("precoder does not match the plan's origin cluster")
 
-    # Slot d holds every receiver's d-th incoming link, so each receiver sums
-    # its terms in the entries' insertion order: the rounding of a per-link
-    # loop, bit for bit.
-    slots: List[List[Tuple[int, int, np.ndarray]]] = []
-    depth = [0] * n
-    for (rx, tx), h in ch.entries.items():
-        i = idx[rx]
-        if depth[i] == len(slots):
-            slots.append([])
-        slots[depth[i]].append((i, idx[tx], h))
-        depth[i] += 1
+    # Slot d holds every receiver's d-th link, so each receiver sums its
+    # terms in link order: the rounding of a per-link loop, bit for bit.
     rows = precoder.matrix.reshape(n, m, -1)
     total = np.zeros_like(rows)
-    for slot in slots:
-        rx, tx, hs = zip(*slot)
-        total[list(rx)] += np.stack(hs) @ rows[list(tx)]
+    for rx, tx, link in lay.slots:
+        total[rx] += ch.h[link] @ rows[tx]
     geff = total.reshape(n, m, n_msg, m).transpose(0, 2, 1, 3)
 
     own = np.zeros((n, n_msg), dtype=bool)
-    own[[idx[msg] for msg in precoder.messages], np.arange(n_msg)] = True
-    roles = plan.roles[[plan.net.sector_id[k] for k in precoder.active]]
-    heard = (roles == ROLES.index(FAST)) | ((roles == ROLES.index(SLOW)) & (scheme != "s5"))
-    self_gains = geff[own]
-    self_norms = np.linalg.norm(self_gains, 2, axis=(-2, -1))
-    ranks = np.linalg.matrix_rank(self_gains)
+    own[lay.slow_pos, np.arange(n_msg)] = True
+    heard = (lay.roles == ROLES.index(FAST)) | ((lay.roles == ROLES.index(SLOW)) & (scheme != "s5"))
+    # the one SVD behind both norm(g, 2) and matrix_rank(g), as numpy takes them
+    sv = np.linalg.svd(geff[own], compute_uv=False)
+    self_norms = sv.max(axis=-1, initial=0)
+    ranks = np.count_nonzero(sv > self_norms[:, None] * (m * np.finfo(sv.dtype).eps), axis=-1)
     max_cross = _max_spectral_norm(geff[heard[:, None] & ~own])
     max_self = float(self_norms.max()) if self_norms.size else 0.0
     min_rank = int(ranks.min()) if ranks.size else 0

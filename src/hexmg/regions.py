@@ -5,7 +5,9 @@ five transmission schemes, each time-shared with the no-cooperation baseline
 until the per-link cooperation prelog budget is met.  The impossibility
 (outer) region is the intersection of a cap on the fast gain with two caps on
 the sum gain.  All vertices are ``fractions.Fraction`` pairs; nothing here
-touches floating point.
+touches floating point.  The hull and membership tests only need the sign of
+a cross product, which ``_cross`` takes on the integer numerators and
+denominators without building a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -81,8 +83,17 @@ class Region:
         return max(v.ss for v in self.vertices)
 
 
-def _cross(o: MGPoint, a: MGPoint, b: MGPoint) -> Fraction:
-    return (a.sf - o.sf) * (b.ss - o.ss) - (a.ss - o.ss) * (b.sf - o.sf)
+def _cross(o: MGPoint, a: MGPoint, b: MGPoint) -> int:
+    """An int with the sign of the cross product ``(a - o) x (b - o)``, for
+    callers that only compare it with 0.  Multiplying the product by every
+    (positive) denominator of the six coordinates leaves integers, so no
+    ``Fraction`` is built and no gcd taken."""
+    (oxn, oxd), (oyn, oyd) = o.sf.as_integer_ratio(), o.ss.as_integer_ratio()
+    (axn, axd), (ayn, ayd) = a.sf.as_integer_ratio(), a.ss.as_integer_ratio()
+    (bxn, bxd), (byn, byd) = b.sf.as_integer_ratio(), b.ss.as_integer_ratio()
+    # (a - o).sf = (axn·oxd − oxn·axd) / (axd·oxd), and so on
+    return ((axn * oxd - oxn * axd) * (byn * oyd - oyn * byd) * ayd * bxd
+            - (ayn * oyd - oyn * ayd) * (bxn * oxd - oxn * bxd) * axd * byd)
 
 
 def convex_hull(points: Sequence[MGPoint]) -> Region:

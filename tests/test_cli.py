@@ -174,8 +174,9 @@ def test_lattice_emit_sorted_directed_edges(capsys, tmp_path):
     assert len(rows) % 2 == 0
 
 
-#: SHA-256 of the emitted CSV and of stdout, recorded from the dict-based
-#: lattice that preceded the array-native one: these outputs must not move.
+#: SHA-256 of the emitted file and of stdout, recorded before the array-native
+#: lattice (lattice, cluster) and before the array channels and the integer
+#: cross products (zf, region, verify-all): these outputs must not move.
 EMIT_DIGESTS = {
     ("lattice", "--radius", "8", "--m", "3"): (
         "fba3e296552ab0704d6b625fe9ff09989c237d4c9c4c1ac2c1f1370e35218580",
@@ -185,13 +186,42 @@ EMIT_DIGESTS = {
         "d6de1763a846b837b9d2afaec242bb9e3e0d474d384d9ef6f47c2aa7fcefc5bd",
         "8bbb34d763beb6038f062aab939db0f663a998f472a550fb34e4ac444f31f474",
     ),
+    ("zf", "--t", "2", "--m", "2", "--trials", "5", "--seed", "3", "--scheme", "s3"): (
+        "4d66feec7a6bae50ca7e2548f1bf063061c93e2607c681cbd1d4402a60e2d4af",
+        "7a011d8c4955f14ddd50f12cf4bf18c18ffa554b3bae3515e92429bcaeda3577",
+    ),
+    ("zf", "--t", "2", "--m", "2", "--trials", "5", "--seed", "3", "--scheme", "s4"): (
+        "b625b8e129daceaa996564444987c01689f51fb6e4e15836280909a5f0ebf756",
+        "e59cc9bf0a81a62f78d0aacccd49f5025c6775f0501303b815a546e4973eb611",
+    ),
+    ("zf", "--t", "2", "--m", "2", "--trials", "5", "--seed", "3", "--scheme", "s5"): (
+        "dbd62744dc6c8a9bc3ad6825b45962fad7639fe60943748c484fe68c4f13bb58",
+        "009697ea1a170830be1b05f25c59709b91b6c33913aecf5fd6ac13caeea58fc6",
+    ),
+    ("region", "--m", "3", "--mu-tx", "1/10", "--mu-rx", "1/5", "--d", "20", "--format", "json"): (
+        "7b86e51cbfcb20ec0b23accc049dde8da5dc6273903548e1310240de2487c1b8",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    # verify-all writes its report to --out DIR; the report is its stdout
+    ("verify-all", "--radius", "30", "--seed", "42"): (
+        "5022a880e3c1449c2e01634a68428f69e2a84daca344bef27a25497945b6c8df",
+        "5022a880e3c1449c2e01634a68428f69e2a84daca344bef27a25497945b6c8df",
+    ),
 }
 
 
-@pytest.mark.parametrize("argv", list(EMIT_DIGESTS), ids=lambda argv: argv[0])
+def emit_id(argv):
+    return "-".join([argv[0]] + [argv[i + 1] for i, a in enumerate(argv) if a == "--scheme"])
+
+
+@pytest.mark.parametrize("argv", list(EMIT_DIGESTS), ids=emit_id)
 def test_emitted_outputs_are_byte_identical(capsys, tmp_path, argv):
-    out = tmp_path / "emit.csv"
-    code, stdout, _ = run(capsys, *argv, "--emit", str(out))
+    if argv[0] == "verify-all":
+        out = tmp_path / "verify_report.txt"
+        code, stdout, _ = run(capsys, *argv, "--out", str(tmp_path))
+    else:
+        out = tmp_path / "emit.csv"
+        code, stdout, _ = run(capsys, *argv, "--emit", str(out))
     assert code == 0
     got = (
         hashlib.sha256(out.read_bytes()).hexdigest(),

@@ -67,7 +67,11 @@ def test_array_network_matches_dict_oracle(radius, m):
     for s in sectors:
         assert net.tx_neighbors[s] == tx[s]
         assert tx_neighbors(net, s) == tx[s]
-    assert net.sector_id == {s: i for i, s in enumerate(sectors)}
+    assert [net.id_of(s) for s in sectors] == list(range(len(sectors)))
+    assert all(type(net.id_of(s)) is int for s in sectors)
+    off = [(radius + 1, 0, 0), (0, -radius - 1, 1), (radius, 1, 2), (0, 0, 3), (0, 0, -1),
+           (0, 0), (0, 0, 0, 0), [0, 0, 0], (0.5, 0, 0), "abc", None]
+    assert [net.id_of(s) for s in off] == [None] * len(off)
     for c in cells:
         assert net.rx_neighbors[c] == rx[c]
     assert dict(net.tx_neighbors.items()) == tx

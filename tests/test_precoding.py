@@ -11,9 +11,9 @@ from hexmg.precoding import (
     NullingReport,
     Precoder,
     RankDeficientError,
+    TrialResult,
     build_zf_system,
     certification_plan,
-    origin_cluster,
     _max_spectral_norm,
     run_trial,
     run_trials,
@@ -23,7 +23,53 @@ from hexmg.precoding import (
 )
 
 
-def effective_channels_oracle(precoder, ch):
+def origin_cluster(plan):
+    """The cluster holding the origin master cell."""
+    cl = plan.cluster_of((0, 0, 0))
+    assert cl.master == (0, 0)
+    return cl
+
+
+def entries_of(plan, ch):
+    """``(receiving sector, transmitting sector) -> m x m channel`` in link
+    order: the channel realization as a dict, the form the oracles read."""
+    lay = plan.origin_links
+    return {(lay.active[i], lay.active[j]): h
+            for i, j, h in zip(lay.rx.tolist(), lay.tx.tolist(), ch.h)}
+
+
+def sample_channels_oracle(plan, m, seed):
+    """Reference draw: one ``standard_normal((m, m))`` per link, receivers in
+    ascending order, each one's self link first and then its in-cluster
+    neighbours in ascending order."""
+    ids = origin_cluster(plan).sectors.ids
+    inside = set(ids.tolist())
+    sectors = plan.net.sectors
+    rng = np.random.default_rng(seed)
+    entries = {}
+    for k, row in zip(ids.tolist(), plan.net.nbr[ids].tolist()):
+        for l in [k] + sorted(j for j in row if j in inside):
+            entries[(sectors[k], sectors[l])] = rng.standard_normal((m, m))
+    return entries
+
+
+def build_zf_system_oracle(plan, entries, m):
+    """Reference assembly of ``h_net`` and ``target``, one block at a time."""
+    active = tuple(origin_cluster(plan).sectors)
+    slow = tuple(s for s in active if plan.assignment[s] == SLOW)
+    n = len(active)
+    idx = {s: i for i, s in enumerate(active)}
+    h_net = np.zeros((m * n, m * n))
+    for (k, l), h in entries.items():
+        h_net[m * idx[k] : m * idx[k] + m, m * idx[l] : m * idx[l] + m] = h
+    target = np.zeros((m * n, m * len(slow)))
+    for j, s in enumerate(slow):
+        i = idx[s]
+        target[m * i : m * i + m, m * j : m * j + m] = np.eye(m)
+    return h_net, target
+
+
+def effective_channels_oracle(precoder, entries):
     """Reference substitution: one matrix product per (receiver, link) pair,
     summed in the entries' insertion order."""
     m = precoder.m
@@ -31,7 +77,7 @@ def effective_channels_oracle(precoder, ch):
     out = {}
     for k in precoder.active:
         total = np.zeros((m, m * len(precoder.messages)))
-        for (rx, tx), h in ch.entries.items():
+        for (rx, tx), h in entries.items():
             if rx == k:
                 i = idx[tx]
                 total += h @ precoder.matrix[m * i : m * i + m, :]
@@ -40,11 +86,11 @@ def effective_channels_oracle(precoder, ch):
     return out
 
 
-def verify_nulling_oracle(precoder, plan, ch, tol=1e-9, scheme="s4"):
+def verify_nulling_oracle(precoder, plan, entries, tol=1e-9, scheme="s4"):
     """Reference check: one ``norm`` and one ``matrix_rank`` per block."""
     m = precoder.m
     self_norms, ranks, cross = [], [], []
-    for (k, msg), g in effective_channels_oracle(precoder, ch).items():
+    for (k, msg), g in effective_channels_oracle(precoder, entries).items():
         if k == msg:
             self_norms.append(float(np.linalg.norm(g, 2)))
             ranks.append(int(np.linalg.matrix_rank(g)))
@@ -84,19 +130,19 @@ shared_plan = cache(certification_plan)
 
 def test_same_seed_same_realization():
     plan = certification_plan(1, 2)
-    a = sample_channels(plan, 2, seed=11)
-    b = sample_channels(plan, 2, seed=11)
-    assert a.entries.keys() == b.entries.keys()
-    for k in a.entries:
-        assert np.array_equal(a.entries[k], b.entries[k])
-    c = sample_channels(plan, 2, seed=12)
-    assert any(not np.array_equal(a.entries[k], c.entries[k]) for k in a.entries)
+    a = entries_of(plan, sample_channels(plan, 2, seed=11))
+    b = entries_of(plan, sample_channels(plan, 2, seed=11))
+    assert a.keys() == b.keys()
+    for k in a:
+        assert np.array_equal(a[k], b[k])
+    c = entries_of(plan, sample_channels(plan, 2, seed=12))
+    assert any(not np.array_equal(a[k], c[k]) for k in a)
 
 
 def test_scalar_channels_all_nonzero():
     plan = certification_plan(1, 1)
     ch = sample_channels(plan, 1, seed=3)
-    for h in ch.entries.values():
+    for h in entries_of(plan, ch).values():
         assert h.shape == (1, 1)
         assert h[0, 0] != 0.0
 
@@ -111,7 +157,7 @@ def test_link_set_matches_interference_graph_restriction():
         for l in plan.net.tx_neighbors[k]:
             if l in cl.sectors:
                 expected.add((k, l))
-    assert set(ch.entries) == expected
+    assert set(entries_of(plan, ch)) == expected
 
 
 def test_system_square_for_s3_and_s4_row_delta():
@@ -162,7 +208,7 @@ def test_fast_sectors_hear_no_slow_aggregate_s4():
     plan = certification_plan(2, 2, "s4")
     ch = sample_channels(plan, 2, seed=9)
     precoder = solve_precoder(build_zf_system(plan, ch, "s4"))
-    geff = effective_channels_oracle(precoder, ch)
+    geff = effective_channels_oracle(precoder, entries_of(plan, ch))
     worst = max(
         float(np.abs(g).max()) for (k, _), g in geff.items() if plan.assignment[k] == FAST
     )
@@ -184,6 +230,27 @@ def test_zero_precoder_not_solvable():
     assert report.min_self_rank == 0
 
 
+@pytest.mark.parametrize("scale", [0.5, 2.0, 2.9, 3.1, 8.0])
+def test_self_rank_tolerance_matches_matrix_rank(scale):
+    """Self gains with a singular value near the rank cut-off, max(m, m)·eps
+    times the largest: only the self links carry a channel, the identity,
+    so each self gain is its precoder block exactly."""
+    m = 3
+    plan = shared_plan(1, m, "s4")
+    lay = plan.origin_links
+    ch = sample_channels(plan, m, seed=0)
+    ch.h[:] = 0.0
+    ch.h[lay.rx == lay.tx] = np.eye(m)
+    n, n_msg = len(lay.active), len(lay.slow)
+    matrix = np.zeros((n, m, n_msg, m))
+    matrix[lay.slow_pos, :, np.arange(n_msg), :] = np.eye(m)
+    matrix[lay.slow_pos[0], :, 0, :] = np.diag([1.0, 1.0, scale * np.finfo(float).eps])
+    precoder = Precoder(m, lay.active, lay.slow, matrix.reshape(m * n, m * n_msg))
+    report = verify_nulling(precoder, plan, ch)
+    assert report == verify_nulling_oracle(precoder, plan, entries_of(plan, ch))
+    assert report.min_self_rank == (2 if scale < m else 3)
+
+
 @pytest.mark.parametrize(
     "scheme,role,match",
     [("s4", None, None), ("s5", FAST, "fast sectors"), ("s5", SLOW, "for message")],
@@ -197,9 +264,8 @@ def test_degenerate_channels_flagged(scheme, role, match):
     ch = sample_channels(plan, 1, seed=2)
     members = sorted(origin_cluster(plan).sectors)
     dead = next(s for s in members if role is None or plan.assignment[s] == role)
-    for (rx, tx) in list(ch.entries):
-        if rx == dead:
-            ch.entries[(rx, tx)] = np.zeros((1, 1))
+    links = list(entries_of(plan, ch))
+    ch.h[[k for k, (rx, _) in enumerate(links) if rx == dead]] = 0.0
     system = build_zf_system(plan, ch, scheme)
     with pytest.raises(RankDeficientError, match=match):
         solve_precoder(system)
@@ -223,8 +289,35 @@ def test_batched_verify_matches_per_pair_oracle(scheme, t, m, seed):
     ch = sample_channels(plan, m, seed)
     precoder = solve_precoder(build_zf_system(plan, ch, scheme))
     got = verify_nulling(precoder, plan, ch, scheme=scheme)
-    assert got == verify_nulling_oracle(precoder, plan, ch, scheme=scheme)
+    assert got == verify_nulling_oracle(precoder, plan, entries_of(plan, ch), scheme=scheme)
     assert got.solvable
+
+
+@pytest.mark.parametrize("scheme", ["s3", "s4", "s5"])
+@pytest.mark.parametrize("t,m", [(t, m) for t in (1, 2, 3) for m in (1, 2, 3)])
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_array_channels_match_dict_oracles(scheme, t, m, seed):
+    """The single draw, the scattered system and the slot-wise check
+    reproduce the dict-based chain exactly: the same channel per link in the
+    same order, equal ``h_net`` and ``target``, equal report and trial."""
+    plan = shared_plan(t, m, scheme)
+    ch = sample_channels(plan, m, seed)
+    entries = sample_channels_oracle(plan, m, seed)
+    assert list(entries_of(plan, ch)) == list(entries)
+    assert np.array_equal(ch.h, np.stack(list(entries.values())))
+
+    system = build_zf_system(plan, ch, scheme)
+    h_net, target = build_zf_system_oracle(plan, entries, m)
+    assert np.array_equal(system.h_net, h_net)
+    assert np.array_equal(system.target, target)
+
+    precoder = solve_precoder(replace(system, h_net=h_net, target=target))
+    report = verify_nulling_oracle(precoder, plan, entries, scheme=scheme)
+    assert verify_nulling(solve_precoder(system), plan, ch, scheme=scheme) == report
+    assert run_trial(plan, m, seed, scheme) == TrialResult(
+        seed, report.solvable, report.max_cross_residual, report.min_self_rank
+    )
 
 
 @pytest.mark.parametrize("scheme", ["s3", "s4", "s5"])
@@ -236,7 +329,7 @@ def test_cross_norm_filter_matches_unfiltered_stack(scheme, t, m):
     for seed in range(4):
         ch = sample_channels(plan, m, seed)
         precoder = solve_precoder(build_zf_system(plan, ch, scheme))
-        blocks = effective_channels_oracle(precoder, ch)
+        blocks = effective_channels_oracle(precoder, entries_of(plan, ch))
         heard = {FAST, SLOW} if scheme != "s5" else {FAST}
         cross = np.stack([g for (k, msg), g in blocks.items()
                           if k != msg and plan.assignment[k] in heard])
@@ -294,7 +387,8 @@ def test_factored_s5_solve_without_fast_sectors():
     """With no fast rows the null space is the whole space and each message
     only pins its own gain."""
     plan = certification_plan(1, 2, "s5")
-    system = replace(build_zf_system(plan, sample_channels(plan, 2, 4), "s5"), fast=())
+    system = build_zf_system(plan, sample_channels(plan, 2, 4), "s5")
+    system = replace(system, fast=(), fast_pos=system.fast_pos[:0])
     b = solve_precoder(system).matrix
     ref = solve_s5_oracle(system)
     assert np.linalg.norm(b - ref) <= 1e-9 * np.linalg.norm(ref)

@@ -1,6 +1,9 @@
+from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from hexmg.regions import (
     FAMILY_MIXED,
@@ -19,6 +22,7 @@ from hexmg.regions import (
     outer_bound,
     scheme_point,
     sum_gain_cap,
+    _cross,
 )
 
 LARGE = SystemParams(m=3, mu_tx=10, mu_rx=10, d=20)
@@ -154,6 +158,94 @@ def test_boundary_samples_triangle():
         assert v in [(p.sf, p.ss) for p in many]
     with pytest.raises(ValueError):
         boundary_samples(region, 1)
+
+
+def fraction_cross(o, a, b):
+    """The cross product ``(a - o) x (b - o)`` in ``Fraction`` arithmetic."""
+    return (a.sf - o.sf) * (b.ss - o.ss) - (a.ss - o.ss) * (b.sf - o.sf)
+
+
+def sign(x):
+    return (x > 0) - (x < 0)
+
+
+#: rationals of either sign, zero included, with denominators up to 10**30
+rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-10**6, 10**6).map(Fraction),
+    st.fractions(max_denominator=10**30),
+)
+points = st.builds(MGPoint, rationals, rationals)
+
+
+@settings(max_examples=200, deadline=None)
+@given(o=points, a=points, b=points, k=rationals, collinear=st.booleans())
+def test_integer_cross_has_the_sign_of_the_fraction_cross(o, a, b, k, collinear):
+    if collinear:  # b on the line through o and a: the cross product is 0
+        b = MGPoint(o.sf + k * (a.sf - o.sf), o.ss + k * (a.ss - o.ss))
+    got = _cross(o, a, b)
+    assert type(got) is int
+    assert sign(got) == sign(fraction_cross(o, a, b))
+    assert sign(_cross(o, b, a)) == -sign(got)
+
+
+gains = st.one_of(st.just(Fraction(0)), st.fractions(min_value=0, max_value=4, max_denominator=50))
+
+
+def half_plane_test(pts):
+    """Membership in the convex hull of ``pts``, decided without the hull:
+    the point lies in the bounding box and on the inner side of every line
+    through two of the points that has all of them on one side."""
+    box = (min(q.sf for q in pts), max(q.sf for q in pts),
+           min(q.ss for q in pts), max(q.ss for q in pts))
+    lines = []
+    for u, v in combinations(pts, 2):
+        sides = {sign(fraction_cross(u, v, q)) for q in pts}
+        if sides <= {0, 1} or sides <= {0, -1}:  # 0 is always there: u and v
+            lines.append((u, v, sum(sides)))
+
+    def inside(p):
+        if not (box[0] <= p.sf <= box[1] and box[2] <= p.ss <= box[3]):
+            return False
+        return all(sign(fraction_cross(u, v, p)) in (0, side) for u, v, side in lines)
+
+    return inside
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    pts=st.lists(st.builds(MGPoint, gains, gains), min_size=1, max_size=6),
+    queries=st.lists(st.builds(MGPoint, gains, gains), max_size=6),
+    lam=st.fractions(min_value=0, max_value=1, max_denominator=20),
+)
+def test_hull_idempotent_and_contains_matches_half_planes(pts, queries, lam):
+    region = convex_hull(pts)
+    assert convex_hull(list(region.vertices)) == region
+    # the downward closure of pts: the origin and the axis projections join
+    inside = half_plane_test(pts + [MGPoint(Fraction(0), Fraction(0)),
+                                    MGPoint(max(p.sf for p in pts), Fraction(0)),
+                                    MGPoint(Fraction(0), max(p.ss for p in pts))])
+    v = region.vertices
+    edges = [MGPoint(a.sf + lam * (b.sf - a.sf), a.ss + lam * (b.ss - a.ss))
+             for a, b in zip(v, v[1:] + v[:1])]
+    nudged = [MGPoint(p.sf + Fraction(1, 10**9), p.ss) for p in v]
+    for q in list(v) + edges + nudged + queries + pts:
+        assert contains(region, q) == inside(q)
+
+
+prelogs = st.one_of(st.just(Fraction(0)), st.fractions(min_value=0, max_value=20, max_denominator=1000))
+params = st.builds(SystemParams, m=st.integers(1, 4), mu_tx=prelogs, mu_rx=prelogs, d=st.integers(1, 30))
+
+
+@settings(max_examples=120, deadline=None)
+@given(p=params, more=st.fractions(min_value=0, max_value=5, max_denominator=1000))
+def test_inner_within_outer_and_monotone_in_each_prelog(p, more):
+    inner, outer = inner_bound(p), outer_bound(p)
+    assert is_subset(inner, outer)
+    for field in ("mu_tx", "mu_rx"):
+        q = replace(p, **{field: getattr(p, field) + more})
+        assert is_subset(inner, inner_bound(q))
+        assert is_subset(outer, outer_bound(q))
 
 
 # ---------------------------------------------------------------------------
