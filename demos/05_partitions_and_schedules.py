@@ -45,7 +45,7 @@ cap4 = bound_arithmetic(part4, params)
 print(f"  sum-gain cap from this census: {decimal_str(cap4, 4)}"
       f" (limit {decimal_str(Fraction(75, 26), 4)})\n")
 
-plan = schedule_two_color(part2, d_t=2, d_r=2, d=4)
+plan = schedule_two_color(d_t=2, d_r=2, d=4)
 print("two-colour schedule, d_t=2, d_r=2:")
 for i, step in enumerate(plan.steps):
     print(f"  {i}: [{step.kind}] {step.name}")
@@ -61,7 +61,7 @@ print("\nwithout the genie:")
 for v in report.violations:
     print(f"  violation: {v}")
 
-plan4 = schedule_four_color(part4, d_t=1, d_r=2, d=3)
+plan4 = schedule_four_color(d_t=1, d_r=2, d=3)
 print("\nfour-colour schedule, d_t=1, d_r=2:",
       "VALID" if validate_schedule(plan4).ok else "INVALID")
 decode_red = next(s for s in plan4.steps if s.kind == "DECODE")

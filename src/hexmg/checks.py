@@ -164,24 +164,19 @@ def zf_checks(trials: int, seed: int) -> Iterator[Check]:
 def schedule_checks() -> Iterator[Check]:
     """Both algorithms validate for every delay split; deleting a decode or
     reconstruct step, or the genie, breaks either plan."""
-    part2 = partitions.partition_two(lattice.build_network(2))
-    part4 = partitions.partition_four(lattice.build_network(9), 3)
     for d in (3, 20):
         ok = True
         for d_t in range(0, d + 1):
             d_r = d - d_t
-            p1 = schedules.schedule_two_color(part2, d_t, d_r, d)
-            p2 = schedules.schedule_four_color(part4, d_t, d_r, d)
+            p1 = schedules.schedule_two_color(d_t, d_r, d)
+            p2 = schedules.schedule_four_color(d_t, d_r, d)
             ok &= schedules.validate_schedule(p1).ok
             ok &= schedules.validate_schedule(p2).ok
         yield Check(f"schedules: all splits validate d={d}", ok, f"{d + 1} splits x 2 algorithms")
 
     ok_del = True
-    for builder, part in (
-        (schedules.schedule_two_color, part2),
-        (schedules.schedule_four_color, part4),
-    ):
-        plan = builder(part, 2, 2, 4)
+    for builder in (schedules.schedule_two_color, schedules.schedule_four_color):
+        plan = builder(2, 2, 4)
         for i, step in enumerate(plan.steps):
             if step.kind in (schedules.DECODE, schedules.RECONSTRUCT):
                 ok_del &= not schedules.validate_schedule(plan.without_step(i)).ok

@@ -295,13 +295,8 @@ def cmd_converse(args: argparse.Namespace) -> int:
 
 def cmd_schedule(args: argparse.Namespace) -> int:
     d = args.d if args.d is not None else args.dt + args.dr
-    if args.algorithm == 1:
-        part = partitions.partition_two(lattice.build_network(2))
-        plan = schedules.schedule_two_color(part, args.dt, args.dr, d)
-    else:
-        spacing = max(2, d)
-        part = partitions.partition_four(lattice.build_network(3 * spacing), spacing)
-        plan = schedules.schedule_four_color(part, args.dt, args.dr, d)
+    build = schedules.schedule_two_color if args.algorithm == 1 else schedules.schedule_four_color
+    plan = build(args.dt, args.dr, d)
     print(f"schedule algorithm={args.algorithm} dt={args.dt} dr={args.dr} d={d}")
     print(f"{'#':>3} {'kind':<12} {'round':>5}  step")
     for i, step in enumerate(plan.steps):

@@ -6,14 +6,18 @@ decode every message.  Each claim is a linear plan of steps, every step
 consuming labelled resources produced earlier (or granted initially) and
 producing new ones.  The validator checks resource availability, conferencing
 round budgets, the total delay split, and the decoding goals.
+
+Plans are symbolic: they name colour classes, not cells, so they need no
+lattice and no partition.  Every conferencing phase follows one rule
+(:func:`_phase`): round j reads the phase's inputs plus everything heard in
+rounds 1..j-1, and the closing decode or encode step reads every round.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import FrozenSet, Iterable, List, Optional, Tuple
-
-from .partitions import FOUR, TWO, Partition
+from itertools import groupby
+from typing import Callable, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 RX_CONF = "RX_CONF"
 TX_CONF = "TX_CONF"
@@ -74,8 +78,30 @@ class ValidationReport:
     violations: Tuple[str, ...]
 
 
+Message = Callable[[str, str, int], str]
+Pairs = Sequence[Tuple[str, str]]
+
+
 def _step(kind, name, consumes: Iterable[str], produces: Iterable[str], rnd: int = 0) -> Step:
     return Step(kind, name, frozenset(consumes), frozenset(produces), rnd)
+
+
+def _rounds(msg: Message, pairs: Pairs, last: int) -> List[str]:
+    """The messages ``pairs`` carry in rounds 1..last."""
+    return [msg(src, dst, j) for j in range(1, last + 1) for src, dst in pairs]
+
+
+def _phase(
+    kind: str, name: str, budget: int, msg: Message, heard: Pairs, sent: Pairs, inputs: List[str]
+) -> Iterator[Step]:
+    """Rounds 1..budget of one conferencing phase: round j reads ``inputs``
+    and the ``heard`` messages of rounds 1..j-1 and produces its ``sent``
+    messages.  ``name`` is formatted with the round."""
+    for j in range(1, budget + 1):
+        yield _step(
+            kind, name.format(j), inputs + _rounds(msg, heard, j - 1),
+            [msg(src, dst, j) for src, dst in sent], rnd=j,
+        )
 
 
 def _check_budgets(d_t: int, d_r: int, d: Optional[int]) -> int:
@@ -88,9 +114,7 @@ def _check_budgets(d_t: int, d_r: int, d: Optional[int]) -> int:
     return d
 
 
-def schedule_two_color(
-    part: Partition, d_t: int, d_r: int, d: Optional[int] = None
-) -> SchedulePlan:
+def schedule_two_color(d_t: int, d_r: int, d: Optional[int] = None) -> SchedulePlan:
     """Super-receiver plan on the two-colour partition.
 
     Observed at the start: the red outputs, every conferencing message sent
@@ -99,88 +123,27 @@ def schedule_two_color(
     the red inputs, reconstructs the white outputs with the genie, replays
     the remaining receiver conferencing, and decodes white.
     """
-    if part.kind != TWO:
-        raise ValueError("two-colour schedule needs a two-colour partition")
     d = _check_budgets(d_t, d_r, d)
-    initial = {y("red"), GENIE}
-    initial.update(q_msg("white", "red", j) for j in range(1, d_r + 1))
-    initial.update(t_msg("white", "red", j) for j in range(1, d_t + 1))
-
-    steps: List[Step] = []
-    for j in range(1, d_r + 1):
-        prior = [q_msg("white", "red", i) for i in range(1, j)]
-        prior += [q_msg("red", "red", i) for i in range(1, j)]
-        steps.append(
-            _step(
-                RX_CONF,
-                f"rx round {j}: red-side receiver messages",
-                [y("red")] + prior,
-                [q_msg("red", "red", j)],
-                rnd=j,
-            )
-        )
-    steps.append(
-        _step(
-            DECODE,
-            "decode red messages",
-            [y("red")]
-            + [q_msg("white", "red", j) for j in range(1, d_r + 1)]
-            + [q_msg("red", "red", j) for j in range(1, d_r + 1)],
-            [mhat("red")],
-        )
-    )
-    for j in range(1, d_t + 1):
-        prior = [t_msg("white", "red", i) for i in range(1, j)]
-        prior += [t_msg("red", "red", i) for i in range(1, j)]
-        steps.append(
-            _step(
-                TX_CONF,
-                f"tx round {j}: red-side transmitter messages",
-                [mhat("red")] + prior,
-                [t_msg("red", "red", j)],
-                rnd=j,
-            )
-        )
-    steps.append(
-        _step(
-            ENCODE,
-            "re-encode red inputs",
-            [mhat("red")]
-            + [t_msg("white", "red", j) for j in range(1, d_t + 1)]
-            + [t_msg("red", "red", j) for j in range(1, d_t + 1)],
-            [x("red")],
-        )
-    )
-    steps.append(
-        _step(
-            RECONSTRUCT,
-            "reconstruct white outputs",
-            [x("red"), y("red"), GENIE],
-            [y("white")],
-        )
-    )
-    for j in range(1, d_r + 1):
-        prior = [q_msg("red", "white", i) for i in range(1, j)]
-        prior += [q_msg("white", "white", i) for i in range(1, j)]
-        steps.append(
-            _step(
-                RX_CONF,
-                f"rx round {j}: white-side receiver messages",
-                [y("white"), y("red")] + prior,
-                [q_msg("red", "white", j), q_msg("white", "white", j)],
-                rnd=j,
-            )
-        )
-    steps.append(
-        _step(
-            DECODE,
-            "decode white messages",
-            [y("white")]
-            + [q_msg("red", "white", j) for j in range(1, d_r + 1)]
-            + [q_msg("white", "white", j) for j in range(1, d_r + 1)],
-            [mhat("white")],
-        )
-    )
+    into_red = [("white", "red"), ("red", "red")]
+    into_white = [("red", "white"), ("white", "white")]
+    steps = [
+        *_phase(RX_CONF, "rx round {}: red-side receiver messages", d_r, q_msg,
+                into_red, [("red", "red")], [y("red")]),
+        _step(DECODE, "decode red messages", [y("red")] + _rounds(q_msg, into_red, d_r),
+              [mhat("red")]),
+        *_phase(TX_CONF, "tx round {}: red-side transmitter messages", d_t, t_msg,
+                into_red, [("red", "red")], [mhat("red")]),
+        _step(ENCODE, "re-encode red inputs", [mhat("red")] + _rounds(t_msg, into_red, d_t),
+              [x("red")]),
+        _step(RECONSTRUCT, "reconstruct white outputs", [x("red"), y("red"), GENIE],
+              [y("white")]),
+        *_phase(RX_CONF, "rx round {}: white-side receiver messages", d_r, q_msg,
+                into_white, into_white, [y("white"), y("red")]),
+        _step(DECODE, "decode white messages", [y("white")] + _rounds(q_msg, into_white, d_r),
+              [mhat("white")]),
+    ]
+    from_white = [("white", "red")]
+    initial = [y("red"), GENIE] + _rounds(q_msg, from_white, d_r) + _rounds(t_msg, from_white, d_t)
     return SchedulePlan(
         steps=tuple(steps),
         d_t=d_t,
@@ -201,9 +164,7 @@ _FOUR_TX_PAIRS = (
 )
 
 
-def schedule_four_color(
-    part: Partition, d_t: int, d_r: int, d: Optional[int] = None
-) -> SchedulePlan:
+def schedule_four_color(d_t: int, d_r: int, d: Optional[int] = None) -> SchedulePlan:
     """Super-receiver plan on the four-colour partition.
 
     Observed at the start: red, pink and white outputs plus the genie term.
@@ -211,85 +172,34 @@ def schedule_four_color(
     messages alone; the blue outputs are reconstructed, after which full
     conferencing is replayed and the remaining colours are decoded.
     """
-    if part.kind != FOUR:
-        raise ValueError("four-colour schedule needs a four-colour partition")
     d = _check_budgets(d_t, d_r, d)
-    initial = {y("red"), y("pink"), y("white"), GENIE}
-
-    steps: List[Step] = []
     pairs = _FOUR_TX_PAIRS
-    for j in range(1, d_r + 1):
-        prior = [q_msg(a, b, i) for i in range(1, j) for a, b in pairs]
-        steps.append(
-            _step(
-                RX_CONF,
-                f"rx round {j}: observed-colour receiver messages",
-                [y("red"), y("pink"), y("white")] + prior,
-                [q_msg(a, b, j) for a, b in pairs],
-                rnd=j,
-            )
-        )
-    steps.append(
-        _step(
-            DECODE,
-            "decode red messages",
-            [y("red")] + [q_msg("pink", "red", j) for j in range(1, d_r + 1)],
-            [mhat("red")],
-        )
-    )
-    for j in range(1, d_t + 1):
-        prior = [t_msg(a, b, i) for i in range(1, j) for a, b in pairs]
-        steps.append(
-            _step(
-                TX_CONF,
-                f"tx round {j}: transmitter messages",
-                [mhat("red")] + prior,
-                [t_msg(a, b, j) for a, b in pairs],
-                rnd=j,
-            )
-        )
-    steps.append(
-        _step(
-            ENCODE,
-            "re-encode red inputs",
-            [mhat("red")] + [t_msg("pink", "red", j) for j in range(1, d_t + 1)],
-            [x("red")],
-        )
-    )
-    steps.append(
-        _step(
-            RECONSTRUCT,
-            "reconstruct blue outputs",
-            [x("red"), y("red"), y("pink"), y("white"), GENIE],
-            [y("blue")],
-        )
-    )
-    for j in range(1, d_r + 1):
-        prior = [q_msg("all", "all", i) for i in range(1, j)]
-        steps.append(
-            _step(
-                RX_CONF,
-                f"rx round {j}: full receiver conferencing",
-                [y("red"), y("pink"), y("white"), y("blue")] + prior,
-                [q_msg("all", "all", j)],
-                rnd=j,
-            )
-        )
-    steps.append(
-        _step(
-            DECODE,
-            "decode pink, white and blue messages",
-            [y("pink"), y("white"), y("blue")]
-            + [q_msg("all", "all", j) for j in range(1, d_r + 1)],
-            [mhat("pink"), mhat("white"), mhat("blue")],
-        )
-    )
+    to_red = [("pink", "red")]
+    full = [("all", "all")]
+    observed = [y("red"), y("pink"), y("white")]
+    steps = [
+        *_phase(RX_CONF, "rx round {}: observed-colour receiver messages", d_r, q_msg,
+                pairs, pairs, observed),
+        _step(DECODE, "decode red messages", [y("red")] + _rounds(q_msg, to_red, d_r),
+              [mhat("red")]),
+        *_phase(TX_CONF, "tx round {}: transmitter messages", d_t, t_msg,
+                pairs, pairs, [mhat("red")]),
+        _step(ENCODE, "re-encode red inputs", [mhat("red")] + _rounds(t_msg, to_red, d_t),
+              [x("red")]),
+        _step(RECONSTRUCT, "reconstruct blue outputs", [x("red")] + observed + [GENIE],
+              [y("blue")]),
+        *_phase(RX_CONF, "rx round {}: full receiver conferencing", d_r, q_msg,
+                full, full, observed + [y("blue")]),
+        _step(DECODE, "decode pink, white and blue messages",
+              [y("pink"), y("white"), y("blue")] + _rounds(q_msg, full, d_r),
+              [mhat("pink"), mhat("white"), mhat("blue")]),
+    ]
     return SchedulePlan(
         steps=tuple(steps),
         d_t=d_t,
         d_r=d_r,
         d=d,
-        initial=frozenset(initial),
+        initial=frozenset(observed + [GENIE]),
         goals=frozenset({mhat("red"), mhat("pink"), mhat("white"), mhat("blue")}),
     )
 
@@ -313,29 +223,21 @@ def validate_schedule(plan: SchedulePlan) -> ValidationReport:
 
     # conferencing rounds: within budget, no repeats inside one phase
     # (a phase is a maximal run of steps of the same conferencing kind)
-    i = 0
-    while i < len(plan.steps):
-        kind = plan.steps[i].kind
-        if kind not in (RX_CONF, TX_CONF):
-            i += 1
+    budgets = {RX_CONF: plan.d_r, TX_CONF: plan.d_t}
+    for kind, phase in groupby(enumerate(plan.steps), key=lambda e: e[1].kind):
+        if kind not in budgets:
             continue
-        j = i
+        budget = budgets[kind]
         seen = set()
-        budget = plan.d_r if kind == RX_CONF else plan.d_t
-        while j < len(plan.steps) and plan.steps[j].kind == kind:
-            rnd = plan.steps[j].round_index
+        for i, step in phase:
+            rnd = step.round_index
             if not 1 <= rnd <= budget:
                 violations.append(
-                    f"step {j} ({plan.steps[j].name}): round {rnd} outside budget "
-                    f"[1, {budget}]"
+                    f"step {i} ({step.name}): round {rnd} outside budget [1, {budget}]"
                 )
             elif rnd in seen:
-                violations.append(
-                    f"step {j} ({plan.steps[j].name}): round {rnd} repeated in phase"
-                )
+                violations.append(f"step {i} ({step.name}): round {rnd} repeated in phase")
             seen.add(rnd)
-            j += 1
-        i = j
 
     unmet = plan.goals - available
     if unmet:

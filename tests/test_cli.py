@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hexmg import checks, clustering, lattice, precoding
+from hexmg import checks, clustering, lattice, partitions, precoding
 from hexmg.checks import decimal_str
 from hexmg.cli import main
 
@@ -293,6 +293,49 @@ def test_schedule_command_valid_and_invalid(capsys):
     )
     assert code == 1
     assert "INVALID" in stdout
+
+
+def test_schedule_builds_no_lattice(capsys, monkeypatch):
+    # plans are symbolic: a large total delay must not grow a lattice with d
+    def boom(*args, **kwargs):
+        raise AssertionError("schedule must not build a lattice or a partition")
+
+    monkeypatch.setattr(lattice, "build_network", boom)
+    monkeypatch.setattr(partitions, "partition_four", boom)
+    code, stdout, _ = run(
+        capsys, "schedule", "--algorithm", "2", "--dt", "1", "--dr", "1", "--d", "1000", "--validate"
+    )
+    assert code == 0
+    assert "VALID" in stdout
+
+
+#: SHA-256 of stdout and the exit code, recorded before the schedules were
+#: built from one conferencing-phase rule: these outputs must not move.
+SCHEDULE_DIGESTS = {
+    ("--algorithm", "1", "--dt", "2", "--dr", "2", "--validate"): (
+        "77467acdd827c9cccc13ba26acea03148557adba8d21e284b0f56582e897a84c", 0,
+    ),
+    ("--algorithm", "1", "--dt", "3", "--dr", "3", "--d", "4", "--validate"): (
+        "b09c33d02aac35bc0218322e1104df2d6a3af455b79e46c5caf36704e14665d0", 1,
+    ),
+    ("--algorithm", "2", "--dt", "1", "--dr", "2", "--validate"): (
+        "d9be9300cca5d53ae5ebe18d428ffdfd94a8510b57df9e8d7e5ddc2b3b02156a", 0,
+    ),
+    ("--algorithm", "2", "--dt", "3", "--dr", "3", "--d", "4", "--validate"): (
+        "09bb66607bb10bce51afa54e988d24f4c294d3425fea8c6fa47432eaff09ebfe", 1,
+    ),
+    ("--algorithm", "2", "--dt", "0", "--dr", "5"): (
+        "19cce8ce27e6ff50d81ebb7639e761882c36566d9224248755ce6717582448c3", 0,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "argv", list(SCHEDULE_DIGESTS), ids=lambda argv: "_".join(a.lstrip("-") for a in argv)
+)
+def test_schedule_stdout_is_byte_identical(capsys, argv):
+    code, stdout, _ = run(capsys, "schedule", *argv)
+    assert (hashlib.sha256(stdout.encode()).hexdigest(), code) == SCHEDULE_DIGESTS[argv]
 
 
 def test_config_file_defaults_and_override(capsys, tmp_path):
