@@ -192,16 +192,16 @@ def structural_checks() -> Iterator[Check]:
     mus = [Fraction(0), Fraction(1, 10), Fraction(1, 5), Fraction(1), Fraction(10)]
     for m in (1, 2, 3):
         for d in (4, 8, 12, 20):
+            diagonal: List[List[regions.Region]] = []  # (inner, outer) at mu_tx = mu_rx
             for mu_tx in mus:
                 for mu_rx in mus:
                     p = regions.SystemParams(m=m, mu_tx=mu_tx, mu_rx=mu_rx, d=d)
-                    ok_sub &= regions.is_subset(
-                        regions.inner_bound(p), regions.outer_bound(p)
-                    )
+                    bounds = [regions.inner_bound(p), regions.outer_bound(p)]
+                    ok_sub &= regions.is_subset(*bounds)
+                    if mu_tx == mu_rx:
+                        diagonal.append(bounds)
             prev: List[regions.Region] = []
-            for mu in mus:
-                p = regions.SystemParams(m=m, mu_tx=mu, mu_rx=mu, d=d)
-                bounds = [regions.inner_bound(p), regions.outer_bound(p)]
+            for bounds in diagonal:
                 for before, after in zip(prev, bounds):
                     ok_mono &= regions.is_subset(before, after)
                 prev = bounds

@@ -39,6 +39,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
+    return value
+
+
 def _sample_count(text: str) -> int:
     value = int(text)
     if value < 2:
@@ -435,7 +442,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithm", type=int, choices=(1, 2), required=True)
     p.add_argument("--dt", type=int, required=True)
     p.add_argument("--dr", type=int, required=True)
-    p.add_argument("--d", type=_positive_int, default=None)
+    p.add_argument("--d", type=_nonnegative_int, default=None)
     p.add_argument("--validate", action="store_true")
     p.set_defaults(func=cmd_schedule)
 

@@ -5,23 +5,28 @@ five transmission schemes, each time-shared with the no-cooperation baseline
 until the per-link cooperation prelog budget is met.  The impossibility
 (outer) region is the intersection of a cap on the fast gain with two caps on
 the sum gain.  All vertices are ``fractions.Fraction`` pairs; nothing here
-touches floating point.  The hull and membership tests only need the sign of
-a cross product, which ``_cross`` takes on the integer numerators and
-denominators without building a ``Fraction``.
+touches floating point.  The arithmetic behind them runs on integers:
+``convex_hull`` puts its points on one common denominator and sorts, dedupes
+and crosses the integer pairs, ``scheme_point`` decides its time-share weight
+by cross-multiplying numerators and denominators and builds one ``Fraction``
+per coordinate, and ``_cross`` gives ``contains`` the sign of a cross product
+from the integer numerators and denominators of its three points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from math import ceil, lcm
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 RatLike = Union[int, str, Fraction]
 
 FAMILY_NO_COOP = "no_coop"   # fast-only baseline, ignores cooperation links
 FAMILY_SLOW = "slow"         # all-slow schemes (Rx-side or Tx-side conferencing)
 FAMILY_MIXED = "mixed"       # alternating fast/slow schemes
+
+_ZERO = Fraction(0)
 
 
 def _rat(x: RatLike) -> Fraction:
@@ -96,38 +101,50 @@ def _cross(o: MGPoint, a: MGPoint, b: MGPoint) -> int:
             - (ayn * oyd - oyn * ayd) * (bxn * oxd - oxn * bxd) * axd * byd)
 
 
+def _chain(keys: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    """One half of Andrew's monotone chain: the points that turn left."""
+    out: List[Tuple[int, int]] = []
+    for bx, by in keys:
+        while len(out) >= 2:
+            (ox, oy), (ax, ay) = out[-2], out[-1]
+            if (ax - ox) * (by - oy) - (ay - oy) * (bx - ox) > 0:
+                break
+            out.pop()
+        out.append((bx, by))
+    return out
+
+
 def convex_hull(points: Sequence[MGPoint]) -> Region:
-    """Canonical downward-closed hull of a non-empty set of gain pairs."""
+    """Canonical downward-closed hull of a non-empty set of gain pairs.
+
+    The points are scaled to integers over the lcm of their denominators;
+    a positive common scale keeps their order, so sorting, deduping and the
+    chain run on the integer pairs.  The hull reuses the input points, and
+    an axis projection that is not one of them is built from their
+    coordinates.
+    """
     if not points:
         raise ValueError("need at least one point")
-    pts = {(p.sf, p.ss) for p in points}
-    sf_max = max(p[0] for p in pts)
-    ss_max = max(p[1] for p in pts)
+    den = lcm(*(c.denominator for p in points for c in (p.sf, p.ss)))
+    at: Dict[Tuple[int, int], MGPoint] = {}
+    for p in points:
+        key = (p.sf.numerator * (den // p.sf.denominator),
+               p.ss.numerator * (den // p.ss.denominator))
+        at.setdefault(key, p)
     # axis projections make the hull downward closed
-    pts.update({(Fraction(0), Fraction(0)), (sf_max, Fraction(0)), (Fraction(0), ss_max)})
-    uniq = sorted(pts)
-    if len(uniq) == 1:
-        return Region((MGPoint(*uniq[0]),))
-    mg = [MGPoint(*p) for p in uniq]
-    if len(mg) == 2:
-        return Region(tuple(mg))
-
-    def half(seq: List[MGPoint]) -> List[MGPoint]:
-        out: List[MGPoint] = []
-        for p in seq:
-            while len(out) >= 2 and _cross(out[-2], out[-1], p) <= 0:
-                out.pop()
-            out.append(p)
-        return out
-
-    lower = half(mg)
-    upper = half(list(reversed(mg)))
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 3:  # all collinear
-        return Region((mg[0], mg[-1]))
-    start = hull.index(min(hull, key=lambda p: (p.sf, p.ss)))
-    hull = hull[start:] + hull[:start]
-    return Region(tuple(hull))
+    right = max(at)
+    top = max(at, key=lambda k: k[1])
+    for key, sf, ss in (((0, 0), _ZERO, _ZERO),
+                        ((right[0], 0), at[right].sf, _ZERO),
+                        ((0, top[1]), _ZERO, at[top].ss)):
+        if key not in at:
+            at[key] = MGPoint(sf, ss)
+    keys = sorted(at)
+    if len(keys) > 2:
+        # counterclockwise from the smallest point, which starts the lower chain
+        hull = _chain(keys)[:-1] + _chain(keys[::-1])[:-1]
+        keys = hull if len(hull) >= 3 else [keys[0], keys[-1]]  # else all collinear
+    return Region(tuple(at[k] for k in keys))
 
 
 def contains(region: Region, pt: MGPoint) -> bool:
@@ -232,45 +249,79 @@ def mixed_t_values(d: int) -> List[int]:
     return vals
 
 
+# The three helpers below only add and multiply, so they evaluate on symbolic
+# m, t, an and ad as well as on ints.
+
+def _need(family: str, m, t) -> Tuple:
+    """Per-link prelog the full scheme needs, as (numerator, denominator):
+    m(2t−1)/3 all-slow, m(4t²−1)(2t+3)/(18t²) mixed."""
+    if family == FAMILY_SLOW:
+        return m * (2 * t - 1), 3
+    return m * (4 * t * t - 1) * (2 * t + 3), 18 * t * t
+
+
+def _full_gains(family: str, m, t) -> Tuple:
+    """(fast, slow) gains of the full scheme (λ = 1), each as (numerator,
+    denominator): all-slow (0, m(3t−1)/(3t)), mixed (m/3, m(2t−1)/(3t))."""
+    if family == FAMILY_SLOW:
+        return (0, 1), (m * (3 * t - 1), 3 * t)
+    return (m, 3), (m * (2 * t - 1), 3 * t)
+
+
+def _shared_gains(family: str, m, t, an, ad) -> Tuple:
+    """(fast, slow) gains time-shared at λ = (an/ad)/need < 1, each as
+    (numerator, denominator): all-slow (0, m/2 + λ·m(3t−2)/(6t)), mixed
+    (m/2 − λm/6, λ·m(2t−1)/(3t))."""
+    if family == FAMILY_SLOW:
+        q = ad * (2 * t - 1)
+        return (0, 1), (m * t * q + an * (3 * t - 2), 2 * t * q)
+    q = ad * (2 * t + 1) * (2 * t + 3)
+    return (m * q * (2 * t - 1) - 6 * t * t * an, 2 * q * (2 * t - 1)), (6 * t * an, q)
+
+
 def scheme_point(family: str, t: int, p: SystemParams) -> MGPoint:
     """Operating point of one scheme family at parameter t.
 
     Each cooperative scheme is time-shared with the no-cooperation baseline;
-    the time-share weight is capped by the available per-link prelog divided
-    by the prelog the full scheme needs.
+    the time-share weight λ is capped by the available per-link prelog divided
+    by the prelog the full scheme needs.  λ = min(1, available/need) is
+    decided by cross-multiplying integers, and each coordinate is one
+    ``Fraction`` built from an integer numerator and denominator.
     """
     m = p.m
     if family == FAMILY_NO_COOP:
-        return MGPoint(Fraction(m, 2), Fraction(0))
+        return MGPoint(Fraction(m, 2), _ZERO)
     if not isinstance(t, int) or t < 1:
         raise ValueError(f"t must be a positive integer, got {t!r}")
 
     if family == FAMILY_SLOW:
         if t <= slow_shared_t_max(p.d):
-            available = p.mu_tx + p.mu_rx
+            dual = True
         elif t <= slow_t_max(p.d):
-            available = p.mu_rx
+            dual = False
         else:
             raise ValueError(f"t={t} outside the all-slow range for d={p.d}")
-        need = Fraction(m * (2 * t - 1), 3)
-        lam = min(Fraction(1), available / need)
-        return MGPoint(Fraction(0), Fraction(m, 2) + lam * Fraction(m * (3 * t - 2), 6 * t))
-
-    if family == FAMILY_MIXED:
+    elif family == FAMILY_MIXED:
         if t <= mixed_dual_t_max(p.d):
-            available = p.mu_tx + p.mu_rx
+            dual = True
         elif mixed_rx_t_min(p.d) <= t <= mixed_t_max(p.d):
-            available = p.mu_rx
+            dual = False
         else:
             raise ValueError(f"t={t} outside the mixed range for d={p.d}")
-        need = Fraction(m * (4 * t * t - 1) * (2 * t + 3), 18 * t * t)
-        lam = min(Fraction(1), available / need)
-        return MGPoint(
-            Fraction(m, 2) - lam * Fraction(m, 6),
-            lam * Fraction(m * (2 * t - 1), 3 * t),
-        )
+    else:
+        raise ValueError(f"unknown scheme family {family!r}")
 
-    raise ValueError(f"unknown scheme family {family!r}")
+    # available prelog an/ad: mu_rx, plus mu_tx on the dual branch
+    an, ad = p.mu_rx.numerator, p.mu_rx.denominator
+    if dual:
+        xn, xd = p.mu_tx.numerator, p.mu_tx.denominator
+        an, ad = an * xd + xn * ad, ad * xd
+    nn, nd = _need(family, m, t)
+    if an * nd >= ad * nn:  # available >= need: λ = 1
+        sf, ss = _full_gains(family, m, t)
+    else:
+        sf, ss = _shared_gains(family, m, t, an, ad)
+    return MGPoint(Fraction(*sf), Fraction(*ss))
 
 
 def inner_bound(p: SystemParams, t_values: Optional[Iterable[int]] = None) -> Region:
@@ -299,13 +350,15 @@ def sum_gain_cap(p: SystemParams) -> Fraction:
 
 
 def outer_bound(p: SystemParams) -> Region:
-    """Impossibility region: fast gain capped at m/2, sum gain capped."""
+    """Impossibility region: fast gain capped at m/2, sum gain capped.
+
+    Since cap >= m/2, it is the triangle (0,0), (cap,0), (0,cap) when
+    cap = m/2 and the quadrilateral (0,0), (m/2,0), (m/2, cap−m/2), (0,cap)
+    otherwise, counterclockwise from the origin.
+    """
     m_half = Fraction(p.m, 2)
     cap = sum_gain_cap(p)
-    pts = [MGPoint(Fraction(0), Fraction(0)), MGPoint(Fraction(0), cap)]
+    origin, top = MGPoint(_ZERO, _ZERO), MGPoint(_ZERO, cap)
     if cap <= m_half:
-        pts.append(MGPoint(cap, Fraction(0)))
-    else:
-        pts.append(MGPoint(m_half, Fraction(0)))
-        pts.append(MGPoint(m_half, cap - m_half))
-    return convex_hull(pts)
+        return Region((origin, MGPoint(cap, _ZERO), top))
+    return Region((origin, MGPoint(m_half, _ZERO), MGPoint(m_half, cap - m_half), top))

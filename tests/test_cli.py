@@ -309,6 +309,23 @@ def test_schedule_builds_no_lattice(capsys, monkeypatch):
     assert "VALID" in stdout
 
 
+def test_schedule_accepts_zero_total_delay(capsys):
+    # the same plan as leaving --d out at --dt 0 --dr 0
+    code, stdout, _ = run(capsys, "schedule", "--algorithm", "1", "--dt", "0", "--dr", "0", "--d", "0", "--validate")
+    assert code == 0
+    assert "d=0" in stdout
+    assert "schedule: VALID" in stdout
+    assert stdout == run(capsys, "schedule", "--algorithm", "1", "--dt", "0", "--dr", "0", "--validate")[1]
+
+
+def test_schedule_negative_total_delay_is_a_usage_error(capsys):
+    code, stdout, err = run(capsys, "schedule", "--algorithm", "2", "--dt", "0", "--dr", "0", "--d", "-1")
+    assert code == 2
+    assert stdout == ""
+    assert "must be a non-negative integer, got -1" in err
+    assert "Traceback" not in err
+
+
 #: SHA-256 of stdout and the exit code, recorded before the schedules were
 #: built from one conferencing-phase rule: these outputs must not move.
 SCHEDULE_DIGESTS = {

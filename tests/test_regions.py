@@ -10,6 +10,7 @@ from hexmg.regions import (
     FAMILY_NO_COOP,
     FAMILY_SLOW,
     MGPoint,
+    Region,
     SystemParams,
     boundary_samples,
     contains,
@@ -23,6 +24,11 @@ from hexmg.regions import (
     scheme_point,
     sum_gain_cap,
     _cross,
+    _full_gains,
+    _need,
+    _shared_gains,
+    mixed_t_values,
+    slow_t_max,
 )
 
 LARGE = SystemParams(m=3, mu_tx=10, mu_rx=10, d=20)
@@ -110,6 +116,40 @@ def test_sum_gain_preserved_between_slow_and_mixed():
         ps = scheme_point(FAMILY_SLOW, t, LARGE)
         pm = scheme_point(FAMILY_MIXED, t, LARGE)
         assert ps.sf + ps.ss == pm.sf + pm.ss == Fraction(3 * (3 * t - 1), 3 * t)
+
+
+def test_closed_forms_and_integer_expressions_match_the_lambda_formulas():
+    # symbolic t and m: the lambda = 1 closed forms, the lambda < 1 integer
+    # expressions at lambda = available/need, and the shared sum gain
+    sympy = pytest.importorskip("sympy")
+    t, m, an, ad = sympy.symbols("t m a_n a_d", positive=True)
+    available = an / ad
+    need = {
+        FAMILY_SLOW: m * (2 * t - 1) / 3,
+        FAMILY_MIXED: m * (4 * t**2 - 1) * (2 * t + 3) / (18 * t**2),
+    }
+    paper = {  # (fast, slow) at time-share weight lam
+        FAMILY_SLOW: lambda lam: (0, m / 2 + lam * m * (3 * t - 2) / (6 * t)),
+        FAMILY_MIXED: lambda lam: (m / 2 - lam * m / 6, lam * m * (2 * t - 1) / (3 * t)),
+    }
+
+    def ratio(pair):
+        return sympy.Rational(1) * pair[0] / pair[1]
+
+    def same(a, b):
+        return sympy.simplify(a - b) == 0
+
+    for family in (FAMILY_SLOW, FAMILY_MIXED):
+        assert same(ratio(_need(family, m, t)), need[family])
+        full = [ratio(c) for c in _full_gains(family, m, t)]
+        shared = [ratio(c) for c in _shared_gains(family, m, t, an, ad)]
+        for got, want in zip(full, paper[family](1)):
+            assert same(got, want)
+        for got, want in zip(shared, paper[family](available / need[family])):
+            assert same(got, want)
+    full_sums = [sum(ratio(c) for c in _full_gains(f, m, t)) for f in (FAMILY_SLOW, FAMILY_MIXED)]
+    assert same(full_sums[0], m * (3 * t - 1) / (3 * t))
+    assert same(full_sums[1], m * (3 * t - 1) / (3 * t))
 
 
 # ---------------------------------------------------------------------------
@@ -288,10 +328,15 @@ def test_outer_bound_reference_vertices():
 
 
 def test_outer_bound_zero_prelogs_triangle():
-    for d in (1, 5, 20):
-        p = SystemParams(m=3, mu_tx=0, mu_rx=0, d=d)
-        region = outer_bound(p)
-        assert as_pairs(region) == {(0, 0), (Fraction(3, 2), 0), (0, Fraction(3, 2))}
+    # cap = m/2: the stated triangle, in the order the hull of its corners gives
+    for m in (1, 2, 3, 5):
+        for d in (1, 2, 5, 20, 40):
+            p = SystemParams(m=m, mu_tx=0, mu_rx=0, d=d)
+            assert sum_gain_cap(p) == Fraction(m, 2)
+            region = outer_bound(p)
+            assert_exact(region, oracle_outer_bound(p))
+            half = Fraction(m, 2)
+            assert [(v.sf, v.ss) for v in region.vertices] == [(0, 0), (half, 0), (0, half)]
 
 
 def test_large_prelog_threshold_emerges_from_cap_logic():
@@ -389,3 +434,165 @@ def test_mixed_point_equals_closed_branch_expressions():
             )
             assert pt.sf == expected_sf
             assert pt.ss == expected_ss
+
+
+# ---------------------------------------------------------------------------
+# the Fraction implementations the integer arithmetic replaced, as oracles
+
+def oracle_convex_hull(points):
+    """The hull over sorted ``Fraction`` tuples and the ``Fraction`` cross."""
+    pts = {(p.sf, p.ss) for p in points}
+    sf_max = max(p[0] for p in pts)
+    ss_max = max(p[1] for p in pts)
+    pts.update({(Fraction(0), Fraction(0)), (sf_max, Fraction(0)), (Fraction(0), ss_max)})
+    uniq = sorted(pts)
+    if len(uniq) == 1:
+        return Region((MGPoint(*uniq[0]),))
+    mg = [MGPoint(*p) for p in uniq]
+    if len(mg) == 2:
+        return Region(tuple(mg))
+
+    def half(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and fraction_cross(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out
+
+    lower = half(mg)
+    upper = half(list(reversed(mg)))
+    hull = lower[:-1] + upper[:-1]
+    if len(hull) < 3:
+        return Region((mg[0], mg[-1]))
+    start = hull.index(min(hull, key=lambda p: (p.sf, p.ss)))
+    return Region(tuple(hull[start:] + hull[:start]))
+
+
+def oracle_scheme_point(family, t, p):
+    """Time-sharing in ``Fraction`` arithmetic: lam = min(1, available/need)."""
+    m = p.m
+    if family == FAMILY_NO_COOP:
+        return MGPoint(Fraction(m, 2), Fraction(0))
+    if family == FAMILY_SLOW:
+        available = p.mu_tx + p.mu_rx if t <= p.d // 4 else p.mu_rx
+        need = Fraction(m * (2 * t - 1), 3)
+        lam = min(Fraction(1), available / need)
+        return MGPoint(Fraction(0), Fraction(m, 2) + lam * Fraction(m * (3 * t - 2), 6 * t))
+    available = p.mu_tx + p.mu_rx if t <= mixed_dual_t_max(p.d) else p.mu_rx
+    need = Fraction(m * (4 * t * t - 1) * (2 * t + 3), 18 * t * t)
+    lam = min(Fraction(1), available / need)
+    return MGPoint(Fraction(m, 2) - lam * Fraction(m, 6), lam * Fraction(m * (2 * t - 1), 3 * t))
+
+
+def oracle_inner_bound(p, t_values=None):
+    sel = None if t_values is None else set(t_values)
+    pts = [MGPoint(Fraction(0), Fraction(0)), oracle_scheme_point(FAMILY_NO_COOP, 1, p)]
+    pts += [oracle_scheme_point(FAMILY_SLOW, t, p) for t in range(1, slow_t_max(p.d) + 1)
+            if sel is None or t in sel]
+    pts += [oracle_scheme_point(FAMILY_MIXED, t, p) for t in mixed_t_values(p.d)
+            if sel is None or t in sel]
+    return oracle_convex_hull(pts)
+
+
+def oracle_outer_bound(p):
+    """The outer bound as the hull of its corner points."""
+    m_half = Fraction(p.m, 2)
+    cap = sum_gain_cap(p)
+    pts = [MGPoint(Fraction(0), Fraction(0)), MGPoint(Fraction(0), cap)]
+    if cap <= m_half:
+        pts.append(MGPoint(cap, Fraction(0)))
+    else:
+        pts += [MGPoint(m_half, Fraction(0)), MGPoint(m_half, cap - m_half)]
+    return oracle_convex_hull(pts)
+
+
+def assert_exact(got, want):
+    """Same vertices, same order, every coordinate a ``Fraction``."""
+    got_v = got.vertices if isinstance(got, Region) else (got,)
+    want_v = want.vertices if isinstance(want, Region) else (want,)
+    assert [(v.sf, v.ss) for v in got_v] == [(v.sf, v.ss) for v in want_v]
+    assert all(type(c) is Fraction for v in got_v for c in (v.sf, v.ss))
+
+
+#: prelogs with 0, tiny values, moderate rationals and values >= 100, where
+#: every scheme runs in full (lam = 1) for m <= 5 and d <= 40
+oracle_prelogs = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(1, 10**6).map(lambda k: Fraction(1, 10**9 + k)),
+    st.fractions(min_value=0, max_value=30, max_denominator=1000),
+    st.fractions(min_value=100, max_value=10**4, max_denominator=50),
+)
+oracle_params = st.builds(
+    SystemParams, m=st.integers(1, 5), mu_tx=oracle_prelogs, mu_rx=oracle_prelogs, d=st.integers(1, 40)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=oracle_params, data=st.data())
+def test_integer_regions_match_fraction_oracles(p, data):
+    for t in range(1, slow_t_max(p.d) + 1):
+        assert_exact(scheme_point(FAMILY_SLOW, t, p), oracle_scheme_point(FAMILY_SLOW, t, p))
+    for t in mixed_t_values(p.d):
+        assert_exact(scheme_point(FAMILY_MIXED, t, p), oracle_scheme_point(FAMILY_MIXED, t, p))
+    assert_exact(scheme_point(FAMILY_NO_COOP, 1, p), oracle_scheme_point(FAMILY_NO_COOP, 1, p))
+    assert_exact(inner_bound(p), oracle_inner_bound(p))
+    subset = data.draw(st.sets(st.integers(1, max(1, slow_t_max(p.d)))), label="t_values")
+    assert_exact(inner_bound(p, subset), oracle_inner_bound(p, subset))
+    assert_exact(outer_bound(p), oracle_outer_bound(p))
+
+
+#: non-negative coordinates: small denominators (ties, duplicates, collinear
+#: points) and denominators up to 10**30
+hull_coords = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(0, 6).map(Fraction),
+    st.fractions(min_value=0, max_value=3, max_denominator=12),
+    st.fractions(min_value=0, max_value=10, max_denominator=10**30),
+)
+hull_points = st.builds(MGPoint, hull_coords, hull_coords)
+
+
+@st.composite
+def point_sets(draw):
+    """Arbitrary points plus optional collinear runs, axis points and copies."""
+    pts = draw(st.lists(st.one_of(hull_points, st.builds(MGPoint, rationals, rationals)),
+                        min_size=1, max_size=7))
+    if draw(st.booleans()):  # a collinear run o + k·v
+        o, v = draw(hull_points), draw(hull_points)
+        sign_ = draw(st.sampled_from([1, -1]))
+        v = MGPoint(v.sf, sign_ * v.ss)
+        ks = draw(st.lists(st.fractions(min_value=0, max_value=4, max_denominator=6), min_size=2, max_size=5))
+        pts += [MGPoint(o.sf + k * v.sf, o.ss + k * v.ss) for k in ks]
+    if draw(st.booleans()):  # on the axes
+        pts += [MGPoint(c, Fraction(0)) for c in draw(st.lists(hull_coords, max_size=3))]
+        pts += [MGPoint(Fraction(0), c) for c in draw(st.lists(hull_coords, max_size=3))]
+    copies = draw(st.lists(st.sampled_from(pts), max_size=3))
+    return draw(st.permutations(pts + copies))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pts=point_sets())
+def test_integer_hull_matches_fraction_oracle(pts):
+    assert_exact(convex_hull(pts), oracle_convex_hull(pts))
+
+
+@pytest.mark.parametrize(
+    "pts",
+    [
+        [(0, 0)],
+        [(2, 3)],
+        [(Fraction(1, 3), 0), (Fraction(1, 3), 0)],
+        [(0, 5), (0, 1)],
+        [(1, 0), (2, 0), (3, 0)],
+        [(0, 1), (Fraction(1, 2), Fraction(1, 2)), (1, 0), (Fraction(1, 4), Fraction(3, 4))],
+        [(1, 1), (1, 1), (2, 2), (3, 3)],
+        [(Fraction(1, 10**30), Fraction(10**30 - 1, 10**30)), (1, Fraction(1, 10**29))],
+        [(-1, 2), (3, -4)],
+    ],
+    ids=["origin", "single", "duplicate", "two-on-axis", "collinear-axis", "collinear-edge",
+         "diagonal-run", "huge-denominators", "negative"],
+)
+def test_integer_hull_matches_fraction_oracle_on_edge_cases(pts):
+    points = [MGPoint(Fraction(a), Fraction(b)) for a, b in pts]
+    assert_exact(convex_hull(points), oracle_convex_hull(points))
