@@ -10,7 +10,7 @@ from collections import Counter
 
 from hexmg import build_network, cell_distance, interference_graph, tx_neighbors
 
-net = build_network(radius=6, antennas_per_user=2)
+net = build_network(radius=6)
 print(f"radius-6 ball: {len(net.cells)} cells, {len(net.sectors)} sectors")
 
 # degree profile: interior sectors see 4 partners, boundary ones fewer

@@ -17,11 +17,12 @@ from hexmg import (
 
 # one trial, spelled out
 t, m = 1, 2
-plan = certification_plan(t, m, scheme="s4")
+plan = certification_plan(t, scheme="s4")
 ch = sample_channels(plan, m, seed=2024)
 system = build_zf_system(plan, ch, scheme="s4")
-print(f"t={t}, m={m}: {len(system.active)} active users,"
-      f" {len(system.messages)} slow messages, {len(system.fast)} fast sectors")
+lay = system.layout  # the origin cluster's members by sector id
+print(f"t={t}, m={m}: {len(lay.ids)} active users,"
+      f" {len(lay.slow_pos)} slow messages, {len(lay.fast_pos)} fast sectors")
 print(f"unknowns {system.n_unknowns}, constraints {system.n_constraints} (square)")
 
 precoder = solve_precoder(system)
@@ -42,7 +43,7 @@ for scheme in ("s3", "s4", "s5"):
 # a degenerate draw (all-zero channels into one receiver) is flagged, not hidden
 from hexmg import RankDeficientError
 
-plan = certification_plan(1, 1, scheme="s4")
+plan = certification_plan(1, scheme="s4")
 ch = sample_channels(plan, 1, seed=0)
 # ch.h holds one channel per link of plan.origin_links; silence every link
 # into the cluster's first member

@@ -11,7 +11,6 @@ from .lattice import (
     cell_distance,
     hex_ball,
     interference_graph,
-    rx_neighbors,
     tx_neighbors,
 )
 from .clustering import (

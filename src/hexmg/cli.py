@@ -75,7 +75,7 @@ def _write_or_print(text: str, path: Optional[str], out_dir: Optional[str]) -> N
 # lattice
 
 def cmd_lattice(args: argparse.Namespace) -> int:
-    net = lattice.build_network(args.radius, args.m)
+    net = lattice.build_network(args.radius)
     label = [f"{q},{r},{o}" for q, r, o in net.sectors]
     src, dst = net.directed_edges()
     edges = sorted(f"{label[i]},{label[j]}" for i, j in zip(src.tolist(), dst.tolist()))
@@ -83,8 +83,9 @@ def cmd_lattice(args: argparse.Namespace) -> int:
         lines = ["sector_cell_q,sector_cell_r,orientation,neighbor_cell_q,neighbor_cell_r,neighbor_orientation"]
         lines += edges
         _write_or_print("\n".join(lines) + "\n", args.emit, args.out)
+    # the cells whose six neighbours all lie on the lattice
     per_cell = net.nbr.reshape(len(net.q), -1)
-    interior_ok = bool((per_cell[net.interior_mask()] >= 0).all())
+    interior_ok = bool((per_cell[net.interior_mask(1)] >= 0).all())
     print(
         f"lattice radius={args.radius} m={args.m}: {len(net.cells)} cells, "
         f"{len(net.sectors)} sectors, {len(edges)} directed interference links, "
@@ -101,9 +102,9 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     mode = clustering.MODE_MIXED if args.mode == "mixed" else clustering.MODE_SLOW_ONLY
     plan = clustering.assign_messages(clustering.clusters(net, args.t), mode)
 
-    master_users = {cl.master_user for cl in plan.clusters}
-
     if args.emit:
+        # each master cell's orientation-0 sector is its cluster's master user
+        master_users = {(*cl.master, 0) for cl in plan.clusters if cl.master is not None}
         lines = ["cell_q,cell_r,orientation,role,cluster_id"]
         for s, code, cid in zip(net.sectors, plan.roles.tolist(), plan.cluster_ids.tolist()):
             role = "MASTER" if s in master_users else clustering.ROLES[code]
@@ -268,8 +269,7 @@ def cmd_zf(args: argparse.Namespace) -> int:
 def cmd_converse(args: argparse.Namespace) -> int:
     kind = args.partition or ("four" if args.d is not None else "two")
     if kind == "four" and args.d is None:
-        print("converse: --d is required for the four-colour partition", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError("--d is required for the four-colour partition")
     net = lattice.build_network(args.radius)
     part = (
         partitions.partition_two(net)

@@ -10,12 +10,16 @@ where the fast sectors form an exact density-1/3 pattern with no two fast
 sectors interfering.  An assigned plan also lays out the links of the origin
 master's cluster (``ClusterPlan.origin_links``), once, for the zero-forcing
 trials.
+
+A plan states everything per sector id: ``cluster_ids`` the cluster, ``roles``
+the role code, and each ``Cluster.sectors`` the cluster's ascending ids.
+Sector tuples appear only where a caller passes one in (``cluster_of``, set
+membership) or iterates a set.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -25,7 +29,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, maximum_bipartite_matching
 
-from .lattice import Cell, Network, Sector, SectorMap, SectorSet, cell_distance, cell_index, hex_ball
+from .lattice import Cell, Network, Sector, SectorSet, cell_distance, cell_index, hex_ball
 
 FAST = "FAST"
 SLOW = "SLOW"
@@ -151,7 +155,6 @@ class Cluster:
     partial clusters cut off by the lattice boundary."""
 
     master: Optional[Cell]
-    master_user: Optional[Sector]
     #: ``labels`` is the plan's ``cluster_ids`` and ``label`` the cluster's index
     sectors: SectorSet
 
@@ -161,15 +164,14 @@ class LinkLayout:
     """The links of the origin master's cluster, in the order the zero-forcing
     trials draw and sum their channels.
 
-    A position indexes ``ids``, the members' ascending sector ids, and the
-    ``active`` tuple of their sectors.  Link k runs from transmitter
-    ``tx[k]`` to receiver ``rx[k]``; each receiver's links are consecutive,
-    its self link first, then its in-cluster ``nbr`` links by ascending id.
+    A position indexes ``ids``, the members' ascending sector ids.  Link k
+    runs from transmitter ``tx[k]`` to receiver ``rx[k]``; each receiver's
+    links are consecutive, its self link first, then its in-cluster ``nbr``
+    links by ascending id.
     ``slots[d]`` holds ``(rx, tx, link)`` for every receiver's d-th link.
     """
 
     ids: np.ndarray
-    active: Tuple[Sector, ...]
     rx: np.ndarray
     tx: np.ndarray
     slots: Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], ...]
@@ -177,8 +179,6 @@ class LinkLayout:
     roles: np.ndarray
     slow_pos: np.ndarray
     fast_pos: np.ndarray
-    slow: Tuple[Sector, ...]
-    fast: Tuple[Sector, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,14 +193,6 @@ class ClusterPlan:
     #: per sector id: the index of its role in ``ROLES`` (``assign_messages``)
     roles: Optional[np.ndarray] = None
     mode: Optional[str] = None
-
-    @property
-    def assignment(self) -> Optional[Mapping]:
-        """``sector -> FAST / SLOW / SILENT``, read off ``roles``; a view for the
-        CLI, tests, demos and perfbench, which the library does not read."""
-        if self.roles is None:
-            return None
-        return SectorMap(self.net, lambda i: ROLES[self.roles[i]])
 
     def cluster_of(self, sector: Sector) -> Optional[Cluster]:
         i = self.net.id_of(sector)
@@ -217,8 +209,7 @@ class ClusterPlan:
             raise ValueError("plan has no assignment; call assign_messages first")
         net = self.net
         label = self.cluster_ids[net.id_of((0, 0, 0))]
-        cluster = self.clusters[label]
-        ids = cluster.sectors.ids
+        ids = self.clusters[label].sectors.ids
         n = len(ids)
         # column 0 is the self link, then the in-cluster neighbours by
         # ascending position, padded with n
@@ -236,30 +227,21 @@ class ClusterPlan:
         roles = self.roles[ids]
         slow_pos = np.flatnonzero(roles == ROLES.index(SLOW))
         fast_pos = np.flatnonzero(roles == ROLES.index(FAST))
-        active = tuple(cluster.sectors)
-        return LinkLayout(
-            ids, active, rx, ends[valid], slots, roles, slow_pos, fast_pos,
-            tuple(active[i] for i in slow_pos.tolist()),
-            tuple(active[i] for i in fast_pos.tolist()),
-        )
+        return LinkLayout(ids, rx, ends[valid], slots, roles, slow_pos, fast_pos)
 
     def interior_masters(self, margin: int = 2) -> List[Cell]:
-        """Masters whose whole cluster context lies inside the lattice."""
-        ids = _interior_master_ids(self, margin)
-        return list(zip(self.net.q[ids].tolist(), self.net.r[ids].tolist()))
-
-
-def _interior_master_ids(plan: ClusterPlan, margin: int) -> np.ndarray:
-    """Cell ids of the masters at least ``t + margin`` hops from the boundary."""
-    net = plan.net
-    return np.flatnonzero(is_master_cell((net.q, net.r), plan.t) & net.interior_mask(plan.t + margin))
+        """Masters whose whole cluster context lies inside the lattice: at
+        least ``t + margin`` hops from the boundary."""
+        net = self.net
+        inside = is_master_cell((net.q, net.r), self.t) & net.interior_mask(self.t + margin)
+        return list(zip(net.q[inside].tolist(), net.r[inside].tolist()))
 
 
 def clusters(net: Network, t: int) -> ClusterPlan:
     """Decompose the lattice into non-interfering clusters for parameter t."""
     masters = master_grid(net, t)
     silenced = silenced_sectors(net, t)
-    n = len(net.sectors)
+    n = len(net.nbr)
     active = ~silenced.labels
     src, dst = net.directed_edges()
     # the coupling is symmetric: keep each edge between active sectors once
@@ -296,13 +278,14 @@ def clusters(net: Network, t: int) -> ClusterPlan:
     cluster_ids[ids] = position[group]
     stop = np.append(first[1:], len(ids))
     spans = zip(first[rank].tolist(), stop[rank].tolist(), owner[rank].tolist())
-    built = []
-    for i, (a, b, c) in enumerate(spans):
-        user = net.sectors[3 * c] if c >= 0 else None
-        sectors = SectorSet(net, cluster_ids, i, ids[a:b])
-        built.append(Cluster(None if user is None else user[:2], user, sectors))
-
-    return ClusterPlan(net, t, masters, silenced, tuple(built), cluster_ids)
+    built = tuple(
+        Cluster(
+            None if c < 0 else (net.q.item(c), net.r.item(c)),
+            SectorSet(net, cluster_ids, i, ids[a:b]),
+        )
+        for i, (a, b, c) in enumerate(spans)
+    )
+    return ClusterPlan(net, t, masters, silenced, built, cluster_ids)
 
 
 @lru_cache(maxsize=None)
@@ -368,20 +351,15 @@ def assign_messages(plan: ClusterPlan, mode: str) -> ClusterPlan:
     return replace(plan, roles=roles, mode=mode)
 
 
-def _interior_region(plan: ClusterPlan) -> Tuple[Cell, List[Cell]]:
-    """Pick an interior master and return it with its owned cell region.
+def _origin_region(t: int) -> List[Cell]:
+    """The cells owned by the origin master, in sorted order.
 
     Cells belong to their lexicographically first nearest master, all within
     ``t`` hops of it, and ownership moves with every master translation: the
-    origin master's region, shifted, is the region of any master."""
-    net, t = plan.net, plan.t
-    ids = _interior_master_ids(plan, margin=1)
-    if not len(ids):
-        raise ValueError(f"no interior cluster at radius {net.radius}")
-    i = ids[np.argmin(net.hops[ids])]  # the nearest to the origin; ties go to the first cell
-    m = (int(net.q[i]), int(net.r[i]))
-    origin = [c for c in hex_ball(t) if nearest_masters(c, t)[1][0] == (0, 0)]
-    return m, [(q + m[0], r + m[1]) for (q, r) in origin]
+    origin master's region, shifted, is the region of any master.  A plan's
+    lattice has radius at least 3t (``_check_t``), so the region and every
+    cell adjacent to it lie on the lattice."""
+    return [c for c in hex_ball(t) if nearest_masters(c, t)[1][0] == (0, 0)]
 
 
 def count_links(plan: ClusterPlan, side: str) -> int:
@@ -391,9 +369,8 @@ def count_links(plan: ClusterPlan, side: str) -> int:
     cell of their source endpoint: user-to-user links on the ``tx`` side,
     links between adjacent base stations on the ``rx`` side.
     """
-    _, region = _interior_region(plan)
     net = plan.net
-    cell = cell_index(net.radius, *np.array(region).T)
+    cell = cell_index(net.radius, *np.array(_origin_region(plan.t)).T)
     if side == TX:
         return int(np.count_nonzero(net.nbr.reshape(len(net.q), -1)[cell] >= 0))
     if side == RX:

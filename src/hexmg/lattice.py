@@ -10,11 +10,12 @@ symmetric, translation invariant, and never pairs two sectors of one cell.
 A ``Network`` stores the lattice as arrays: the cell coordinates in
 ``hex_ball`` order and one ``(3·n_cells, 4)`` neighbour array over the
 integer sector ids ``3·cell + orientation``.  Since ``hex_ball`` is sorted,
-sector ids follow the sorted order of the ``(q, r, o)`` tuples.  The tuple
-forms are derived from the arrays: ``sectors`` lists every sector by id,
-``cells`` is built on first use, and ``tx_neighbors`` / ``rx_neighbors`` are
-read-only mapping views; ``cell_index`` maps coordinate arrays to cell ids and
-``Network.id_of`` maps one sector tuple to its id, both in closed form.
+sector ids follow the sorted order of the ``(q, r, o)`` tuples.  Ids and
+arrays are the library's only representation: ``cell_index`` maps coordinate
+arrays to cell ids and ``Network.id_of`` maps one sector tuple to its id, both
+in closed form, and the tuple forms a caller outside the library asks for
+(``sectors``, ``cells``, ``tx_neighbors``) are built from the arrays on first
+use.
 """
 
 from __future__ import annotations
@@ -71,21 +72,18 @@ class Network:
     ``q`` and ``r`` hold the cell coordinates in ``hex_ball`` order.  Row
     ``3·cell + o`` of ``nbr`` lists the ids of the sectors coupled with sector
     ``(q[cell], r[cell], o)``: column ``k`` is ``NEIGHBOR_RULE[o][k]``, and -1
-    where that sector falls off the lattice.  ``tx_neighbors`` maps each sector
-    to the set of sectors whose transmissions interfere with it (user-to-user
-    conferencing links follow the same pairs).  ``rx_neighbors`` is plain
-    6-cell adjacency restricted to the lattice and carries the base-station
-    conferencing links.  Both are views kept for the CLI, tests, demos and
-    perfbench; the library reads ``nbr`` and ``adjacent`` instead.
+    where that sector falls off the lattice; user-to-user conferencing links
+    follow the same pairs.  ``adjacent`` states cell adjacency, which carries
+    the base-station conferencing links.  ``tx_neighbors`` maps each sector to
+    the set of sectors whose transmissions interfere with it; it and the
+    cached ``sectors`` and ``cells`` serve callers outside the library, which
+    reads the arrays instead.
     """
 
     radius: int
-    antennas_per_user: int
     q: np.ndarray
     r: np.ndarray
     nbr: np.ndarray
-    #: every sector as a ``(q, r, o)`` tuple, indexed by sector id
-    sectors: Tuple[Sector, ...]
 
     def id_of(self, sector) -> Optional[int]:
         """The id of sector ``(q, r, o)``, or None unless ``sector`` is a
@@ -101,6 +99,13 @@ class Network:
         return NUM_ORIENTATIONS * _cell_id(self.radius, q, r) + o
 
     @cached_property
+    def sectors(self) -> Tuple[Sector, ...]:
+        """Every sector as a ``(q, r, o)`` tuple, indexed by sector id."""
+        qs = np.repeat(self.q, NUM_ORIENTATIONS).tolist()
+        rs = np.repeat(self.r, NUM_ORIENTATIONS).tolist()
+        return tuple(zip(qs, rs, list(range(NUM_ORIENTATIONS)) * len(self.q)))
+
+    @cached_property
     def cells(self) -> FrozenSet[Cell]:
         return frozenset(zip(self.q.tolist(), self.r.tolist()))
 
@@ -108,17 +113,12 @@ class Network:
     def tx_neighbors(self) -> Mapping:
         return SectorMap(self, self._tx_of)
 
-    @property
-    def rx_neighbors(self) -> Mapping:
-        return CellMap(self, self._rx_of)
-
     def _tx_of(self, i: int) -> FrozenSet[Sector]:
-        return frozenset(self.sectors[j] for j in self.nbr[i].tolist() if j >= 0)
-
-    def _rx_of(self, i: int) -> FrozenSet[Cell]:
-        near = self.adjacent(i)
-        near = near[near >= 0]
-        return frozenset(zip(self.q[near].tolist(), self.r[near].tolist()))
+        q, r = self.q.item(i // NUM_ORIENTATIONS), self.r.item(i // NUM_ORIENTATIONS)
+        rule = NEIGHBOR_RULE[i % NUM_ORIENTATIONS]
+        return frozenset(
+            (q + dq, r + dr, o2) for (dq, dr, o2), j in zip(rule, self.nbr[i].tolist()) if j >= 0
+        )
 
     def adjacent(self, cell) -> np.ndarray:
         """Per cell id in ``cell`` (an int or an array): the ids of its six
@@ -126,14 +126,9 @@ class Network:
         dq, dr = np.array(HEX_DIRS).T
         return cell_index(self.radius, self.q[cell, None] + dq, self.r[cell, None] + dr)
 
-    @property
-    def hops(self) -> np.ndarray:
-        """Per cell: its hop distance from the origin."""
-        return cell_distance((self.q, self.r), (0, 0))
-
     def interior_mask(self, depth: int = 2) -> np.ndarray:
         """Per cell: True if it is at least ``depth`` hops from the boundary."""
-        return self.hops <= self.radius - depth
+        return cell_distance((self.q, self.r), (0, 0)) <= self.radius - depth
 
     def directed_edges(self) -> Tuple[np.ndarray, np.ndarray]:
         """Every coupled pair ``(id, nbr[id])`` as a source and a target id array."""
@@ -159,7 +154,7 @@ class SectorMap(Mapping):
         return iter(self._net.sectors)
 
     def __len__(self) -> int:
-        return len(self._net.sectors)
+        return len(self._net.nbr)
 
 
 class SectorSet(Set):
@@ -179,29 +174,11 @@ class SectorSet(Set):
         return i is not None and bool(self.labels[i] == self.label)
 
     def __iter__(self) -> Iterator[Sector]:
-        return map(self.net.sectors.__getitem__, self.ids.tolist())
+        cell, o = np.divmod(self.ids, NUM_ORIENTATIONS)
+        return zip(self.net.q[cell].tolist(), self.net.r[cell].tolist(), o.tolist())
 
     def __len__(self) -> int:
         return len(self.ids)
-
-
-class CellMap(Mapping):
-    """Read-only ``cell -> value`` view; ``value`` maps a cell id to it."""
-
-    def __init__(self, net: Network, value: Callable[[int], object]) -> None:
-        self._net, self._value = net, value
-
-    def __getitem__(self, cell: Cell):
-        i = self._net.id_of((*cell, 0)) if isinstance(cell, tuple) else None
-        if i is None:
-            raise KeyError(cell)
-        return self._value(i // NUM_ORIENTATIONS)
-
-    def __iter__(self) -> Iterator[Cell]:
-        return zip(self._net.q.tolist(), self._net.r.tolist())
-
-    def __len__(self) -> int:
-        return len(self._net.q)
 
 
 def _cell_id(radius: int, q, r):
@@ -219,12 +196,10 @@ def cell_index(radius: int, q: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.where(cell_distance((q, r), (0, 0)) <= radius, _cell_id(radius, q, r), -1)
 
 
-def build_network(radius: int, antennas_per_user: int = 1) -> Network:
+def build_network(radius: int) -> Network:
     """Build the hexagonal ball of the given radius with 3 sectors per cell."""
     if not isinstance(radius, int) or radius < 1:
         raise ValueError(f"radius must be a positive integer, got {radius!r}")
-    if not isinstance(antennas_per_user, int) or antennas_per_user < 1:
-        raise ValueError(f"antennas_per_user must be a positive integer, got {antennas_per_user!r}")
     q, r = np.mgrid[-radius : radius + 1, -radius : radius + 1].reshape(2, -1)
     inside = cell_distance((q, r), (0, 0)) <= radius
     q, r = q[inside], r[inside]  # sorted by (q, r), as hex_ball
@@ -235,9 +210,7 @@ def build_network(radius: int, antennas_per_user: int = 1) -> Network:
             nbr[o::NUM_ORIENTATIONS, k] = np.where(cell >= 0, NUM_ORIENTATIONS * cell + o2, -1)
     for a in (q, r, nbr):
         a.flags.writeable = False
-    qs, rs = np.repeat(q, NUM_ORIENTATIONS).tolist(), np.repeat(r, NUM_ORIENTATIONS).tolist()
-    sectors = tuple(zip(qs, rs, list(range(NUM_ORIENTATIONS)) * len(q)))
-    return Network(radius, antennas_per_user, q, r, nbr, sectors)
+    return Network(radius, q, r, nbr)
 
 
 def tx_neighbors(net: Network, sector: Sector) -> FrozenSet[Sector]:
@@ -246,14 +219,6 @@ def tx_neighbors(net: Network, sector: Sector) -> FrozenSet[Sector]:
         return net.tx_neighbors[sector]
     except KeyError:
         raise ValueError(f"unknown sector {sector!r}") from None
-
-
-def rx_neighbors(net: Network, cell: Cell) -> FrozenSet[Cell]:
-    """Adjacent cells (base-station conferencing partners) of one cell."""
-    try:
-        return net.rx_neighbors[cell]
-    except KeyError:
-        raise ValueError(f"unknown cell {cell!r}") from None
 
 
 def interference_graph(net: Network) -> List[Tuple[Sector, Sector]]:

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .lattice import CellMap, Network
+from .lattice import Network
 from .regions import SystemParams
 
 RED = "RED"
@@ -38,12 +38,6 @@ class Partition:
     net: Network
     #: per cell id: the index of its colour in ``COLORS``
     codes: np.ndarray
-
-    @property
-    def coloring(self) -> CellMap:
-        """``cell -> colour``, read off ``codes``; a view kept for callers
-        outside the library, such as the tests, which the library does not read."""
-        return CellMap(self.net, lambda i: COLORS[self.codes[i]])
 
     @property
     def census(self) -> Dict[str, int]:

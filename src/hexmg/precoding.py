@@ -31,7 +31,7 @@ norms and their ranks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 
@@ -42,10 +42,11 @@ from .clustering import (
     ROLES,
     SLOW,
     ClusterPlan,
+    LinkLayout,
     assign_messages,
     clusters,
 )
-from .lattice import Sector, build_network
+from .lattice import build_network
 
 SCHEME_MODES = {"s3": MODE_SLOW_ONLY, "s4": MODE_MIXED, "s5": MODE_MIXED}
 
@@ -68,11 +69,7 @@ class ChannelRealization:
 class ZFSystem:
     scheme: str
     m: int
-    active: Tuple[Sector, ...]
-    messages: Tuple[Sector, ...]   # slow sectors, one message each
-    fast: Tuple[Sector, ...]
-    message_pos: np.ndarray        # positions of ``messages`` in ``active``
-    fast_pos: np.ndarray           # positions of ``fast`` in ``active``
+    layout: LinkLayout             # the plan's ``origin_links``: one message per slow position
     h_net: np.ndarray              # (m*n_active, m*n_active) block channel matrix
     target: np.ndarray             # (m*n_active, m*n_messages) pinned effective channels
     n_unknowns: int
@@ -82,8 +79,7 @@ class ZFSystem:
 @dataclass(frozen=True, eq=False)
 class Precoder:
     m: int
-    active: Tuple[Sector, ...]
-    messages: Tuple[Sector, ...]
+    layout: LinkLayout
     matrix: np.ndarray             # (m*n_active, m*n_messages)
 
 
@@ -127,10 +123,10 @@ def build_zf_system(plan: ClusterPlan, ch: ChannelRealization, scheme: str) -> Z
         raise ValueError(f"scheme {scheme} needs a {SCHEME_MODES[scheme]} assignment")
 
     lay = plan.origin_links
-    if not lay.slow:
+    if not len(lay.slow_pos):
         raise ValueError("cluster carries no slow message")
     m = ch.m
-    n, n_slow = len(lay.active), len(lay.slow)
+    n, n_slow = len(lay.ids), len(lay.slow_pos)
     h_net = np.zeros((n, m, n, m))
     h_net[lay.rx, :, lay.tx, :] = ch.h
     target = np.zeros((n, m, n_slow, m))
@@ -138,17 +134,13 @@ def build_zf_system(plan: ClusterPlan, ch: ChannelRealization, scheme: str) -> Z
 
     n_unknowns = m * m * n * n_slow
     if scheme == "s5":
-        n_constraints = m * m * n_slow * (len(lay.fast) + 1)
+        n_constraints = m * m * n_slow * (len(lay.fast_pos) + 1)
     else:
         n_constraints = m * m * n * n_slow
     return ZFSystem(
         scheme=scheme,
         m=m,
-        active=lay.active,
-        messages=lay.slow,
-        fast=lay.fast,
-        message_pos=lay.slow_pos,
-        fast_pos=lay.fast_pos,
+        layout=lay,
         h_net=h_net.reshape(m * n, m * n),
         target=target.reshape(m * n, m * n_slow),
         n_unknowns=n_unknowns,
@@ -174,15 +166,16 @@ def solve_precoder(system: ZFSystem) -> Precoder:
             1.0, float(np.linalg.norm(system.target))
         ):
             raise RankDeficientError(f"inconsistent system, residual {resid:.3e}")
-        return Precoder(m=m, active=system.active, messages=system.messages, matrix=b)
+        return Precoder(m=m, layout=system.layout, matrix=b)
 
     # s5: every message is nulled at the same fast rows, so factor them once.
     # N spans the null space of the fast block H_F; message j then needs the
     # minimum-norm y_j with (H_own_j N) y_j = I, and B_j = N y_j is the
     # minimum-norm solution of [H_F; H_own_j] B_j = [0; I].
-    h = system.h_net.reshape(len(system.active), m, -1)
-    h_fast = h[system.fast_pos].reshape(-1, h.shape[-1])
-    h_own = h[system.message_pos]
+    lay = system.layout
+    h = system.h_net.reshape(len(lay.ids), m, -1)
+    h_fast = h[lay.fast_pos].reshape(-1, h.shape[-1])
+    h_own = h[lay.slow_pos]
     _, sv, vt = np.linalg.svd(h_fast)
     rank = np.count_nonzero(sv > sv[:1] * max(h_fast.shape) * np.finfo(sv.dtype).eps)
     if rank < h_fast.shape[0]:
@@ -191,8 +184,8 @@ def solve_precoder(system: ZFSystem) -> Precoder:
     a = h_own @ null
     short = np.linalg.matrix_rank(a) < m
     if short.any():
-        msg = system.messages[int(np.argmax(short))]
-        raise RankDeficientError(f"row-rank deficiency for message {msg}")
+        msg = lay.ids[lay.slow_pos[np.argmax(short)]]
+        raise RankDeficientError(f"row-rank deficiency for message at sector id {msg}")
     try:
         y = np.linalg.solve(a @ a.transpose(0, 2, 1), a).transpose(0, 2, 1)
     except np.linalg.LinAlgError as exc:
@@ -202,8 +195,8 @@ def solve_precoder(system: ZFSystem) -> Precoder:
     resid = np.linalg.norm(res, axis=(1, 2))
     if not (resid <= _CONSISTENCY_TOL).all():
         raise RankDeficientError(f"inconsistent system, residual {resid.max():.3e}")
-    b = blocks.transpose(1, 0, 2).reshape(m * len(system.active), -1)
-    return Precoder(m=m, active=system.active, messages=system.messages, matrix=b)
+    b = blocks.transpose(1, 0, 2).reshape(m * len(lay.ids), -1)
+    return Precoder(m=m, layout=lay, matrix=b)
 
 
 def verify_nulling(
@@ -229,8 +222,10 @@ def verify_nulling(
         raise ValueError(f"unknown precoding scheme {scheme!r}")
     lay = plan.origin_links
     m = precoder.m
-    n, n_msg = len(lay.active), len(lay.slow)
-    if precoder.matrix.shape != (m * n, m * n_msg) or precoder.messages != lay.slow:
+    n, n_msg = len(lay.ids), len(lay.slow_pos)
+    # the messages are named by the sector ids of their slow positions
+    same = np.array_equal(precoder.layout.ids[precoder.layout.slow_pos], lay.ids[lay.slow_pos])
+    if precoder.matrix.shape != (m * n, m * n_msg) or not same:
         raise ValueError("precoder does not match the plan's origin cluster")
 
     # Slot d holds every receiver's d-th link, so each receiver sums its
@@ -270,12 +265,12 @@ def _max_spectral_norm(blocks: np.ndarray) -> float:
     return float(np.linalg.norm(blocks[~drop], 2, axis=(-2, -1)).max())
 
 
-def certification_plan(t: int, m: int, scheme: str = "s4") -> ClusterPlan:
+def certification_plan(t: int, scheme: str = "s4") -> ClusterPlan:
     """Smallest lattice holding one interior cluster, with the assignment
     mode the scheme expects."""
     if scheme not in SCHEME_MODES:
         raise ValueError(f"unknown precoding scheme {scheme!r}")
-    net = build_network(max(3 * t, t + 3), antennas_per_user=m)
+    net = build_network(max(3 * t, t + 3))
     return assign_messages(clusters(net, t), SCHEME_MODES[scheme])
 
 
@@ -299,5 +294,5 @@ def run_trials(
     t: int, m: int, trials: int, seed: int = 0, scheme: str = "s4", tol: float = 1e-9
 ) -> List[TrialResult]:
     """Independent seeded certification trials for one (t, m) design point."""
-    plan = certification_plan(t, m, scheme)
+    plan = certification_plan(t, scheme)
     return [run_trial(plan, m, seed + i, scheme, tol) for i in range(trials)]

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import shlex
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -174,6 +177,25 @@ def test_lattice_emit_sorted_directed_edges(capsys, tmp_path):
     assert len(rows) % 2 == 0
 
 
+@pytest.mark.parametrize("radius,cell", [(1, (0, 0)), (2, (1, 0))])
+def test_lattice_interior_check_reaches_every_full_cell(capsys, monkeypatch, radius, cell):
+    """The interior-degree check covers each cell whose six neighbours lie on
+    the lattice, at radius 1 the origin: one neighbour knocked off one of
+    them turns it to VIOLATED."""
+    build = lattice.build_network
+
+    def broken(radius):
+        net = build(radius)
+        nbr = net.nbr.copy()
+        nbr[net.id_of((*cell, 0)), 0] = -1
+        return replace(net, nbr=nbr)
+
+    monkeypatch.setattr(lattice, "build_network", broken)
+    code, stdout, _ = run(capsys, "lattice", "--radius", str(radius))
+    assert code == 1
+    assert stdout.endswith("interior degree 4: VIOLATED\n")
+
+
 #: SHA-256 of the emitted file and of stdout, recorded before the array-native
 #: lattice (lattice, cluster) and before the array channels and the integer
 #: cross products (zf, region, verify-all): these outputs must not move.
@@ -282,6 +304,30 @@ def test_converse_census(capsys, tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "color,count,fraction,limit,abs_error"
     assert {l.split(",")[0] for l in lines[1:]} == {"RED", "BLUE", "PINK", "WHITE"}
+
+
+def test_converse_four_without_d_is_a_usage_error(capsys):
+    code, stdout, err = run(capsys, "converse", "--radius", "10", "--partition", "four")
+    assert code == 2
+    assert stdout == ""
+    assert err == "hexmg: --d is required for the four-colour partition\n"
+    assert "Traceback" not in err
+
+
+def readme_commands():
+    """Every ``hexmg ...`` line of the README's "Command line" block."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("hexmg ")]
+
+
+def test_readme_commands_run(capsys, tmp_path, monkeypatch):
+    commands = readme_commands()
+    assert len(commands) == 8
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
 
 
 def test_schedule_command_valid_and_invalid(capsys):

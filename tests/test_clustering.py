@@ -9,12 +9,13 @@ from hexmg.clustering import (
     FAST,
     MODE_MIXED,
     MODE_SLOW_ONLY,
+    ROLES,
     RX,
     SILENT,
     SLOW,
     TX,
     _classify_silenced,
-    _interior_region,
+    _origin_region,
     assign_messages,
     assignment_fractions,
     clusters,
@@ -28,6 +29,7 @@ from hexmg.clustering import (
     silenced_sectors,
 )
 from hexmg.lattice import HEX_DIRS, SectorSet, build_network, cell_distance, hex_ball
+from hexmg.regions import FAMILY_MIXED, FAMILY_SLOW, _need
 
 
 # ---------------------------------------------------------------------------
@@ -42,6 +44,7 @@ def silenced_oracle(net, t):
 
 
 def interior_region_oracle(net, t):
+    """The interior master nearest the origin and the cells it owns."""
     owner = {c: nearest_masters(c, t)[1][0] for c in net.cells}
     for m in sorted(master_grid(net, t), key=lambda c: (cell_distance(c, (0, 0)), c)):
         if cell_distance(m, (0, 0)) + t + 1 <= net.radius:
@@ -95,7 +98,8 @@ def test_torus_plan_matches_per_cell_oracles(t, radius):
     want = clusters_oracle(net, t, silenced)
     assert [(cl.master, cl.sectors) for cl in plan.clusters] == want
     assert any(master is None for master, _ in want)  # boundary pieces covered
-    assert _interior_region(plan) == interior_region_oracle(net, t)
+    # the origin is always the interior master nearest itself
+    assert interior_region_oracle(net, t) == ((0, 0), _origin_region(t))
 
     owner = {s: i for i, (_, sectors) in enumerate(want) for s in sectors}
     off_lattice = [(radius + 1, 0, 0), (0, -radius - 1, 2), (radius, 1, 1)]
@@ -236,8 +240,8 @@ def test_clusters_partition_and_single_master(t):
     for cl in plan.clusters:
         if cl.master in interior:
             sizes.add(len(cl.sectors))
-            # one master, and the designated master user lives in it
-            assert cl.master_user == (cl.master[0], cl.master[1], 0)
+            # one master, and the master cell's orientation-0 user lives in it
+            assert (*cl.master, 0) in cl.sectors
             masters_inside = {
                 (q, r) for (q, r, _o) in cl.sectors if is_master_cell((q, r), t)
             }
@@ -274,7 +278,7 @@ def test_cluster_master_is_among_nearest():
 
 def count_links_oracle(plan, side):
     """Reference count: the sizes of the tuple neighbourhoods of the region."""
-    _, region = _interior_region(plan)
+    region = _origin_region(plan.t)
     if side == TX:
         return sum(len(plan.net.tx_neighbors[(q, r, o)]) for (q, r) in region for o in range(3))
     return sum((q + dq, r + dr) in plan.net.cells for (q, r) in region for dq, dr in HEX_DIRS)
@@ -309,6 +313,11 @@ def test_clusters_refuse_a_lattice_left_uncut(monkeypatch):
         clusters(build_network(6), 1)
 
 
+def roles_of(plan):
+    """``sector -> FAST / SLOW / SILENT``, read off the plan's role codes."""
+    return {s: ROLES[code] for s, code in zip(plan.net.sectors, plan.roles.tolist())}
+
+
 def assignment_oracle(net, t, mode):
     """Roles sector by sector from the per-cell silencing and the fast pattern."""
     silenced = silenced_oracle(net, t)
@@ -331,7 +340,7 @@ def test_assignment_and_fractions_match_sector_oracle(t, mode):
     net = build_network(6 * t + 2)
     plan = assign_messages(clusters(net, t), mode)
     roles = assignment_oracle(net, t, mode)
-    assert dict(plan.assignment.items()) == roles
+    assert roles_of(plan) == roles
     for depth in (2, 3):
         interior = [s for s in net.sectors if cell_distance(s[:2], (0, 0)) <= net.radius - depth]
         want = {role: Fraction(sum(roles[s] == role for s in interior), len(interior))
@@ -343,11 +352,12 @@ def test_mixed_assignment_fast_is_independent():
     net = build_network(14)
     for t in (1, 2):
         plan = assign_messages(clusters(net, t), MODE_MIXED)
-        fast = {s for s, role in plan.assignment.items() if role == FAST}
+        roles = roles_of(plan)
+        fast = {s for s, role in roles.items() if role == FAST}
         for s in fast:
-            assert plan.assignment[s] == FAST
+            assert plan.roles[net.id_of(s)] == ROLES.index(FAST)
             for nb in net.tx_neighbors[s]:
-                assert plan.assignment[nb] != FAST
+                assert roles[nb] != FAST
         assert not fast & plan.silenced
 
 
@@ -429,6 +439,52 @@ def test_scheme_4_and_5_prelog_duality():
             total = Fraction(m * (4 * t * t - 1) * (2 * t + 3), 18 * t * t)
             assert required_prelogs("s4", t, m).total == total
             assert required_prelogs("s5", t, m).total == total
+
+
+#: The polynomials of ``required_prelogs``, ``scheme -> (mu_tx, mu_rx)`` on
+#: symbolic or integer t and m: messages per cluster over 36t² tx and 18t² rx
+#: links.
+REQUIRED_PRELOGS = {
+    "s2": lambda t, m: (0, m * (2 * t - 1) / 3),
+    "s3": lambda t, m: (m * (2 * t - 1) / 3, 0),
+    "s4": lambda t, m: (2 * m * t * (8 * t**2 + 3 * t - 2) / (36 * t**2),
+                        3 * m * (3 * t**2 - 1) / (18 * t**2)),
+    "s5": lambda t, m: (6 * m * t * (2 * t - 1) / (36 * t**2),
+                        m * (8 * t**3 + 6 * t**2 + t - 3) / (18 * t**2)),
+}
+
+
+def test_prelog_duality_and_mirror_for_symbolic_t_and_m():
+    """s4 and s5 need the same total prelog, m(4t²−1)(2t+3)/(18t²), and s2
+    is s3 with the tx and rx sides swapped, for every t and m; the stated
+    polynomials are those of ``required_prelogs`` at t = 1..8, m = 1..3."""
+    sympy = pytest.importorskip("sympy")
+    t, m = sympy.symbols("t m", positive=True, integer=True)
+    s4, s5 = REQUIRED_PRELOGS["s4"](t, m), REQUIRED_PRELOGS["s5"](t, m)
+    total = m * (4 * t**2 - 1) * (2 * t + 3) / (18 * t**2)
+    assert sympy.simplify(sum(s4) - total) == 0
+    assert sympy.simplify(sum(s5) - total) == 0
+    s2, s3 = REQUIRED_PRELOGS["s2"](t, m), REQUIRED_PRELOGS["s3"](t, m)
+    assert sympy.simplify(s2[0] - s3[1]) == 0 and sympy.simplify(s2[1] - s3[0]) == 0
+    for scheme, poly in REQUIRED_PRELOGS.items():
+        for tv in range(1, 9):
+            for mv in (1, 2, 3):
+                got = required_prelogs(scheme, tv, mv)
+                want = [sympy.Rational(v) for v in poly(sympy.Integer(tv), sympy.Integer(mv))]
+                assert [sympy.Rational(got.mu_tx), sympy.Rational(got.mu_rx)] == want
+
+
+def test_required_prelogs_state_the_region_need():
+    """``required_prelogs`` and the region sweep's ``_need`` state one number:
+    the s4 total is the mixed need, and s3's tx side and s2's rx side are the
+    all-slow need."""
+    for t in range(1, 21):
+        for m in range(1, 5):
+            mixed = Fraction(*_need(FAMILY_MIXED, m, t))
+            slow = Fraction(*_need(FAMILY_SLOW, m, t))
+            assert required_prelogs("s4", t, m).total == mixed
+            assert required_prelogs("s3", t, m).mu_tx == slow
+            assert required_prelogs("s2", t, m).mu_rx == slow
 
 
 def test_prelogs_equal_messages_over_enumerated_links():

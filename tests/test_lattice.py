@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hexmg import clustering, partitions, precoding
+from hexmg.cli import main
 from hexmg.lattice import (
     HEX_DIRS,
     NEIGHBOR_RULE,
     NUM_ORIENTATIONS,
     build_network,
     cell_distance,
+    cell_index,
     hex_ball,
     interference_graph,
-    rx_neighbors,
     tx_neighbors,
 )
 
@@ -20,6 +22,13 @@ from hexmg.lattice import (
 def is_interior(net, cell, depth=2):
     """Reference for ``Network.interior_mask``: ``depth`` hops from the boundary."""
     return cell_distance(cell, (0, 0)) <= net.radius - depth
+
+
+def adjacency(net):
+    """``cell -> frozenset of adjacent cells``, read off ``Network.adjacent``."""
+    cells = list(zip(net.q.tolist(), net.r.tolist()))
+    rows = net.adjacent(np.arange(len(cells))).tolist()
+    return {c: frozenset(cells[j] for j in row if j >= 0) for c, row in zip(cells, rows)}
 
 
 # ---------------------------------------------------------------------------
@@ -59,8 +68,8 @@ def interference_graph_oracle(tx):
 
 @pytest.mark.parametrize("radius", range(1, 11))
 @pytest.mark.parametrize("m", [1, 3])
-def test_array_network_matches_dict_oracle(radius, m):
-    net = build_network(radius, m)
+def test_array_network_matches_dict_oracle(radius, m, capsys):
+    net = build_network(radius)
     cells, sectors, tx, rx = build_network_oracle(radius)
     assert net.sectors == sectors
     assert net.cells == cells
@@ -72,15 +81,20 @@ def test_array_network_matches_dict_oracle(radius, m):
     off = [(radius + 1, 0, 0), (0, -radius - 1, 1), (radius, 1, 2), (0, 0, 3), (0, 0, -1),
            (0, 0), (0, 0, 0, 0), [0, 0, 0], (0.5, 0, 0), "abc", None]
     assert [net.id_of(s) for s in off] == [None] * len(off)
-    for c in cells:
-        assert net.rx_neighbors[c] == rx[c]
+    assert adjacency(net) == rx
     assert dict(net.tx_neighbors.items()) == tx
-    assert net.tx_neighbors == tx and net.rx_neighbors == rx
+    assert net.tx_neighbors == tx
     assert interference_graph(net) == interference_graph_oracle(tx)
     for depth in (0, 1, 2):
         inside = net.interior_mask(depth)
         interior = list(zip(net.q[inside].tolist(), net.r[inside].tolist()))
         assert interior == [c for c in hex_ball(radius) if is_interior(net, c, depth)]
+    # the lattice command states the oracle's counts; --m only labels the line
+    assert main(["lattice", "--radius", str(radius), "--m", str(m)]) == 0
+    assert capsys.readouterr().out == (
+        f"lattice radius={radius} m={m}: {len(cells)} cells, {len(sectors)} sectors, "
+        f"{sum(map(len, tx.values()))} directed interference links, interior degree 4: ok\n"
+    )
 
 
 def test_neighbor_array_layout():
@@ -107,15 +121,15 @@ def test_ball_sizes(radius, cells, sectors):
 
 
 @pytest.mark.parametrize("bad", [0, -1])
-def test_rejects_bad_radius_and_m(bad):
+def test_rejects_bad_radius_and_m(bad, capsys):
     with pytest.raises(ValueError):
         build_network(bad)
-    with pytest.raises(ValueError):
-        build_network(3, bad)
+    assert main(["lattice", "--radius", "3", "--m", str(bad)]) == 2
+    assert "--m: must be a positive integer" in capsys.readouterr().err
 
 
 def test_interior_sectors_have_exactly_four_neighbors():
-    net = build_network(8, 3)
+    net = build_network(8)
     for s in net.sectors:
         if is_interior(net, (s[0], s[1])):
             assert len(net.tx_neighbors[s]) == 4
@@ -158,10 +172,15 @@ def test_malformed_sector_rejected(sector):
 
 @pytest.mark.parametrize("cell", [(3, 0), (2, 1), (0, 0, 0)])
 def test_unknown_cell_rejected(cell):
+    """A cell off the ball has no cell id, and none of its sectors is known."""
     net = build_network(2)
     assert cell not in net.cells
-    with pytest.raises(ValueError):
-        rx_neighbors(net, cell)
+    if len(cell) == 2:
+        assert cell_index(net.radius, *np.array([cell]).T).tolist() == [-1]
+    for o in range(NUM_ORIENTATIONS):
+        assert net.id_of((*cell, o)) is None
+        with pytest.raises(ValueError):
+            tx_neighbors(net, (*cell, o))
 
 
 def cell_distance_bfs(c1, c2):
@@ -223,20 +242,45 @@ def test_translation_invariance_interior():
 
 
 def test_determinism():
-    a = build_network(5, 2)
-    b = build_network(5, 2)
+    a = build_network(5)
+    b = build_network(5)
     assert a.sectors == b.sectors
+    assert np.array_equal(a.nbr, b.nbr)
     assert a.tx_neighbors == b.tx_neighbors
-    assert a.rx_neighbors == b.rx_neighbors
+    assert adjacency(a) == adjacency(b)
 
 
 def test_rx_neighbors_are_cell_adjacency():
+    """The base-station (rx) conferencing partners of a cell, read off
+    ``Network.adjacent``, are its on-lattice hexagonal neighbours."""
     net = build_network(5)
+    near = adjacency(net)
     for c in net.cells:
         expected = {(c[0] + dq, c[1] + dr) for dq, dr in HEX_DIRS} & net.cells
-        assert net.rx_neighbors[c] == expected
+        assert near[c] == expected
         if is_interior(net, c):
-            assert len(net.rx_neighbors[c]) == 6
+            assert len(near[c]) == 6
+
+
+def test_library_builds_no_sector_tuples():
+    """Ids and arrays are the library's only lattice representation: a whole
+    pipeline over one lattice never builds its ``sectors`` tuple, which is
+    left for callers outside the library."""
+    net = build_network(6)
+    for t in (1, 2):
+        plan = clustering.assign_messages(clustering.clusters(net, t), clustering.MODE_MIXED)
+        clustering.count_links(plan, clustering.TX)
+        clustering.count_links(plan, clustering.RX)
+        clustering.assignment_fractions(plan)
+        origin = plan.cluster_of((0, 0, 0))
+        assert origin.master == (0, 0) and (0, 0, 0) in list(origin.sectors)
+    assert len(tx_neighbors(net, (1, 0, 2))) == 4
+    for part in (partitions.partition_two(net), partitions.partition_four(net, 2)):
+        partitions.census_fractions(net, part)
+    assert precoding.run_trial(plan, 2, seed=5).solvable
+    assert "sectors" not in vars(net)
+    assert len(net.sectors) == 3 * len(hex_ball(6))  # built on first use
+    assert "sectors" in vars(net)
 
 
 @pytest.mark.parametrize("radius", [1, 2, 4])

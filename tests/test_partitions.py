@@ -1,11 +1,13 @@
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hexmg.lattice import HEX_DIRS, build_network, cell_distance
 from hexmg.partitions import (
     BLUE,
+    COLORS,
     PINK,
     RED,
     WHITE,
@@ -20,6 +22,12 @@ from hexmg.regions import SystemParams
 
 def interior_cells(net, depth=2):
     return {c for c in net.cells if cell_distance(c, (0, 0)) <= net.radius - depth}
+
+
+def coloring(part):
+    """``cell -> colour``, read off the partition's colour codes."""
+    cells = zip(part.net.q.tolist(), part.net.r.tolist())
+    return {c: COLORS[code] for c, code in zip(cells, part.codes.tolist())}
 
 
 # ---------------------------------------------------------------------------
@@ -72,19 +80,17 @@ def test_colour_codes_match_dict_oracles(radius):
         cases.append((partition_four(net, d), "four", d, partition_four_oracle(net, d)))
     for part, kind, d, want in cases:
         assert (part.kind, part.d) == (kind, d)
-        assert len(part.coloring) == len(want)
+        got = coloring(part)
+        assert len(part.codes) == len(want)
         for cell, color in want.items():
-            assert part.coloring[cell] == color, (kind, d, cell)
-        assert dict(part.coloring.items()) == want
+            assert got[cell] == color, (kind, d, cell)
+        assert got == want
         assert part.census == dict(Counter(want.values()))
         for depth in (2, 3):
             rows = census_fractions(net, part, depth)
             assert [(row.color, row.count, row.fraction) for row in rows] == census_fractions_oracle(
                 net, kind, d, want, depth
             )
-    assert (radius + 1, 0) not in part.coloring
-    with pytest.raises(KeyError):
-        part.coloring[(0, 0, 0)]
 
 
 def test_two_coloring_halves():
@@ -97,23 +103,23 @@ def test_two_coloring_halves():
 
 def test_two_coloring_is_column_alternating():
     net = build_network(8)
-    part = partition_two(net)
-    for (q, r), color in part.coloring.items():
+    colors = coloring(partition_two(net))
+    for (q, r), color in colors.items():
         same = (q + 1, r - 1)  # along the column
         flip = (q + 1, r)
-        if same in part.coloring:
-            assert part.coloring[same] == color
-        if flip in part.coloring:
-            assert part.coloring[flip] != color
+        if same in colors:
+            assert colors[same] == color
+        if flip in colors:
+            assert colors[flip] != color
 
 
 def test_every_interior_white_cell_has_red_neighbor():
     net = build_network(10)
-    part = partition_two(net)
-    interior = interior_cells(net)
-    for c, color in part.coloring.items():
-        if color == WHITE and c in interior:
-            assert any(part.coloring[nb] == RED for nb in net.rx_neighbors[c])
+    codes = partition_two(net).codes
+    white = np.flatnonzero((codes == COLORS.index(WHITE)) & net.interior_mask())
+    near = net.adjacent(white)
+    assert white.size and (near >= 0).all()
+    assert (codes[near] == COLORS.index(RED)).any(axis=1).all()
 
 
 def test_four_coloring_census_d3():
@@ -135,12 +141,11 @@ def test_four_coloring_census_d3():
 
 def test_each_interior_red_cell_has_six_pink_neighbors():
     net = build_network(20)
-    part = partition_four(net, 3)
-    interior = interior_cells(net, depth=2)
-    for c, color in part.coloring.items():
-        if color == RED and c in interior:
-            nb_colors = [part.coloring[nb] for nb in net.rx_neighbors[c]]
-            assert nb_colors.count(PINK) == 6
+    codes = partition_four(net, 3).codes
+    red = np.flatnonzero((codes == COLORS.index(RED)) & net.interior_mask(2))
+    near = net.adjacent(red)
+    assert red.size and (near >= 0).all()
+    assert (codes[near] == COLORS.index(PINK)).all()
 
 
 def test_red_blue_sublattice_index_exact():
@@ -150,7 +155,7 @@ def test_red_blue_sublattice_index_exact():
         assert d * (d + 1) - (1 * -1) == n
         net = build_network(4 * d)
         part = partition_four(net, d)
-        lattice_cells = [c for c, col in part.coloring.items() if col in (RED, BLUE)]
+        lattice_cells = [c for c, col in coloring(part).items() if col in (RED, BLUE)]
         # no two sublattice cells closer than d+1 hops
         from hexmg.lattice import cell_distance
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hexmg.clustering import FAST, SLOW, clusters
+from hexmg.clustering import FAST, ROLES, SLOW, clusters
 from hexmg.lattice import build_network
 from hexmg.precoding import (
     NullingReport,
@@ -30,12 +30,17 @@ def origin_cluster(plan):
     return cl
 
 
+def role_of(plan, i):
+    """The role name of sector id ``i``."""
+    return ROLES[plan.roles[i]]
+
+
 def entries_of(plan, ch):
-    """``(receiving sector, transmitting sector) -> m x m channel`` in link
-    order: the channel realization as a dict, the form the oracles read."""
+    """``(receiving sector id, transmitting sector id) -> m x m channel`` in
+    link order: the channel realization as a dict, the form the oracles read."""
     lay = plan.origin_links
-    return {(lay.active[i], lay.active[j]): h
-            for i, j, h in zip(lay.rx.tolist(), lay.tx.tolist(), ch.h)}
+    ids = lay.ids.tolist()
+    return {(ids[i], ids[j]): h for i, j, h in zip(lay.rx.tolist(), lay.tx.tolist(), ch.h)}
 
 
 def sample_channels_oracle(plan, m, seed):
@@ -44,19 +49,18 @@ def sample_channels_oracle(plan, m, seed):
     neighbours in ascending order."""
     ids = origin_cluster(plan).sectors.ids
     inside = set(ids.tolist())
-    sectors = plan.net.sectors
     rng = np.random.default_rng(seed)
     entries = {}
     for k, row in zip(ids.tolist(), plan.net.nbr[ids].tolist()):
         for l in [k] + sorted(j for j in row if j in inside):
-            entries[(sectors[k], sectors[l])] = rng.standard_normal((m, m))
+            entries[(k, l)] = rng.standard_normal((m, m))
     return entries
 
 
 def build_zf_system_oracle(plan, entries, m):
     """Reference assembly of ``h_net`` and ``target``, one block at a time."""
-    active = tuple(origin_cluster(plan).sectors)
-    slow = tuple(s for s in active if plan.assignment[s] == SLOW)
+    active = origin_cluster(plan).sectors.ids.tolist()
+    slow = [s for s in active if role_of(plan, s) == SLOW]
     n = len(active)
     idx = {s: i for i, s in enumerate(active)}
     h_net = np.zeros((m * n, m * n))
@@ -73,15 +77,17 @@ def effective_channels_oracle(precoder, entries):
     """Reference substitution: one matrix product per (receiver, link) pair,
     summed in the entries' insertion order."""
     m = precoder.m
-    idx = {s: i for i, s in enumerate(precoder.active)}
+    lay = precoder.layout
+    active, messages = lay.ids.tolist(), lay.ids[lay.slow_pos].tolist()
+    idx = {s: i for i, s in enumerate(active)}
     out = {}
-    for k in precoder.active:
-        total = np.zeros((m, m * len(precoder.messages)))
+    for k in active:
+        total = np.zeros((m, m * len(messages)))
         for (rx, tx), h in entries.items():
             if rx == k:
                 i = idx[tx]
                 total += h @ precoder.matrix[m * i : m * i + m, :]
-        for j, msg in enumerate(precoder.messages):
+        for j, msg in enumerate(messages):
             out[(k, msg)] = total[:, m * j : m * j + m]
     return out
 
@@ -95,7 +101,7 @@ def verify_nulling_oracle(precoder, plan, entries, tol=1e-9, scheme="s4"):
             self_norms.append(float(np.linalg.norm(g, 2)))
             ranks.append(int(np.linalg.matrix_rank(g)))
             continue
-        role = plan.assignment[k]
+        role = role_of(plan, k)
         if role == FAST or (role == SLOW and scheme != "s5"):
             cross.append(float(np.linalg.norm(g, 2)))
     max_self = max(self_norms) if self_norms else 0.0
@@ -111,11 +117,11 @@ def solve_s5_oracle(system):
     """Reference s5 solve: one minimum-norm ``lstsq`` per slow message over
     the fast rows and the message's own rows."""
     m = system.m
-    idx = {s: i for i, s in enumerate(system.active)}
-    fast_rows = [r for s in system.fast for r in range(m * idx[s], m * idx[s] + m)]
-    b = np.zeros((m * len(system.active), m * len(system.messages)))
-    for j, msg in enumerate(system.messages):
-        rows = fast_rows + list(range(m * idx[msg], m * idx[msg] + m))
+    lay = system.layout
+    fast_rows = [r for i in lay.fast_pos.tolist() for r in range(m * i, m * i + m)]
+    b = np.zeros((m * len(lay.ids), m * len(lay.slow_pos)))
+    for j, i in enumerate(lay.slow_pos.tolist()):
+        rows = fast_rows + list(range(m * i, m * i + m))
         sol, _, rank, _ = np.linalg.lstsq(
             system.h_net[rows, :], system.target[rows, m * j : m * j + m], rcond=None
         )
@@ -129,7 +135,7 @@ shared_plan = cache(certification_plan)
 
 
 def test_same_seed_same_realization():
-    plan = certification_plan(1, 2)
+    plan = certification_plan(1)
     a = entries_of(plan, sample_channels(plan, 2, seed=11))
     b = entries_of(plan, sample_channels(plan, 2, seed=11))
     assert a.keys() == b.keys()
@@ -140,7 +146,7 @@ def test_same_seed_same_realization():
 
 
 def test_scalar_channels_all_nonzero():
-    plan = certification_plan(1, 1)
+    plan = certification_plan(1)
     ch = sample_channels(plan, 1, seed=3)
     for h in entries_of(plan, ch).values():
         assert h.shape == (1, 1)
@@ -148,30 +154,31 @@ def test_scalar_channels_all_nonzero():
 
 
 def test_link_set_matches_interference_graph_restriction():
-    plan = certification_plan(1, 1)
+    plan = certification_plan(1)
     cl = origin_cluster(plan)
     ch = sample_channels(plan, 1, seed=0)
+    id_of = plan.net.id_of
     expected = set()
     for k in cl.sectors:
-        expected.add((k, k))
+        expected.add((id_of(k), id_of(k)))
         for l in plan.net.tx_neighbors[k]:
             if l in cl.sectors:
-                expected.add((k, l))
+                expected.add((id_of(k), id_of(l)))
     assert set(entries_of(plan, ch)) == expected
 
 
 def test_system_square_for_s3_and_s4_row_delta():
-    plan3 = certification_plan(1, 1, "s3")
+    plan3 = certification_plan(1, "s3")
     ch3 = sample_channels(plan3, 1, seed=0)
     sys3 = build_zf_system(plan3, ch3, "s3")
     assert sys3.n_unknowns >= sys3.n_constraints
     assert sys3.n_unknowns == sys3.n_constraints  # square by construction
 
-    plan4 = certification_plan(1, 1, "s4")
+    plan4 = certification_plan(1, "s4")
     ch4 = sample_channels(plan4, 1, seed=0)
     sys4 = build_zf_system(plan4, ch4, "s4")
-    n_slow = len(sys4.messages)
-    n_fast = len(sys4.fast)
+    n_slow = len(sys4.layout.slow_pos)
+    n_fast = len(sys4.layout.fast_pos)
     # versus constraining only the slow sectors, s4 adds one nulling row
     # block per (fast sector, slow stream block) pair
     slow_only_rows = 1 * 1 * n_slow * n_slow
@@ -179,11 +186,11 @@ def test_system_square_for_s3_and_s4_row_delta():
 
 
 def test_system_requires_matching_assignment():
-    plan = certification_plan(1, 1, "s4")
+    plan = certification_plan(1, "s4")
     ch = sample_channels(plan, 1, seed=0)
     with pytest.raises(ValueError):
         build_zf_system(plan, ch, "s3")
-    bare = clusters(build_network(4, 1), 1)
+    bare = clusters(build_network(4), 1)
     with pytest.raises(ValueError):
         build_zf_system(bare, ch, "s4")
     with pytest.raises(ValueError):
@@ -205,26 +212,21 @@ def test_s3_and_s5_trials_solvable():
 
 
 def test_fast_sectors_hear_no_slow_aggregate_s4():
-    plan = certification_plan(2, 2, "s4")
+    plan = certification_plan(2, "s4")
     ch = sample_channels(plan, 2, seed=9)
     precoder = solve_precoder(build_zf_system(plan, ch, "s4"))
     geff = effective_channels_oracle(precoder, entries_of(plan, ch))
     worst = max(
-        float(np.abs(g).max()) for (k, _), g in geff.items() if plan.assignment[k] == FAST
+        float(np.abs(g).max()) for (k, _), g in geff.items() if role_of(plan, k) == FAST
     )
     assert worst <= 1e-9
 
 
 def test_zero_precoder_not_solvable():
-    plan = certification_plan(1, 1, "s4")
+    plan = certification_plan(1, "s4")
     ch = sample_channels(plan, 1, seed=1)
     system = build_zf_system(plan, ch, "s4")
-    zero = Precoder(
-        m=1,
-        active=system.active,
-        messages=system.messages,
-        matrix=np.zeros_like(system.target),
-    )
+    zero = Precoder(m=1, layout=system.layout, matrix=np.zeros_like(system.target))
     report = verify_nulling(zero, plan, ch)
     assert not report.solvable
     assert report.min_self_rank == 0
@@ -236,16 +238,16 @@ def test_self_rank_tolerance_matches_matrix_rank(scale):
     times the largest: only the self links carry a channel, the identity,
     so each self gain is its precoder block exactly."""
     m = 3
-    plan = shared_plan(1, m, "s4")
+    plan = shared_plan(1, "s4")
     lay = plan.origin_links
     ch = sample_channels(plan, m, seed=0)
     ch.h[:] = 0.0
     ch.h[lay.rx == lay.tx] = np.eye(m)
-    n, n_msg = len(lay.active), len(lay.slow)
+    n, n_msg = len(lay.ids), len(lay.slow_pos)
     matrix = np.zeros((n, m, n_msg, m))
     matrix[lay.slow_pos, :, np.arange(n_msg), :] = np.eye(m)
     matrix[lay.slow_pos[0], :, 0, :] = np.diag([1.0, 1.0, scale * np.finfo(float).eps])
-    precoder = Precoder(m, lay.active, lay.slow, matrix.reshape(m * n, m * n_msg))
+    precoder = Precoder(m, lay, matrix.reshape(m * n, m * n_msg))
     report = verify_nulling(precoder, plan, ch)
     assert report == verify_nulling_oracle(precoder, plan, entries_of(plan, ch))
     assert report.min_self_rank == (2 if scale < m else 3)
@@ -260,19 +262,35 @@ def test_degenerate_channels_flagged(scheme, role, match):
     """Zeroing every channel into one receiver costs the constraint matrix a
     row block.  For s5 a dead fast sector breaks the shared fast block and a
     dead slow sector breaks its own message's block."""
-    plan = certification_plan(1, 1, scheme)
+    plan = certification_plan(1, scheme)
     ch = sample_channels(plan, 1, seed=2)
-    members = sorted(origin_cluster(plan).sectors)
-    dead = next(s for s in members if role is None or plan.assignment[s] == role)
+    members = origin_cluster(plan).sectors.ids.tolist()
+    dead = next(s for s in members if role is None or role_of(plan, s) == role)
     links = list(entries_of(plan, ch))
     ch.h[[k for k, (rx, _) in enumerate(links) if rx == dead]] = 0.0
     system = build_zf_system(plan, ch, scheme)
-    with pytest.raises(RankDeficientError, match=match):
+    with pytest.raises(RankDeficientError, match=match) as err:
         solve_precoder(system)
+    if role == SLOW:  # the message is named by its sector id
+        assert str(err.value).endswith(f"for message at sector id {dead}")
+
+
+def test_precoder_for_another_cluster_rejected():
+    """A precoder of another cluster is refused, by its shape or, at equal
+    shape, by the sector ids of its messages."""
+    plan, other = certification_plan(1, "s4"), certification_plan(2, "s4")
+    ch = sample_channels(plan, 1, seed=0)
+    foreign = solve_precoder(build_zf_system(other, sample_channels(other, 1, seed=0), "s4"))
+    own = solve_precoder(build_zf_system(plan, ch, "s4"))
+    shifted = replace(own, layout=replace(own.layout, ids=own.layout.ids + 1))
+    for precoder in (foreign, shifted):
+        with pytest.raises(ValueError, match="does not match the plan's origin cluster"):
+            verify_nulling(precoder, plan, ch)
+    assert verify_nulling(own, plan, ch).solvable
 
 
 def test_trial_determinism():
-    plan = certification_plan(1, 2, "s4")
+    plan = certification_plan(1, "s4")
     a = run_trial(plan, 2, seed=77)
     b = run_trial(plan, 2, seed=77)
     assert a == b
@@ -285,7 +303,7 @@ def test_trial_determinism():
 def test_batched_verify_matches_per_pair_oracle(scheme, t, m, seed):
     """The stacked substitution, norms and ranks reproduce the per-pair loop
     exactly: every field of the report is equal, not merely close."""
-    plan = shared_plan(t, m, scheme)
+    plan = shared_plan(t, scheme)
     ch = sample_channels(plan, m, seed)
     precoder = solve_precoder(build_zf_system(plan, ch, scheme))
     got = verify_nulling(precoder, plan, ch, scheme=scheme)
@@ -301,7 +319,7 @@ def test_array_channels_match_dict_oracles(scheme, t, m, seed):
     """The single draw, the scattered system and the slot-wise check
     reproduce the dict-based chain exactly: the same channel per link in the
     same order, equal ``h_net`` and ``target``, equal report and trial."""
-    plan = shared_plan(t, m, scheme)
+    plan = shared_plan(t, scheme)
     ch = sample_channels(plan, m, seed)
     entries = sample_channels_oracle(plan, m, seed)
     assert list(entries_of(plan, ch)) == list(entries)
@@ -325,14 +343,14 @@ def test_array_channels_match_dict_oracles(scheme, t, m, seed):
 def test_cross_norm_filter_matches_unfiltered_stack(scheme, t, m):
     """Decomposing only the blocks that can hold the largest spectral norm
     gives the maximum over the whole stack, bit for bit."""
-    plan = shared_plan(t, m, scheme)
+    plan = shared_plan(t, scheme)
     for seed in range(4):
         ch = sample_channels(plan, m, seed)
         precoder = solve_precoder(build_zf_system(plan, ch, scheme))
         blocks = effective_channels_oracle(precoder, entries_of(plan, ch))
         heard = {FAST, SLOW} if scheme != "s5" else {FAST}
         cross = np.stack([g for (k, msg), g in blocks.items()
-                          if k != msg and plan.assignment[k] in heard])
+                          if k != msg and role_of(plan, k) in heard])
         assert _max_spectral_norm(cross) == np.linalg.norm(cross, 2, axis=(-2, -1)).max()
         every = np.stack(list(blocks.values()))
         assert _max_spectral_norm(every) == np.linalg.norm(every, 2, axis=(-2, -1)).max()
@@ -361,18 +379,18 @@ def test_cross_norm_filter_near_the_threshold(seed, m, n):
 @settings(max_examples=6, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_factored_s5_solve_matches_lstsq_oracle(t, m, seed):
-    plan = shared_plan(t, m, "s5")
+    plan = shared_plan(t, "s5")
     system = build_zf_system(plan, sample_channels(plan, m, seed), "s5")
     b = solve_precoder(system).matrix
     ref = solve_s5_oracle(system)
     assert np.linalg.norm(b - ref) <= 1e-9 * np.linalg.norm(ref)
 
-    idx = {s: i for i, s in enumerate(system.active)}
-    h = system.h_net.reshape(len(system.active), m, -1)
-    h_fast = h[[idx[s] for s in system.fast]].reshape(-1, h.shape[-1])
+    lay = system.layout
+    h = system.h_net.reshape(len(lay.ids), m, -1)
+    h_fast = h[lay.fast_pos].reshape(-1, h.shape[-1])
     assert np.abs(h_fast @ b).max() <= 1e-9
-    for j, msg in enumerate(system.messages):
-        own = h[idx[msg]] @ b[:, m * j : m * j + m]
+    for j, i in enumerate(lay.slow_pos.tolist()):
+        own = h[i] @ b[:, m * j : m * j + m]
         assert np.abs(own - np.eye(m)).max() <= 1e-9
 
 
@@ -386,9 +404,9 @@ def test_s5_solvable_at_t8():
 def test_factored_s5_solve_without_fast_sectors():
     """With no fast rows the null space is the whole space and each message
     only pins its own gain."""
-    plan = certification_plan(1, 2, "s5")
+    plan = certification_plan(1, "s5")
     system = build_zf_system(plan, sample_channels(plan, 2, 4), "s5")
-    system = replace(system, fast=(), fast_pos=system.fast_pos[:0])
+    system = replace(system, layout=replace(system.layout, fast_pos=system.layout.fast_pos[:0]))
     b = solve_precoder(system).matrix
     ref = solve_s5_oracle(system)
     assert np.linalg.norm(b - ref) <= 1e-9 * np.linalg.norm(ref)
