@@ -76,19 +76,18 @@ def _write_or_print(text: str, path: Optional[str], out_dir: Optional[str]) -> N
 
 def cmd_lattice(args: argparse.Namespace) -> int:
     net = lattice.build_network(args.radius)
-    label = [f"{q},{r},{o}" for q, r, o in net.sectors]
     src, dst = net.directed_edges()
-    edges = sorted(f"{label[i]},{label[j]}" for i, j in zip(src.tolist(), dst.tolist()))
     if args.emit:
+        label = [f"{q},{r},{o}" for q, r, o in net.sectors]
         lines = ["sector_cell_q,sector_cell_r,orientation,neighbor_cell_q,neighbor_cell_r,neighbor_orientation"]
-        lines += edges
+        lines += sorted(f"{label[i]},{label[j]}" for i, j in zip(src.tolist(), dst.tolist()))
         _write_or_print("\n".join(lines) + "\n", args.emit, args.out)
     # the cells whose six neighbours all lie on the lattice
     per_cell = net.nbr.reshape(len(net.q), -1)
     interior_ok = bool((per_cell[net.interior_mask(1)] >= 0).all())
     print(
-        f"lattice radius={args.radius} m={args.m}: {len(net.cells)} cells, "
-        f"{len(net.sectors)} sectors, {len(edges)} directed interference links, "
+        f"lattice radius={args.radius} m={args.m}: {len(net.q)} cells, "
+        f"{len(net.nbr)} sectors, {len(src)} directed interference links, "
         f"interior degree 4: {'ok' if interior_ok else 'VIOLATED'}"
     )
     return 0 if interior_ok else CHECK_FAILED

@@ -26,10 +26,17 @@ from functools import cached_property, lru_cache
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, maximum_bipartite_matching
 
-from .lattice import Cell, Network, Sector, SectorSet, cell_distance, cell_index, hex_ball
+from .lattice import (
+    NEIGHBOR_RULE,
+    Cell,
+    Network,
+    Sector,
+    SectorSet,
+    cell_distance,
+    cell_index,
+    hex_ball,
+)
 
 FAST = "FAST"
 SLOW = "SLOW"
@@ -130,12 +137,41 @@ def _torus_silenced(t: int) -> np.ndarray:
     """Silenced orientations of one period of the master grid, a
     ``(9t^2, 3)`` boolean table with row ``(q mod 3t)·3t + (r mod 3t)``:
     masters repeat every ``3t`` cells along both axial directions, so these
-    9t^2 cells decide every cell."""
+    9t^2 cells decide every cell.  Each row applies ``_classify_silenced``'s
+    rule, the reference the tests hold it to, among the masters
+    ``((a + 2b)t, (a - b)t)``, -1 <= a <= 4 and -2 <= b <= 2, which hold
+    every search window of ``nearest_masters`` over the period."""
     period = 3 * t
+    q, r = np.divmod(np.arange(period * period), period)
+    a, b = np.mgrid[-1:5, -2:3].reshape(2, -1)
+    mq, mr = (a + 2 * b) * t, (a - b) * t
+    order = np.lexsort((mr, mq))
+    mq, mr = mq[order], mr[order]
+    dist = cell_distance((q[:, None], r[:, None]), (mq, mr))
+    nearest = dist == dist.min(axis=1, keepdims=True)
+    first = nearest.argmax(axis=1)
+    last = len(mq) - 1 - nearest[:, ::-1].argmax(axis=1)
+    count = np.count_nonzero(nearest, axis=1)
+    border = dist[np.arange(len(q)), first] == t
+    if (border & (count == 1)).any():
+        raise RuntimeError(f"single nearest master at ring distance t={t}")
+
     table = np.zeros((period * period, 3), dtype=bool)
-    for q in range(period):
-        for r in range(period):
-            table[q * period + r, list(_classify_silenced((q, r), t))] = True
+    off_q, off_r = q - mq[first], r - mr[first]
+    up = np.zeros(len(q), dtype=bool)
+    for uq, ur in _up_offsets(t):
+        up |= (off_q == uq) & (off_r == ur)
+    table[border & (count >= 3) & up] = True
+    pair = border & (count == 2)
+    # the sorted pair's axis is one of master_axes itself, never its negative
+    ax_q, ax_r = mq[last] - mq[first], mr[last] - mr[first]
+    matched = np.zeros(len(q), dtype=bool)
+    for i, (uq, ur) in enumerate(master_axes(t)):
+        on_axis = pair & (ax_q == uq) & (ax_r == ur)
+        table[on_axis, _AXIS_ORIENTATION[i]] = True
+        matched |= on_axis
+    if (pair & ~matched).any():
+        raise RuntimeError(f"unexpected master pair axis at t={t}")
     return table
 
 
@@ -143,6 +179,91 @@ def silenced_sectors(net: Network, t: int) -> SectorSet:
     """The silencing mask: sectors switched off to decouple the clusters."""
     _check_t(net, t)
     return SectorSet(net, _torus_silenced(t)[_torus_index(net, t)].ravel())
+
+
+def _torus_owners(t: int, silenced: np.ndarray) -> Optional[Tuple[np.ndarray, int]]:
+    """Per row of the ``_torus_silenced(t)`` table ``silenced`` and
+    orientation: the offset ``(dq, dr)`` from the cell to the master whose
+    cluster holds that sector, a ``(9t^2, 3, 2)`` array; and the hop radius
+    of a cluster.
+
+    Every cluster is a translate of the origin master's, which a search from
+    the master's first sector collects, and one period holds the three
+    masters ``(0, 0)``, ``(t, t)`` and ``(2t, 2t)``.  None unless that
+    cluster ends within ``3t`` hops and its three translates claim every
+    active sector of the period once."""
+    period = 3 * t
+    seen = {(0, 0, 0)}
+    stack = [(0, 0, 0)]
+    while stack:
+        q, r, o = stack.pop()
+        for dq, dr, o2 in NEIGHBOR_RULE[o]:
+            s = (q + dq, r + dr, o2)
+            if s in seen or silenced[(s[0] % period) * period + s[1] % period, o2]:
+                continue
+            if cell_distance((s[0], s[1]), (0, 0)) > period:
+                return None
+            seen.add(s)
+            stack.append(s)
+    dq, dr, o = np.array(list(seen)).T
+    offset = np.zeros((period * period, 3, 2), dtype=np.intp)
+    claims = np.zeros((period * period, 3), dtype=np.intp)
+    for mq, mr in ((0, 0), (t, t), (2 * t, 2 * t)):
+        row = ((mq + dq) % period) * period + (mr + dr) % period
+        offset[row, o] = np.column_stack([-dq, -dr])
+        np.add.at(claims, (row, o), 1)
+    if not np.array_equal(claims, ~silenced):
+        return None
+    return offset, int(cell_distance((dq, dr), (0, 0)).max())
+
+
+def _component_labels(net: Network, t: int, active: np.ndarray) -> np.ndarray:
+    """Per sector id: a label that the ``active`` sectors of one connected
+    component share.
+
+    The torus seeds it: ``_torus_owners`` gives every active sector its
+    cluster's master (the tests check, per t, that no edge between active
+    sectors joins two masters), and a cluster whose master lies a cluster
+    radius inside the ball is whole, so its sectors share a label past the
+    sector ids, read off the master's coordinates.  Min-label propagation
+    with pointer jumping over ``nbr`` joins the sectors of the clusters the
+    boundary cuts.  If ``active`` is not what the torus leaves active, the
+    seed is dropped and propagation covers every active sector."""
+    n = len(active)
+    labels = np.arange(n)
+    loose = active
+    torus = _torus_silenced(t)
+    row = _torus_index(net, t)
+    owners = _torus_owners(t, torus)
+    if owners is not None and np.array_equal(torus[row].ravel(), ~active):
+        offset, reach = owners
+        radius = net.radius
+        master_q = (net.q[:, None] + offset[row, :, 0]).ravel()
+        master_r = (net.r[:, None] + offset[row, :, 1]).ravel()
+        whole = active & (cell_distance((master_q, master_r), (0, 0)) <= radius - reach)
+        # a whole cluster's master has |q|, |r| <= R: its key is in [n, n + (2R + 1)^2)
+        key = n + (master_q + radius) * (2 * radius + 1) + master_r + radius
+        labels = np.where(whole, key, labels)
+        loose = active & ~whole
+
+    ids = np.flatnonzero(loose)
+    src = np.repeat(ids, net.nbr.shape[1])
+    dst = net.nbr[ids].ravel()
+    keep = (dst >= 0) & loose[dst]
+    src, dst = src[keep], dst[keep]
+    while True:
+        a, b = labels[src], labels[dst]
+        differ = a != b
+        if not differ.any():
+            return labels
+        # hook the larger root of each edge under the smaller, then jump
+        # pointers until every label is a root again
+        np.minimum.at(labels, np.maximum(a, b)[differ], np.minimum(a, b)[differ])
+        while True:
+            up = labels[labels[ids]]
+            if np.array_equal(up, labels[ids]):
+                break
+            labels[ids] = up
 
 
 class UncutLatticeError(RuntimeError):
@@ -243,13 +364,7 @@ def clusters(net: Network, t: int) -> ClusterPlan:
     silenced = silenced_sectors(net, t)
     n = len(net.nbr)
     active = ~silenced.labels
-    src, dst = net.directed_edges()
-    # the coupling is symmetric: keep each edge between active sectors once
-    keep = (dst > src) & active[src] & active[dst]
-    graph = csr_matrix(
-        (np.ones(np.count_nonzero(keep), dtype=np.int8), (src[keep], dst[keep])), shape=(n, n)
-    )
-    labels = connected_components(graph, directed=False)[1]
+    labels = _component_labels(net, t, active)
 
     # active sector ids grouped by component, ascending within each group
     ids = np.flatnonzero(active)
@@ -301,40 +416,109 @@ def fast_pattern(t: int) -> FrozenSet[Sector]:
     ``(q mod 3t, r mod 3t, orientation)``.
     """
     period = 3 * t
-    tcells = [(q, r) for q in range(period) for r in range(period)]
     silenced = _torus_silenced(t)
 
     def wrap(q: int, r: int) -> int:
         return (q % period) * period + r % period
 
-    rows: List[int] = []
-    cols: List[int] = []
     edge_sector: Dict[Tuple[int, int], Sector] = {}
-    for (q, r) in tcells:
-        for o in range(3):
-            if silenced[q * period + r, o]:
-                continue
-            if o == 0:
-                i, j = wrap(q, r), wrap(q, r)
-            elif o == 1:
-                i, j = wrap(q - 1, r), wrap(q, r - 1)
-            else:
-                i, j = wrap(q - 1, r + 1), wrap(q - 1, r)
-            key = (i, j)
-            if key in edge_sector:
-                raise RuntimeError(f"duplicate triangle edge at t={t}")
-            rows.append(i)
-            cols.append(j)
-            edge_sector[key] = (q, r, o)
+    for q in range(period):
+        for r in range(period):
+            for o in range(3):
+                if silenced[q * period + r, o]:
+                    continue
+                if o == 0:
+                    key = wrap(q, r), wrap(q, r)
+                elif o == 1:
+                    key = wrap(q - 1, r), wrap(q, r - 1)
+                else:
+                    key = wrap(q - 1, r + 1), wrap(q - 1, r)
+                if key in edge_sector:
+                    raise RuntimeError(f"duplicate triangle edge at t={t}")
+                edge_sector[key] = (q, r, o)
 
-    graph = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(period * period,) * 2)
-    match = maximum_bipartite_matching(graph, perm_type="column")
-    if (match < 0).any():
+    adj: List[List[int]] = [[] for _ in range(period * period)]
+    for i, j in sorted(edge_sector):
+        adj[i].append(j)
+    match = _hopcroft_karp(adj, period * period)
+    if min(match) < 0:
         raise RuntimeError(f"no perfect fast pattern found for t={t}")
-    fast = frozenset(edge_sector[(i, int(match[i]))] for i in range(period * period))
+    fast = frozenset(edge_sector[(i, j)] for i, j in enumerate(match))
     if len(fast) != period * period:
         raise RuntimeError(f"fast pattern degenerate for t={t}")
     return fast
+
+
+def _hopcroft_karp(adj: List[List[int]], n_cols: int) -> List[int]:
+    """A maximum matching of the bipartite graph whose row ``i`` meets the
+    columns ``adj[i]`` (ascending): per row, its column or -1.
+
+    Hopcroft & Karp (SIAM J. Comput. 1973), visiting rows and columns in
+    the order of the CSR sparse-graph matcher the tests hold it to, so both
+    return the same matching:
+
+    - a greedy start gives each row, in order, its first free column;
+    - each phase layers the rows by breadth-first search from the free ones
+      and stops at the layer ``dd`` that first meets a free column;
+    - from each free row in turn, a depth-first search expands rows last
+      pushed first, each at most once a phase: a row in layer ``dd - 1``
+      takes its first free column and flips the path to it, and a shallower
+      row pushes, in column order, the rows one layer deeper matched to its
+      columns.
+    """
+    n_rows = len(adj)
+    row_match = [-1] * n_rows
+    col_match = [-1] * n_cols
+    for x, cols in enumerate(adj):
+        for y in cols:
+            if col_match[y] < 0:
+                row_match[x], col_match[y] = y, x
+                break
+    unreached = n_rows + 1
+    while True:
+        free = [x for x in range(n_rows) if row_match[x] < 0]
+        dist = [unreached] * n_rows
+        for x in free:
+            dist[x] = 0
+        dd = unreached
+        queue = list(free)
+        for x in queue:  # grows while it is read
+            if dist[x] >= dd:
+                break
+            for y in adj[x]:
+                x2 = col_match[y]
+                if x2 < 0:
+                    dd = min(dd, dist[x] + 1)
+                elif dist[x2] == unreached:
+                    dist[x2] = dist[x] + 1
+                    queue.append(x2)
+        if dd == unreached:
+            return row_match
+
+        expanded = [False] * n_rows
+        via: List[Tuple[int, int]] = [(-1, -1)] * n_rows  # (row, column) a row was pushed from
+        for root in free:
+            stack = [root]
+            while stack:
+                x = stack.pop()
+                if expanded[x]:
+                    continue
+                expanded[x] = True
+                if dist[x] + 1 < dd:
+                    # all its columns are matched, or dd would be smaller
+                    for y in adj[x]:
+                        x2 = col_match[y]
+                        if dist[x2] == dist[x] + 1 and not expanded[x2]:
+                            via[x2] = (x, y)
+                            stack.append(x2)
+                    continue
+                y = next((y for y in adj[x] if col_match[y] < 0), -1)
+                if y >= 0:
+                    while x != root:
+                        row_match[x], col_match[y] = y, x
+                        x, y = via[x]
+                    row_match[x], col_match[y] = y, x
+                    break
 
 
 def assign_messages(plan: ClusterPlan, mode: str) -> ClusterPlan:

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -175,6 +178,48 @@ def test_lattice_emit_sorted_directed_edges(capsys, tmp_path):
     assert rows == sorted(rows)
     # directed: each undirected pair appears twice
     assert len(rows) % 2 == 0
+
+
+@pytest.mark.parametrize("radius", [1, 5, 60])
+def test_lattice_summary_builds_no_tuples(capsys, monkeypatch, radius):
+    """Without ``--emit``, ``hexmg lattice`` prints counts read off the
+    arrays: it builds no sector or cell tuples, and no edge strings."""
+    built = []
+    build = lattice.build_network
+
+    def recording(radius):
+        built.append(build(radius))
+        return built[-1]
+
+    monkeypatch.setattr(lattice, "build_network", recording)
+    code, stdout, _ = run(capsys, "lattice", "--radius", str(radius))
+    assert code == 0
+    (net,) = built
+    assert "sectors" not in vars(net) and "cells" not in vars(net)
+    cells = 3 * radius * (radius + 1) + 1
+    links = 2 * len(lattice.interference_graph(net))  # each unordered pair twice
+    assert stdout == (
+        f"lattice radius={radius} m=1: {cells} cells, {3 * cells} sectors, "
+        f"{links} directed interference links, interior degree 4: ok\n"
+    )
+
+
+def test_cli_import_loads_no_scipy():
+    """The library needs numpy alone: importing the CLI in a fresh
+    interpreter loads no scipy module (which cost 0.4 s and 30 MB a launch)."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        "import sys, hexmg, hexmg.cli; "
+        "print(hexmg.__file__); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.splitlines()
+    assert out[0].startswith(src)
+    assert out[1] == "[]"
 
 
 @pytest.mark.parametrize("radius,cell", [(1, (0, 0)), (2, (1, 0))])

@@ -172,6 +172,16 @@ def test_silencing_periodic_and_ownership_translates(t, q, r, a, b):
     )
 
 
+@pytest.mark.parametrize("t", range(1, 9))
+def test_torus_silenced_matches_per_cell_classification(t):
+    period = 3 * t
+    want = np.zeros((period * period, 3), dtype=bool)
+    for q in range(period):
+        for r in range(period):
+            want[q * period + r, list(_classify_silenced((q, r), t))] = True
+    assert np.array_equal(clustering._torus_silenced(t), want)
+
+
 def test_master_grid_contains_origin_and_min_spacing():
     net = build_network(12)
     for t in (1, 2, 3, 4):
