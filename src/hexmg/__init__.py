@@ -32,7 +32,6 @@ from .clustering import (
     count_links,
     fast_pattern,
     master_grid,
-    nearest_masters,
     required_prelogs,
     silenced_sectors,
 )

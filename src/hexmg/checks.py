@@ -18,6 +18,9 @@ from . import clustering, lattice, partitions, precoding, regions, schedules
 #: Largest accepted gap between an interior census and its limiting density.
 FRACTION_TOL = Fraction(1, 50)
 
+#: Smallest ``verify-all`` radius: ``fraction_checks`` clusters it for t <= 4 (radius >= 3t).
+MIN_RADIUS = 12
+
 
 class Check(NamedTuple):
     name: str

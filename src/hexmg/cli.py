@@ -324,6 +324,9 @@ def cmd_schedule(args: argparse.Namespace) -> int:
 # verify-all
 
 def cmd_verify_all(args: argparse.Namespace) -> int:
+    if args.radius < checks.MIN_RADIUS:
+        raise ValueError(f"verify-all needs --radius >= {checks.MIN_RADIUS} "
+                         f"(its t=4 checks need radius >= 3t), got {args.radius}")
     results = list(checks.all_checks(args.radius, args.zf_trials, args.seed))
     lines = [
         f"CHECK {name}: {'PASS' if ok else 'FAIL'}" + (f" ({detail})" if detail else "")

@@ -11,6 +11,12 @@ sectors interfering.  An assigned plan also lays out the links of the origin
 master's cluster (``ClusterPlan.origin_links``), once, for the zero-forcing
 trials.
 
+One period of the master grid, the 3t x 3t torus, states the periodic
+geometry once, as arrays over its rows ``(q mod 3t)·3t + (r mod 3t)``: the
+nearest masters, read for the silencing and the origin master's cells that
+link counting takes, the cluster owners, and the fast pattern, a read-only
+``(9t^2, 3)`` boolean table.
+
 A plan states everything per sector id: ``cluster_ids`` the cluster, ``roles``
 the role code, and each ``Cluster.sectors`` the cluster's ascending ids.
 Sector tuples appear only where a caller passes one in (``cluster_of``, set
@@ -19,7 +25,6 @@ membership) or iterates a set.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -35,7 +40,6 @@ from .lattice import (
     SectorSet,
     cell_distance,
     cell_index,
-    hex_ball,
 )
 
 FAST = "FAST"
@@ -89,58 +93,20 @@ def _check_t(net: Network, t: int) -> None:
         raise ValueError(f"t={t} too large for lattice radius {net.radius}")
 
 
-def nearest_masters(cell: Cell, t: int) -> Tuple[int, Tuple[Cell, ...]]:
-    """Distance to and sorted list of nearest masters on the infinite grid."""
-    q, r = cell
-    af = (q + 2 * r) / (3 * t)
-    bf = (q - r) / (3 * t)
-    best: Optional[int] = None
-    winners: List[Cell] = []
-    for a in range(math.floor(af) - 1, math.floor(af) + 3):
-        for b in range(math.floor(bf) - 1, math.floor(bf) + 3):
-            m = ((a + 2 * b) * t, (a - b) * t)
-            d = cell_distance(cell, m)
-            if best is None or d < best:
-                best, winners = d, [m]
-            elif d == best:
-                winners.append(m)
-    return best, tuple(sorted(set(winners)))
-
-
-def _classify_silenced(cell: Cell, t: int) -> Tuple[int, ...]:
-    """Orientations silenced in ``cell`` (empty tuple for active cells)."""
-    d, masters = nearest_masters(cell, t)
-    if d != t:
-        return ()
-    if len(masters) >= 3:
-        m0 = masters[0]
-        off = (cell[0] - m0[0], cell[1] - m0[1])
-        if off in _up_offsets(t):
-            return (0, 1, 2)
-        return ()
-    if len(masters) == 2:
-        ax = (masters[1][0] - masters[0][0], masters[1][1] - masters[0][1])
-        for i, u in enumerate(master_axes(t)):
-            if ax == u or ax == (-u[0], -u[1]):
-                return (_AXIS_ORIENTATION[i],)
-        raise RuntimeError(f"unexpected master pair axis {ax} at {cell}")
-    raise RuntimeError(f"single nearest master at ring distance t: {cell}")
-
-
-def _torus_index(net: Network, t: int) -> np.ndarray:
-    """Per cell: its torus cell ``(q mod 3t)·3t + (r mod 3t)``."""
+def _torus_index(q: np.ndarray, r: np.ndarray, t: int) -> np.ndarray:
+    """Per cell ``(q, r)``: its torus cell ``(q mod 3t)·3t + (r mod 3t)``."""
     period = 3 * t
-    return (net.q % period) * period + net.r % period
+    return (q % period) * period + r % period
 
 
-def _torus_silenced(t: int) -> np.ndarray:
-    """Silenced orientations of one period of the master grid, a
-    ``(9t^2, 3)`` boolean table with row ``(q mod 3t)·3t + (r mod 3t)``:
-    masters repeat every ``3t`` cells along both axial directions, so these
-    9t^2 cells decide every cell.  Each row applies ``_classify_silenced``'s
-    rule, the reference the tests hold it to, among the masters
-    ``((a + 2b)t, (a - b)t)``, -1 <= a <= 4 and -2 <= b <= 2, which hold
-    every search window of ``nearest_masters`` over the period."""
+def _torus_nearest(t: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per torus row: the hop distance to the cell's nearest masters, their
+    number, and the cell's offsets ``(dq, dr)`` from the lexicographically
+    first and last of them.  Every 3t-cell axial shift is a master
+    translation, so these rows decide every cell.  The masters
+    ``((a + 2b)t, (a - b)t)``, -1 <= a <= 4 and -2 <= b <= 2, hold the 4 x 4
+    window of ``(a, b)`` around each period cell's fractional master
+    coordinates, and with it all its nearest masters."""
     period = 3 * t
     q, r = np.divmod(np.arange(period * period), period)
     a, b = np.mgrid[-1:5, -2:3].reshape(2, -1)
@@ -151,26 +117,28 @@ def _torus_silenced(t: int) -> np.ndarray:
     nearest = dist == dist.min(axis=1, keepdims=True)
     first = nearest.argmax(axis=1)
     last = len(mq) - 1 - nearest[:, ::-1].argmax(axis=1)
-    count = np.count_nonzero(nearest, axis=1)
-    border = dist[np.arange(len(q)), first] == t
+    cell, master = np.column_stack([q, r]), np.column_stack([mq, mr])
+    return dist.min(axis=1), nearest.sum(axis=1), cell - master[first], cell - master[last]
+
+
+def _torus_silenced(t: int) -> np.ndarray:
+    """Silenced orientations per torus row, a ``(9t^2, 3)`` boolean table: a
+    cell t hops from its nearest masters is silenced entirely if it is an
+    "up" triangle centre of three, and in ``_AXIS_ORIENTATION``'s orientation
+    if it lies between two.  The tests apply that rule cell by cell."""
+    dist, count, first, last = _torus_nearest(t)
+    border = dist == t
     if (border & (count == 1)).any():
         raise RuntimeError(f"single nearest master at ring distance t={t}")
 
-    table = np.zeros((period * period, 3), dtype=bool)
-    off_q, off_r = q - mq[first], r - mr[first]
-    up = np.zeros(len(q), dtype=bool)
-    for uq, ur in _up_offsets(t):
-        up |= (off_q == uq) & (off_r == ur)
+    table = np.zeros((len(dist), 3), dtype=bool)
+    up = (first[:, None] == list(_up_offsets(t))).all(axis=2).any(axis=1)
     table[border & (count >= 3) & up] = True
     pair = border & (count == 2)
     # the sorted pair's axis is one of master_axes itself, never its negative
-    ax_q, ax_r = mq[last] - mq[first], mr[last] - mr[first]
-    matched = np.zeros(len(q), dtype=bool)
-    for i, (uq, ur) in enumerate(master_axes(t)):
-        on_axis = pair & (ax_q == uq) & (ax_r == ur)
-        table[on_axis, _AXIS_ORIENTATION[i]] = True
-        matched |= on_axis
-    if (pair & ~matched).any():
+    for i, u in enumerate(master_axes(t)):
+        table[pair & (first - last == u).all(axis=1), _AXIS_ORIENTATION[i]] = True
+    if not table[pair].any(axis=1).all():
         raise RuntimeError(f"unexpected master pair axis at t={t}")
     return table
 
@@ -178,7 +146,7 @@ def _torus_silenced(t: int) -> np.ndarray:
 def silenced_sectors(net: Network, t: int) -> SectorSet:
     """The silencing mask: sectors switched off to decouple the clusters."""
     _check_t(net, t)
-    return SectorSet(net, _torus_silenced(t)[_torus_index(net, t)].ravel())
+    return SectorSet(net, _torus_silenced(t)[_torus_index(net.q, net.r, t)].ravel())
 
 
 def _torus_owners(t: int, silenced: np.ndarray) -> Optional[Tuple[np.ndarray, int]]:
@@ -233,7 +201,7 @@ def _component_labels(net: Network, t: int, active: np.ndarray) -> np.ndarray:
     labels = np.arange(n)
     loose = active
     torus = _torus_silenced(t)
-    row = _torus_index(net, t)
+    row = _torus_index(net.q, net.r, t)
     owners = _torus_owners(t, torus)
     if owners is not None and np.array_equal(torus[row].ravel(), ~active):
         offset, reach = owners
@@ -350,11 +318,11 @@ class ClusterPlan:
         fast_pos = np.flatnonzero(roles == ROLES.index(FAST))
         return LinkLayout(ids, rx, ends[valid], slots, roles, slow_pos, fast_pos)
 
-    def interior_masters(self, margin: int = 2) -> List[Cell]:
+    def interior_masters(self) -> List[Cell]:
         """Masters whose whole cluster context lies inside the lattice: at
-        least ``t + margin`` hops from the boundary."""
+        least ``t + 2`` hops from the boundary."""
         net = self.net
-        inside = is_master_cell((net.q, net.r), self.t) & net.interior_mask(self.t + margin)
+        inside = is_master_cell((net.q, net.r), self.t) & net.interior_mask(self.t + 2)
         return list(zip(net.q[inside].tolist(), net.r[inside].tolist()))
 
 
@@ -404,49 +372,40 @@ def clusters(net: Network, t: int) -> ClusterPlan:
 
 
 @lru_cache(maxsize=None)
-def fast_pattern(t: int) -> FrozenSet[Sector]:
+def fast_pattern(t: int) -> np.ndarray:
     """Periodic fast-sector pattern with exact density 1/3 and no two fast
-    sectors interfering.
+    sectors interfering: a ``(9t^2, 3)`` boolean table in
+    ``_torus_silenced``'s rows, true at the fast sectors.
 
     The interference graph is an edge-disjoint union of triangles, two per
     sector; picking fast sectors so that every triangle contains exactly one
     is equivalent to a perfect matching of the bipartite triangle-adjacency
     graph, computed here on the 3t x 3t torus (one period of the master grid)
-    with the silenced sectors' edges removed.  Pattern entries are
-    ``(q mod 3t, r mod 3t, orientation)``.
+    with the silenced sectors' edges removed.  Every caller shares the cached
+    table, so it is read-only.
     """
-    period = 3 * t
-    silenced = _torus_silenced(t)
-
-    def wrap(q: int, r: int) -> int:
-        return (q % period) * period + r % period
-
-    edge_sector: Dict[Tuple[int, int], Sector] = {}
-    for q in range(period):
-        for r in range(period):
-            for o in range(3):
-                if silenced[q * period + r, o]:
-                    continue
-                if o == 0:
-                    key = wrap(q, r), wrap(q, r)
-                elif o == 1:
-                    key = wrap(q - 1, r), wrap(q, r - 1)
-                else:
-                    key = wrap(q - 1, r + 1), wrap(q - 1, r)
-                if key in edge_sector:
-                    raise RuntimeError(f"duplicate triangle edge at t={t}")
-                edge_sector[key] = (q, r, o)
-
-    adj: List[List[int]] = [[] for _ in range(period * period)]
-    for i, j in sorted(edge_sector):
-        adj[i].append(j)
-    match = _hopcroft_karp(adj, period * period)
+    n = 9 * t * t
+    q, r = np.divmod(np.arange(n), 3 * t)
+    # per orientation, end and torus cell: the (row, column) triangles a sector joins
+    ends = np.array([[(q, r), (q, r)], [(q - 1, r), (q, r - 1)], [(q - 1, r + 1), (q - 1, r)]])
+    ends = _torus_index(ends[:, :, 0], ends[:, :, 1], t)
+    cell, o = np.nonzero(~_torus_silenced(t))
+    key, edge_sector = np.unique(ends[o, 0, cell] * n + ends[o, 1, cell], return_index=True)
+    if len(key) != len(cell):
+        raise RuntimeError(f"duplicate triangle edge at t={t}")
+    rows, cols = np.divmod(key, n)
+    starts = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    cols = cols.tolist()
+    match = _hopcroft_karp([cols[a:b] for a, b in zip(starts, starts[1:])], n)
     if min(match) < 0:
         raise RuntimeError(f"no perfect fast pattern found for t={t}")
-    fast = frozenset(edge_sector[(i, j)] for i, j in enumerate(match))
-    if len(fast) != period * period:
+    fast = edge_sector[np.searchsorted(key, np.arange(n) * n + match)]
+    table = np.zeros((n, 3), dtype=bool)
+    table[cell[fast], o[fast]] = True
+    if np.count_nonzero(table) != n:
         raise RuntimeError(f"fast pattern degenerate for t={t}")
-    return fast
+    table.flags.writeable = False
+    return table
 
 
 def _hopcroft_karp(adj: List[List[int]], n_cols: int) -> List[int]:
@@ -528,22 +487,10 @@ def assign_messages(plan: ClusterPlan, mode: str) -> ClusterPlan:
     period = 3 * plan.t
     torus = np.full((period * period, 3), ROLES.index(SLOW), dtype=np.int8)
     if mode == MODE_MIXED:
-        for (q, r, o) in fast_pattern(plan.t):
-            torus[q * period + r, o] = ROLES.index(FAST)
-    roles = torus[_torus_index(plan.net, plan.t)].ravel()
+        torus[fast_pattern(plan.t)] = ROLES.index(FAST)
+    roles = torus[_torus_index(plan.net.q, plan.net.r, plan.t)].ravel()
     roles[plan.silenced.labels] = ROLES.index(SILENT)
     return replace(plan, roles=roles, mode=mode)
-
-
-def _origin_region(t: int) -> List[Cell]:
-    """The cells owned by the origin master, in sorted order.
-
-    Cells belong to their lexicographically first nearest master, all within
-    ``t`` hops of it, and ownership moves with every master translation: the
-    origin master's region, shifted, is the region of any master.  A plan's
-    lattice has radius at least 3t (``_check_t``), so the region and every
-    cell adjacent to it lie on the lattice."""
-    return [c for c in hex_ball(t) if nearest_masters(c, t)[1][0] == (0, 0)]
 
 
 def count_links(plan: ClusterPlan, side: str) -> int:
@@ -551,10 +498,18 @@ def count_links(plan: ClusterPlan, side: str) -> int:
 
     Links are counted directionally and attributed to the cluster owning the
     cell of their source endpoint: user-to-user links on the ``tx`` side,
-    links between adjacent base stations on the ``rx`` side.
+    links between adjacent base stations on the ``rx`` side.  A cell belongs
+    to its lexicographically first nearest master, and ownership moves with
+    every master translation, so the origin master's cells, read off the
+    torus within ``t`` hops, count for any master's; a plan's radius >= 3t
+    (``_check_t``) keeps them and every cell adjacent to them on the lattice.
     """
-    net = plan.net
-    cell = cell_index(net.radius, *np.array(_origin_region(plan.t)).T)
+    net, t = plan.net, plan.t
+    q, r = np.mgrid[-t:t + 1, -t:t + 1].reshape(2, -1)
+    first = _torus_nearest(t)[2][_torus_index(q, r, t)]
+    # the origin owns the cells whose offset from their first master is their position
+    own = (first[:, 0] == q) & (first[:, 1] == r)
+    cell = cell_index(net.radius, q[own], r[own])
     if side == TX:
         return int(np.count_nonzero(net.nbr.reshape(len(net.q), -1)[cell] >= 0))
     if side == RX:

@@ -59,7 +59,6 @@ class RankDeficientError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class ChannelRealization:
-    seed: int
     m: int
     #: (L, m, m): the channel of each link of ``plan.origin_links``, in its order
     h: np.ndarray
@@ -104,7 +103,7 @@ def sample_channels(plan: ClusterPlan, m: int, seed: int) -> ChannelRealization:
     if m < 1:
         raise ValueError("m must be positive")
     n_links = len(plan.origin_links.rx)
-    return ChannelRealization(seed, m, np.random.default_rng(seed).standard_normal((n_links, m, m)))
+    return ChannelRealization(m, np.random.default_rng(seed).standard_normal((n_links, m, m)))
 
 
 def build_zf_system(plan: ClusterPlan, ch: ChannelRealization, scheme: str) -> ZFSystem:

@@ -128,6 +128,17 @@ def test_verify_all_reports_a_failing_check(capsys, tmp_path, monkeypatch):
     assert report.endswith("verify-all: 32/33 checks passed\n")
 
 
+def test_verify_all_refuses_a_radius_below_12_before_any_check(capsys, monkeypatch):
+    code, stdout, err = run(capsys, "verify-all", "--radius", "11", "--zf-trials", "1")
+    assert (code, stdout) == (2, "")
+    assert err == "hexmg: verify-all needs --radius >= 12 (its t=4 checks need radius >= 3t), got 11\n"
+    radii = []
+    monkeypatch.setattr(checks, "all_checks", lambda radius, *_: radii.append(radius) or iter(()))
+    assert run(capsys, "verify-all", "--radius", "11")[0] == 2
+    assert run(capsys, "verify-all", "--radius", "12")[0] == 0
+    assert radii == [12]
+
+
 def test_uncut_lattice_is_a_usage_error(capsys, monkeypatch):
     """The two-masters ``UncutLatticeError`` of ``clusters`` ends in a message,
     not a traceback; no CLI input reaches it, so silencing is switched off."""

@@ -1,4 +1,6 @@
+import math
 from fractions import Fraction
+from typing import List, Optional, Tuple
 
 import numpy as np
 import pytest
@@ -14,8 +16,8 @@ from hexmg.clustering import (
     SILENT,
     SLOW,
     TX,
-    _classify_silenced,
-    _origin_region,
+    _AXIS_ORIENTATION,
+    _up_offsets,
     assign_messages,
     assignment_fractions,
     clusters,
@@ -23,18 +25,56 @@ from hexmg.clustering import (
     count_links,
     fast_pattern,
     is_master_cell,
+    master_axes,
     master_grid,
-    nearest_masters,
     required_prelogs,
     silenced_sectors,
 )
-from hexmg.lattice import HEX_DIRS, SectorSet, build_network, cell_distance, hex_ball
+from hexmg.lattice import HEX_DIRS, Cell, SectorSet, build_network, cell_distance, hex_ball
 from hexmg.regions import FAMILY_MIXED, FAMILY_SLOW, _need
 
 
 # ---------------------------------------------------------------------------
 # per-cell oracles: silencing, ownership and clusters computed cell by cell
 # over the whole lattice, without the 3t x 3t torus or a sparse-graph library
+
+
+def nearest_masters(cell: Cell, t: int) -> Tuple[int, Tuple[Cell, ...]]:
+    """Distance to and sorted list of nearest masters on the infinite grid."""
+    q, r = cell
+    af = (q + 2 * r) / (3 * t)
+    bf = (q - r) / (3 * t)
+    best: Optional[int] = None
+    winners: List[Cell] = []
+    for a in range(math.floor(af) - 1, math.floor(af) + 3):
+        for b in range(math.floor(bf) - 1, math.floor(bf) + 3):
+            m = ((a + 2 * b) * t, (a - b) * t)
+            d = cell_distance(cell, m)
+            if best is None or d < best:
+                best, winners = d, [m]
+            elif d == best:
+                winners.append(m)
+    return best, tuple(sorted(set(winners)))
+
+
+def _classify_silenced(cell: Cell, t: int) -> Tuple[int, ...]:
+    """Orientations silenced in ``cell`` (empty tuple for active cells)."""
+    d, masters = nearest_masters(cell, t)
+    if d != t:
+        return ()
+    if len(masters) >= 3:
+        m0 = masters[0]
+        off = (cell[0] - m0[0], cell[1] - m0[1])
+        if off in _up_offsets(t):
+            return (0, 1, 2)
+        return ()
+    if len(masters) == 2:
+        ax = (masters[1][0] - masters[0][0], masters[1][1] - masters[0][1])
+        for i, u in enumerate(master_axes(t)):
+            if ax == u or ax == (-u[0], -u[1]):
+                return (_AXIS_ORIENTATION[i],)
+        raise RuntimeError(f"unexpected master pair axis {ax} at {cell}")
+    raise RuntimeError(f"single nearest master at ring distance t: {cell}")
 
 
 def silenced_oracle(net, t):
@@ -98,8 +138,13 @@ def test_torus_plan_matches_per_cell_oracles(t, radius):
     want = clusters_oracle(net, t, silenced)
     assert [(cl.master, cl.sectors) for cl in plan.clusters] == want
     assert any(master is None for master, _ in want)  # boundary pieces covered
-    # the origin is always the interior master nearest itself
-    assert interior_region_oracle(net, t) == ((0, 0), _origin_region(t))
+    # the origin is always the interior master nearest itself, and the torus gives it the
+    # same cells: those whose offset from their first nearest master is their position
+    first = clustering._torus_nearest(t)[2][clustering._torus_index(net.q, net.r, t)]
+    own = (first == np.column_stack([net.q, net.r])).all(axis=1)
+    region = list(zip(net.q[own].tolist(), net.r[own].tolist()))
+    assert interior_region_oracle(net, t) == ((0, 0), region)
+    assert len(region) == 3 * t * t
 
     owner = {s: i for i, (_, sectors) in enumerate(want) for s in sectors}
     off_lattice = [(radius + 1, 0, 0), (0, -radius - 1, 2), (radius, 1, 1)]
@@ -176,9 +221,15 @@ def test_silencing_periodic_and_ownership_translates(t, q, r, a, b):
 def test_torus_silenced_matches_per_cell_classification(t):
     period = 3 * t
     want = np.zeros((period * period, 3), dtype=bool)
+    dist, count, first, last = clustering._torus_nearest(t)
     for q in range(period):
         for r in range(period):
-            want[q * period + r, list(_classify_silenced((q, r), t))] = True
+            row = q * period + r
+            want[row, list(_classify_silenced((q, r), t))] = True
+            d, near = nearest_masters((q, r), t)
+            assert (dist[row], count[row]) == (d, len(near))
+            assert tuple(first[row]) == (q - near[0][0], r - near[0][1])
+            assert tuple(last[row]) == (q - near[-1][0], r - near[-1][1])
     assert np.array_equal(clustering._torus_silenced(t), want)
 
 
@@ -287,23 +338,20 @@ def test_cluster_master_is_among_nearest():
 
 
 def count_links_oracle(plan, side):
-    """Reference count: the sizes of the tuple neighbourhoods of the region."""
-    region = _origin_region(plan.t)
+    """Reference count: the sizes of the tuple neighbourhoods of the cells
+    the origin master owns, found cell by cell."""
+    region = [c for c in hex_ball(plan.t) if nearest_masters(c, plan.t)[1][0] == (0, 0)]
     if side == TX:
         return sum(len(plan.net.tx_neighbors[(q, r, o)]) for (q, r) in region for o in range(3))
     return sum((q + dq, r + dr) in plan.net.cells for (q, r) in region for dq, dr in HEX_DIRS)
 
 
-@pytest.mark.parametrize("t", [1, 2, 3, 4])
+@pytest.mark.parametrize("t", range(1, 9))
 def test_link_counts_by_enumeration(t):
-    net = build_network(6 * t)
-    plan = clusters(net, t)
-    assert count_links(plan, TX) == 36 * t * t
-    assert count_links(plan, RX) == 18 * t * t
     for radius in (3 * t, 3 * t + 1, 6 * t):
         plan = clusters(build_network(radius), t)
-        for side in (TX, RX):
-            assert count_links(plan, side) == count_links_oracle(plan, side)
+        assert count_links(plan, TX) == count_links_oracle(plan, TX) == 36 * t * t
+        assert count_links(plan, RX) == count_links_oracle(plan, RX) == 18 * t * t
 
 
 def test_link_count_needs_interior_cluster():
@@ -331,13 +379,13 @@ def roles_of(plan):
 def assignment_oracle(net, t, mode):
     """Roles sector by sector from the per-cell silencing and the fast pattern."""
     silenced = silenced_oracle(net, t)
-    fast = fast_pattern(t) if mode == MODE_MIXED else frozenset()
     period = 3 * t
+    fast = fast_pattern(t) if mode == MODE_MIXED else np.zeros((period * period, 3), dtype=bool)
     roles = {}
     for s in net.sectors:
         if s in silenced:
             roles[s] = SILENT
-        elif (s[0] % period, s[1] % period, s[2]) in fast:
+        elif fast[(s[0] % period) * period + s[1] % period, s[2]]:
             roles[s] = FAST
         else:
             roles[s] = SLOW
@@ -395,7 +443,23 @@ def test_slow_only_assignment():
 def test_fast_pattern_exact_density_on_torus():
     for t in (1, 2, 3, 4, 5):
         pat = fast_pattern(t)
-        assert len(pat) == 9 * t * t  # exactly one third of 27*t**2 sectors
+        assert pat.shape == (9 * t * t, 3) and pat.dtype == bool
+        assert np.count_nonzero(pat) == 9 * t * t  # exactly one third of 27*t**2 sectors
+
+
+def test_fast_pattern_table_is_read_only():
+    """Every caller shares the cached table: a write raises and leaves later
+    assignments as they were."""
+    net = build_network(6)
+    plan = clusters(net, 2)
+    want = assign_messages(plan, MODE_MIXED).roles
+    table = fast_pattern(2)
+    with pytest.raises(ValueError):
+        table[0, 0] = not table[0, 0]
+    with pytest.raises(ValueError):
+        table[:] = False
+    assert fast_pattern(2) is table
+    assert np.array_equal(assign_messages(plan, MODE_MIXED).roles, want)
 
 
 def test_message_counts_match_closed_forms():
