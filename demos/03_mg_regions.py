@@ -4,7 +4,7 @@ Reproduces the headline comparison for m=3 antennas and delay budget d=20 at
 cluster parameter t=4: with generous cooperation prelogs the achievable
 region nearly fills the impossibility region, while starving the cooperation
 links collapses both.  All vertices are exact rationals; an SVG of the four
-boundaries is written next to this script.
+boundaries is written to mg_regions.svg in the current directory.
 """
 
 from fractions import Fraction
@@ -47,6 +47,6 @@ tri = inner_bound(zero)
 print("zero prelogs, inner vertices:",
       [(str(v.sf), str(v.ss)) for v in tri.vertices])
 
-out = Path(__file__).with_name("mg_regions.svg")
+out = Path("mg_regions.svg")
 out.write_text(region_svg(curves))
 print(f"\nwrote {out}")

@@ -4,10 +4,17 @@ Each group is a generator of :class:`Check` records.  The CLI formats the
 records into the verify-all report and the acceptance suite asserts that
 each one passed.  The paper's reference values (region vertices, link and
 message counts, limiting fractions, tolerances) live here and nowhere else.
+
+:func:`all_checks` runs the groups on two cores: one child made by
+``os.fork`` runs the ZF group while the calling process runs the other five,
+and the records come back in the same report order as a run in one process.
+So verify-all needs ``os.fork``, which Linux has.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
 from dataclasses import replace
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
@@ -220,11 +227,51 @@ def structural_checks() -> Iterator[Check]:
     yield Check("structural: mixed and all-slow points share the sum gain", ok_sum, "")
 
 
+def _zf_child(read_fd: int, write_fd: int, zf_trials: int, seed: int) -> None:
+    """The forked child: pickle ``(True, records)`` or ``(False, exception)``
+    into the pipe and leave through ``os._exit``, never returning into the
+    caller's frames (no atexit handlers, no flush of inherited buffers)."""
+    status = 1
+    try:
+        os.close(read_fd)  # so a write fails once the parent stops reading
+        try:
+            result = (True, list(zf_checks(zf_trials, seed)))
+        except Exception as exc:
+            result = (False, exc)
+        with open(write_fd, "wb") as pipe:
+            pipe.write(pickle.dumps(result))
+        status = 0
+    finally:
+        os._exit(status)
+
+
 def all_checks(radius: int, zf_trials: int, seed: int) -> Iterator[Check]:
-    """Every verify-all group, in report order."""
-    yield from fig6_checks()
-    yield from counting_checks()
-    yield from fraction_checks(radius)
-    yield from zf_checks(zf_trials, seed)
-    yield from schedule_checks()
-    yield from structural_checks()
+    """Every verify-all group, in report order.
+
+    One forked child runs the ZF group while this process runs the other
+    five.  The fork, the five groups and the reaping of the child all happen
+    before the first record is yielded, so an abandoned generator leaves no
+    child behind.  A child's exception is raised here again, with its type
+    and message; a child that sends no result raises ``RuntimeError``.
+    """
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        _zf_child(read_fd, write_fd, zf_trials, seed)
+    os.close(write_fd)
+    pipe = open(read_fd, "rb")
+    try:
+        head = [*fig6_checks(), *counting_checks(), *fraction_checks(radius)]
+        tail = [*schedule_checks(), *structural_checks()]
+        payload = pipe.read()
+    finally:
+        pipe.close()  # a child still writing gets EPIPE and exits
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status != 0 or not payload:
+        raise RuntimeError(f"the zf check child exited with status {status} and sent no result")
+    ok, result = pickle.loads(payload)
+    if not ok:
+        raise result
+    yield from head
+    yield from result
+    yield from tail

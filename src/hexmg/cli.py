@@ -385,7 +385,7 @@ def _inject_config(argv: List[str]) -> List[str]:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="directory for emitted files")
-    common.add_argument("--seed", type=int, default=0, help="global random seed")
+    common.add_argument("--seed", type=_nonnegative_int, default=0, help="global random seed")
 
     parser = argparse.ArgumentParser(
         prog="hexmg",

@@ -405,7 +405,7 @@ def fast_pattern(t: int) -> np.ndarray:
     if np.count_nonzero(table) != n:
         raise RuntimeError(f"fast pattern degenerate for t={t}")
     table.flags.writeable = False
-    return table
+    return table.view()  # a view of a read-only base cannot be made writable
 
 
 def _hopcroft_karp(adj: List[List[int]], n_cols: int) -> List[int]:

@@ -210,7 +210,8 @@ def build_network(radius: int) -> Network:
             nbr[o::NUM_ORIENTATIONS, k] = np.where(cell >= 0, NUM_ORIENTATIONS * cell + o2, -1)
     for a in (q, r, nbr):
         a.flags.writeable = False
-    return Network(radius, q, r, nbr)
+    # views of read-only bases: a caller cannot set writeable back to True
+    return Network(radius, q.view(), r.view(), nbr.view())
 
 
 def tx_neighbors(net: Network, sector: Sector) -> FrozenSet[Sector]:

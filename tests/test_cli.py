@@ -139,6 +139,27 @@ def test_verify_all_refuses_a_radius_below_12_before_any_check(capsys, monkeypat
     assert radii == [12]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["verify-all", "--radius", "12"], ["zf", "--t", "1", "--m", "1", "--trials", "1"]],
+    ids=["verify-all", "zf"],
+)
+def test_negative_seed_is_refused_before_any_check(capsys, monkeypatch, tmp_path, argv):
+    """The parser refuses a negative ``--seed`` by name, given as a flag or in
+    a config file, before any check or trial runs."""
+    def boom(*args, **kwargs):
+        raise AssertionError("no check may run on a negative seed")
+
+    monkeypatch.setattr(checks, "all_checks", boom)
+    monkeypatch.setattr(precoding, "run_trials", boom)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = -1\n")
+    for extra in (["--seed", "-1"], ["--config", str(cfg)]):
+        code, stdout, err = run(capsys, *argv, *extra)
+        assert (code, stdout) == (2, "")
+        assert err.endswith(f"hexmg {argv[0]}: error: argument --seed: must be a non-negative integer, got -1\n")
+
+
 def test_uncut_lattice_is_a_usage_error(capsys, monkeypatch):
     """The two-masters ``UncutLatticeError`` of ``clusters`` ends in a message,
     not a traceback; no CLI input reaches it, so silencing is switched off."""
@@ -217,12 +238,15 @@ def test_lattice_summary_builds_no_tuples(capsys, monkeypatch, radius):
 
 def test_cli_import_loads_no_scipy():
     """The library needs numpy alone: importing the CLI in a fresh
-    interpreter loads no scipy module (which cost 0.4 s and 30 MB a launch)."""
+    interpreter loads no scipy module (which cost 0.4 s and 30 MB a launch),
+    and no ``multiprocessing`` or ``concurrent`` module (verify-all forks
+    its one child with ``os.fork``; a process pool adds about 20 ms a launch)."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     code = (
         "import sys, hexmg, hexmg.cli; "
         "print(hexmg.__file__); "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('scipy', 'multiprocessing', 'concurrent')))"
     )
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}

@@ -448,8 +448,8 @@ def test_fast_pattern_exact_density_on_torus():
 
 
 def test_fast_pattern_table_is_read_only():
-    """Every caller shares the cached table: a write raises and leaves later
-    assignments as they were."""
+    """Every caller shares the cached table: a write raises, the table cannot
+    be made writable again, and later assignments stay as they were."""
     net = build_network(6)
     plan = clusters(net, 2)
     want = assign_messages(plan, MODE_MIXED).roles
@@ -458,6 +458,9 @@ def test_fast_pattern_table_is_read_only():
         table[0, 0] = not table[0, 0]
     with pytest.raises(ValueError):
         table[:] = False
+    with pytest.raises(ValueError):
+        table.flags.writeable = True
+    assert not table.flags.writeable
     assert fast_pattern(2) is table
     assert np.array_equal(assign_messages(plan, MODE_MIXED).roles, want)
 

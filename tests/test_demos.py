@@ -1,12 +1,13 @@
-"""Every demo script runs to completion from a copy in a scratch directory."""
+"""Every demo script runs to completion in place, from a temporary working
+directory, and leaves the source tree as it found it."""
 
 import runpy
-import shutil
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+DEMO_DIR = Path(__file__).resolve().parent.parent / "demos"
+DEMOS = sorted(DEMO_DIR.glob("*.py"))
 
 
 def test_all_demos_found():
@@ -14,9 +15,14 @@ def test_all_demos_found():
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
-def test_demo_runs(demo, tmp_path, capsys):
-    # 03_mg_regions.py writes its SVG next to __file__, so run a copy
-    script = tmp_path / demo.name
-    shutil.copy(demo, script)
-    runpy.run_path(str(script), run_name="__main__")
-    assert capsys.readouterr().out
+def test_demo_runs(demo, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    before = set(DEMO_DIR.rglob("*"))
+    runpy.run_path(str(demo), run_name="__main__")
+    out = capsys.readouterr().out
+    assert out
+    assert set(DEMO_DIR.rglob("*")) == before
+    assert str(DEMO_DIR) not in out and str(tmp_path) not in out
+    if demo.stem == "03_mg_regions":
+        assert out.endswith("\nwrote mg_regions.svg\n")
+        assert (tmp_path / "mg_regions.svg").read_text().startswith("<svg ")

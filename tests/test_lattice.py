@@ -111,6 +111,10 @@ def test_neighbor_array_layout():
             assert (net.sectors[j] == want) if j >= 0 else (want[:2] not in net.cells)
     with pytest.raises(ValueError):
         net.nbr[0, 0] = 0  # the arrays are read-only
+    for a in (net.q, net.r, net.nbr):
+        with pytest.raises(ValueError):
+            a.flags.writeable = True  # and stay so
+        assert not a.flags.writeable
 
 
 @pytest.mark.parametrize("radius,cells,sectors", [(1, 7, 21), (2, 19, 57)])
