@@ -23,16 +23,13 @@ from .clustering import (
     TX,
     Cluster,
     ClusterPlan,
-    PrelogRequirement,
     UncutLatticeError,
     assign_messages,
     assignment_fractions,
     clusters,
-    conferencing_message_count,
     count_links,
     fast_pattern,
     master_grid,
-    required_prelogs,
     silenced_sectors,
 )
 from .regions import (
@@ -40,6 +37,7 @@ from .regions import (
     FAMILY_NO_COOP,
     FAMILY_SLOW,
     MGPoint,
+    PrelogRequirement,
     Region,
     SystemParams,
     boundary_samples,
@@ -50,6 +48,7 @@ from .regions import (
     max_sum_mg,
     mg_point,
     outer_bound,
+    required_prelogs,
     scheme_point,
     sum_gain_cap,
 )

@@ -16,7 +16,6 @@ from __future__ import annotations
 import os
 import pickle
 from dataclasses import replace
-from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from typing import Iterator, List, NamedTuple, Tuple
 
@@ -36,11 +35,12 @@ class Check(NamedTuple):
 
 
 def decimal_str(fr: Fraction, places: int = 6) -> str:
-    """Exact decimal expansion of a rational, round-half-even."""
-    with localcontext() as ctx:
-        ctx.prec = 80
-        d = Decimal(fr.numerator) / Decimal(fr.denominator)
-        return str(d.quantize(Decimal(1).scaleb(-places), rounding=ROUND_HALF_EVEN))
+    """Exact decimal expansion of a rational of any size, round-half-even."""
+    n, d = fr.numerator, fr.denominator
+    q, r = divmod(abs(n) * 10 ** places, d)
+    q += 2 * r > d or (2 * r == d and q & 1)  # round half to even
+    whole, frac = divmod(q, 10 ** places)
+    return f"{'-' if n < 0 else ''}{whole}.{frac:0{places}d}"
 
 
 def links_per_cluster(t: int) -> Tuple[int, int]:
@@ -67,10 +67,19 @@ def fig6_checks() -> Iterator[Check]:
         yield Check(f"region: {name}", got == want, f"vertices {got}")
 
 
+#: The paper's (tx, rx) conferencing message counts of one cluster,
+#: ``scheme -> f(m, t)``.
+MESSAGES_PER_CLUSTER = {
+    "s3": lambda m, t: (12 * m * t * t * (2 * t - 1), 0),
+    "s4": lambda m, t: (2 * m * t * (8 * t * t + 3 * t - 2), 3 * m * (3 * t * t - 1)),
+    "s5": lambda m, t: (6 * m * t * (2 * t - 1), m * (8 * t ** 3 + 6 * t * t + t - 3)),
+}
+
+
 def counting_checks() -> Iterator[Check]:
-    """Enumerated link counts, s4 message counts, prelogs as enumerated
-    messages over enumerated links, the s4/s5 duality and the s2/s3 mirror,
-    for t=1..4."""
+    """Enumerated link counts; messages as the library's prelogs times the
+    enumerated links against the paper's counts, for s4 and then s3–s5; the
+    s4/s5 duality and the s2/s3 mirror, for t=1..4."""
     for t in (1, 2, 3, 4):
         plan = clustering.clusters(lattice.build_network(6 * t), t)
         tx = clustering.count_links(plan, clustering.TX)
@@ -81,28 +90,25 @@ def counting_checks() -> Iterator[Check]:
             tx == want_tx and rx == want_rx,
             f"tx {tx}/{want_tx}, rx {rx}/{want_rx}",
         )
-        ok_msgs = True
-        detail = []
+        needs = {
+            (s, m): regions.required_prelogs(s, t, m) for m in (1, 3) for s in ("s2", "s3", "s4", "s5")
+        }
+        sent = {key: (need.mu_tx * tx, need.mu_rx * rx) for key, need in needs.items()}
+        yield Check(
+            f"counting: conferencing messages t={t}",
+            all(sent["s4", m] == MESSAGES_PER_CLUSTER["s4"](m, t) for m in (1, 3)),
+            "; ".join(f"m={m}: tx {sent['s4', m][0]}, rx {sent['s4', m][1]}" for m in (1, 3)),
+        )
+        ok_prelogs = all(
+            sent[s, m] == MESSAGES_PER_CLUSTER[s](m, t) for m in (1, 3) for s in ("s3", "s4", "s5")
+        )
         for m in (1, 3):
-            tx_m = clustering.conferencing_message_count(plan, "s4", m, clustering.TX)
-            rx_m = clustering.conferencing_message_count(plan, "s4", m, clustering.RX)
-            ok_msgs &= tx_m == 2 * m * t * (8 * t * t + 3 * t - 2)
-            ok_msgs &= rx_m == 3 * m * (3 * t * t - 1)
-            detail.append(f"m={m}: tx {tx_m}, rx {rx_m}")
-        yield Check(f"counting: conferencing messages t={t}", ok_msgs, "; ".join(detail))
-        ok_prelogs = True
-        for m in (1, 3):
-            for scheme in ("s3", "s4", "s5"):
-                need = clustering.required_prelogs(scheme, t, m)
-                tx_m = clustering.conferencing_message_count(plan, scheme, m, clustering.TX)
-                rx_m = clustering.conferencing_message_count(plan, scheme, m, clustering.RX)
-                ok_prelogs &= (need.mu_tx, need.mu_rx) == (Fraction(tx_m, tx), Fraction(rx_m, rx))
-            r2, r3, r4, r5 = (clustering.required_prelogs(s, t, m) for s in ("s2", "s3", "s4", "s5"))
+            r2, r3, r4, r5 = (needs[s, m] for s in ("s2", "s3", "s4", "s5"))
             ok_prelogs &= r4.total == r5.total and (r2.mu_tx, r2.mu_rx) == (r3.mu_rx, r3.mu_tx)
         yield Check(
             f"counting: prelog formulas and s4/s5 duality t={t}",
             ok_prelogs,
-            f"sum {clustering.required_prelogs('s4', t, 3).total}",
+            f"sum {needs['s4', 3].total}",
         )
 
 

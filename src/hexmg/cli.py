@@ -86,7 +86,7 @@ def cmd_lattice(args: argparse.Namespace) -> int:
     per_cell = net.nbr.reshape(len(net.q), -1)
     interior_ok = bool((per_cell[net.interior_mask(1)] >= 0).all())
     print(
-        f"lattice radius={args.radius} m={args.m}: {len(net.q)} cells, "
+        f"lattice radius={args.radius}: {len(net.q)} cells, "
         f"{len(net.nbr)} sectors, {len(src)} directed interference links, "
         f"interior degree 4: {'ok' if interior_ok else 'VIOLATED'}"
     )
@@ -136,11 +136,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 # region
-
-def _region_rows(name: str, region: regions.Region, samples: int) -> List[str]:
-    pts = regions.boundary_samples(region, samples)
-    return [f"{name},{decimal_str(p.sf)},{decimal_str(p.ss)}" for p in pts]
-
 
 def region_svg(curves: Sequence[Tuple[str, List[regions.MGPoint]]]) -> str:
     width, height, margin = 640, 480, 70
@@ -204,12 +199,7 @@ def cmd_region(args: argparse.Namespace) -> int:
     if which in ("outer", "both"):
         curves.append(("outer", regions.outer_bound(params)))
 
-    if args.format == "csv":
-        lines = ["bound,sf,ss"]
-        for name, region in curves:
-            lines += _region_rows(name, region, args.samples)
-        _write_or_print("\n".join(lines) + "\n", args.emit, args.out)
-    elif args.format == "json":
+    if args.format == "json":
         payload = {
             "m": args.m,
             "d": args.d,
@@ -227,13 +217,21 @@ def cmd_region(args: argparse.Namespace) -> int:
                 for name, region in curves
             },
         }
-        _write_or_print(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.emit, args.out)
-    else:  # svg
-        sampled = [
-            (name, regions.boundary_samples(region, args.samples))
-            for name, region in curves
-        ]
-        _write_or_print(region_svg(sampled), args.emit, args.out)
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    else:
+        try:  # spreading samples along the boundary, and plotting, use floats
+            sampled = [(name, regions.boundary_samples(region, args.samples)) for name, region in curves]
+            if args.format == "svg":
+                text = region_svg(sampled)
+            else:
+                rows = [f"{name},{decimal_str(p.sf)},{decimal_str(p.ss)}" for name, pts in sampled for p in pts]
+                text = "\n".join(["bound,sf,ss", *rows]) + "\n"
+        except OverflowError as exc:
+            raise ValueError(
+                f"gains too large for floating point ({exc}): boundary samples and SVG "
+                "need float coordinates; --format json stays exact"
+            ) from exc
+    _write_or_print(text, args.emit, args.out)
     return 0
 
 
@@ -269,6 +267,8 @@ def cmd_converse(args: argparse.Namespace) -> int:
     kind = args.partition or ("four" if args.d is not None else "two")
     if kind == "four" and args.d is None:
         raise ValueError("--d is required for the four-colour partition")
+    if kind == "two" and args.d is not None:
+        raise ValueError("--d applies only to the four-colour partition")
     net = lattice.build_network(args.radius)
     part = (
         partitions.partition_two(net)
@@ -395,7 +395,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lattice", parents=[common], help="build the lattice and emit its interference links")
     p.add_argument("--radius", type=_positive_int, required=True)
-    p.add_argument("--m", type=_positive_int, default=1)
     p.add_argument("--emit", help="CSV file for the directed interference links")
     p.set_defaults(func=cmd_lattice)
 
@@ -418,8 +417,9 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--both", dest="which", action="store_const", const="both")
     p.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
     p.add_argument("--samples", type=_sample_count, default=2, help="boundary sample count")
-    p.add_argument("--t", type=_positive_int, default=None, help="single cluster parameter (default: floor((d-2)/4))")
-    p.add_argument("--t-sweep", action="store_true", help="sweep every admissible t")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--t", type=_positive_int, default=None, help="single cluster parameter (default: floor((d-2)/4))")
+    group.add_argument("--t-sweep", action="store_true", help="sweep every admissible t")
     p.add_argument("--emit", help="output file (default: stdout)")
     p.set_defaults(func=cmd_region)
 

@@ -517,61 +517,6 @@ def count_links(plan: ClusterPlan, side: str) -> int:
     raise ValueError(f"side must be {TX!r} or {RX!r}")
 
 
-def conferencing_message_count(plan: ClusterPlan, scheme: str, m: int, side: str) -> int:
-    """Number of unit-prelog conferencing messages sent per cluster."""
-    if m < 1:
-        raise ValueError("m must be positive")
-    if side not in (TX, RX):
-        raise ValueError(f"side must be {TX!r} or {RX!r}")
-    t = plan.t
-    if scheme == "s3":
-        return 12 * m * t * t * (2 * t - 1) if side == TX else 0
-    if scheme == "s4":
-        if side == TX:
-            return 2 * m * t * (8 * t * t + 3 * t - 2)
-        return 3 * m * (3 * t * t - 1)
-    if scheme == "s5":
-        if side == TX:
-            return 6 * m * t * (2 * t - 1)
-        return m * (8 * t ** 3 + 6 * t * t + t - 3)
-    raise ValueError(f"unsupported scheme {scheme!r} for message counting")
-
-
-@dataclass(frozen=True)
-class PrelogRequirement:
-    mu_tx: Fraction
-    mu_rx: Fraction
-
-    @property
-    def total(self) -> Fraction:
-        return self.mu_tx + self.mu_rx
-
-
-def required_prelogs(scheme: str, t: int, m: int) -> PrelogRequirement:
-    """Per-link cooperation prelogs each scheme needs, as exact rationals."""
-    if not isinstance(t, int) or t < 1:
-        raise ValueError(f"t must be a positive integer, got {t!r}")
-    if m < 1:
-        raise ValueError("m must be positive")
-    if scheme == "s1":
-        return PrelogRequirement(Fraction(0), Fraction(0))
-    if scheme == "s2":
-        return PrelogRequirement(Fraction(0), Fraction(m * (2 * t - 1), 3))
-    if scheme == "s3":
-        return PrelogRequirement(Fraction(m * (2 * t - 1), 3), Fraction(0))
-    if scheme == "s4":
-        return PrelogRequirement(
-            Fraction(2 * m * t * (8 * t * t + 3 * t - 2), 36 * t * t),
-            Fraction(3 * m * (3 * t * t - 1), 18 * t * t),
-        )
-    if scheme == "s5":
-        return PrelogRequirement(
-            Fraction(6 * m * t * (2 * t - 1), 36 * t * t),
-            Fraction(m * (8 * t ** 3 + 6 * t * t + t - 3), 18 * t * t),
-        )
-    raise ValueError(f"unknown scheme {scheme!r}")
-
-
 def assignment_fractions(plan: ClusterPlan, depth: int = 2) -> Dict[str, Fraction]:
     """Census of role fractions over the interior sectors."""
     if plan.roles is None:

@@ -2,21 +2,24 @@
 
 The achievable (inner) region is the convex hull of the operating points of
 five transmission schemes, each time-shared with the no-cooperation baseline
-until the per-link cooperation prelog budget is met.  The impossibility
-(outer) region is the intersection of a cap on the fast gain with two caps on
-the sum gain.  All vertices are ``fractions.Fraction`` pairs; nothing here
-touches floating point.  The arithmetic behind them runs on integers:
-``convex_hull`` puts its points on one common denominator and sorts, dedupes
-and crosses the integer pairs, ``scheme_point`` decides its time-share weight
-by cross-multiplying numerators and denominators and builds one ``Fraction``
-per coordinate, and ``_cross`` gives ``contains`` the sign of a cross product
-from the integer numerators and denominators of its three points.
+until the per-link cooperation prelog budget is met; each scheme's cost is
+stated once, as the messages one cluster sends (``_messages``).  The
+impossibility (outer) region is the intersection of a cap on the fast gain
+with two caps on the sum gain.  All vertices are ``fractions.Fraction``
+pairs; nothing here touches floating point.  The arithmetic behind them runs
+on integers: ``convex_hull`` puts its points on one common denominator and
+sorts, dedupes and crosses the integer pairs, ``scheme_point`` decides its
+time-share weight by cross-multiplying numerators and denominators and builds
+one ``Fraction`` per coordinate, and ``_cross`` gives ``contains`` the sign of
+a cross product from the integer numerators and denominators of its three
+points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import ceil, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -249,15 +252,59 @@ def mixed_t_values(d: int) -> List[int]:
     return vals
 
 
-# The three helpers below only add and multiply, so they evaluate on symbolic
-# m, t, an and ad as well as on ints.
+# Cooperation prices.  The helpers below only add and multiply, so they
+# evaluate on symbolic m, t and λ as well as on ints.
+
+def _messages(scheme: str, m, t) -> Tuple:
+    """The scheme table: (tx, rx) unit-prelog conferencing messages one
+    cluster of s1–s5 sends, as polynomials in m and t."""
+    if scheme == "s1":
+        return 0, 0
+    if scheme == "s2":
+        return 0, 6 * m * t * t * (2 * t - 1)
+    if scheme == "s3":
+        return 12 * m * t * t * (2 * t - 1), 0
+    if scheme == "s4":
+        return 2 * m * t * (8 * t * t + 3 * t - 2), 3 * m * (3 * t * t - 1)
+    if scheme == "s5":
+        return 6 * m * t * (2 * t - 1), m * (8 * t ** 3 + 6 * t * t + t - 3)
+    raise ValueError(f"unknown scheme {scheme!r}")
+
+
+@dataclass(frozen=True)
+class PrelogRequirement:
+    mu_tx: Fraction
+    mu_rx: Fraction
+
+    @property
+    def total(self) -> Fraction:
+        return self.mu_tx + self.mu_rx
+
+
+def required_prelogs(scheme: str, t: int, m: int) -> PrelogRequirement:
+    """Per-link cooperation prelogs a scheme needs, as exact rationals: its
+    messages per cluster over the cluster's 36t² tx and 18t² rx links."""
+    if not isinstance(t, int) or t < 1:
+        raise ValueError(f"t must be a positive integer, got {t!r}")
+    if m < 1:
+        raise ValueError("m must be positive")
+    tx, rx = _messages(scheme, m, t)
+    return PrelogRequirement(Fraction(tx, 36 * t * t), Fraction(rx, 18 * t * t))
+
 
 def _need(family: str, m, t) -> Tuple:
-    """Per-link prelog the full scheme needs, as (numerator, denominator):
-    m(2t−1)/3 all-slow, m(4t²−1)(2t+3)/(18t²) mixed."""
+    """Total per-link prelog the full scheme needs, (tx + 2·rx)/(36t²) as
+    (numerator, denominator): s3's for all-slow, s4's for mixed."""
+    tx, rx = _messages("s3" if family == FAMILY_SLOW else "s4", m, t)
+    return tx + 2 * rx, 36 * t * t
+
+
+def _base_gains(family: str, m) -> Tuple:
+    """(fast, slow) gains at λ = 0, each as (numerator, denominator): the
+    no-cooperation baseline, all slow (0, m/2) or all fast (m/2, 0)."""
     if family == FAMILY_SLOW:
-        return m * (2 * t - 1), 3
-    return m * (4 * t * t - 1) * (2 * t + 3), 18 * t * t
+        return (0, 1), (m, 2)
+    return (m, 2), (0, 1)
 
 
 def _full_gains(family: str, m, t) -> Tuple:
@@ -268,25 +315,27 @@ def _full_gains(family: str, m, t) -> Tuple:
     return (m, 3), (m * (2 * t - 1), 3 * t)
 
 
-def _shared_gains(family: str, m, t, an, ad) -> Tuple:
-    """(fast, slow) gains time-shared at λ = (an/ad)/need < 1, each as
-    (numerator, denominator): all-slow (0, m/2 + λ·m(3t−2)/(6t)), mixed
-    (m/2 − λm/6, λ·m(2t−1)/(3t))."""
-    if family == FAMILY_SLOW:
-        q = ad * (2 * t - 1)
-        return (0, 1), (m * t * q + an * (3 * t - 2), 2 * t * q)
-    q = ad * (2 * t + 1) * (2 * t + 3)
-    return (m * q * (2 * t - 1) - 6 * t * t * an, 2 * q * (2 * t - 1)), (6 * t * an, q)
+@lru_cache(maxsize=1024)
+def _family_prices(family: str, m: int, t: int) -> Tuple:
+    """Need, base and full gains of a family; a sweep reuses a few (m, t)."""
+    return _need(family, m, t), _base_gains(family, m), _full_gains(family, m, t)
+
+
+def _time_share(base: Tuple, full: Tuple, ln, ld) -> Tuple:
+    """base + λ·(full − base) at λ = ln/ld, as (numerator, denominator)."""
+    (bn, bd), (fn, fd) = base, full
+    return bn * fd * ld + ln * (fn * bd - bn * fd), bd * fd * ld
 
 
 def scheme_point(family: str, t: int, p: SystemParams) -> MGPoint:
     """Operating point of one scheme family at parameter t.
 
-    Each cooperative scheme is time-shared with the no-cooperation baseline;
-    the time-share weight λ is capped by the available per-link prelog divided
-    by the prelog the full scheme needs.  λ = min(1, available/need) is
-    decided by cross-multiplying integers, and each coordinate is one
-    ``Fraction`` built from an integer numerator and denominator.
+    Each cooperative scheme is time-shared with the no-cooperation baseline:
+    the point is base + λ·(full − base), with the weight λ capped by the
+    available per-link prelog divided by the prelog the full scheme needs.
+    λ = min(1, available/need) is decided by cross-multiplying integers, and
+    each coordinate is one ``Fraction`` built from an integer numerator and
+    denominator.
     """
     m = p.m
     if family == FAMILY_NO_COOP:
@@ -316,12 +365,12 @@ def scheme_point(family: str, t: int, p: SystemParams) -> MGPoint:
     if dual:
         xn, xd = p.mu_tx.numerator, p.mu_tx.denominator
         an, ad = an * xd + xn * ad, ad * xd
-    nn, nd = _need(family, m, t)
-    if an * nd >= ad * nn:  # available >= need: λ = 1
-        sf, ss = _full_gains(family, m, t)
-    else:
-        sf, ss = _shared_gains(family, m, t, an, ad)
-    return MGPoint(Fraction(*sf), Fraction(*ss))
+    (nn, nd), (base_sf, base_ss), (sf, ss) = _family_prices(family, m, t)
+    if an * nd < ad * nn:  # available < need: λ = (an/ad)/(nn/nd) < 1
+        ln, ld = an * nd, ad * nn
+        sf, ss = _time_share(base_sf, sf, ln, ld), _time_share(base_ss, ss, ln, ld)
+    # a zero coordinate (every all-slow fast gain) reuses _ZERO: no gcd taken
+    return MGPoint(Fraction(*sf) if sf[0] else _ZERO, Fraction(*ss) if ss[0] else _ZERO)
 
 
 def inner_bound(p: SystemParams, t_values: Optional[Iterable[int]] = None) -> Region:

@@ -1,13 +1,17 @@
 """``all_checks`` runs the ZF group in one forked child: the same records in
 the same order as the six groups run in this process, the child's errors
-raised in the caller, and no child left behind on any path."""
+raised in the caller, and no child left behind on any path.  The counting
+checks compare the library's prelogs with the paper's message counts, so a
+drifted prelog fails them."""
 
 import os
 import signal
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
-from hexmg import checks, precoding
+from hexmg import checks, precoding, regions
 from hexmg.cli import main
 
 RADIUS, TRIALS = 12, 3
@@ -137,3 +141,25 @@ def test_abandoned_generator_starts_no_child(forks):
     unstarted = checks.all_checks(RADIUS, TRIALS, 0)
     unstarted.close()
     assert len(forks) == 1
+
+
+def test_drifted_prelogs_fail_the_counting_checks(monkeypatch, capsys):
+    """One more tx message per cluster in s4's prelog fails both records that
+    count messages, at every t, and verify-all with them."""
+    real = regions.required_prelogs
+
+    def drifted(scheme, t, m):
+        need = real(scheme, t, m)
+        return replace(need, mu_tx=need.mu_tx + Fraction(1, 36 * t * t)) if scheme == "s4" else need
+
+    monkeypatch.setattr(regions, "required_prelogs", drifted)
+    failed = [name for name, ok, _ in checks.counting_checks() if not ok]
+    assert failed == [
+        f"counting: {check} t={t}"
+        for t in (1, 2, 3, 4)
+        for check in ("conferencing messages", "prelog formulas and s4/s5 duality")
+    ]
+    assert main(["verify-all", "--radius", "12", "--zf-trials", "1"]) == 1
+    report = capsys.readouterr().out
+    assert report.count(": FAIL") == 8
+    assert "CHECK counting: conferencing messages t=1: FAIL (m=1: tx 19, rx 6; m=3: tx 55, rx 18)\n" in report

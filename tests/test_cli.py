@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hexmg import checks, clustering, lattice, partitions, precoding
+from hexmg import checks, clustering, lattice, partitions, precoding, regions
 from hexmg.checks import decimal_str
 from hexmg.cli import main
 
@@ -27,6 +27,9 @@ def test_decimal_str_round_half_even():
     assert decimal_str(Fraction(87, 56), 4) == "1.5536"
     assert decimal_str(Fraction(1, 2), 4) == "0.5000"
     assert decimal_str(Fraction(53, 30)) == "1.766667"
+    assert decimal_str(Fraction(10 ** 100, 3), 4) == "3" * 100 + ".3333"  # past 80 digits
+    assert decimal_str(Fraction(5, 10 ** 7)) == "0.000000"  # a tie rounds to even
+    assert decimal_str(Fraction(-1, 10 ** 9)) == "-0.000000"
 
 
 def test_region_csv_matches_reference_curves(capsys, tmp_path):
@@ -89,17 +92,63 @@ def test_region_usage_error(capsys):
         ["region", "--m", "3", "--d", "20", "--t", "11"],
         ["region", "--m", "3", "--d", "20", "--samples", "-5"],
         ["region", "--m", "3", "--d", "20", "--samples", "1"],
+        # a sweep would silently drop --t
+        ["region", "--m", "3", "--d", "20", "--t", "2", "--t-sweep", "--format", "json"],
         ["zf", "--t", "1", "--m", "1", "--trials", "1", "--tol", "nan"],
         ["zf", "--t", "1", "--m", "1", "--trials", "1", "--tol", "-1"],
         ["zf", "--t", "1", "--m", "1", "--trials", "1", "--tol", "inf"],
     ],
-    ids=["t-beyond-slow-range", "samples-negative", "samples-one", "tol-nan", "tol-negative", "tol-inf"],
+    ids=["t-beyond-slow-range", "samples-negative", "samples-one", "t-with-t-sweep",
+         "tol-nan", "tol-negative", "tol-inf"],
 )
 def test_out_of_range_input_is_a_usage_error(capsys, argv):
     code, stdout, err = run(capsys, *argv)
     assert code == 2
     assert stdout == ""
     assert err.strip()
+
+
+#: 10^400: gains of this size are past the float range (about 1.8e308)
+HUGE = 10 ** 400
+
+
+@pytest.mark.parametrize("extra", [["--samples", "5"], ["--format", "svg"]], ids=["csv-samples", "svg"])
+def test_region_gains_past_float_range_are_a_usage_error(capsys, extra):
+    """Spreading samples along the boundary and drawing the SVG take floats:
+    gains past their range end in one ``hexmg:`` line naming the cause."""
+    code, stdout, err = run(capsys, "region", "--m", str(HUGE), "--d", "20", *extra)
+    assert (code, stdout) == (2, "")
+    assert err.startswith("hexmg: gains too large for floating point (")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_region_json_and_csv_stay_exact_past_float_range(capsys):
+    """Scaling m and both prelogs by 10^400 scales every vertex by 10^400:
+    the JSON vertices and the CSV rows at the default ``--samples`` are
+    exact at that size."""
+    small = ["region", "--m", "3", "--mu-tx", "1/10", "--mu-rx", "1/5", "--d", "20"]
+    big = ["region", "--m", str(3 * HUGE), "--mu-tx", str(HUGE // 10), "--mu-rx", str(HUGE // 5), "--d", "20"]
+    bounds = []
+    for argv in (small, big):
+        code, stdout, err = run(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        bounds.append({
+            name: [(Fraction(*v["sf"]), Fraction(*v["ss"])) for v in vertices]
+            for name, vertices in json.loads(stdout)["bounds"].items()
+        })
+    assert bounds[1] == {
+        name: [(sf * HUGE, ss * HUGE) for sf, ss in vertices] for name, vertices in bounds[0].items()
+    }
+    code, stdout, err = run(capsys, *big)
+    assert (code, err) == (0, "")
+    params = regions.SystemParams(m=3 * HUGE, mu_tx=HUGE // 10, mu_rx=HUGE // 5, d=20)
+    chains = (("inner", regions.inner_bound(params, [4])), ("outer", regions.outer_bound(params)))
+    rows = stdout.splitlines()
+    assert rows == ["bound,sf,ss"] + [
+        f"{name},{decimal_str(p.sf)},{decimal_str(p.ss)}"
+        for name, region in chains for p in regions.upper_right_chain(region)
+    ]
+    assert rows[1].startswith("inner,0.000000,155357142857142857142857")  # 87/56 · 10^400
 
 
 def test_region_accepts_largest_admissible_t(capsys):
@@ -199,7 +248,7 @@ def test_other_runtime_errors_keep_their_traceback(monkeypatch):
 
 def test_lattice_emit_sorted_directed_edges(capsys, tmp_path):
     out = tmp_path / "lattice.csv"
-    code, stdout, _ = run(capsys, "lattice", "--radius", "2", "--m", "1", "--emit", str(out))
+    code, stdout, _ = run(capsys, "lattice", "--radius", "2", "--emit", str(out))
     assert code == 0
     lines = out.read_text().strip().splitlines()
     assert lines[0] == (
@@ -231,7 +280,7 @@ def test_lattice_summary_builds_no_tuples(capsys, monkeypatch, radius):
     cells = 3 * radius * (radius + 1) + 1
     links = 2 * len(lattice.interference_graph(net))  # each unordered pair twice
     assert stdout == (
-        f"lattice radius={radius} m=1: {cells} cells, {3 * cells} sectors, "
+        f"lattice radius={radius}: {cells} cells, {3 * cells} sectors, "
         f"{links} directed interference links, interior degree 4: ok\n"
     )
 
@@ -280,9 +329,10 @@ def test_lattice_interior_check_reaches_every_full_cell(capsys, monkeypatch, rad
 #: lattice (lattice, cluster) and before the array channels and the integer
 #: cross products (zf, region, verify-all): these outputs must not move.
 EMIT_DIGESTS = {
-    ("lattice", "--radius", "8", "--m", "3"): (
+    # the stdout digest was re-recorded when the dead ``--m`` label left the summary
+    ("lattice", "--radius", "8"): (
         "fba3e296552ab0704d6b625fe9ff09989c237d4c9c4c1ac2c1f1370e35218580",
-        "5551503e0cd9d87d4bb8dbbbd71077a29b396081e5318b1e9afaf648bb8acb6d",
+        "02cbf632a761eee4651d4629be3d7886c45a92e5fca8cdbd41f5325eddcf005d",
     ),
     ("cluster", "--radius", "30", "--t", "2", "--mode", "mixed", "--check-counts"): (
         "d6de1763a846b837b9d2afaec242bb9e3e0d474d384d9ef6f47c2aa7fcefc5bd",
@@ -392,6 +442,14 @@ def test_converse_four_without_d_is_a_usage_error(capsys):
     assert stdout == ""
     assert err == "hexmg: --d is required for the four-colour partition\n"
     assert "Traceback" not in err
+
+
+def test_converse_two_with_d_is_a_usage_error(capsys):
+    """``--d`` spaces the four-colour partition; the two-colour one has no
+    use for it, so the pair is refused rather than ignored."""
+    code, stdout, err = run(capsys, "converse", "--radius", "10", "--partition", "two", "--d", "3")
+    assert (code, stdout) == (2, "")
+    assert err == "hexmg: --d applies only to the four-colour partition\n"
 
 
 def readme_commands():

@@ -4,6 +4,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from hexmg import clustering
@@ -21,17 +22,15 @@ from hexmg.clustering import (
     assign_messages,
     assignment_fractions,
     clusters,
-    conferencing_message_count,
     count_links,
     fast_pattern,
     is_master_cell,
     master_axes,
     master_grid,
-    required_prelogs,
     silenced_sectors,
 )
 from hexmg.lattice import HEX_DIRS, Cell, SectorSet, build_network, cell_distance, hex_ball
-from hexmg.regions import FAMILY_MIXED, FAMILY_SLOW, _need
+from hexmg.regions import FAMILY_MIXED, FAMILY_SLOW, _need, required_prelogs
 
 
 # ---------------------------------------------------------------------------
@@ -465,31 +464,35 @@ def test_fast_pattern_table_is_read_only():
     assert np.array_equal(assign_messages(plan, MODE_MIXED).roles, want)
 
 
+#: The paper's conferencing messages one cluster sends, ``scheme -> (tx,
+#: rx)``, on symbolic or integer t and m.
+MESSAGES = {
+    "s2": lambda t, m: (0, 6 * m * t**2 * (2 * t - 1)),
+    "s3": lambda t, m: (12 * m * t**2 * (2 * t - 1), 0),
+    "s4": lambda t, m: (2 * m * t * (8 * t**2 + 3 * t - 2), 3 * m * (3 * t**2 - 1)),
+    "s5": lambda t, m: (6 * m * t * (2 * t - 1), m * (8 * t**3 + 6 * t**2 + t - 3)),
+}
+
+
+def messages_over_links(plan, scheme, m):
+    """Messages as the library's prelogs times the enumerated links."""
+    need = required_prelogs(scheme, plan.t, m)
+    return need.mu_tx * count_links(plan, TX), need.mu_rx * count_links(plan, RX)
+
+
 def test_message_counts_match_closed_forms():
     net = build_network(12)
     plan = clusters(net, 1)
-    assert conferencing_message_count(plan, "s4", 3, TX) == 54
-    assert conferencing_message_count(plan, "s4", 3, RX) == 18
-    assert conferencing_message_count(plan, "s5", 3, TX) == 18
+    assert messages_over_links(plan, "s4", 3) == (54, 18)
+    assert messages_over_links(plan, "s5", 3)[0] == 18
+    assert messages_over_links(plan, "s1", 3) == (0, 0)
     for t in (1, 2, 3, 4):
         plan_t = clusters(net, t) if 3 * t <= net.radius else None
         if plan_t is None:
             continue
         for m in (1, 3):
-            assert conferencing_message_count(plan_t, "s4", m, TX) == 2 * m * t * (
-                8 * t * t + 3 * t - 2
-            )
-            assert conferencing_message_count(plan_t, "s4", m, RX) == 3 * m * (
-                3 * t * t - 1
-            )
-            assert conferencing_message_count(plan_t, "s5", m, TX) == 6 * m * t * (
-                2 * t - 1
-            )
-            assert conferencing_message_count(plan_t, "s5", m, RX) == m * (
-                8 * t ** 3 + 6 * t * t + t - 3
-            )
-    with pytest.raises(ValueError):
-        conferencing_message_count(plan, "s1", 1, TX)
+            for scheme in ("s4", "s5"):
+                assert messages_over_links(plan_t, scheme, m) == MESSAGES[scheme](t, m)
 
 
 def test_required_prelogs_examples():
@@ -535,7 +538,6 @@ def test_prelog_duality_and_mirror_for_symbolic_t_and_m():
     """s4 and s5 need the same total prelog, m(4t²−1)(2t+3)/(18t²), and s2
     is s3 with the tx and rx sides swapped, for every t and m; the stated
     polynomials are those of ``required_prelogs`` at t = 1..8, m = 1..3."""
-    sympy = pytest.importorskip("sympy")
     t, m = sympy.symbols("t m", positive=True, integer=True)
     s4, s5 = REQUIRED_PRELOGS["s4"](t, m), REQUIRED_PRELOGS["s5"](t, m)
     total = m * (4 * t**2 - 1) * (2 * t + 3) / (18 * t**2)
@@ -565,21 +567,12 @@ def test_required_prelogs_state_the_region_need():
 
 
 def test_prelogs_equal_messages_over_enumerated_links():
-    # dual route: closed-form prelogs vs counted messages over counted links
+    # dual route: the library's prelogs times counted links vs the paper's messages
     for t in (1, 2, 3):
-        net = build_network(6 * t)
-        plan = clusters(net, t)
-        tx_links = count_links(plan, TX)
-        rx_links = count_links(plan, RX)
+        plan = clusters(build_network(6 * t), t)
         for m in (1, 2, 3):
-            for scheme in ("s3", "s4", "s5"):
-                need = required_prelogs(scheme, t, m)
-                assert need.mu_tx == Fraction(
-                    conferencing_message_count(plan, scheme, m, TX), tx_links
-                )
-                assert need.mu_rx == Fraction(
-                    conferencing_message_count(plan, scheme, m, RX), rx_links
-                )
+            for scheme in ("s2", "s3", "s4", "s5"):
+                assert messages_over_links(plan, scheme, m) == MESSAGES[scheme](t, m)
 
 
 def test_nearest_master_euclidean_spacing_identity():

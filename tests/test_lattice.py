@@ -89,12 +89,15 @@ def test_array_network_matches_dict_oracle(radius, m, capsys):
         inside = net.interior_mask(depth)
         interior = list(zip(net.q[inside].tolist(), net.r[inside].tolist()))
         assert interior == [c for c in hex_ball(radius) if is_interior(net, c, depth)]
-    # the lattice command states the oracle's counts; --m only labels the line
-    assert main(["lattice", "--radius", str(radius), "--m", str(m)]) == 0
+    # the lattice command states the oracle's counts; the lattice does not
+    # depend on the antennas per user m, so the command takes no --m
+    assert main(["lattice", "--radius", str(radius)]) == 0
     assert capsys.readouterr().out == (
-        f"lattice radius={radius} m={m}: {len(cells)} cells, {len(sectors)} sectors, "
+        f"lattice radius={radius}: {len(cells)} cells, {len(sectors)} sectors, "
         f"{sum(map(len, tx.values()))} directed interference links, interior degree 4: ok\n"
     )
+    assert main(["lattice", "--radius", str(radius), "--m", str(m)]) == 2
+    assert f"unrecognized arguments: --m {m}" in capsys.readouterr().err
 
 
 def test_neighbor_array_layout():
@@ -128,8 +131,10 @@ def test_ball_sizes(radius, cells, sectors):
 def test_rejects_bad_radius_and_m(bad, capsys):
     with pytest.raises(ValueError):
         build_network(bad)
+    assert main(["lattice", "--radius", str(bad)]) == 2
+    assert "--radius: must be a positive integer" in capsys.readouterr().err
     assert main(["lattice", "--radius", "3", "--m", str(bad)]) == 2
-    assert "--m: must be a positive integer" in capsys.readouterr().err
+    assert f"unrecognized arguments: --m {bad}" in capsys.readouterr().err
 
 
 def test_interior_sectors_have_exactly_four_neighbors():

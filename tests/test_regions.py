@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 from hexmg.regions import (
@@ -23,10 +24,12 @@ from hexmg.regions import (
     outer_bound,
     scheme_point,
     sum_gain_cap,
+    _base_gains,
     _cross,
     _full_gains,
+    _messages,
     _need,
-    _shared_gains,
+    _time_share,
     mixed_t_values,
     slow_t_max,
 )
@@ -119,9 +122,9 @@ def test_sum_gain_preserved_between_slow_and_mixed():
 
 
 def test_closed_forms_and_integer_expressions_match_the_lambda_formulas():
-    # symbolic t and m: the lambda = 1 closed forms, the lambda < 1 integer
-    # expressions at lambda = available/need, and the shared sum gain
-    sympy = pytest.importorskip("sympy")
+    # symbolic t and m: the need read from the scheme table, the lambda = 0
+    # and lambda = 1 closed forms, the generic integer time share at
+    # lambda = available/need, and the shared sum gain
     t, m, an, ad = sympy.symbols("t m a_n a_d", positive=True)
     available = an / ad
     need = {
@@ -140,16 +143,32 @@ def test_closed_forms_and_integer_expressions_match_the_lambda_formulas():
         return sympy.simplify(a - b) == 0
 
     for family in (FAMILY_SLOW, FAMILY_MIXED):
-        assert same(ratio(_need(family, m, t)), need[family])
-        full = [ratio(c) for c in _full_gains(family, m, t)]
-        shared = [ratio(c) for c in _shared_gains(family, m, t, an, ad)]
-        for got, want in zip(full, paper[family](1)):
-            assert same(got, want)
+        nn, nd = _need(family, m, t)
+        assert same(ratio((nn, nd)), need[family])
+        base, full = _base_gains(family, m), _full_gains(family, m, t)
+        for lam, gains in ((0, base), (1, full)):
+            for got, want in zip(gains, paper[family](lam)):
+                assert same(ratio(got), want)
+        shared = [_time_share(b, f, an * nd, ad * nn) for b, f in zip(base, full)]
         for got, want in zip(shared, paper[family](available / need[family])):
-            assert same(got, want)
+            assert same(ratio(got), want)
     full_sums = [sum(ratio(c) for c in _full_gains(f, m, t)) for f in (FAMILY_SLOW, FAMILY_MIXED)]
     assert same(full_sums[0], m * (3 * t - 1) / (3 * t))
     assert same(full_sums[1], m * (3 * t - 1) / (3 * t))
+
+
+def test_scheme_table_duality_and_mirror_for_symbolic_t_and_m():
+    """In the scheme table, s4 and s5 send the same total per-link load (tx
+    messages over 36t² links plus rx messages over 18t²), s2 is s3 with the
+    tx and rx sides swapped, and s1 sends nothing, for every t and m."""
+    t, m = sympy.symbols("t m", positive=True, integer=True)
+    (tx4, rx4), (tx5, rx5) = _messages("s4", m, t), _messages("s5", m, t)
+    assert sympy.expand(tx4 + 2 * rx4 - tx5 - 2 * rx5) == 0
+    (tx2, rx2), (tx3, rx3) = _messages("s2", m, t), _messages("s3", m, t)
+    assert (tx2, rx3) == (0, 0) and sympy.expand(tx3 / (36 * t**2) - rx2 / (18 * t**2)) == 0
+    assert _messages("s1", m, t) == (0, 0)
+    with pytest.raises(ValueError, match="unknown scheme 's6'"):
+        _messages("s6", m, t)
 
 
 # ---------------------------------------------------------------------------
