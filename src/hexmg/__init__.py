@@ -9,7 +9,6 @@ from .lattice import (
     Network,
     build_network,
     cell_distance,
-    hex_ball,
     interference_graph,
     tx_neighbors,
 )
@@ -46,7 +45,6 @@ from .regions import (
     inner_bound,
     is_subset,
     max_sum_mg,
-    mg_point,
     outer_bound,
     required_prelogs,
     scheme_point,
@@ -74,6 +72,7 @@ from .partitions import (
     WHITE,
     Partition,
     bound_arithmetic,
+    cap_rule,
     census_fractions,
     fraction_limits,
     partition_four,

@@ -127,9 +127,19 @@ def _census_error(net: lattice.Network, part: partitions.Partition) -> Fraction:
     return max(r.abs_error for r in partitions.census_fractions(net, part))
 
 
+#: The paper's caps on the per-user sum multiplexing gain, ``partition kind
+#: -> f(params)``: the two-colour super receiver's conferencing cap and the
+#: four-colour reconstruction's delay cap.  The outer bound is the smaller.
+SUM_GAIN_CAPS = {
+    partitions.TWO: lambda p: Fraction(p.m, 2) + 2 * p.mu_rx / 3 + 4 * p.mu_tx / 3,
+    partitions.FOUR: lambda p: p.m * (1 - Fraction(1, 2 * (1 + p.d + p.d * p.d))),
+}
+
+
 def fraction_checks(radius: int) -> Iterator[Check]:
     """Role and colour censuses within FRACTION_TOL of their limits, with
-    errors that shrink from radius 20 to 40."""
+    errors that shrink from radius 20 to 40; there the caps the partitions
+    prove on the finite lattice approach the paper's caps from above."""
     net = lattice.build_network(radius)
     for t in (1, 2, 3, 4):
         worst = _role_error(net, t)
@@ -138,7 +148,8 @@ def fraction_checks(radius: int) -> Iterator[Check]:
             worst <= FRACTION_TOL,
             f"worst error {decimal_str(worst)}",
         )
-    four = lambda n: partitions.partition_four(n, 3)
+    params = regions.SystemParams(m=3, mu_tx=Fraction(1, 10), mu_rx=Fraction(1, 5), d=3)
+    four = lambda n: partitions.partition_four(n, params.d)
     for name, builder in (("two-colour", partitions.partition_two), ("four-colour d=3", four)):
         worst = _census_error(net, builder(net))
         yield Check(
@@ -154,11 +165,14 @@ def fraction_checks(radius: int) -> Iterator[Check]:
         e_s, e_b = _role_error(net_s, t), _role_error(net_b, t)
         shrink_ok &= e_b < e_s
         details.append(f"t={t}: {decimal_str(e_s)} -> {decimal_str(e_b)}")
-    for kind, builder in (("two", partitions.partition_two), ("four", four)):
-        e_s = _census_error(net_s, builder(net_s))
-        e_b = _census_error(net_b, builder(net_b))
-        shrink_ok &= e_b < e_s
-        details.append(f"{kind}: {decimal_str(e_s)} -> {decimal_str(e_b)}")
+    for kind, builder in ((partitions.TWO, partitions.partition_two), (partitions.FOUR, four)):
+        part_s, part_b = builder(net_s), builder(net_b)
+        e_s, e_b = _census_error(net_s, part_s), _census_error(net_b, part_b)
+        cap_s, cap_b = (partitions.bound_arithmetic(part, params) for part in (part_s, part_b))
+        cap = SUM_GAIN_CAPS[kind](params)
+        shrink_ok &= e_b < e_s and cap < cap_b < cap_s
+        details.append(f"{kind}: {decimal_str(e_s)} -> {decimal_str(e_b)}, "
+                       f"cap {decimal_str(cap_s)} -> {decimal_str(cap_b)} (paper {decimal_str(cap)})")
     yield Check("fractions: error shrinks radius 20 -> 40", shrink_ok, "; ".join(details))
 
 
@@ -201,9 +215,21 @@ def schedule_checks() -> Iterator[Check]:
     yield Check("schedules: decode/reconstruct deletions and genie removal break the plan", ok_del, "")
 
 
+def sum_gain_drops(m: int, d: int) -> List[Tuple[Fraction, Fraction]]:
+    """The abstract's two claims for even d and full cooperation, as the
+    inner bound's boundary segments ``(fast gain at its end, sum gain lost
+    per unit of fast gain)``: up to fast gain m/3 the sum gain falls by only
+    1/(T(T−1)) at T = d/2 ("hardly decreased"); from m/3 to m/2 by (3t−2)/t
+    at t = (d−2)/2, which tends to 3 (the abstract's "3Δ")."""
+    big_t, t = d // 2, (d - 2) // 2
+    return [(Fraction(m, 3), Fraction(1, big_t * (big_t - 1))),
+            (Fraction(m, 2), Fraction(3 * t - 2, t))]
+
+
 def structural_checks() -> Iterator[Check]:
-    """Inner bound inside outer bound, both monotone in the prelogs, and the
-    mixed and all-slow points sharing their sum gain."""
+    """The outer bound at the paper's caps with the inner bound inside it,
+    both monotone in the prelogs, and the mixed and all-slow points sharing
+    their sum gain, with the sum-gain slopes the abstract states."""
     ok_sub, ok_mono = True, True
     mus = [Fraction(0), Fraction(1, 10), Fraction(1, 5), Fraction(1), Fraction(10)]
     for m in (1, 2, 3):
@@ -214,6 +240,9 @@ def structural_checks() -> Iterator[Check]:
                     p = regions.SystemParams(m=m, mu_tx=mu_tx, mu_rx=mu_rx, d=d)
                     bounds = [regions.inner_bound(p), regions.outer_bound(p)]
                     ok_sub &= regions.is_subset(*bounds)
+                    # the outer bound's largest slow gain is its sum cap
+                    top = max(v.ss for v in bounds[1].vertices)
+                    ok_sub &= top == min(cap(p) for cap in SUM_GAIN_CAPS.values())
                     if mu_tx == mu_rx:
                         diagonal.append(bounds)
             prev: List[regions.Region] = []
@@ -221,7 +250,7 @@ def structural_checks() -> Iterator[Check]:
                 for before, after in zip(prev, bounds):
                     ok_mono &= regions.is_subset(before, after)
                 prev = bounds
-    yield Check("structural: inner bound inside outer bound over sweep", ok_sub, "")
+    yield Check("structural: outer bound at the paper's caps, inner bound inside it, over sweep", ok_sub, "")
     yield Check("structural: bounds monotone in prelogs", ok_mono, "")
 
     ok_sum = True
@@ -230,7 +259,14 @@ def structural_checks() -> Iterator[Check]:
         ps = regions.scheme_point(regions.FAMILY_SLOW, t, big)
         pm = regions.scheme_point(regions.FAMILY_MIXED, t, big)
         ok_sum &= ps.sf + ps.ss == pm.sf + pm.ss == Fraction(3 * (3 * t - 1), 3 * t)
-    yield Check("structural: mixed and all-slow points share the sum gain", ok_sum, "")
+    details = []
+    for d in (20, 40, 100):
+        chain = regions.upper_right_chain(regions.inner_bound(replace(big, d=d)))
+        drops = [(b.sf, (a.sf + a.ss - b.sf - b.ss) / (b.sf - a.sf)) for a, b in zip(chain, chain[1:])]
+        ok_sum &= drops == sum_gain_drops(big.m, d)
+        details.append(f"d={d}: " + ", ".join(str(drop) for _, drop in drops))
+    yield Check("structural: mixed and all-slow points share the sum gain", ok_sum,
+                "sum gain drops " + "; ".join(details))
 
 
 def _zf_child(read_fd: int, write_fd: int, zf_trials: int, seed: int) -> None:

@@ -360,14 +360,33 @@ def _load_config(path: str) -> Dict[str, str]:
     return out
 
 
-def _inject_config(argv: List[str]) -> List[str]:
-    """Turn config-file entries into flags placed before the explicit ones."""
+def _exclusive_groups(parser: argparse.ArgumentParser, command: Optional[str]) -> List[set]:
+    """The option strings of each mutually exclusive group of ``command``,
+    read from argparse's own record of the groups so that ``_build_parser``
+    stays the one place that states them."""
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    sub = subparsers.choices.get(command)
+    if sub is None:
+        return []
+    return [{s for a in g._group_actions for s in a.option_strings}
+            for g in sub._mutually_exclusive_groups]
+
+
+def _inject_config(argv: List[str], parser: argparse.ArgumentParser) -> List[str]:
+    """Turn config-file entries into flags placed before the explicit ones,
+    leaving out the entries of a mutually exclusive group that an explicit
+    flag already sets."""
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
     if i + 1 >= len(argv):
         raise ValueError("--config needs a file path")
     kv = _load_config(argv[i + 1])
+    rest = argv[:i] + argv[i + 2 :]
+    explicit = {a.split("=", 1)[0] for a in rest if a.startswith("--")}
+    for group in _exclusive_groups(parser, rest[0] if rest else None):
+        if explicit & group:
+            kv = {key: value for key, value in kv.items() if f"--{key}" not in group}
     flags: List[str] = []
     for key, value in kv.items():
         if value.lower() == "true":
@@ -376,7 +395,6 @@ def _inject_config(argv: List[str]) -> List[str]:
             continue
         else:
             flags.extend([f"--{key}", value])
-    rest = argv[:i] + argv[i + 2 :]
     if not rest:
         return flags
     return [rest[0]] + flags + rest[1:]
@@ -458,12 +476,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    parser = _build_parser()
     try:
-        argv = _inject_config(argv)
+        argv = _inject_config(argv, parser)
     except (OSError, ValueError) as exc:
         print(f"hexmg: config error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -475,6 +493,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except (ValueError, precoding.RankDeficientError, clustering.UncutLatticeError) as exc:
         print(f"hexmg: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except MemoryError as exc:  # e.g. a --radius whose lattice cannot be allocated
+        print(f"hexmg: out of memory: {exc}", file=sys.stderr)
         return USAGE_ERROR
 
 

@@ -7,15 +7,15 @@ A transmission in a sector is heard, besides its own base station, in exactly
 four sectors of adjacent cells (interior of the lattice); the coupling rule is
 symmetric, translation invariant, and never pairs two sectors of one cell.
 
-A ``Network`` stores the lattice as arrays: the cell coordinates in
-``hex_ball`` order and one ``(3·n_cells, 4)`` neighbour array over the
-integer sector ids ``3·cell + orientation``.  Since ``hex_ball`` is sorted,
-sector ids follow the sorted order of the ``(q, r, o)`` tuples.  Ids and
-arrays are the library's only representation: ``cell_index`` maps coordinate
-arrays to cell ids and ``Network.id_of`` maps one sector tuple to its id, both
-in closed form, and the tuple forms a caller outside the library asks for
-(``sectors``, ``cells``, ``tx_neighbors``) are built from the arrays on first
-use.
+A ``Network`` stores the lattice as arrays: the coordinates of the cells
+within ``radius`` hops of the origin, sorted by ``(q, r)``, and one
+``(3·n_cells, 4)`` neighbour array over the integer sector ids
+``3·cell + orientation``.  Since the cells are sorted, sector ids follow the
+sorted order of the ``(q, r, o)`` tuples.  Ids and arrays are the library's
+only representation: ``cell_index`` maps coordinate arrays to cell ids and
+``Network.id_of`` maps one sector tuple to its id, both in closed form, and
+the tuple forms a caller outside the library asks for (``sectors``,
+``cells``, ``tx_neighbors``) are built from the arrays on first use.
 """
 
 from __future__ import annotations
@@ -54,22 +54,11 @@ def cell_distance(c1: Cell, c2: Cell) -> int:
     return (abs(dq) + abs(dr) + abs(dq + dr)) // 2
 
 
-def hex_ball(radius: int) -> List[Cell]:
-    """All cells within ``radius`` hops of the origin, in sorted order."""
-    cells = []
-    for q in range(-radius, radius + 1):
-        for r in range(-radius, radius + 1):
-            if (abs(q) + abs(r) + abs(q + r)) // 2 <= radius:
-                cells.append((q, r))
-    cells.sort()
-    return cells
-
-
 @dataclass(frozen=True, eq=False)
 class Network:
     """Immutable finite lattice.
 
-    ``q`` and ``r`` hold the cell coordinates in ``hex_ball`` order.  Row
+    ``q`` and ``r`` hold the cell coordinates, sorted by ``(q, r)``.  Row
     ``3·cell + o`` of ``nbr`` lists the ids of the sectors coupled with sector
     ``(q[cell], r[cell], o)``: column ``k`` is ``NEIGHBOR_RULE[o][k]``, and -1
     where that sector falls off the lattice; user-to-user conferencing links
@@ -182,7 +171,7 @@ class SectorSet(Set):
 
 
 def _cell_id(radius: int, q, r):
-    """The id of the on-ball cell ``(q, r)`` in ``hex_ball(radius)`` order, for
+    """The id of the on-ball cell ``(q, r)`` in the sorted cell order, for
     ints or elementwise for arrays.  That order walks the columns q = -R..R
     (R the radius); column q starts at id ``(q + R)(2R + 1) - R(R + 1)/2 -
     |q|(q - 1)/2``, and its first cell has r = -R + max(0, -q)."""
@@ -191,7 +180,7 @@ def _cell_id(radius: int, q, r):
 
 
 def cell_index(radius: int, q: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Per coordinate pair: the id of cell ``(q, r)`` in ``hex_ball(radius)``
+    """Per coordinate pair: the id of cell ``(q, r)`` in the sorted cell
     order, -1 where it falls off the ball."""
     return np.where(cell_distance((q, r), (0, 0)) <= radius, _cell_id(radius, q, r), -1)
 
@@ -202,7 +191,7 @@ def build_network(radius: int) -> Network:
         raise ValueError(f"radius must be a positive integer, got {radius!r}")
     q, r = np.mgrid[-radius : radius + 1, -radius : radius + 1].reshape(2, -1)
     inside = cell_distance((q, r), (0, 0)) <= radius
-    q, r = q[inside], r[inside]  # sorted by (q, r), as hex_ball
+    q, r = q[inside], r[inside]  # sorted by (q, r)
     nbr = np.empty((NUM_ORIENTATIONS * len(q), 4), dtype=np.intp)
     for o, rule in NEIGHBOR_RULE.items():
         for k, (dq, dr, o2) in enumerate(rule):

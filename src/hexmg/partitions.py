@@ -6,19 +6,24 @@ half can decode everything, which prices the sum gain in conferencing
 prelogs.  The four-colour partition places red and blue cells on a sparse
 triangular sublattice (index d*d + d + 1), surrounds every red cell with six
 pink ones, and leaves the rest white; blue cells are reconstructed rather
-than observed, which caps the sum gain by the blue density.
+than observed, which caps the sum gain by the blue density.  Each cap is
+stated once, as ``cap_rule`` of a colour density: the outer bound reads it at
+the limiting densities (``fraction_limits``), ``bound_arithmetic`` at the
+census of a finite lattice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
 from .lattice import Network
-from .regions import SystemParams
+
+if TYPE_CHECKING:
+    from .regions import SystemParams
 
 RED = "RED"
 WHITE = "WHITE"
@@ -111,15 +116,24 @@ def census_fractions(net: Network, part: Partition, depth: int = 2) -> List[Cens
     ]
 
 
+def cap_rule(kind: str, density: Dict[str, Fraction], params: SystemParams) -> Fraction:
+    """Per-user sum multiplexing-gain cap that a partition proves, at the
+    colour densities ``density``.
+
+    Two colours: the red users' own gain, plus the conferencing prelogs the
+    super receiver spends on the white users.  Four colours: every user but
+    the reconstructed blue ones.
+    """
+    if kind == TWO:
+        red = density[RED]
+        return params.m * red + Fraction(4, 3) * (1 - red) * (params.mu_rx + 2 * params.mu_tx)
+    if kind == FOUR:
+        return params.m * (1 - density[BLUE])
+    raise ValueError(f"unknown partition kind {kind!r}")
+
+
 def bound_arithmetic(part: Partition, params: SystemParams) -> Fraction:
-    """Per-user sum multiplexing-gain cap evaluated on the finite census."""
+    """``cap_rule`` at the census of the whole finite lattice."""
     k = len(part.codes)
-    if part.kind == TWO:
-        red = part.census.get(RED, 0)
-        return Fraction(
-            3 * params.m * red, 3 * k
-        ) + Fraction(4 * (k - red), 3 * k) * (params.mu_rx + 2 * params.mu_tx)
-    if part.kind == FOUR:
-        blue = part.census.get(BLUE, 0)
-        return params.m * (1 - Fraction(blue, k))
-    raise ValueError(f"unknown partition kind {part.kind!r}")
+    counts = np.bincount(part.codes, minlength=len(COLORS)).tolist()
+    return cap_rule(part.kind, {c: Fraction(n, k) for c, n in zip(COLORS, counts)}, params)

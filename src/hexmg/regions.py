@@ -5,14 +5,15 @@ five transmission schemes, each time-shared with the no-cooperation baseline
 until the per-link cooperation prelog budget is met; each scheme's cost is
 stated once, as the messages one cluster sends (``_messages``).  The
 impossibility (outer) region is the intersection of a cap on the fast gain
-with two caps on the sum gain.  All vertices are ``fractions.Fraction``
-pairs; nothing here touches floating point.  The arithmetic behind them runs
-on integers: ``convex_hull`` puts its points on one common denominator and
-sorts, dedupes and crosses the integer pairs, ``scheme_point`` decides its
-time-share weight by cross-multiplying numerators and denominators and builds
-one ``Fraction`` per coordinate, and ``_cross`` gives ``contains`` the sign of
-a cross product from the integer numerators and denominators of its three
-points.
+with two caps on the sum gain, the cap rules of the two partitions
+(``partitions.cap_rule``) at their limiting densities.  All vertices are
+``fractions.Fraction`` pairs; nothing here touches floating point.  The
+arithmetic behind them runs on integers: ``convex_hull`` puts its points on
+one common denominator and sorts, dedupes and crosses the integer pairs,
+``scheme_point`` decides its time-share weight by cross-multiplying
+numerators and denominators and builds one ``Fraction`` per coordinate, and
+``_cross`` gives ``contains`` the sign of a cross product from the integer
+numerators and denominators of its three points.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import ceil, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+
+from . import partitions
 
 RatLike = Union[int, str, Fraction]
 
@@ -43,13 +46,6 @@ class MGPoint:
 
     def __iter__(self):
         return iter((self.sf, self.ss))
-
-
-def mg_point(sf: RatLike, ss: RatLike) -> MGPoint:
-    p = MGPoint(_rat(sf), _rat(ss))
-    if p.sf < 0 or p.ss < 0:
-        raise ValueError("multiplexing gains must be non-negative")
-    return p
 
 
 @dataclass(frozen=True)
@@ -81,14 +77,6 @@ class Region:
     """
 
     vertices: Tuple[MGPoint, ...]
-
-    @property
-    def sf_max(self) -> Fraction:
-        return max(v.sf for v in self.vertices)
-
-    @property
-    def ss_max(self) -> Fraction:
-        return max(v.ss for v in self.vertices)
 
 
 def _cross(o: MGPoint, a: MGPoint, b: MGPoint) -> int:
@@ -180,7 +168,8 @@ def max_sum_mg(region: Region) -> Fraction:
 
 
 def upper_right_chain(region: Region) -> List[MGPoint]:
-    """Boundary vertices from (0, ss_max) down to (sf_max, 0)."""
+    """Boundary vertices from the top of the slow-gain axis down to the end
+    of the fast-gain axis."""
     v = list(region.vertices)
     if len(v) == 1:
         return v
@@ -392,10 +381,12 @@ def inner_bound(p: SystemParams, t_values: Optional[Iterable[int]] = None) -> Re
 
 
 def sum_gain_cap(p: SystemParams) -> Fraction:
-    """Binding cap on the sum multiplexing gain in the outer bound."""
-    conf_cap = Fraction(p.m, 2) + Fraction(2) * p.mu_rx / 3 + Fraction(4) * p.mu_tx / 3
-    delay_cap = p.m * (1 - Fraction(1, 2 * (1 + p.d + p.d * p.d)))
-    return min(conf_cap, delay_cap)
+    """Binding cap on the sum multiplexing gain in the outer bound: the
+    smaller of the two partitions' cap rules at their limiting densities."""
+    return min(
+        partitions.cap_rule(partitions.TWO, partitions.fraction_limits(partitions.TWO), p),
+        partitions.cap_rule(partitions.FOUR, partitions.fraction_limits(partitions.FOUR, p.d), p),
+    )
 
 
 def outer_bound(p: SystemParams) -> Region:

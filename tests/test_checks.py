@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from hexmg import checks, precoding, regions
+from hexmg import checks, partitions, precoding, regions
 from hexmg.cli import main
 
 RADIUS, TRIALS = 12, 3
@@ -163,3 +163,28 @@ def test_drifted_prelogs_fail_the_counting_checks(monkeypatch, capsys):
     report = capsys.readouterr().out
     assert report.count(": FAIL") == 8
     assert "CHECK counting: conferencing messages t=1: FAIL (m=1: tx 19, rx 6; m=3: tx 55, rx 18)\n" in report
+
+
+def test_drifted_cap_weight_fails_the_structural_check(monkeypatch, capsys):
+    """A conferencing weight of 3/2 in place of 4/3 in the two-colour cap rule
+    moves the outer bound off the paper's caps: the structural sweep and the
+    starved-prelog fig6 vertices fail, and verify-all with them."""
+    real = partitions.cap_rule
+
+    def drifted(kind, density, params):
+        cap = real(kind, density, params)
+        if kind == partitions.TWO:
+            weight = Fraction(3, 2) - Fraction(4, 3)
+            cap += weight * (1 - density[partitions.RED]) * (params.mu_rx + 2 * params.mu_tx)
+        return cap
+
+    monkeypatch.setattr(partitions, "cap_rule", drifted)
+    failed = [name for name, ok, _ in checks.structural_checks() if not ok]
+    assert failed == ["structural: outer bound at the paper's caps, inner bound inside it, over sweep"]
+    assert main(["verify-all", "--radius", "12", "--zf-trials", "1"]) == 1
+    report = capsys.readouterr().out
+    failed = [line[len("CHECK "):line.index(": FAIL")] for line in report.splitlines() if ": FAIL" in line]
+    assert failed == [
+        "region: outer bound, small prelogs",
+        "structural: outer bound at the paper's caps, inner bound inside it, over sweep",
+    ]

@@ -354,10 +354,12 @@ EMIT_DIGESTS = {
         "7b86e51cbfcb20ec0b23accc049dde8da5dc6273903548e1310240de2487c1b8",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
-    # verify-all writes its report to --out DIR; the report is its stdout
+    # verify-all writes its report to --out DIR; the report is its stdout.  It
+    # was re-recorded when the census caps, the outer bound's paper caps and
+    # the sum-gain drops joined three records' names and details
     ("verify-all", "--radius", "30", "--seed", "42"): (
-        "5022a880e3c1449c2e01634a68428f69e2a84daca344bef27a25497945b6c8df",
-        "5022a880e3c1449c2e01634a68428f69e2a84daca344bef27a25497945b6c8df",
+        "024fab2c86724d95609220edc45af9379ee1ce363279c8eb9edda1c76a2fc75b",
+        "024fab2c86724d95609220edc45af9379ee1ce363279c8eb9edda1c76a2fc75b",
     ),
 }
 
@@ -549,6 +551,43 @@ def test_config_file_defaults_and_override(capsys, tmp_path):
     code, stdout, _ = run(capsys, "cluster", "--config", str(cfg), "--t", "1", "--check-counts")
     assert code == 0
     assert "tx links 36" in stdout
+
+
+@pytest.mark.parametrize(
+    "config,explicit,want",
+    [
+        ("both = true\n", ["--inner"], ["--inner"]),
+        ("inner = true\nt = 1\n", ["--both", "--t", "2"], ["--both", "--t", "2"]),
+        ("t = 2\n", ["--t-sweep"], ["--t-sweep"]),
+        ("t-sweep = true\n", ["--t=1"], ["--t=1"]),
+        ("t = 2\nboth = true\n", ["--outer"], ["--t", "2", "--outer"]),
+    ],
+    ids=["which", "which-and-t", "t-sweep-over-t", "t-over-t-sweep", "other-group-kept"],
+)
+def test_explicit_flag_drops_config_entries_of_its_group(capsys, tmp_path, config, explicit, want):
+    """An explicit flag wins over the config entries of its mutually
+    exclusive group, as over any config value; the other entries stay."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    base = ["--m", "1", "--d", "20", "--format", "json"]
+    code, stdout, err = run(capsys, "region", "--config", str(cfg), *base, *explicit)
+    assert (code, err) == (0, "")
+    assert (code, stdout, err) == run(capsys, "region", *base, *want)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["lattice"], ["cluster", "--t", "1"], ["converse"], ["verify-all", "--zf-trials", "1"]],
+    ids=lambda argv: argv[0],
+)
+def test_unallocatable_radius_is_a_usage_error(capsys, argv):
+    """A radius whose lattice arrays cannot be allocated ends in one
+    ``hexmg:`` line and exit 2.  At 10**7 the request (petabytes) fails at
+    once; a radius near 10**4 would really fill memory, so none is tried."""
+    code, stdout, err = run(capsys, *argv, "--radius", str(10**7))
+    assert (code, stdout) == (2, "")
+    assert err.startswith("hexmg: out of memory: Unable to allocate ")
+    assert err.count("\n") == 1
 
 
 def test_unknown_command(capsys):

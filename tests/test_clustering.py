@@ -29,8 +29,9 @@ from hexmg.clustering import (
     master_grid,
     silenced_sectors,
 )
-from hexmg.lattice import HEX_DIRS, Cell, SectorSet, build_network, cell_distance, hex_ball
+from hexmg.lattice import HEX_DIRS, Cell, SectorSet, build_network, cell_distance
 from hexmg.regions import FAMILY_MIXED, FAMILY_SLOW, _need, required_prelogs
+from test_lattice import hex_ball
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,20 @@ from hexmg.lattice import (
     build_network,
     cell_distance,
     cell_index,
-    hex_ball,
     interference_graph,
     tx_neighbors,
 )
+
+
+def hex_ball(radius):
+    """All cells within ``radius`` hops of the origin, in sorted order: the
+    cell order of ``build_network``."""
+    return sorted(
+        (q, r)
+        for q in range(-radius, radius + 1)
+        for r in range(-radius, radius + 1)
+        if (abs(q) + abs(r) + abs(q + r)) // 2 <= radius
+    )
 
 
 def is_interior(net, cell, depth=2):

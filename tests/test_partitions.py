@@ -4,20 +4,24 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hexmg.checks import SUM_GAIN_CAPS
 from hexmg.lattice import HEX_DIRS, build_network, cell_distance
 from hexmg.partitions import (
     BLUE,
     COLORS,
+    FOUR,
     PINK,
     RED,
+    TWO,
     WHITE,
     bound_arithmetic,
+    cap_rule,
     census_fractions,
     fraction_limits,
     partition_four,
     partition_two,
 )
-from hexmg.regions import SystemParams
+from hexmg.regions import SystemParams, sum_gain_cap
 
 
 def interior_cells(net, depth=2):
@@ -211,3 +215,31 @@ def test_bound_kind_checked():
     object.__setattr__(part, "kind", "five")
     with pytest.raises(ValueError):
         bound_arithmetic(part, SystemParams(m=1, mu_tx=0, mu_rx=0, d=1))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 20, 40])
+def test_cap_rules_at_the_limits_are_the_paper_caps(d):
+    """The outer bound's sum cap is the smaller of the two cap rules at the
+    limiting densities, and each rule there is the paper's closed form; at
+    d = 1 too, where the four-colour rule reads only the blue density."""
+    for m in (1, 3):
+        for mu_tx, mu_rx in ((0, 0), (Fraction(1, 10), Fraction(1, 5)), (Fraction(2, 9), 5)):
+            p = SystemParams(m=m, mu_tx=mu_tx, mu_rx=mu_rx, d=d)
+            assert cap_rule(TWO, fraction_limits(TWO), p) == SUM_GAIN_CAPS[TWO](p)
+            assert cap_rule(FOUR, fraction_limits(FOUR, d), p) == SUM_GAIN_CAPS[FOUR](p)
+            assert sum_gain_cap(p) == min(cap(p) for cap in SUM_GAIN_CAPS.values())
+
+
+def test_bound_arithmetic_counts_every_cell():
+    """The census caps at radius 20 over all 1,261 cells, against the cap
+    formulas written out in counts: m·red/k + 4(k − red)/(3k)·(μ_rx + 2μ_tx)
+    and m(1 − blue/k)."""
+    net = build_network(20)
+    p = SystemParams(m=3, mu_tx=Fraction(1, 10), mu_rx=Fraction(1, 5), d=3)
+    k = len(net.q)
+    red = partition_two(net).census[RED]
+    blue = partition_four(net, 3).census[BLUE]
+    assert (k, red, blue) == (1261, 641, 48)
+    two = Fraction(3 * red, k) + Fraction(4 * (k - red), 3 * k) * (p.mu_rx + 2 * p.mu_tx)
+    assert bound_arithmetic(partition_two(net), p) == two == Fraction(6761, 3783)
+    assert bound_arithmetic(partition_four(net, 3), p) == 3 * (1 - Fraction(blue, k))

@@ -6,6 +6,7 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
+from hexmg.checks import SUM_GAIN_CAPS
 from hexmg.regions import (
     FAMILY_MIXED,
     FAMILY_NO_COOP,
@@ -19,7 +20,6 @@ from hexmg.regions import (
     inner_bound,
     is_subset,
     max_sum_mg,
-    mg_point,
     mixed_dual_t_max,
     outer_bound,
     scheme_point,
@@ -36,6 +36,10 @@ from hexmg.regions import (
 
 LARGE = SystemParams(m=3, mu_tx=10, mu_rx=10, d=20)
 SMALL = SystemParams(m=3, mu_tx=Fraction(1, 10), mu_rx=Fraction(1, 5), d=20)
+
+
+def mg_point(sf, ss) -> MGPoint:
+    return MGPoint(Fraction(sf), Fraction(ss))
 
 
 def as_pairs(region):
@@ -413,8 +417,6 @@ def test_params_validation():
         SystemParams(m=1, mu_tx=-1, mu_rx=0, d=20)
     with pytest.raises(ValueError):
         SystemParams(m=1, mu_tx=0, mu_rx=0, d=0)
-    with pytest.raises(ValueError):
-        mg_point(-1, 0)
 
 
 def test_slow_point_equals_literal_min_expression():
@@ -515,9 +517,10 @@ def oracle_inner_bound(p, t_values=None):
 
 
 def oracle_outer_bound(p):
-    """The outer bound as the hull of its corner points."""
+    """The outer bound as the hull of its corner points, capped by the
+    smaller of the paper's two sum-gain caps."""
     m_half = Fraction(p.m, 2)
-    cap = sum_gain_cap(p)
+    cap = min(cap(p) for cap in SUM_GAIN_CAPS.values())
     pts = [MGPoint(Fraction(0), Fraction(0)), MGPoint(Fraction(0), cap)]
     if cap <= m_half:
         pts.append(MGPoint(cap, Fraction(0)))
