@@ -180,7 +180,7 @@ def _default_t_values(args: argparse.Namespace) -> Optional[List[int]]:
         return None
     if args.t is not None:
         return [args.t]
-    t_star = (args.d - 2) // 4
+    t_star = regions.mixed_dual_t_max(args.d)
     return [t_star] if t_star >= 1 else None
 
 
@@ -360,16 +360,24 @@ def _load_config(path: str) -> Dict[str, str]:
     return out
 
 
-def _exclusive_groups(parser: argparse.ArgumentParser, command: Optional[str]) -> List[set]:
-    """The option strings of each mutually exclusive group of ``command``,
-    read from argparse's own record of the groups so that ``_build_parser``
-    stays the one place that states them."""
+def _explicit_groups(parser: argparse.ArgumentParser, argv: List[str]) -> List[set]:
+    """The option strings of each mutually exclusive group of ``argv``'s
+    command that a flag in ``argv`` sets, read from argparse's own record of
+    the groups so that ``_build_parser`` stays the one place that states
+    them.  A flag names an option as argparse matches it: exactly, else as
+    the unique option it abbreviates (``--inn`` for ``--inner``)."""
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    sub = subparsers.choices.get(command)
+    sub = subparsers.choices.get(argv[0]) if argv else None
     if sub is None:
         return []
-    return [{s for a in g._group_actions for s in a.option_strings}
-            for g in sub._mutually_exclusive_groups]
+    options = sub._option_string_actions
+    explicit = set()
+    for flag in (arg.split("=", 1)[0] for arg in argv[1:] if arg.startswith("--")):
+        hits = [o for o in options if o.startswith(flag)]
+        explicit.add(flag if flag in options or len(hits) != 1 else hits[0])
+    groups = [{s for a in g._group_actions for s in a.option_strings}
+              for g in sub._mutually_exclusive_groups]
+    return [group for group in groups if group & explicit]
 
 
 def _inject_config(argv: List[str], parser: argparse.ArgumentParser) -> List[str]:
@@ -383,10 +391,8 @@ def _inject_config(argv: List[str], parser: argparse.ArgumentParser) -> List[str
         raise ValueError("--config needs a file path")
     kv = _load_config(argv[i + 1])
     rest = argv[:i] + argv[i + 2 :]
-    explicit = {a.split("=", 1)[0] for a in rest if a.startswith("--")}
-    for group in _exclusive_groups(parser, rest[0] if rest else None):
-        if explicit & group:
-            kv = {key: value for key, value in kv.items() if f"--{key}" not in group}
+    for group in _explicit_groups(parser, rest):
+        kv = {key: value for key, value in kv.items() if f"--{key}" not in group}
     flags: List[str] = []
     for key, value in kv.items():
         if value.lower() == "true":

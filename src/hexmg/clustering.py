@@ -7,9 +7,9 @@ hop distance exactly ``t`` from their nearest master are switched off, which
 splits the interference graph into one finite cluster per master.  On top of
 a cluster plan, messages are assigned either all-slow or mixed fast/slow,
 where the fast sectors form an exact density-1/3 pattern with no two fast
-sectors interfering.  An assigned plan also lays out the links of the origin
-master's cluster (``ClusterPlan.origin_links``), once, for the zero-forcing
-trials.
+sectors interfering, laid out alike in every cluster.  An assigned plan also
+lays out the links of the origin master's cluster (``ClusterPlan.origin_links``),
+once, for the zero-forcing trials, which so certify every cluster.
 
 One period of the master grid, the 3t x 3t torus, states the periodic
 geometry once, as arrays over its rows ``(q mod 3t)·3t + (r mod 3t)``: the
@@ -373,111 +373,79 @@ def clusters(net: Network, t: int) -> ClusterPlan:
 
 @lru_cache(maxsize=None)
 def fast_pattern(t: int) -> np.ndarray:
-    """Periodic fast-sector pattern with exact density 1/3 and no two fast
-    sectors interfering: a ``(9t^2, 3)`` boolean table in
-    ``_torus_silenced``'s rows, true at the fast sectors.
+    """Periodic fast-sector pattern with exact density 1/3, no two fast
+    sectors interfering and the same layout in every cluster: a ``(9t^2, 3)``
+    boolean table in ``_torus_silenced``'s rows, true at the fast sectors.
 
     The interference graph is an edge-disjoint union of triangles, two per
     sector; picking fast sectors so that every triangle contains exactly one
-    is equivalent to a perfect matching of the bipartite triangle-adjacency
-    graph, computed here on the 3t x 3t torus (one period of the master grid)
-    with the silenced sectors' edges removed.  Every caller shares the cached
-    table, so it is read-only.
+    is a perfect matching of the bipartite triangle-adjacency graph over the
+    active sectors.  The master translation ``(t, t)`` cycles the torus rows,
+    and with them the triangles, in threes; the smallest row of each cycle
+    stands for it.  The active sectors of these ``3t^2`` rows, one cluster's
+    worth, are matched between triangle cycles, and every row copies its
+    cycle's pattern.  Every caller shares the cached table, so it is read-only.
     """
     n = 9 * t * t
     q, r = np.divmod(np.arange(n), 3 * t)
+    shift = _torus_index(q + t, r + t, t)
+    rep = np.minimum(np.minimum(np.arange(n), shift), shift[shift])
+    _, klass = np.unique(rep, return_inverse=True)
+    k = n // 3
     # per orientation, end and torus cell: the (row, column) triangles a sector joins
     ends = np.array([[(q, r), (q, r)], [(q - 1, r), (q, r - 1)], [(q - 1, r + 1), (q - 1, r)]])
-    ends = _torus_index(ends[:, :, 0], ends[:, :, 1], t)
-    cell, o = np.nonzero(~_torus_silenced(t))
-    key, edge_sector = np.unique(ends[o, 0, cell] * n + ends[o, 1, cell], return_index=True)
+    ends = klass[_torus_index(ends[:, :, 0], ends[:, :, 1], t)]
+    silenced = _torus_silenced(t)
+    cell, o = np.nonzero(~silenced & (rep == np.arange(n))[:, None])
+    key, edge_sector = np.unique(ends[o, 0, cell] * k + ends[o, 1, cell], return_index=True)
     if len(key) != len(cell):
         raise RuntimeError(f"duplicate triangle edge at t={t}")
-    rows, cols = np.divmod(key, n)
-    starts = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    rows, cols = np.divmod(key, k)
+    starts = np.searchsorted(rows, np.arange(k + 1)).tolist()
     cols = cols.tolist()
-    match = _hopcroft_karp([cols[a:b] for a, b in zip(starts, starts[1:])], n)
+    match = _max_matching([cols[a:b] for a, b in zip(starts, starts[1:])], k)
     if min(match) < 0:
         raise RuntimeError(f"no perfect fast pattern found for t={t}")
-    fast = edge_sector[np.searchsorted(key, np.arange(n) * n + match)]
+    fast = edge_sector[np.searchsorted(key, np.arange(k) * k + match)]
     table = np.zeros((n, 3), dtype=bool)
     table[cell[fast], o[fast]] = True
-    if np.count_nonzero(table) != n:
+    table = table[rep]
+    if np.count_nonzero(table & ~silenced) != n:
         raise RuntimeError(f"fast pattern degenerate for t={t}")
     table.flags.writeable = False
     return table.view()  # a view of a read-only base cannot be made writable
 
 
-def _hopcroft_karp(adj: List[List[int]], n_cols: int) -> List[int]:
+def _max_matching(adj: List[List[int]], n_cols: int) -> List[int]:
     """A maximum matching of the bipartite graph whose row ``i`` meets the
-    columns ``adj[i]`` (ascending): per row, its column or -1.
+    columns ``adj[i]``: per row, its column or -1.
 
-    Hopcroft & Karp (SIAM J. Comput. 1973), visiting rows and columns in
-    the order of the CSR sparse-graph matcher the tests hold it to, so both
-    return the same matching:
-
-    - a greedy start gives each row, in order, its first free column;
-    - each phase layers the rows by breadth-first search from the free ones
-      and stops at the layer ``dd`` that first meets a free column;
-    - from each free row in turn, a depth-first search expands rows last
-      pushed first, each at most once a phase: a row in layer ``dd - 1``
-      takes its first free column and flips the path to it, and a shallower
-      row pushes, in column order, the rows one layer deeper matched to its
-      columns.
+    Each row in turn takes its first free column, or else searches for an
+    augmenting path, expanding the last pushed row first: a row next to a
+    free column flips the path to it, any other row pushes the rows matched
+    to its columns that this search has not reached yet.
     """
-    n_rows = len(adj)
-    row_match = [-1] * n_rows
+    row_match = [-1] * len(adj)
     col_match = [-1] * n_cols
-    for x, cols in enumerate(adj):
-        for y in cols:
-            if col_match[y] < 0:
+    seen = [-1] * n_cols  # per column: the last root whose search reached it
+    via = [(-1, -1)] * len(adj)  # per row: the (row, column) it was pushed from
+    for root in range(len(adj)):
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            y = next((y for y in adj[x] if col_match[y] < 0), -1)
+            if y >= 0:
+                while x != root:
+                    row_match[x], col_match[y] = y, x
+                    x, y = via[x]
                 row_match[x], col_match[y] = y, x
                 break
-    unreached = n_rows + 1
-    while True:
-        free = [x for x in range(n_rows) if row_match[x] < 0]
-        dist = [unreached] * n_rows
-        for x in free:
-            dist[x] = 0
-        dd = unreached
-        queue = list(free)
-        for x in queue:  # grows while it is read
-            if dist[x] >= dd:
-                break
             for y in adj[x]:
-                x2 = col_match[y]
-                if x2 < 0:
-                    dd = min(dd, dist[x] + 1)
-                elif dist[x2] == unreached:
-                    dist[x2] = dist[x] + 1
-                    queue.append(x2)
-        if dd == unreached:
-            return row_match
-
-        expanded = [False] * n_rows
-        via: List[Tuple[int, int]] = [(-1, -1)] * n_rows  # (row, column) a row was pushed from
-        for root in free:
-            stack = [root]
-            while stack:
-                x = stack.pop()
-                if expanded[x]:
-                    continue
-                expanded[x] = True
-                if dist[x] + 1 < dd:
-                    # all its columns are matched, or dd would be smaller
-                    for y in adj[x]:
-                        x2 = col_match[y]
-                        if dist[x2] == dist[x] + 1 and not expanded[x2]:
-                            via[x2] = (x, y)
-                            stack.append(x2)
-                    continue
-                y = next((y for y in adj[x] if col_match[y] < 0), -1)
-                if y >= 0:
-                    while x != root:
-                        row_match[x], col_match[y] = y, x
-                        x, y = via[x]
-                    row_match[x], col_match[y] = y, x
-                    break
+                if seen[y] != root:
+                    seen[y] = root
+                    via[col_match[y]] = (x, y)
+                    stack.append(col_match[y])
+    return row_match
 
 
 def assign_messages(plan: ClusterPlan, mode: str) -> ClusterPlan:

@@ -82,11 +82,14 @@ def fraction_limits(kind: str, d: Optional[int] = None) -> Dict[str, Fraction]:
         if d is None:
             raise ValueError("four-colour limits need d")
         n = d * d + d + 1
+        # six pink cells per red cell, shared by no other red cell once
+        # d >= 2; at d = 1 every cell off the sublattice is pink
+        pink = min(Fraction(3, n), Fraction(n - 1, n))
         return {
             RED: Fraction(1, 2 * n),
             BLUE: Fraction(1, 2 * n),
-            PINK: Fraction(3, n),
-            WHITE: Fraction(d * d + d - 3, n),
+            PINK: pink,
+            WHITE: 1 - Fraction(1, n) - pink,
         }
     raise ValueError(f"unknown partition kind {kind!r}")
 

@@ -447,6 +447,34 @@ def test_fast_pattern_exact_density_on_torus():
         assert np.count_nonzero(pat) == 9 * t * t  # exactly one third of 27*t**2 sectors
 
 
+def test_fast_pattern_invariant_under_master_translation():
+    for t in range(1, 21):
+        period = 3 * t
+        q, r = np.divmod(np.arange(period * period), period)
+        shifted = ((q + t) % period) * period + (r + t) % period
+        assert np.array_equal(fast_pattern(t)[shifted], fast_pattern(t))
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+def test_every_interior_cluster_has_the_origin_clusters_roles(t):
+    """Relative to its master, every interior cluster carries the same roles
+    as the origin master's, which the zero-forcing trials certify."""
+    net = build_network(12 * t)
+    plan = assign_messages(clusters(net, t), MODE_MIXED)
+
+    def layout(master):
+        ids = plan.cluster_of((*master, 0)).sectors.ids
+        cell = ids // 3
+        return set(zip((net.q[cell] - master[0]).tolist(), (net.r[cell] - master[1]).tolist(),
+                       (ids % 3).tolist(), plan.roles[ids].tolist()))
+
+    masters = plan.interior_masters()
+    assert len(masters) > 3
+    want = layout((0, 0))
+    assert {ROLES[role] for *_, role in want} == {FAST, SLOW}
+    assert all(layout(m) == want for m in masters)
+
+
 def test_fast_pattern_table_is_read_only():
     """Every caller shares the cached table: a write raises, the table cannot
     be made writable again, and later assignments stay as they were."""

@@ -178,6 +178,20 @@ def test_four_coloring_validation():
         fraction_limits("five")
 
 
+def test_four_colour_limits_are_densities():
+    """For every d the four-colour limits are non-negative and sum to one;
+    at d = 1, where the pink rings around the red cells overlap, they match
+    the census of the same colouring rule on a radius-60 interior."""
+    for d in range(1, 41):
+        limits = fraction_limits(FOUR, d)
+        assert min(limits.values()) >= 0 and sum(limits.values()) == 1
+    net = build_network(60)
+    limits = fraction_limits(FOUR, 1)
+    rows = census_fractions_oracle(net, FOUR, 1, partition_four_oracle(net, 1))
+    assert {color: count for color, count, _ in rows}[WHITE] == 0
+    assert all(abs(fraction - limits[color]) <= Fraction(1, 200) for color, _, fraction in rows)
+
+
 def test_two_color_bound_matches_conferencing_cap():
     net = build_network(40)
     part = partition_two(net)

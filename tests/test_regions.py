@@ -34,6 +34,24 @@ from hexmg.regions import (
     slow_t_max,
 )
 
+
+def fractions(min_value=None, max_value=None, *, max_denominator):
+    """``st.fractions`` for integer bounds (both or neither), drawn the way
+    hypothesis draws it: a denominator in ``[1, max_denominator]``, a
+    numerator within the bounds scaled by it, then ``limit_denominator``.
+    hypothesis builds and validates a new strategy object for each of its
+    draws, which costs more than the oracle checks these draws feed."""
+
+    @st.composite
+    def draw_fraction(draw):
+        denom = draw(st.integers(1, max_denominator))
+        low = None if min_value is None else denom * min_value
+        high = None if max_value is None else denom * max_value
+        return Fraction(draw(st.integers(low, high)), denom).limit_denominator(max_denominator)
+
+    return draw_fraction()
+
+
 LARGE = SystemParams(m=3, mu_tx=10, mu_rx=10, d=20)
 SMALL = SystemParams(m=3, mu_tx=Fraction(1, 10), mu_rx=Fraction(1, 5), d=20)
 
@@ -223,9 +241,11 @@ def test_boundary_samples_triangle():
         boundary_samples(region, 1)
 
 
-def fraction_cross(o, a, b):
-    """The cross product ``(a - o) x (b - o)`` in ``Fraction`` arithmetic."""
-    return (a.sf - o.sf) * (b.ss - o.ss) - (a.ss - o.ss) * (b.sf - o.sf)
+def fraction_turn(o, a, b):
+    """The sign of the cross product ``(a - o) x (b - o)`` in ``Fraction``
+    arithmetic, its two products compared rather than subtracted."""
+    lhs, rhs = (a.sf - o.sf) * (b.ss - o.ss), (a.ss - o.ss) * (b.sf - o.sf)
+    return (lhs > rhs) - (lhs < rhs)
 
 
 def sign(x):
@@ -236,7 +256,7 @@ def sign(x):
 rationals = st.one_of(
     st.just(Fraction(0)),
     st.integers(-10**6, 10**6).map(Fraction),
-    st.fractions(max_denominator=10**30),
+    fractions(max_denominator=10**30),
 )
 points = st.builds(MGPoint, rationals, rationals)
 
@@ -248,29 +268,40 @@ def test_integer_cross_has_the_sign_of_the_fraction_cross(o, a, b, k, collinear)
         b = MGPoint(o.sf + k * (a.sf - o.sf), o.ss + k * (a.ss - o.ss))
     got = _cross(o, a, b)
     assert type(got) is int
-    assert sign(got) == sign(fraction_cross(o, a, b))
+    assert sign(got) == fraction_turn(o, a, b)
     assert sign(_cross(o, b, a)) == -sign(got)
 
 
-gains = st.one_of(st.just(Fraction(0)), st.fractions(min_value=0, max_value=4, max_denominator=50))
+gains = st.one_of(st.just(Fraction(0)), fractions(min_value=0, max_value=4, max_denominator=50))
 
 
 def half_plane_test(pts):
     """Membership in the convex hull of ``pts``, decided without the hull:
     the point lies in the bounding box and on the inner side of every line
     through two of the points that has all of them on one side."""
+    pts = list(dict.fromkeys(pts))
     box = (min(q.sf for q in pts), max(q.sf for q in pts),
            min(q.ss for q in pts), max(q.ss for q in pts))
+
+    def turn(line, p):
+        """``fraction_turn(u, v, p)`` for the line ``(dx, dy, c)`` through
+        u and v: the sign of ``dx·p.ss − dy·p.sf − c``."""
+        dx, dy, c = line
+        lhs, rhs = dx * p.ss, dy * p.sf + c
+        return (lhs > rhs) - (lhs < rhs)
+
     lines = []
     for u, v in combinations(pts, 2):
-        sides = {sign(fraction_cross(u, v, q)) for q in pts}
+        dx, dy = v.sf - u.sf, v.ss - u.ss
+        line = (dx, dy, dx * u.ss - dy * u.sf)
+        sides = {turn(line, q) for q in pts}
         if sides <= {0, 1} or sides <= {0, -1}:  # 0 is always there: u and v
-            lines.append((u, v, sum(sides)))
+            lines.append((line, sum(sides)))
 
     def inside(p):
         if not (box[0] <= p.sf <= box[1] and box[2] <= p.ss <= box[3]):
             return False
-        return all(sign(fraction_cross(u, v, p)) in (0, side) for u, v, side in lines)
+        return all(turn(line, p) in (0, side) for line, side in lines)
 
     return inside
 
@@ -279,7 +310,7 @@ def half_plane_test(pts):
 @given(
     pts=st.lists(st.builds(MGPoint, gains, gains), min_size=1, max_size=6),
     queries=st.lists(st.builds(MGPoint, gains, gains), max_size=6),
-    lam=st.fractions(min_value=0, max_value=1, max_denominator=20),
+    lam=fractions(min_value=0, max_value=1, max_denominator=20),
 )
 def test_hull_idempotent_and_contains_matches_half_planes(pts, queries, lam):
     region = convex_hull(pts)
@@ -296,12 +327,12 @@ def test_hull_idempotent_and_contains_matches_half_planes(pts, queries, lam):
         assert contains(region, q) == inside(q)
 
 
-prelogs = st.one_of(st.just(Fraction(0)), st.fractions(min_value=0, max_value=20, max_denominator=1000))
+prelogs = st.one_of(st.just(Fraction(0)), fractions(min_value=0, max_value=20, max_denominator=1000))
 params = st.builds(SystemParams, m=st.integers(1, 4), mu_tx=prelogs, mu_rx=prelogs, d=st.integers(1, 30))
 
 
 @settings(max_examples=120, deadline=None)
-@given(p=params, more=st.fractions(min_value=0, max_value=5, max_denominator=1000))
+@given(p=params, more=fractions(min_value=0, max_value=5, max_denominator=1000))
 def test_inner_within_outer_and_monotone_in_each_prelog(p, more):
     inner, outer = inner_bound(p), outer_bound(p)
     assert is_subset(inner, outer)
@@ -476,7 +507,7 @@ def oracle_convex_hull(points):
     def half(seq):
         out = []
         for p in seq:
-            while len(out) >= 2 and fraction_cross(out[-2], out[-1], p) <= 0:
+            while len(out) >= 2 and fraction_turn(out[-2], out[-1], p) <= 0:
                 out.pop()
             out.append(p)
         return out
@@ -506,13 +537,19 @@ def oracle_scheme_point(family, t, p):
     return MGPoint(Fraction(m, 2) - lam * Fraction(m, 6), lam * Fraction(m * (2 * t - 1), 3 * t))
 
 
-def oracle_inner_bound(p, t_values=None):
-    sel = None if t_values is None else set(t_values)
-    pts = [MGPoint(Fraction(0), Fraction(0)), oracle_scheme_point(FAMILY_NO_COOP, 1, p)]
-    pts += [oracle_scheme_point(FAMILY_SLOW, t, p) for t in range(1, slow_t_max(p.d) + 1)
-            if sel is None or t in sel]
-    pts += [oracle_scheme_point(FAMILY_MIXED, t, p) for t in mixed_t_values(p.d)
-            if sel is None or t in sel]
+def oracle_scheme_points(p):
+    """``(family, t) -> oracle_scheme_point`` for every scheme of ``p``."""
+    schemes = [(FAMILY_NO_COOP, 1)] + [(FAMILY_SLOW, t) for t in range(1, slow_t_max(p.d) + 1)]
+    schemes += [(FAMILY_MIXED, t) for t in mixed_t_values(p.d)]
+    return {(family, t): oracle_scheme_point(family, t, p) for family, t in schemes}
+
+
+def oracle_inner_bound(points, t_values=None):
+    """The hull of the origin and the ``oracle_scheme_points`` ``points``,
+    cooperative schemes only at ``t_values`` if given."""
+    pts = [MGPoint(Fraction(0), Fraction(0))]
+    pts += [pt for (family, t), pt in points.items()
+            if family == FAMILY_NO_COOP or t_values is None or t in t_values]
     return oracle_convex_hull(pts)
 
 
@@ -542,8 +579,8 @@ def assert_exact(got, want):
 oracle_prelogs = st.one_of(
     st.just(Fraction(0)),
     st.integers(1, 10**6).map(lambda k: Fraction(1, 10**9 + k)),
-    st.fractions(min_value=0, max_value=30, max_denominator=1000),
-    st.fractions(min_value=100, max_value=10**4, max_denominator=50),
+    fractions(min_value=0, max_value=30, max_denominator=1000),
+    fractions(min_value=100, max_value=10**4, max_denominator=50),
 )
 oracle_params = st.builds(
     SystemParams, m=st.integers(1, 5), mu_tx=oracle_prelogs, mu_rx=oracle_prelogs, d=st.integers(1, 40)
@@ -553,14 +590,13 @@ oracle_params = st.builds(
 @settings(max_examples=300, deadline=None)
 @given(p=oracle_params, data=st.data())
 def test_integer_regions_match_fraction_oracles(p, data):
-    for t in range(1, slow_t_max(p.d) + 1):
-        assert_exact(scheme_point(FAMILY_SLOW, t, p), oracle_scheme_point(FAMILY_SLOW, t, p))
-    for t in mixed_t_values(p.d):
-        assert_exact(scheme_point(FAMILY_MIXED, t, p), oracle_scheme_point(FAMILY_MIXED, t, p))
-    assert_exact(scheme_point(FAMILY_NO_COOP, 1, p), oracle_scheme_point(FAMILY_NO_COOP, 1, p))
-    assert_exact(inner_bound(p), oracle_inner_bound(p))
+    # each oracle point is computed once and read by all three checks
+    points = oracle_scheme_points(p)
+    for (family, t), want in points.items():
+        assert_exact(scheme_point(family, t, p), want)
+    assert_exact(inner_bound(p), oracle_inner_bound(points))
     subset = data.draw(st.sets(st.integers(1, max(1, slow_t_max(p.d)))), label="t_values")
-    assert_exact(inner_bound(p, subset), oracle_inner_bound(p, subset))
+    assert_exact(inner_bound(p, subset), oracle_inner_bound(points, subset))
     assert_exact(outer_bound(p), oracle_outer_bound(p))
 
 
@@ -569,26 +605,33 @@ def test_integer_regions_match_fraction_oracles(p, data):
 hull_coords = st.one_of(
     st.just(Fraction(0)),
     st.integers(0, 6).map(Fraction),
-    st.fractions(min_value=0, max_value=3, max_denominator=12),
-    st.fractions(min_value=0, max_value=10, max_denominator=10**30),
+    fractions(min_value=0, max_value=3, max_denominator=12),
+    fractions(min_value=0, max_value=10, max_denominator=10**30),
 )
 hull_points = st.builds(MGPoint, hull_coords, hull_coords)
+
+
+#: the fixed parts of ``point_sets``, built once: hypothesis validates each
+#: strategy object on its first draw, so one built per example costs more
+#: than the draw
+free_points = st.lists(st.one_of(hull_points, st.builds(MGPoint, rationals, rationals)),
+                       min_size=1, max_size=7)
+run_signs = st.sampled_from([1, -1])
+run_steps = st.lists(fractions(min_value=0, max_value=4, max_denominator=6), min_size=2, max_size=5)
+axis_coords = st.lists(hull_coords, max_size=3)
 
 
 @st.composite
 def point_sets(draw):
     """Arbitrary points plus optional collinear runs, axis points and copies."""
-    pts = draw(st.lists(st.one_of(hull_points, st.builds(MGPoint, rationals, rationals)),
-                        min_size=1, max_size=7))
+    pts = draw(free_points)
     if draw(st.booleans()):  # a collinear run o + k·v
         o, v = draw(hull_points), draw(hull_points)
-        sign_ = draw(st.sampled_from([1, -1]))
-        v = MGPoint(v.sf, sign_ * v.ss)
-        ks = draw(st.lists(st.fractions(min_value=0, max_value=4, max_denominator=6), min_size=2, max_size=5))
-        pts += [MGPoint(o.sf + k * v.sf, o.ss + k * v.ss) for k in ks]
+        v = MGPoint(v.sf, draw(run_signs) * v.ss)
+        pts += [MGPoint(o.sf + k * v.sf, o.ss + k * v.ss) for k in draw(run_steps)]
     if draw(st.booleans()):  # on the axes
-        pts += [MGPoint(c, Fraction(0)) for c in draw(st.lists(hull_coords, max_size=3))]
-        pts += [MGPoint(Fraction(0), c) for c in draw(st.lists(hull_coords, max_size=3))]
+        pts += [MGPoint(c, Fraction(0)) for c in draw(axis_coords)]
+        pts += [MGPoint(Fraction(0), c) for c in draw(axis_coords)]
     copies = draw(st.lists(st.sampled_from(pts), max_size=3))
     return draw(st.permutations(pts + copies))
 

@@ -1,7 +1,9 @@
 """The sparse-graph routines ``hexmg.clustering`` once called, kept as
-oracles: ``scipy.sparse.csgraph``'s connected components for ``clusters``
-and its Hopcroft–Karp matching for ``fast_pattern``.  scipy is a test
-dependency only; the library computes both without it."""
+oracles: ``scipy.sparse.csgraph``'s connected components for ``clusters``,
+and its maximum bipartite matching, whose size the library's matcher must
+reach and which finds a perfect matching of the torus triangle graph wherever
+``fast_pattern`` does.  scipy is a test dependency only; the library
+computes both without it."""
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, maximum_bipartite_matching
 
 from hexmg import clustering
-from hexmg.clustering import _hopcroft_karp, _torus_silenced, clusters, fast_pattern
+from hexmg.clustering import _max_matching, _torus_silenced, clusters, fast_pattern
 from hexmg.lattice import NEIGHBOR_RULE, SectorSet, build_network
 
 
@@ -114,11 +116,13 @@ def test_torus_owners_refuse_a_silencing_that_does_not_tile(t):
     assert clustering._torus_owners(t, extra) is None
 
 
-def fast_pattern_oracle(t):
-    """``fast_pattern`` on scipy's matching of the same triangle graph."""
+def triangle_graph(t):
+    """The torus triangle graph, sector by sector: ``(row, column) ->
+    sector`` over the active sectors, each joining the row and the column
+    triangle it belongs to."""
     period = 3 * t
     silenced = _torus_silenced(t)
-    rows, cols, sector = [], [], {}
+    edges = {}
     for q in range(period):
         for r in range(period):
             for o in range(3):
@@ -130,35 +134,50 @@ def fast_pattern_oracle(t):
                     ((q - 1, r + 1), (q - 1, r)),
                 )[o]
                 key = tuple((a % period) * period + b % period for a, b in (i, j))
-                rows.append(key[0])
-                cols.append(key[1])
-                sector[key] = (q, r, o)
-    graph = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(period * period,) * 2)
-    match = maximum_bipartite_matching(graph, perm_type="column")
-    return frozenset(sector[(i, j)] for i, j in enumerate(match.tolist()))
+                assert key not in edges
+                edges[key] = (q, r, o)
+    return edges
 
 
-def test_fast_pattern_matches_scipy_matching():
+def test_fast_pattern_is_a_perfect_matching_of_the_triangle_graph():
+    """Every row and column triangle of the torus holds exactly one fast
+    sector, no fast sector is silenced, and scipy finds a perfect matching
+    of the same graph too."""
     for t in range(1, 21):
         period = 3 * t
-        want = np.zeros((period * period, 3), dtype=bool)
-        for q, r, o in fast_pattern_oracle(t):
-            want[q * period + r, o] = True
-        assert np.array_equal(fast_pattern(t), want)
+        n = period * period
+        edges = triangle_graph(t)
+        cell, o = np.nonzero(fast_pattern(t))
+        fast = set(zip((cell // period).tolist(), (cell % period).tolist(), o.tolist()))
+        keys = [key for key, sector in edges.items() if sector in fast]
+        assert len(keys) == len(fast) == n
+        assert sorted(i for i, _ in keys) == sorted(j for _, j in keys) == list(range(n))
+        rows, cols = np.array(list(edges)).T
+        graph = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+        assert (maximum_bipartite_matching(graph, perm_type="column") >= 0).all()
 
 
-def scipy_matching(mask):
-    return maximum_bipartite_matching(csr_matrix(mask.astype(np.int8)), perm_type="column").tolist()
+def scipy_matching_size(mask):
+    match = maximum_bipartite_matching(csr_matrix(mask.astype(np.int8)), perm_type="column")
+    return int(np.count_nonzero(match >= 0))
 
 
-def test_hopcroft_karp_matches_scipy_on_sparse_random_graphs():
-    """Sparse graphs need several phases, where the visiting order shows."""
+def assert_maximum_matching(mask):
+    """``_max_matching`` returns a matching of ``mask``'s graph, as large as
+    scipy's."""
+    adj = [np.flatnonzero(row).tolist() for row in mask]
+    match = _max_matching(adj, mask.shape[1])
+    taken = [(x, y) for x, y in enumerate(match) if y >= 0]
+    assert all(mask[x, y] for x, y in taken)
+    assert len({y for _, y in taken}) == len(taken) == scipy_matching_size(mask)
+
+
+def test_max_matching_has_scipys_size_on_sparse_random_graphs():
+    """Sparse graphs need augmenting paths past the first free column."""
     rng = np.random.default_rng(0)
     for _ in range(300):
         n_rows, n_cols = rng.integers(10, 90, size=2)
-        mask = rng.random((n_rows, n_cols)) < rng.uniform(1, 4) / n_cols
-        adj = [np.flatnonzero(row).tolist() for row in mask]
-        assert _hopcroft_karp(adj, int(n_cols)) == scipy_matching(mask)
+        assert_maximum_matching(rng.random((n_rows, n_cols)) < rng.uniform(1, 4) / n_cols)
 
 
 @settings(max_examples=60, deadline=None)
@@ -169,18 +188,24 @@ def test_hopcroft_karp_matches_scipy_on_sparse_random_graphs():
         )
     )
 )
-def test_hopcroft_karp_matches_scipy_on_small_graphs(grid):
-    mask = np.array(grid, dtype=bool)
-    adj = [np.flatnonzero(row).tolist() for row in mask]
-    assert _hopcroft_karp(adj, mask.shape[1]) == scipy_matching(mask)
+def test_max_matching_has_scipys_size_on_small_graphs(grid):
+    assert_maximum_matching(np.array(grid, dtype=bool))
 
 
 def test_imperfect_matching_is_refused(monkeypatch):
-    assert _hopcroft_karp([[0], [0]], 1) == [0, -1]
-    # silence the three sectors whose triangle edges leave torus row 0 at t=1
-    table = _torus_silenced(1).copy()
-    table[[0, 3, 5], [0, 1, 2]] = True
-    monkeypatch.setattr(clustering, "_torus_silenced", lambda t: table)
-    fast_pattern.cache_clear()
-    with pytest.raises(RuntimeError, match="no perfect fast pattern found for t=1"):
-        fast_pattern(1)
+    assert _max_matching([[0], [0]], 1) == [0, -1]
+    # at t=1 the three sectors (row, orientation) whose triangle edges leave
+    # torus row 0, then their translates by (1, 1) into rows 4 and 8
+    row_0 = [(0, 0), (3, 1), (5, 2)]
+    translates = [(4, 0), (7, 1), (6, 2), (8, 0), (2, 1), (1, 2)]
+    for silenced, error in [
+        (row_0 + translates, "no perfect fast pattern found for t=1"),
+        # a silencing the translation does not keep: a copied fast sector is silenced
+        (row_0, "fast pattern degenerate for t=1"),
+    ]:
+        table = _torus_silenced(1).copy()
+        table[tuple(zip(*silenced))] = True
+        monkeypatch.setattr(clustering, "_torus_silenced", lambda t: table)
+        fast_pattern.cache_clear()
+        with pytest.raises(RuntimeError, match=error):
+            fast_pattern(1)
