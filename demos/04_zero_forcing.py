@@ -26,7 +26,7 @@ print(f"t={t}, m={m}: {len(lay.ids)} active users,"
 print(f"unknowns {system.n_unknowns}, constraints {system.n_constraints} (square)")
 
 precoder = solve_precoder(system)
-report = verify_nulling(precoder, plan, ch, tol=1e-9, scheme="s4")
+report = verify_nulling(precoder, plan, ch, scheme="s4")
 print(f"single trial: solvable={report.solvable},"
       f" min self rank {report.min_self_rank},"
       f" relative cross residual {report.max_cross_residual:.2e}")

@@ -255,7 +255,7 @@ def structural_checks() -> Iterator[Check]:
 
     ok_sum = True
     big = regions.SystemParams(m=3, mu_tx=100, mu_rx=100, d=40)
-    for t in range(1, regions.mixed_dual_t_max(40) + 1):
+    for t in regions.t_ranges(regions.FAMILY_MIXED, 40)[0]:
         ps = regions.scheme_point(regions.FAMILY_SLOW, t, big)
         pm = regions.scheme_point(regions.FAMILY_MIXED, t, big)
         ok_sum &= ps.sf + ps.ss == pm.sf + pm.ss == Fraction(3 * (3 * t - 1), 3 * t)

@@ -180,16 +180,18 @@ def _default_t_values(args: argparse.Namespace) -> Optional[List[int]]:
         return None
     if args.t is not None:
         return [args.t]
-    t_star = regions.mixed_dual_t_max(args.d)
-    return [t_star] if t_star >= 1 else None
+    dual = regions.t_ranges(regions.FAMILY_MIXED, args.d)[0]
+    return [dual[-1]] if dual else None
 
 
 def cmd_region(args: argparse.Namespace) -> int:
     params = regions.SystemParams(m=args.m, mu_tx=args.mu_tx, mu_rx=args.mu_rx, d=args.d)
-    if args.t is not None and args.t > regions.slow_t_max(args.d):
+    ranges = [r for family in (regions.FAMILY_SLOW, regions.FAMILY_MIXED)
+              for r in regions.t_ranges(family, args.d)]
+    if args.t is not None and not any(args.t in r for r in ranges):
         raise ValueError(
             f"--t {args.t} enters no scheme for --d {args.d}; "
-            f"t must be at most {regions.slow_t_max(args.d)}"
+            f"t must be at most {max(r.stop for r in ranges) - 1}"
         )
     t_values = _default_t_values(args)
     which = args.which or "both"
@@ -360,21 +362,31 @@ def _load_config(path: str) -> Dict[str, str]:
     return out
 
 
+def _command_parser(parser: argparse.ArgumentParser, argv: List[str]):
+    """The subparser of the first ``argv`` token that names a command, if any."""
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return next((subparsers.choices[a] for a in argv if a in subparsers.choices), None)
+
+
+def _option_named(arg: str, options) -> str:
+    """The option a ``--`` flag names, matched as argparse matches it:
+    exactly, else as the unique option it abbreviates (``--inn`` for
+    ``--inner``); ``--flag=value`` names ``--flag``."""
+    flag = arg.split("=", 1)[0]
+    hits = [o for o in options if o.startswith(flag)]
+    return flag if flag in options or len(hits) != 1 else hits[0]
+
+
 def _explicit_groups(parser: argparse.ArgumentParser, argv: List[str]) -> List[set]:
     """The option strings of each mutually exclusive group of ``argv``'s
     command that a flag in ``argv`` sets, read from argparse's own record of
     the groups so that ``_build_parser`` stays the one place that states
-    them.  A flag names an option as argparse matches it: exactly, else as
-    the unique option it abbreviates (``--inn`` for ``--inner``)."""
-    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    sub = subparsers.choices.get(argv[0]) if argv else None
+    them."""
+    sub = _command_parser(parser, argv)
     if sub is None:
         return []
     options = sub._option_string_actions
-    explicit = set()
-    for flag in (arg.split("=", 1)[0] for arg in argv[1:] if arg.startswith("--")):
-        hits = [o for o in options if o.startswith(flag)]
-        explicit.add(flag if flag in options or len(hits) != 1 else hits[0])
+    explicit = {_option_named(arg, options) for arg in argv if arg.startswith("--")}
     groups = [{s for a in g._group_actions for s in a.option_strings}
               for g in sub._mutually_exclusive_groups]
     return [group for group in groups if group & explicit]
@@ -383,14 +395,22 @@ def _explicit_groups(parser: argparse.ArgumentParser, argv: List[str]) -> List[s
 def _inject_config(argv: List[str], parser: argparse.ArgumentParser) -> List[str]:
     """Turn config-file entries into flags placed before the explicit ones,
     leaving out the entries of a mutually exclusive group that an explicit
-    flag already sets."""
-    if "--config" not in argv:
+    flag already sets.  ``--config FILE`` and ``--config=FILE`` are matched
+    like the command's own flags, abbreviations included; argparse never
+    sees them, so a second ``--config`` is refused as an unknown flag."""
+    sub = _command_parser(parser, argv)
+    options = ["--config", *(sub._option_string_actions if sub else ())]
+    at = next((i for i, arg in enumerate(argv)
+               if arg.startswith("--") and _option_named(arg, options) == "--config"), None)
+    if at is None:
         return argv
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
-        raise ValueError("--config needs a file path")
-    kv = _load_config(argv[i + 1])
-    rest = argv[:i] + argv[i + 2 :]
+    _, eq, path = argv[at].partition("=")
+    if not eq:
+        if at + 1 >= len(argv):
+            raise ValueError("--config needs a file path")
+        path = argv[at + 1]
+    kv = _load_config(path)
+    rest = argv[:at] + argv[at + (1 if eq else 2) :]
     for group in _explicit_groups(parser, rest):
         kv = {key: value for key, value in kv.items() if f"--{key}" not in group}
     flags: List[str] = []
@@ -414,6 +434,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hexmg",
         description="sectorized hexagonal network multiplexing-gain toolkit",
+        epilog="every command also takes --config FILE (or --config=FILE): flat "
+        "'key = value' lines named after its flags; explicit flags win",
     )
     sub = parser.add_subparsers(dest="command")
 
@@ -451,8 +473,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=_positive_int, required=True)
     p.add_argument("--m", type=_positive_int, required=True)
     p.add_argument("--trials", type=_positive_int, default=100)
-    p.add_argument("--tol", type=_tolerance, default=1e-9)
-    p.add_argument("--scheme", choices=("s3", "s4", "s5"), default="s4")
+    p.add_argument("--tol", type=_tolerance, default=precoding.NULLING_TOL)
+    p.add_argument("--scheme", choices=tuple(precoding.SCHEME_MODES), default="s4")
     p.add_argument("--emit", help="CSV file for per-trial results")
     p.set_defaults(func=cmd_zf)
 

@@ -50,6 +50,9 @@ from .lattice import build_network
 
 SCHEME_MODES = {"s3": MODE_SLOW_ONLY, "s4": MODE_MIXED, "s5": MODE_MIXED}
 
+#: default bound on the relative cross residual ``verify_nulling`` accepts
+NULLING_TOL = 1e-9
+
 _CONSISTENCY_TOL = 1e-8
 
 
@@ -202,7 +205,7 @@ def verify_nulling(
     precoder: Precoder,
     plan: ClusterPlan,
     ch: ChannelRealization,
-    tol: float = 1e-9,
+    tol: float = NULLING_TOL,
     scheme: str = "s4",
 ) -> NullingReport:
     """Check the scheme's nulling promises on the substituted channels.
@@ -274,7 +277,7 @@ def certification_plan(t: int, scheme: str = "s4") -> ClusterPlan:
 
 
 def run_trial(
-    plan: ClusterPlan, m: int, seed: int, scheme: str = "s4", tol: float = 1e-9
+    plan: ClusterPlan, m: int, seed: int, scheme: str = "s4", tol: float = NULLING_TOL
 ) -> TrialResult:
     """One seeded end-to-end certification: sample, solve, substitute, check."""
     ch = sample_channels(plan, m, seed)
@@ -290,7 +293,7 @@ def run_trial(
 
 
 def run_trials(
-    t: int, m: int, trials: int, seed: int = 0, scheme: str = "s4", tol: float = 1e-9
+    t: int, m: int, trials: int, seed: int = 0, scheme: str = "s4", tol: float = NULLING_TOL
 ) -> List[TrialResult]:
     """Independent seeded certification trials for one (t, m) design point."""
     plan = certification_plan(t, scheme)

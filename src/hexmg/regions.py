@@ -3,7 +3,9 @@
 The achievable (inner) region is the convex hull of the operating points of
 five transmission schemes, each time-shared with the no-cooperation baseline
 until the per-link cooperation prelog budget is met; each scheme's cost is
-stated once, as the messages one cluster sends (``_messages``).  The
+stated once, as the messages one cluster sends (``_messages``), and the
+cluster sizes each scheme family may use at a delay once, as two integer
+ranges (``t_ranges``).  The
 impossibility (outer) region is the intersection of a cap on the fast gain
 with two caps on the sum gain, the cap rules of the two partitions
 (``partitions.cap_rule``) at their limiting densities.  All vertices are
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, lcm
+from math import lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from . import partitions
@@ -214,31 +216,18 @@ def boundary_samples(region: Region, n: int) -> List[MGPoint]:
 # ---------------------------------------------------------------------------
 # Scheme operating points
 
-def slow_t_max(d: int) -> int:
-    return d // 2
-
-
-def slow_shared_t_max(d: int) -> int:
-    # up to here Tx-side and Rx-side all-slow schemes are interchangeable
-    return d // 4
-
-
-def mixed_dual_t_max(d: int) -> int:
-    return (d - 2) // 4
-
-
-def mixed_rx_t_min(d: int) -> int:
-    return ceil((d + 2) / 4)
-
-
-def mixed_t_max(d: int) -> int:
-    return (d - 2) // 2
-
-
-def mixed_t_values(d: int) -> List[int]:
-    vals = list(range(1, mixed_dual_t_max(d) + 1))
-    vals += [t for t in range(mixed_rx_t_min(d), mixed_t_max(d) + 1) if t not in vals]
-    return vals
+@lru_cache(maxsize=1024)
+def t_ranges(family: str, d: int) -> Tuple[range, range]:
+    """The cluster sizes t a scheme family may use at delay d, as ``(dual,
+    rx_only)``: on ``dual`` the Tx and Rx cooperation prelogs both pay for
+    the scheme, on ``rx_only`` only the Rx prelog does.  All-slow schemes
+    take 1..⌊d/4⌋ and ⌊d/4⌋+1..⌊d/2⌋, mixed schemes 1..⌊(d−2)/4⌋ and
+    ⌈(d+2)/4⌉..⌊(d−2)/2⌋, in integer arithmetic."""
+    if family == FAMILY_SLOW:
+        return range(1, d // 4 + 1), range(d // 4 + 1, d // 2 + 1)
+    if family == FAMILY_MIXED:
+        return range(1, (d - 2) // 4 + 1), range(-(-(d + 2) // 4), (d - 2) // 2 + 1)
+    raise ValueError(f"unknown scheme family {family!r}")
 
 
 # Cooperation prices.  The helpers below only add and multiply, so they
@@ -281,13 +270,6 @@ def required_prelogs(scheme: str, t: int, m: int) -> PrelogRequirement:
     return PrelogRequirement(Fraction(tx, 36 * t * t), Fraction(rx, 18 * t * t))
 
 
-def _need(family: str, m, t) -> Tuple:
-    """Total per-link prelog the full scheme needs, (tx + 2·rx)/(36t²) as
-    (numerator, denominator): s3's for all-slow, s4's for mixed."""
-    tx, rx = _messages("s3" if family == FAMILY_SLOW else "s4", m, t)
-    return tx + 2 * rx, 36 * t * t
-
-
 def _base_gains(family: str, m) -> Tuple:
     """(fast, slow) gains at λ = 0, each as (numerator, denominator): the
     no-cooperation baseline, all slow (0, m/2) or all fast (m/2, 0)."""
@@ -306,8 +288,11 @@ def _full_gains(family: str, m, t) -> Tuple:
 
 @lru_cache(maxsize=1024)
 def _family_prices(family: str, m: int, t: int) -> Tuple:
-    """Need, base and full gains of a family; a sweep reuses a few (m, t)."""
-    return _need(family, m, t), _base_gains(family, m), _full_gains(family, m, t)
+    """Need, base and full gains of a family; a sweep reuses a few (m, t).
+    The need is the total per-link prelog of the full scheme, s3's for
+    all-slow and s4's for mixed, as (numerator, denominator)."""
+    need = required_prelogs("s3" if family == FAMILY_SLOW else "s4", t, m).total
+    return need.as_integer_ratio(), _base_gains(family, m), _full_gains(family, m, t)
 
 
 def _time_share(base: Tuple, full: Tuple, ln, ld) -> Tuple:
@@ -332,26 +317,15 @@ def scheme_point(family: str, t: int, p: SystemParams) -> MGPoint:
     if not isinstance(t, int) or t < 1:
         raise ValueError(f"t must be a positive integer, got {t!r}")
 
-    if family == FAMILY_SLOW:
-        if t <= slow_shared_t_max(p.d):
-            dual = True
-        elif t <= slow_t_max(p.d):
-            dual = False
-        else:
-            raise ValueError(f"t={t} outside the all-slow range for d={p.d}")
-    elif family == FAMILY_MIXED:
-        if t <= mixed_dual_t_max(p.d):
-            dual = True
-        elif mixed_rx_t_min(p.d) <= t <= mixed_t_max(p.d):
-            dual = False
-        else:
-            raise ValueError(f"t={t} outside the mixed range for d={p.d}")
-    else:
-        raise ValueError(f"unknown scheme family {family!r}")
+    dual, rx_only = t_ranges(family, p.d)
+    on_dual = t in dual
+    if not on_dual and t not in rx_only:
+        name = "all-slow" if family == FAMILY_SLOW else "mixed"
+        raise ValueError(f"t={t} outside the {name} range for d={p.d}")
 
     # available prelog an/ad: mu_rx, plus mu_tx on the dual branch
     an, ad = p.mu_rx.numerator, p.mu_rx.denominator
-    if dual:
+    if on_dual:
         xn, xd = p.mu_tx.numerator, p.mu_tx.denominator
         an, ad = an * xd + xn * ad, ad * xd
     (nn, nd), (base_sf, base_ss), (sf, ss) = _family_prices(family, m, t)
@@ -367,16 +341,16 @@ def inner_bound(p: SystemParams, t_values: Optional[Iterable[int]] = None) -> Re
 
     ``t_values`` restricts the scheme parameter sweep (e.g. ``[4]`` evaluates
     the bound for a single cluster size); by default every admissible t for
-    the delay budget enters the hull.
+    the delay budget enters the hull.  Only the selected t are visited, so a
+    hull at one t costs the same for any d.
     """
-    sel = None if t_values is None else set(t_values)
+    sel = None if t_values is None else sorted(set(t_values))
     pts = [MGPoint(Fraction(0), Fraction(0)), scheme_point(FAMILY_NO_COOP, 1, p)]
-    for t in range(1, slow_t_max(p.d) + 1):
-        if sel is None or t in sel:
-            pts.append(scheme_point(FAMILY_SLOW, t, p))
-    for t in mixed_t_values(p.d):
-        if sel is None or t in sel:
-            pts.append(scheme_point(FAMILY_MIXED, t, p))
+    for family in (FAMILY_SLOW, FAMILY_MIXED):
+        for ts in t_ranges(family, p.d):
+            # bounds, not `in`: `in` walks the range for a t that is not an int
+            picked = ts if sel is None else [t for t in sel if ts.start <= t < ts.stop]
+            pts += [scheme_point(family, t, p) for t in picked]
     return convex_hull(pts)
 
 

@@ -157,6 +157,26 @@ def test_region_accepts_largest_admissible_t(capsys):
     assert stdout.startswith("bound,sf,ss\n")
 
 
+@pytest.mark.parametrize("d", [20, 10**18], ids=["d20", "d1e18"])
+def test_region_t_beyond_every_range_names_the_largest_t(capsys, d):
+    code, stdout, err = run(capsys, "region", "--m", "3", "--d", str(d), "--t", str(d // 2 + 1))
+    assert (code, stdout) == (2, "")
+    assert err == f"hexmg: --t {d // 2 + 1} enters no scheme for --d {d}; t must be at most {d // 2}\n"
+
+
+def test_region_default_t_at_huge_delay(capsys):
+    """The default single t, ⌊(d−2)/4⌋, is evaluated without walking the
+    other t: at d = 10**12 the command returns at once."""
+    code, stdout, err = run(capsys, "region", "--m", "1", "--d", str(10**12), "--format", "json")
+    assert (code, err) == (0, "")
+    payload = json.loads(stdout)
+    assert payload["t_values"] == [(10**12 - 2) // 4]
+    # zero prelogs: every scheme runs at its baseline
+    assert payload["bounds"]["inner"] == [
+        {"sf": [0, 1], "ss": [0, 1]}, {"sf": [1, 2], "ss": [0, 1]}, {"sf": [0, 1], "ss": [1, 2]}
+    ]
+
+
 def test_verify_all_reports_a_failing_check(capsys, tmp_path, monkeypatch):
     real = checks.schedule_checks
 
@@ -555,6 +575,31 @@ def test_config_file_defaults_and_override(capsys, tmp_path):
     code, stdout, _ = run(capsys, "cluster", "--config", str(cfg), "--t", "1", "--check-counts")
     assert code == 0
     assert "tx links 36" in stdout
+
+
+@pytest.mark.parametrize(
+    "form",
+    [["region", "--config=CFG"], ["region", "--conf", "CFG"], ["region", "--conf=CFG"],
+     ["--config", "CFG", "region"], ["--config=CFG", "region"]],
+    ids=["equals", "abbreviated", "abbreviated-equals", "before-command", "equals-before-command"],
+)
+def test_config_forms_give_identical_stdout(capsys, tmp_path, form):
+    """``--config=FILE``, an abbreviation and a config before the command
+    read the file as ``--config FILE`` does."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("m = 3\nd = 20\nmu-tx = 1/10\nformat = json\n")
+    argv = [arg.replace("CFG", str(cfg)) for arg in form]
+    want = run(capsys, "region", "--config", str(cfg), "--t", "3")
+    assert want[0] == 0 and want[1].startswith("{")
+    assert run(capsys, *argv, "--t", "3") == want
+
+
+def test_second_config_is_refused(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("m = 3\nd = 20\n")
+    code, stdout, err = run(capsys, "region", "--config", str(cfg), "--config", str(cfg))
+    assert (code, stdout) == (2, "")
+    assert "unrecognized arguments: --config" in err
 
 
 @pytest.mark.parametrize(

@@ -30,7 +30,7 @@ from hexmg.clustering import (
     silenced_sectors,
 )
 from hexmg.lattice import HEX_DIRS, Cell, SectorSet, build_network, cell_distance
-from hexmg.regions import FAMILY_MIXED, FAMILY_SLOW, _need, required_prelogs
+from hexmg.regions import FAMILY_MIXED, FAMILY_SLOW, _family_prices, required_prelogs
 from test_lattice import hex_ball
 
 
@@ -582,14 +582,16 @@ def test_prelog_duality_and_mirror_for_symbolic_t_and_m():
                 assert [sympy.Rational(got.mu_tx), sympy.Rational(got.mu_rx)] == want
 
 
-def test_required_prelogs_state_the_region_need():
-    """``required_prelogs`` and the region sweep's ``_need`` state one number:
-    the s4 total is the mixed need, and s3's tx side and s2's rx side are the
-    all-slow need."""
+def test_family_need_is_the_papers_and_the_required_prelogs_total():
+    """The region sweep's need is the paper's: m(4t²−1)(2t+3)/(18t²), the s4
+    total, for mixed and m(2t−1)/3, s3's tx side and s2's rx side, for
+    all-slow."""
     for t in range(1, 21):
         for m in range(1, 5):
-            mixed = Fraction(*_need(FAMILY_MIXED, m, t))
-            slow = Fraction(*_need(FAMILY_SLOW, m, t))
+            mixed = Fraction(*_family_prices(FAMILY_MIXED, m, t)[0])
+            slow = Fraction(*_family_prices(FAMILY_SLOW, m, t)[0])
+            assert mixed == Fraction(m * (4 * t * t - 1) * (2 * t + 3), 18 * t * t)
+            assert slow == Fraction(m * (2 * t - 1), 3)
             assert required_prelogs("s4", t, m).total == mixed
             assert required_prelogs("s3", t, m).mu_tx == slow
             assert required_prelogs("s2", t, m).mu_rx == slow

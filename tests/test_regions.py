@@ -1,6 +1,7 @@
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
+from math import ceil, floor
 
 import pytest
 import sympy
@@ -20,18 +21,15 @@ from hexmg.regions import (
     inner_bound,
     is_subset,
     max_sum_mg,
-    mixed_dual_t_max,
     outer_bound,
     scheme_point,
     sum_gain_cap,
+    t_ranges,
     _base_gains,
     _cross,
     _full_gains,
     _messages,
-    _need,
     _time_share,
-    mixed_t_values,
-    slow_t_max,
 )
 
 
@@ -130,7 +128,7 @@ def test_lambda_cap_is_linear_then_saturates():
 
 
 def test_mixed_point_symmetric_in_prelogs_on_dual_branch():
-    for t in range(1, mixed_dual_t_max(20) + 1):
+    for t in range(1, 5):  # the dual branch at d = 20: t <= (20 - 2)/4
         a = SystemParams(m=3, mu_tx=Fraction(1, 10), mu_rx=Fraction(2, 5), d=20)
         b = SystemParams(m=3, mu_tx=Fraction(2, 5), mu_rx=Fraction(1, 10), d=20)
         assert scheme_point(FAMILY_MIXED, t, a) == scheme_point(FAMILY_MIXED, t, b)
@@ -165,7 +163,9 @@ def test_closed_forms_and_integer_expressions_match_the_lambda_formulas():
         return sympy.simplify(a - b) == 0
 
     for family in (FAMILY_SLOW, FAMILY_MIXED):
-        nn, nd = _need(family, m, t)
+        # the full scheme's total per-link prelog: s3's for all-slow, s4's for mixed
+        tx, rx = _messages("s3" if family == FAMILY_SLOW else "s4", m, t)
+        nn, nd = tx + 2 * rx, 36 * t**2
         assert same(ratio((nn, nd)), need[family])
         base, full = _base_gains(family, m), _full_gains(family, m, t)
         for lam, gains in ((0, base), (1, full)):
@@ -521,26 +521,39 @@ def oracle_convex_hull(points):
     return Region(tuple(hull[start:] + hull[:start]))
 
 
+def oracle_t_bounds(family, d):
+    """The paper's (first, last) t of the dual and the rx-only branch, by
+    exact rational floor and ceiling: all-slow 1..⌊d/4⌋ and ⌊d/4⌋+1..⌊d/2⌋,
+    mixed 1..⌊(d−2)/4⌋ and ⌈(d+2)/4⌉..⌊(d−2)/2⌋."""
+    if family == FAMILY_SLOW:
+        return (1, floor(Fraction(d, 4))), (floor(Fraction(d, 4)) + 1, floor(Fraction(d, 2)))
+    return (1, floor(Fraction(d - 2, 4))), (ceil(Fraction(d + 2, 4)), floor(Fraction(d - 2, 2)))
+
+
 def oracle_scheme_point(family, t, p):
     """Time-sharing in ``Fraction`` arithmetic: lam = min(1, available/need)."""
     m = p.m
     if family == FAMILY_NO_COOP:
         return MGPoint(Fraction(m, 2), Fraction(0))
+    dual_last = oracle_t_bounds(family, p.d)[0][1]
+    available = p.mu_tx + p.mu_rx if t <= dual_last else p.mu_rx
     if family == FAMILY_SLOW:
-        available = p.mu_tx + p.mu_rx if t <= p.d // 4 else p.mu_rx
         need = Fraction(m * (2 * t - 1), 3)
         lam = min(Fraction(1), available / need)
         return MGPoint(Fraction(0), Fraction(m, 2) + lam * Fraction(m * (3 * t - 2), 6 * t))
-    available = p.mu_tx + p.mu_rx if t <= mixed_dual_t_max(p.d) else p.mu_rx
     need = Fraction(m * (4 * t * t - 1) * (2 * t + 3), 18 * t * t)
     lam = min(Fraction(1), available / need)
     return MGPoint(Fraction(m, 2) - lam * Fraction(m, 6), lam * Fraction(m * (2 * t - 1), 3 * t))
 
 
-def oracle_scheme_points(p):
-    """``(family, t) -> oracle_scheme_point`` for every scheme of ``p``."""
-    schemes = [(FAMILY_NO_COOP, 1)] + [(FAMILY_SLOW, t) for t in range(1, slow_t_max(p.d) + 1)]
-    schemes += [(FAMILY_MIXED, t) for t in mixed_t_values(p.d)]
+def oracle_scheme_points(p, t_values=None):
+    """``(family, t) -> oracle_scheme_point`` for every scheme of ``p``,
+    cooperative schemes only at ``t_values`` if given."""
+    schemes = [(FAMILY_NO_COOP, 1)]
+    for family in (FAMILY_SLOW, FAMILY_MIXED):
+        for first, last in oracle_t_bounds(family, p.d):
+            ts = range(first, last + 1) if t_values is None else [t for t in t_values if first <= t <= last]
+            schemes += [(family, t) for t in ts]
     return {(family, t): oracle_scheme_point(family, t, p) for family, t in schemes}
 
 
@@ -595,9 +608,59 @@ def test_integer_regions_match_fraction_oracles(p, data):
     for (family, t), want in points.items():
         assert_exact(scheme_point(family, t, p), want)
     assert_exact(inner_bound(p), oracle_inner_bound(points))
-    subset = data.draw(st.sets(st.integers(1, max(1, slow_t_max(p.d)))), label="t_values")
+    slow_last = oracle_t_bounds(FAMILY_SLOW, p.d)[1][1]
+    subset = data.draw(st.sets(st.integers(1, max(1, slow_last))), label="t_values")
     assert_exact(inner_bound(p, subset), oracle_inner_bound(points, subset))
     assert_exact(outer_bound(p), oracle_outer_bound(p))
+
+
+@pytest.mark.parametrize("family", [FAMILY_SLOW, FAMILY_MIXED])
+def test_t_ranges_are_the_papers_bounds(family):
+    """``t_ranges`` holds the oracle's branches for d = 1..200 and for d
+    near 10**18, where a float ceiling of (d+2)/4 is off by several units."""
+    for d in [*range(1, 201), *range(10**18 - 4, 10**18 + 12)]:
+        want = tuple(range(first, last + 1) for first, last in oracle_t_bounds(family, d))
+        assert t_ranges(family, d) == want, d
+
+
+@pytest.mark.parametrize("family", [FAMILY_SLOW, FAMILY_MIXED])
+def test_scheme_point_accepts_exactly_the_oracle_ranges(family):
+    name = "all-slow" if family == FAMILY_SLOW else "mixed"
+    for d in range(1, 61):
+        p = SystemParams(m=2, mu_tx=Fraction(1, 3), mu_rx=Fraction(1, 7), d=d)
+        bounds = oracle_t_bounds(family, d)
+        for t in range(1, d // 2 + 3):
+            if any(first <= t <= last for first, last in bounds):
+                assert_exact(scheme_point(family, t, p), oracle_scheme_point(family, t, p))
+            else:
+                with pytest.raises(ValueError, match=f"^t={t} outside the {name} range for d={d}$"):
+                    scheme_point(family, t, p)
+
+
+def test_mixed_gap_is_refused_at_huge_delay():
+    """At d = 10**18 + 3 the rx-only mixed branch starts at
+    ⌈(d+2)/4⌉ = 250000000000000002; the t just past the dual branch lies in
+    the gap (a float ceiling put the start at 250000000000000000)."""
+    d = 10**18 + 3
+    p = SystemParams(m=1, mu_tx=1, mu_rx=1, d=d)
+    gap = (d - 2) // 4 + 1
+    with pytest.raises(ValueError, match=f"^t={gap} outside the mixed range for d={d}$"):
+        scheme_point(FAMILY_MIXED, gap, p)
+    assert t_ranges(FAMILY_MIXED, d)[1][0] == 250000000000000002
+    assert_exact(scheme_point(FAMILY_MIXED, gap + 1, p), oracle_scheme_point(FAMILY_MIXED, gap + 1, p))
+
+
+@pytest.mark.parametrize("mu", [0, 10**12], ids=["zero-prelogs", "full-cooperation"])
+def test_inner_bound_at_one_t_visits_only_that_t(mu):
+    """A hull at selected t costs the same for any d: at d = 10**12 it
+    takes each branch's ends and a t beyond every range at once."""
+    d = 10**12
+    p = SystemParams(m=1, mu_tx=mu, mu_rx=mu, d=d)
+    for t in (1, (d - 2) // 4, (d - 2) // 4 + 1, d // 4 + 1, (d - 2) // 2, d // 2, d // 2 + 1):
+        points = oracle_scheme_points(p, [t])
+        assert_exact(inner_bound(p, [t]), oracle_inner_bound(points, [t]))
+    with pytest.raises(ValueError, match=r"^t must be a positive integer, got 2\.5$"):
+        inner_bound(p, [2.5])
 
 
 #: non-negative coordinates: small denominators (ties, duplicates, collinear
