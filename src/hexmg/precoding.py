@@ -21,11 +21,15 @@ one indexed assignment, and the check adds each receiver's terms slot by slot
 in link order.
 
 Every s5 message shares the same fast-sector rows, so the solve factors that
-block once (one SVD gives its row rank and a null-space basis) and then
-solves one small m x m system per message, all messages in one batch.  The
-check substitutes the sampled channels into the precoder as one stack of
-m x m effective channels; one SVD of the intended blocks gives both their
-norms and their ranks.
+block once: one reduced QR gives its row space, and the singular values of
+its small triangular factor give its row rank.  Two matrix products project
+every message's own rows onto the null space of the fast block at once, and
+one batched SVD of the projected m-column blocks gives each message's rank
+and its minimum-norm precoder block.  The consistency check takes the fast
+rows of the whole precoder in one product and each message's own gain from
+its diagonal block only.  The check substitutes the sampled channels into
+the precoder as one stack of m x m effective channels; one SVD of the
+intended blocks gives both their norms and their ranks.
 """
 
 from __future__ import annotations
@@ -170,34 +174,46 @@ def solve_precoder(system: ZFSystem) -> Precoder:
             raise RankDeficientError(f"inconsistent system, residual {resid:.3e}")
         return Precoder(m=m, layout=system.layout, matrix=b)
 
-    # s5: every message is nulled at the same fast rows, so factor them once.
-    # N spans the null space of the fast block H_F; message j then needs the
-    # minimum-norm y_j with (H_own_j N) y_j = I, and B_j = N y_j is the
-    # minimum-norm solution of [H_F; H_own_j] B_j = [0; I].
+    # s5: every message is nulled at the same fast rows H_F, so factor them
+    # once.  The reduced QR H_F^T = q r gives H_F's singular values (those of
+    # r) and its row space (q), so W = G^T - q (q^T G^T) projects the stacked
+    # own rows G onto H_F's null space: W_j = N N^T G_j^T for any orthonormal
+    # null-space basis N.  W_j has the singular values of A_j = G_j N, and
+    # with W_j = U S V^T the minimum-norm solution of [H_F; G_j] B_j = [0; I]
+    # is B_j = W_j (W_j^T W_j)^-1 = U S^-1 V^T, formed as its transpose
+    # V S^-1 U^T, whose stack of m x n_ant rows is the precoder's transpose.
     lay = system.layout
-    h = system.h_net.reshape(len(lay.ids), m, -1)
-    h_fast = h[lay.fast_pos].reshape(-1, h.shape[-1])
+    n_ant = m * len(lay.ids)
+    h = system.h_net.reshape(len(lay.ids), m, n_ant)
+    h_fast = h[lay.fast_pos].reshape(-1, n_ant)
     h_own = h[lay.slow_pos]
-    _, sv, vt = np.linalg.svd(h_fast)
-    rank = np.count_nonzero(sv > sv[:1] * max(h_fast.shape) * np.finfo(sv.dtype).eps)
-    if rank < h_fast.shape[0]:
+    try:
+        q, r = np.linalg.qr(h_fast.T)
+        sv = np.linalg.svd(r, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise RankDeficientError(str(exc)) from None
+    eps = np.finfo(sv.dtype).eps
+    if np.count_nonzero(sv > sv[:1] * max(h_fast.shape) * eps) < h_fast.shape[0]:
         raise RankDeficientError("row-rank deficiency at the fast sectors")
-    null = vt[rank:].T
-    a = h_own @ null
-    short = np.linalg.matrix_rank(a) < m
+    g_t = h_own.reshape(-1, n_ant).T
+    w = (g_t - q @ (q.T @ g_t)).reshape(n_ant, -1, m).transpose(1, 0, 2)
+    try:
+        u, s, vt = np.linalg.svd(w, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise RankDeficientError(str(exc)) from None
+    cut = s[:, :1] * max(m, n_ant - h_fast.shape[0]) * eps
+    short = np.count_nonzero(s > cut, axis=-1) < m
     if short.any():
         msg = lay.ids[lay.slow_pos[np.argmax(short)]]
         raise RankDeficientError(f"row-rank deficiency for message at sector id {msg}")
-    try:
-        y = np.linalg.solve(a @ a.transpose(0, 2, 1), a).transpose(0, 2, 1)
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficientError(str(exc)) from None
-    blocks = null @ y
-    res = np.concatenate([h_fast @ blocks, h_own @ blocks - np.eye(m)], axis=1)
-    resid = np.linalg.norm(res, axis=(1, 2))
+    blocks_t = (vt.transpose(0, 2, 1) / s[:, None, :]) @ u.transpose(0, 2, 1)
+    b = np.ascontiguousarray(blocks_t.reshape(-1, n_ant).T)
+    fast_res = (h_fast @ b).reshape(-1, len(lay.slow_pos), m)
+    own_res = h_own @ blocks_t.transpose(0, 2, 1) - np.eye(m)
+    resid = np.sqrt(np.einsum("kja,kja->j", fast_res, fast_res)
+                    + np.einsum("jab,jab->j", own_res, own_res))
     if not (resid <= _CONSISTENCY_TOL).all():
         raise RankDeficientError(f"inconsistent system, residual {resid.max():.3e}")
-    b = blocks.transpose(1, 0, 2).reshape(m * len(lay.ids), -1)
     return Precoder(m=m, layout=lay, matrix=b)
 
 
@@ -216,12 +232,15 @@ def verify_nulling(
     sectors for s4/s5) must be negligible relative to the strongest intended
     gain.  The effective channels come from substituting the sampled
     ``ch.h`` into the precoder directly, never from the solved system, and
-    are judged as one stack of m x m blocks.
+    are judged as one stack of m x m blocks.  The scheme must fit the
+    plan's assignment mode, as in ``build_zf_system``.
     """
     if plan.roles is None:
         raise ValueError("plan has no assignment")
     if scheme not in SCHEME_MODES:
         raise ValueError(f"unknown precoding scheme {scheme!r}")
+    if plan.mode != SCHEME_MODES[scheme]:
+        raise ValueError(f"scheme {scheme} needs a {SCHEME_MODES[scheme]} assignment")
     lay = plan.origin_links
     m = precoder.m
     n, n_msg = len(lay.ids), len(lay.slow_pos)

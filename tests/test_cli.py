@@ -351,7 +351,13 @@ def test_lattice_interior_check_reaches_every_full_cell(capsys, monkeypatch, rad
 #: mixed-mode cluster, zf s4 and s5 and verify-all entries were re-recorded
 #: when the fast pattern became one cluster's matching copied to every
 #: cluster, which moves the mixed roles, the origin cluster's fast sectors at
-#: t=2 and with them the residual digits and the role-fraction errors.
+#: t=2 and with them the residual digits and the role-fraction errors.  The
+#: zf s5 entry was re-recorded again when the s5 solve moved from a full SVD
+#: of the fast rows to one reduced QR and one batched SVD of the projected own
+#: rows: the precoders agree to about 1e-14, but the residual digits move
+#: (worst 1.480e-15 -> 9.587e-15 here), as they did when the solve first
+#: factored the fast rows once.  verify-all certifies s4 only, so its report
+#: and stdout, like the s3 and s4 entries, stay as they were.
 EMIT_DIGESTS = {
     # the stdout digest was re-recorded when the dead ``--m`` label left the summary
     ("lattice", "--radius", "8"): (
@@ -371,8 +377,8 @@ EMIT_DIGESTS = {
         "5064d40e487419c410b9ce88efe585f4447b4488a2d090db8df31af20f417327",
     ),
     ("zf", "--t", "2", "--m", "2", "--trials", "5", "--seed", "3", "--scheme", "s5"): (
-        "0626385eda0592e96950df6852725d3b597e0f4a012b4d3e4509f5eec3dddfa9",
-        "583d6d7c8a515cb61c629b81c5b5093999fe25dacad6183d8800371aa60c0e71",
+        "95a034910adbc5f446b091c7a9ddafc1c16cb7df3c9fcff4071ca7d6f55099d8",
+        "aaedd03af855faf938a9491b0e5213cd40d8d4c6a77dd058be3a65eedbd1d672",
     ),
     ("region", "--m", "3", "--mu-tx", "1/10", "--mu-rx", "1/5", "--d", "20", "--format", "json"): (
         "7b86e51cbfcb20ec0b23accc049dde8da5dc6273903548e1310240de2487c1b8",

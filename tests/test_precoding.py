@@ -222,6 +222,27 @@ def test_fast_sectors_hear_no_slow_aggregate_s4():
     assert worst <= 1e-9
 
 
+@pytest.mark.parametrize(
+    "plan_scheme,scheme", [("s3", "s5"), ("s3", "s4"), ("s4", "s3"), ("s5", "s3")]
+)
+def test_verify_refuses_scheme_of_another_assignment(plan_scheme, scheme):
+    """A slow-only plan has no fast sector, so checked as s5 nothing would
+    count as cross talk and even a random precoder would pass: the check
+    refuses a scheme that does not fit the plan's assignment mode, with the
+    text ``build_zf_system`` uses."""
+    plan = shared_plan(2, plan_scheme)
+    lay = plan.origin_links
+    m = 2
+    ch = sample_channels(plan, m, seed=0)
+    matrix = np.random.default_rng(1).standard_normal((m * len(lay.ids), m * len(lay.slow_pos)))
+    mode = "MIXED" if scheme != "s3" else "SLOW_ONLY"
+    text = f"scheme {scheme} needs a {mode} assignment"
+    with pytest.raises(ValueError, match=f"^{text}$"):
+        build_zf_system(plan, ch, scheme)
+    with pytest.raises(ValueError, match=f"^{text}$"):
+        verify_nulling(Precoder(m, lay, matrix), plan, ch, scheme=scheme)
+
+
 def test_zero_precoder_not_solvable():
     plan = certification_plan(1, "s4")
     ch = sample_channels(plan, 1, seed=1)
@@ -273,6 +294,82 @@ def test_degenerate_channels_flagged(scheme, role, match):
         solve_precoder(system)
     if role == SLOW:  # the message is named by its sector id
         assert str(err.value).endswith(f"for message at sector id {dead}")
+
+
+def _near_cut_off_s5(t, m, seed, block, scale):
+    """An s5 system whose fast block (``block="fast"``) or one message's own
+    block (``block="own"``) has its smallest singular value at ``scale``
+    times the solve's rank cut-off, and whether ``matrix_rank`` calls that
+    block rank-deficient.  The fast case replaces one fast sector's rows by
+    ``scale * cut`` times orthonormal rows orthogonal to the other fast rows;
+    the own case sets the smallest singular value of ``h_own_j @ N``, with N
+    the null-space basis of a full SVD of the fast rows."""
+    eps = np.finfo(float).eps
+    plan = shared_plan(t, "s5")
+    system = build_zf_system(plan, sample_channels(plan, m, seed), "s5")
+    lay = system.layout
+    n_ant = m * len(lay.ids)
+    h = system.h_net.reshape(len(lay.ids), m, n_ant).copy()
+    k = m * len(lay.fast_pos)
+    if block == "fast":
+        others = h[lay.fast_pos[1:]].reshape(-1, n_ant)
+        _, sv, vt = np.linalg.svd(others)
+        h[lay.fast_pos[0]] = scale * sv[0] * max(k, n_ant) * eps * vt[len(sv) : len(sv) + m]
+        short = np.linalg.matrix_rank(h[lay.fast_pos].reshape(-1, n_ant)) < k
+        sector = None
+    else:
+        null = np.linalg.svd(h[lay.fast_pos].reshape(-1, n_ant))[2][k:].T
+        sector = int(lay.ids[lay.slow_pos[len(lay.slow_pos) // 2]])
+        i = int(np.searchsorted(lay.ids, sector))
+        u, sv, vt = np.linalg.svd(h[i] @ null, full_matrices=False)
+        sv[-1] = scale * sv[0] * max(m, n_ant - k) * eps
+        h[i] += ((u * sv) @ vt - h[i] @ null) @ null.T
+        short = np.linalg.matrix_rank(h[i] @ null) < m
+    return replace(system, h_net=h.reshape(n_ant, n_ant)), bool(short), sector
+
+
+@pytest.mark.parametrize("scale", [0.5, 2.0])
+@pytest.mark.parametrize(
+    "block,t,m",
+    [("fast", t, m) for t in (1, 2) for m in (1, 2, 3)]
+    + [("own", t, m) for t in (1, 2) for m in (2, 3)],
+)
+def test_s5_rank_cut_offs(block, t, m, scale):
+    """The s5 solve calls a block rank-deficient exactly when ``matrix_rank``
+    does, at half and at twice the cut-off: sigma_max * max(shape) * eps for
+    the fast rows, and sigma_max * max(m, N - k) * eps for a message's
+    projected own rows.  Above the cut-off a fast block still solves; an own
+    block there has condition number about 1e13, so the 1e-8 consistency
+    check refuses it instead."""
+    for seed in range(3):
+        system, short, sector = _near_cut_off_s5(t, m, seed, block, scale)
+        assert short == (scale < 1)
+        if short:
+            text = ("row-rank deficiency at the fast sectors" if block == "fast"
+                    else f"row-rank deficiency for message at sector id {sector}")
+            with pytest.raises(RankDeficientError) as err:
+                solve_precoder(system)
+            assert str(err.value) == text
+        elif block == "fast":
+            solve_precoder(system)
+        else:
+            with pytest.raises(RankDeficientError, match="^inconsistent system, residual "):
+                solve_precoder(system)
+
+
+@pytest.mark.parametrize("role", [FAST, SLOW])
+def test_s5_non_finite_channel_flagged(role):
+    """A NaN channel into a fast or a slow sector makes an SVD of the s5
+    solve fail to converge; that is reported as a rank deficiency, as the s4
+    solve reports it, and ``run_trial``, which catches that error, records
+    an unsolvable trial instead of raising."""
+    plan = shared_plan(1, "s5")
+    lay = plan.origin_links
+    ch = sample_channels(plan, 2, seed=0)
+    pos = lay.fast_pos[0] if role == FAST else lay.slow_pos[0]
+    ch.h[np.flatnonzero(lay.rx == pos)[0], 0, 0] = np.nan
+    with pytest.raises(RankDeficientError):
+        solve_precoder(build_zf_system(plan, ch, "s5"))
 
 
 def test_precoder_for_another_cluster_rejected():
@@ -375,12 +472,10 @@ def test_cross_norm_filter_near_the_threshold(seed, m, n):
     assert _max_spectral_norm(blocks[:0]) == 0.0
 
 
-@pytest.mark.parametrize("t,m", [(t, m) for t in (1, 2, 3) for m in (1, 2)])
-@settings(max_examples=6, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1))
-def test_factored_s5_solve_matches_lstsq_oracle(t, m, seed):
-    plan = shared_plan(t, "s5")
-    system = build_zf_system(plan, sample_channels(plan, m, seed), "s5")
+def assert_s5_solve_matches_lstsq_oracle(system):
+    """The factored s5 precoder is the per-message minimum-norm ``lstsq``
+    solution, nulls every fast row and pins every own gain to I."""
+    m = system.m
     b = solve_precoder(system).matrix
     ref = solve_s5_oracle(system)
     assert np.linalg.norm(b - ref) <= 1e-9 * np.linalg.norm(ref)
@@ -392,6 +487,25 @@ def test_factored_s5_solve_matches_lstsq_oracle(t, m, seed):
     for j, i in enumerate(lay.slow_pos.tolist()):
         own = h[i] @ b[:, m * j : m * j + m]
         assert np.abs(own - np.eye(m)).max() <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "t,m", [(t, m) for t in (1, 2, 3) for m in (1, 2)] + [(1, 3), (2, 3)]
+)
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_factored_s5_solve_matches_lstsq_oracle(t, m, seed):
+    plan = shared_plan(t, "s5")
+    assert_s5_solve_matches_lstsq_oracle(build_zf_system(plan, sample_channels(plan, m, seed), "s5"))
+
+
+def test_factored_s5_solve_matches_lstsq_oracle_at_benchmark_size():
+    """The solve-bound s5 point of the ``zf_scale`` benchmark, t=4 and m=3:
+    84 messages against 144 fast rows over 396 antennas."""
+    plan = shared_plan(4, "s5")
+    system = build_zf_system(plan, sample_channels(plan, 3, 20), "s5")
+    assert (len(system.layout.slow_pos), 3 * len(system.layout.fast_pos)) == (84, 144)
+    assert_s5_solve_matches_lstsq_oracle(system)
 
 
 def test_s5_solvable_at_t8():
