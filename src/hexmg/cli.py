@@ -61,14 +61,19 @@ def _tolerance(text: str) -> float:
 
 
 def _write_or_print(text: str, path: Optional[str], out_dir: Optional[str]) -> None:
+    """Write ``text`` to ``path``, under ``out_dir`` if it is relative, or to
+    stdout without a path; a path that cannot be written is a usage error."""
     if path is None:
         sys.stdout.write(text)
         return
-    if out_dir and not os.path.isabs(path):
-        os.makedirs(out_dir, exist_ok=True)
-        path = os.path.join(out_dir, path)
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
+    try:
+        if out_dir and not os.path.isabs(path):
+            os.makedirs(out_dir, exist_ok=True)
+            path = os.path.join(out_dir, path)
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {exc.filename or path}: {exc.strerror or exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +344,7 @@ def cmd_verify_all(args: argparse.Namespace) -> int:
     report = "\n".join(lines) + "\n"
     sys.stdout.write(report)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "verify_report.txt"), "w", newline="") as fh:
-            fh.write(report)
+        _write_or_print(report, "verify_report.txt", args.out)
     return 0 if n_pass == len(results) else CHECK_FAILED
 
 

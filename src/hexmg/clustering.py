@@ -9,7 +9,9 @@ a cluster plan, messages are assigned either all-slow or mixed fast/slow,
 where the fast sectors form an exact density-1/3 pattern with no two fast
 sectors interfering, laid out alike in every cluster.  An assigned plan also
 lays out the links of the origin master's cluster (``ClusterPlan.origin_links``),
-once, for the zero-forcing trials, which so certify every cluster.
+once, for the zero-forcing trials, which so certify every cluster; the layout
+carries every index array the trials read (links by depth, own and cross
+blocks), so a trial computes none of them.
 
 One period of the master grid, the 3t x 3t torus, states the periodic
 geometry once, as arrays over its rows ``(q mod 3t)·3t + (r mod 3t)``: the
@@ -20,12 +22,14 @@ link counting takes, the cluster owners, and the fast pattern, a read-only
 A plan states everything per sector id: ``cluster_ids`` the cluster, ``roles``
 the role code, and each ``Cluster.sectors`` the cluster's ascending ids.
 Sector tuples appear only where a caller passes one in (``cluster_of``, set
-membership) or iterates a set.
+membership) or iterates a set.  ``clusters`` builds every ``Cluster`` at
+once; a cluster and its ``SectorSet`` have slots, and a cluster's master is
+the plan's own ``masters`` tuple, so each cluster costs two small objects.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import FrozenInstanceError, dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Dict, FrozenSet, List, Optional, Tuple
@@ -238,36 +242,62 @@ class UncutLatticeError(RuntimeError):
     """A cluster holds more than one master: the silencing failed to cut it."""
 
 
-@dataclass(frozen=True, eq=False)
 class Cluster:
     """One connected block of active sectors; ``master`` is None for the
-    partial clusters cut off by the lattice boundary."""
+    partial clusters cut off by the lattice boundary.  Immutable, and equal
+    only to itself; ``clusters`` builds thousands, so it has slots."""
 
+    __slots__ = ("master", "sectors")
     master: Optional[Cell]
     #: ``labels`` is the plan's ``cluster_ids`` and ``label`` the cluster's index
     sectors: SectorSet
+
+    def __init__(self, master: Optional[Cell], sectors: SectorSet) -> None:
+        object.__setattr__(self, "master", master)
+        object.__setattr__(self, "sectors", sectors)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Cluster, (self.master, self.sectors)
+
+    def __repr__(self) -> str:
+        return f"Cluster(master={self.master!r}, sectors={self.sectors!r})"
 
 
 @dataclass(frozen=True, eq=False)
 class LinkLayout:
     """The links of the origin master's cluster, in the order the zero-forcing
-    trials draw and sum their channels.
+    trials draw and sum their channels, and the index arrays every trial
+    reads off them.
 
     A position indexes ``ids``, the members' ascending sector ids.  Link k
     runs from transmitter ``tx[k]`` to receiver ``rx[k]``; each receiver's
     links are consecutive, its self link first, then its in-cluster ``nbr``
-    links by ascending id.
-    ``slots[d]`` holds ``(rx, tx, link)`` for every receiver's d-th link.
+    links by ascending id.  Message j is carried by the sector at position
+    ``slow_pos[j]``.
     """
 
     ids: np.ndarray
     rx: np.ndarray
     tx: np.ndarray
-    slots: Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], ...]
-    #: per position: the index of its role in ``ROLES``
-    roles: np.ndarray
+    #: ``(depth, position)``: the receiver's d-th link and that link's
+    #: transmitter; past the receiver's last link, ``len(rx)`` and the
+    #: receiver itself
+    links_by_depth: np.ndarray
+    tx_by_depth: np.ndarray
     slow_pos: np.ndarray
     fast_pos: np.ndarray
+    #: ``(position, message)`` index pairs of every message's own block
+    own: Tuple[np.ndarray, np.ndarray]
+    #: ``position * len(slow_pos) + message`` of the cross blocks at every
+    #: position, and at the fast positions only
+    cross: np.ndarray
+    fast_cross: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,16 +337,20 @@ class ClusterPlan:
         ends = np.sort(np.where(inside, np.searchsorted(ids, nbr), n), axis=1)
         ends = np.column_stack([np.arange(n), ends])
         valid = ends < n
-        link = (np.cumsum(valid) - 1).reshape(valid.shape)
         rx, depth = np.nonzero(valid)
-        slots = tuple(
-            (rx[depth == d], ends[valid[:, d], d], link[valid[:, d], d])
-            for d in range(depth.max() + 1)
-        )
+        depths = slice(depth.max() + 1)
+        links = np.where(valid, np.cumsum(valid).reshape(valid.shape) - 1, len(rx))
+        tx = np.where(valid, ends, np.arange(n)[:, None])
         roles = self.roles[ids]
         slow_pos = np.flatnonzero(roles == ROLES.index(SLOW))
         fast_pos = np.flatnonzero(roles == ROLES.index(FAST))
-        return LinkLayout(ids, rx, ends[valid], slots, roles, slow_pos, fast_pos)
+        own = np.zeros((n, len(slow_pos)), dtype=bool)
+        own[slow_pos, np.arange(len(slow_pos))] = True
+        fast = (roles == ROLES.index(FAST))[:, None]
+        return LinkLayout(
+            ids, rx, ends[valid], links[:, depths].T.copy(), tx[:, depths].T.copy(),
+            slow_pos, fast_pos, np.nonzero(own), np.flatnonzero(~own), np.flatnonzero(fast & ~own),
+        )
 
     def interior_masters(self) -> List[Cell]:
         """Masters whose whole cluster context lies inside the lattice: at
@@ -343,7 +377,8 @@ def clusters(net: Network, t: int) -> ClusterPlan:
 
     # any sector of a master cell makes that master the group's owner
     cell = ids // 3
-    owned = is_master_cell((net.q, net.r), t)[cell]
+    is_master = is_master_cell((net.q, net.r), t)
+    owned = is_master[cell]
     pairs = np.unique(group[owned] * len(net.q) + cell[owned])
     owning_group, owner_cell = np.divmod(pairs, len(net.q))
     per_group = np.bincount(owning_group, minlength=len(first))
@@ -360,13 +395,15 @@ def clusters(net: Network, t: int) -> ClusterPlan:
     cluster_ids = np.full(n, -1, dtype=np.intp)
     cluster_ids[ids] = position[group]
     stop = np.append(first[1:], len(ids))
-    spans = zip(first[rank].tolist(), stop[rank].tolist(), owner[rank].tolist())
+    # each master as master_grid's tuple (a cluster cut by the lattice
+    # boundary may share its master cell with another)
+    owners = owner[rank]
+    at = np.where(owners >= 0, np.searchsorted(np.flatnonzero(is_master), owners), -1)
+    spans = zip(first[rank].tolist(), stop[rank].tolist(), at.tolist())
+    cells = masters + (None,)
     built = tuple(
-        Cluster(
-            None if c < 0 else (net.q.item(c), net.r.item(c)),
-            SectorSet(net, cluster_ids, i, ids[a:b]),
-        )
-        for i, (a, b, c) in enumerate(spans)
+        Cluster(cells[k], SectorSet(net, cluster_ids, i, ids[a:b]))
+        for i, (a, b, k) in enumerate(spans)
     )
     return ClusterPlan(net, t, masters, silenced, built, cluster_ids)
 

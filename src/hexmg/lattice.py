@@ -152,6 +152,7 @@ class SectorSet(Set):
     lists their ids in ascending order, which iteration follows; a caller
     that has them already passes them in."""
 
+    __slots__ = ("net", "labels", "label", "ids")
     _from_iterable = staticmethod(frozenset)
 
     def __init__(self, net: Network, labels: np.ndarray, label=True, ids=None) -> None:

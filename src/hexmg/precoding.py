@@ -15,10 +15,13 @@ Schemes differ in where interference between slow streams is removed:
   verification models by excluding those pairs from the residual.
 
 Every trial works on the plan's ``origin_links`` layout, built once per
-plan: a realization is one ``(L, m, m)`` array with a channel per link, drawn
-in a single call, ``build_zf_system`` scatters it into the block matrix with
-one indexed assignment, and the check adds each receiver's terms slot by slot
-in link order.
+plan with everything that depends only on the cluster and the roles: the
+links, each receiver's links by depth, and the indices of the own blocks
+(the target's identity blocks) and of the cross blocks s3/s4 and s5 promise
+to null.  A realization is one ``(L, m, m)``
+array with a channel per link, drawn in a single call, and
+``build_zf_system`` scatters it into the block matrix with one indexed
+assignment.
 
 Every s5 message shares the same fast-sector rows, so the solve factors that
 block once: one reduced QR gives its row space, and the singular values of
@@ -27,24 +30,27 @@ every message's own rows onto the null space of the fast block at once, and
 one batched SVD of the projected m-column blocks gives each message's rank
 and its minimum-norm precoder block.  The consistency check takes the fast
 rows of the whole precoder in one product and each message's own gain from
-its diagonal block only.  The check substitutes the sampled channels into
-the precoder as one stack of m x m effective channels; one SVD of the
-intended blocks gives both their norms and their ranks.
+its diagonal block only.
+
+The check adds each receiver's terms depth by depth, so in link order, with
+one batched product per depth.  Of the cross blocks it keeps only those whose
+Frobenius norm could hold the largest spectral norm, and one SVD of the own
+blocks and those gives the self gains, their ranks and the worst cross
+talk.  A precoder carrying the plan's own layout object skips the id
+comparison that one from another plan object needs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List
 
 import numpy as np
 
 from .clustering import (
-    FAST,
     MODE_MIXED,
     MODE_SLOW_ONLY,
-    ROLES,
-    SLOW,
     ClusterPlan,
     LinkLayout,
     assign_messages,
@@ -58,6 +64,8 @@ SCHEME_MODES = {"s3": MODE_SLOW_ONLY, "s4": MODE_MIXED, "s5": MODE_MIXED}
 NULLING_TOL = 1e-9
 
 _CONSISTENCY_TOL = 1e-8
+
+_EPS = np.finfo(np.float64).eps
 
 
 class RankDeficientError(RuntimeError):
@@ -136,7 +144,8 @@ def build_zf_system(plan: ClusterPlan, ch: ChannelRealization, scheme: str) -> Z
     h_net = np.zeros((n, m, n, m))
     h_net[lay.rx, :, lay.tx, :] = ch.h
     target = np.zeros((n, m, n_slow, m))
-    target[lay.slow_pos, :, np.arange(n_slow), :] = np.eye(m)
+    pos, msg = lay.own
+    target[pos, :, msg, :] = np.eye(m)
 
     n_unknowns = m * m * n * n_slow
     if scheme == "s5":
@@ -168,8 +177,9 @@ def solve_precoder(system: ZFSystem) -> Precoder:
         except np.linalg.LinAlgError as exc:
             raise RankDeficientError(str(exc)) from None
         resid = np.linalg.norm(system.h_net @ b - system.target)
+        # one 1 per column of the target: its norm is the root of their number
         if not np.isfinite(b).all() or resid > _CONSISTENCY_TOL * max(
-            1.0, float(np.linalg.norm(system.target))
+            1.0, math.sqrt(system.target.shape[1])
         ):
             raise RankDeficientError(f"inconsistent system, residual {resid:.3e}")
         return Precoder(m=m, layout=system.layout, matrix=b)
@@ -192,8 +202,7 @@ def solve_precoder(system: ZFSystem) -> Precoder:
         sv = np.linalg.svd(r, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise RankDeficientError(str(exc)) from None
-    eps = np.finfo(sv.dtype).eps
-    if np.count_nonzero(sv > sv[:1] * max(h_fast.shape) * eps) < h_fast.shape[0]:
+    if np.count_nonzero(sv > sv[:1] * max(h_fast.shape) * _EPS) < h_fast.shape[0]:
         raise RankDeficientError("row-rank deficiency at the fast sectors")
     g_t = h_own.reshape(-1, n_ant).T
     w = (g_t - q @ (q.T @ g_t)).reshape(n_ant, -1, m).transpose(1, 0, 2)
@@ -201,7 +210,7 @@ def solve_precoder(system: ZFSystem) -> Precoder:
         u, s, vt = np.linalg.svd(w, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise RankDeficientError(str(exc)) from None
-    cut = s[:, :1] * max(m, n_ant - h_fast.shape[0]) * eps
+    cut = s[:, :1] * max(m, n_ant - h_fast.shape[0]) * _EPS
     short = np.count_nonzero(s > cut, axis=-1) < m
     if short.any():
         msg = lay.ids[lay.slow_pos[np.argmax(short)]]
@@ -213,7 +222,9 @@ def solve_precoder(system: ZFSystem) -> Precoder:
     resid = np.sqrt(np.einsum("kja,kja->j", fast_res, fast_res)
                     + np.einsum("jab,jab->j", own_res, own_res))
     if not (resid <= _CONSISTENCY_TOL).all():
-        raise RankDeficientError(f"inconsistent system, residual {resid.max():.3e}")
+        j = np.argmax(resid)  # the first NaN, if any
+        raise RankDeficientError(f"inconsistent system for message at sector id "
+                                 f"{lay.ids[lay.slow_pos[j]]}, residual {resid[j]:.3e}")
     return Precoder(m=m, layout=lay, matrix=b)
 
 
@@ -245,28 +256,35 @@ def verify_nulling(
     m = precoder.m
     n, n_msg = len(lay.ids), len(lay.slow_pos)
     # the messages are named by the sector ids of their slow positions
-    same = np.array_equal(precoder.layout.ids[precoder.layout.slow_pos], lay.ids[lay.slow_pos])
-    if precoder.matrix.shape != (m * n, m * n_msg) or not same:
+    if precoder.matrix.shape != (m * n, m * n_msg) or not (
+        precoder.layout is lay
+        or np.array_equal(precoder.layout.ids[precoder.layout.slow_pos], lay.ids[lay.slow_pos])
+    ):
         raise ValueError("precoder does not match the plan's origin cluster")
 
-    # Slot d holds every receiver's d-th link, so each receiver sums its
-    # terms in link order: the rounding of a per-link loop, bit for bit.
+    # Each receiver adds its terms depth by depth, so in link order: the
+    # rounding of a per-link loop, bit for bit.  Past its last link it adds
+    # a zero channel's product, a signed zero, which leaves a sum begun at
+    # +0 as it is.
     rows = precoder.matrix.reshape(n, m, -1)
+    h = np.concatenate([ch.h, np.zeros((1, m, m))])
     total = np.zeros_like(rows)
-    for rx, tx, link in lay.slots:
-        total[rx] += ch.h[link] @ rows[tx]
-    geff = total.reshape(n, m, n_msg, m).transpose(0, 2, 1, 3)
+    for links, tx in zip(lay.links_by_depth, lay.tx_by_depth):
+        total += h[links] @ rows[tx]
+    # block (k, j) is the effective channel from message j at position k
+    blocks = total.reshape(n, m, n_msg, m)
 
-    own = np.zeros((n, n_msg), dtype=bool)
-    own[lay.slow_pos, np.arange(n_msg)] = True
-    heard = (lay.roles == ROLES.index(FAST)) | ((lay.roles == ROLES.index(SLOW)) & (scheme != "s5"))
-    # the one SVD behind both norm(g, 2) and matrix_rank(g), as numpy takes them
-    sv = np.linalg.svd(geff[own], compute_uv=False)
-    self_norms = sv.max(axis=-1, initial=0)
-    ranks = np.count_nonzero(sv > self_norms[:, None] * (m * np.finfo(sv.dtype).eps), axis=-1)
-    max_cross = _max_spectral_norm(geff[heard[:, None] & ~own])
-    max_self = float(self_norms.max()) if self_norms.size else 0.0
-    min_rank = int(ranks.min()) if ranks.size else 0
+    # one SVD of the own blocks and of the cross blocks that may hold the
+    # largest spectral norm: norm(g, 2) and matrix_rank(g) as numpy takes them
+    cross = lay.fast_cross if scheme == "s5" else lay.cross
+    fro2 = np.einsum("kajb,kajb->kj", blocks, blocks).ravel()[cross]
+    pos, msg = np.divmod(cross[_spectral_candidates(fro2, m)], n_msg)
+    pos, msg = np.concatenate([lay.own[0], pos]), np.concatenate([lay.own[1], msg])
+    sv = np.linalg.svd(blocks[pos, :, msg, :], compute_uv=False)
+    self_norms, max_cross = sv[:n_msg, 0], float(sv[n_msg:, 0].max(initial=0.0))
+    ranks = (sv[:n_msg] > self_norms[:, None] * (m * _EPS)).sum(axis=-1)
+    max_self = float(self_norms.max()) if n_msg else 0.0
+    min_rank = int(ranks.min()) if n_msg else 0
     if max_self == 0.0:
         residual = float("inf") if max_cross > 0 else 0.0
         return NullingReport(residual, min_rank, False)
@@ -274,16 +292,14 @@ def verify_nulling(
     return NullingReport(residual, min_rank, residual <= tol and min_rank == m)
 
 
-def _max_spectral_norm(blocks: np.ndarray) -> float:
-    """The largest ``norm(g, 2)`` over a stack of m x m blocks, 0.0 for none.
-    As ``norm(g, 2) <= norm(g, 'fro') <= sqrt(m) norm(g, 2)``, a block whose
-    Frobenius norm is below the largest over sqrt(m) cannot hold the maximum;
-    the slack keeps any block that rounding could tie, so the result is exact."""
-    if not blocks.size:
-        return 0.0
-    fro = np.linalg.norm(blocks, axis=(-2, -1))
-    drop = fro < fro.max() / np.sqrt(blocks.shape[-1]) * (1 - 1e-12)
-    return float(np.linalg.norm(blocks[~drop], 2, axis=(-2, -1)).max())
+def _spectral_candidates(fro2: np.ndarray, m: int) -> np.ndarray:
+    """Which m x m blocks, given their squared Frobenius norms ``fro2``, may
+    hold the largest ``norm(g, 2)`` of the stack.  As ``norm(g, 2) <=
+    norm(g, 'fro') <= sqrt(m) norm(g, 2)``, a block whose Frobenius norm is
+    below the largest over sqrt(m) cannot; the slack keeps any block that
+    rounding could tie, so the maximum over the candidates is the maximum
+    over the stack, bit for bit."""
+    return ~(fro2 < fro2.max(initial=0.0) / m * (1 - 2e-12))
 
 
 def certification_plan(t: int, scheme: str = "s4") -> ClusterPlan:

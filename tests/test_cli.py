@@ -266,6 +266,27 @@ def test_other_runtime_errors_keep_their_traceback(monkeypatch):
         main(["zf", "--t", "1", "--m", "1", "--trials", "1"])
 
 
+@pytest.mark.parametrize("command", ["lattice", "cluster", "lattice --out", "verify-all --out"])
+def test_unwritable_output_is_a_usage_error(capsys, monkeypatch, tmp_path, command):
+    """An ``--emit`` file in a missing directory, or an ``--out`` that names a
+    regular file, ends in one ``cannot write`` line and exit 2, not in a
+    traceback and exit 1, which would claim a failed check."""
+    monkeypatch.setattr(checks, "all_checks", lambda *_: iter([checks.Check("c", True, "")]))
+    regular = tmp_path / "file"
+    regular.write_text("")
+    missing = str(tmp_path / "missing" / "x.csv")
+    argv = {
+        "lattice": ["lattice", "--radius", "2", "--emit", missing],
+        "cluster": ["cluster", "--radius", "6", "--t", "1", "--emit", missing],
+        "lattice --out": ["lattice", "--radius", "2", "--emit", "x.csv", "--out", str(regular)],
+        "verify-all --out": ["verify-all", "--radius", "12", "--out", str(regular)],
+    }[command]
+    code, stdout, stderr = run(capsys, *argv)
+    path, reason = (str(regular), "File exists") if "--out" in command else (missing, "No such file or directory")
+    assert (code, stderr) == (2, f"hexmg: cannot write {path}: {reason}\n")
+    assert stdout == ("CHECK c: PASS\nverify-all: 1/1 checks passed\n" if command == "verify-all --out" else "")
+
+
 def test_lattice_emit_sorted_directed_edges(capsys, tmp_path):
     out = tmp_path / "lattice.csv"
     code, stdout, _ = run(capsys, "lattice", "--radius", "2", "--emit", str(out))

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import math
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -311,6 +313,37 @@ def test_clusters_partition_and_single_master(t):
                 cell_distance((q, r), cl.master) for (q, r, _o) in cl.sectors
             ) <= t
     assert sizes == {9 * t * t - 3 * t}
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+def test_every_cluster_is_built_and_matches_the_labels(t):
+    """``clusters`` builds every ``Cluster`` itself.  Each one's ids are its
+    label's in ``cluster_ids``, and its master is the master cell among its
+    cells, None for a boundary piece that holds none.  A cluster is
+    immutable, equal only to itself, and copyable."""
+    net = build_network(20)
+    plan = clusters(net, t)
+    assert type(plan.clusters) is tuple
+    assert len(plan.clusters) == plan.cluster_ids.max() + 1
+    for i, cl in enumerate(plan.clusters):
+        assert type(cl) is clustering.Cluster
+        assert np.array_equal(cl.sectors.ids, np.flatnonzero(plan.cluster_ids == i))
+        assert (cl.sectors.labels is plan.cluster_ids, cl.sectors.label) == (True, i)
+        cells = np.unique(cl.sectors.ids // 3)
+        owners = cells[is_master_cell((net.q[cells], net.r[cells]), t)]
+        want = [(int(net.q[c]), int(net.r[c])) for c in owners]
+        assert len(want) <= 1
+        assert cl.master == (want[0] if want else None)
+
+    cl = plan.clusters[0]
+    for name in ("master", "sectors", "extra"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cl, name, None)
+    twin = clustering.Cluster(cl.master, cl.sectors)
+    assert twin != cl and hash(twin) != hash(cl)
+    assert len({cl, twin, plan.clusters[0]}) == 2
+    clone = copy.copy(cl)
+    assert (clone is not cl, clone.master, clone.sectors) == (True, cl.master, cl.sectors)
 
 
 def test_no_interference_edge_crosses_clusters():

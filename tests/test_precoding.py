@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 from functools import cache
 
@@ -14,7 +15,7 @@ from hexmg.precoding import (
     TrialResult,
     build_zf_system,
     certification_plan,
-    _max_spectral_norm,
+    _spectral_candidates,
     run_trial,
     run_trials,
     sample_channels,
@@ -128,6 +129,13 @@ def solve_s5_oracle(system):
         assert rank == len(rows)
         b[:, m * j : m * j + m] = sol
     return b
+
+
+def max_spectral_norm(blocks):
+    """The largest ``norm(g, 2)`` over the blocks ``_spectral_candidates``
+    keeps, read as ``verify_nulling`` reads it: the first singular value."""
+    keep = _spectral_candidates(np.einsum("kab,kab->k", blocks, blocks), blocks.shape[-1])
+    return float(np.linalg.svd(blocks[keep], compute_uv=False)[:, 0].max(initial=0.0))
 
 
 #: Plans are read, never changed, by the tests below; build each one once.
@@ -340,7 +348,7 @@ def test_s5_rank_cut_offs(block, t, m, scale):
     the fast rows, and sigma_max * max(m, N - k) * eps for a message's
     projected own rows.  Above the cut-off a fast block still solves; an own
     block there has condition number about 1e13, so the 1e-8 consistency
-    check refuses it instead."""
+    check refuses it instead, naming that message."""
     for seed in range(3):
         system, short, sector = _near_cut_off_s5(t, m, seed, block, scale)
         assert short == (scale < 1)
@@ -353,7 +361,8 @@ def test_s5_rank_cut_offs(block, t, m, scale):
         elif block == "fast":
             solve_precoder(system)
         else:
-            with pytest.raises(RankDeficientError, match="^inconsistent system, residual "):
+            text = f"^inconsistent system for message at sector id {sector}, residual "
+            with pytest.raises(RankDeficientError, match=text):
                 solve_precoder(system)
 
 
@@ -384,6 +393,54 @@ def test_precoder_for_another_cluster_rejected():
         with pytest.raises(ValueError, match="does not match the plan's origin cluster"):
             verify_nulling(precoder, plan, ch)
     assert verify_nulling(own, plan, ch).solvable
+
+
+@pytest.mark.parametrize("scheme", ["s3", "s4", "s5"])
+def test_verify_takes_both_layout_paths(scheme):
+    """A precoder carries its plan's own ``origin_links`` object, which the
+    check accepts at once; an equal layout of another object is compared by
+    its message ids and gives the same report, the oracle's.  A precoder of
+    another cluster is refused either way."""
+    plan = shared_plan(2, scheme)
+    ch = sample_channels(plan, 2, seed=5)
+    precoder = solve_precoder(build_zf_system(plan, ch, scheme))
+    assert precoder.layout is plan.origin_links
+    copy = replace(precoder, layout=replace(precoder.layout))
+    assert copy.layout is not plan.origin_links
+    want = verify_nulling_oracle(precoder, plan, entries_of(plan, ch), scheme=scheme)
+    assert verify_nulling(precoder, plan, ch, scheme=scheme) == want
+    assert verify_nulling(copy, plan, ch, scheme=scheme) == want
+
+    other = shared_plan(1, scheme)
+    foreign = solve_precoder(build_zf_system(other, sample_channels(other, 2, seed=5), scheme))
+    shifted = replace(precoder, layout=replace(precoder.layout, ids=precoder.layout.ids + 1))
+    for bad in (foreign, shifted):
+        with pytest.raises(ValueError, match="does not match the plan's origin cluster"):
+            verify_nulling(bad, plan, ch, scheme=scheme)
+
+
+#: sha256 of the ``repr`` of each ``TrialResult``, one per line: the four
+#: verify-all points and the three ``zf_scale`` points, recorded before the
+#: check and the layout gained their precomputed index arrays.  ``repr``
+#: spells a float's shortest round trip, so a residual one ulp off fails.
+TRIAL_DIGESTS = {
+    ("s4", 1, 1, 100, 42): "b79431bab9ab294b2fdccdd312324232ba6ceb3f95f88efb7963be924e0d4b8b",
+    ("s4", 1, 2, 100, 42): "c1f4e4d0395799fae8ca2b9af1c7985f7b35b6ad1d4ff915d93d9a9054c0558a",
+    ("s4", 2, 1, 100, 42): "adbfefc3b4e089e49ab9f7d15a7b7976e43c7c7c9228ed531fe4ba5af454559c",
+    ("s4", 2, 2, 100, 42): "cb0d2e2c474f6aac763f4522d8ccc6287e4462faede0e251b28123cdef8fa1f2",
+    ("s4", 4, 3, 1, 20211): "0de5780f7402815e729a723bf747affd7fcb53116b91cbbda899e05181aeda3f",
+    ("s5", 4, 3, 1, 20211): "c2c5dcdab9f71d9aa9e15547e29e7ba9d20e7aa9612ec1265045e11009c304d8",
+    ("s5", 6, 1, 1, 20211): "084e9ec3c23f84fb3d33039fa0274a6d2aa8a372dbca3e6af02d79045ba546c8",
+}
+
+
+@pytest.mark.parametrize("point", list(TRIAL_DIGESTS), ids=lambda p: "-".join(map(str, p)))
+def test_trial_results_are_bit_identical(point):
+    scheme, t, m, trials, seed = point
+    results = run_trials(t, m, trials, seed=seed, scheme=scheme)
+    assert len(results) == trials
+    got = hashlib.sha256("\n".join(map(repr, results)).encode()).hexdigest()
+    assert got == TRIAL_DIGESTS[point]
 
 
 def test_trial_determinism():
@@ -448,9 +505,9 @@ def test_cross_norm_filter_matches_unfiltered_stack(scheme, t, m):
         heard = {FAST, SLOW} if scheme != "s5" else {FAST}
         cross = np.stack([g for (k, msg), g in blocks.items()
                           if k != msg and role_of(plan, k) in heard])
-        assert _max_spectral_norm(cross) == np.linalg.norm(cross, 2, axis=(-2, -1)).max()
+        assert max_spectral_norm(cross) == np.linalg.norm(cross, 2, axis=(-2, -1)).max()
         every = np.stack(list(blocks.values()))
-        assert _max_spectral_norm(every) == np.linalg.norm(every, 2, axis=(-2, -1)).max()
+        assert max_spectral_norm(every) == np.linalg.norm(every, 2, axis=(-2, -1)).max()
 
 
 @settings(max_examples=50, deadline=None)
@@ -468,8 +525,8 @@ def test_cross_norm_filter_near_the_threshold(seed, m, n):
     fro = np.linalg.norm(blocks, axis=(-2, -1))
     target = np.where(rng.random(n) < 0.5, 1.0, 1 / np.sqrt(m)) * (1 + rng.uniform(-1e-9, 1e-9, n))
     blocks *= (target / fro)[:, None, None]
-    assert _max_spectral_norm(blocks) == np.linalg.norm(blocks, 2, axis=(-2, -1)).max()
-    assert _max_spectral_norm(blocks[:0]) == 0.0
+    assert max_spectral_norm(blocks) == np.linalg.norm(blocks, 2, axis=(-2, -1)).max()
+    assert max_spectral_norm(blocks[:0]) == 0.0
 
 
 def assert_s5_solve_matches_lstsq_oracle(system):
