@@ -29,6 +29,8 @@ from .clustering import (
     count_links,
     fast_pattern,
     master_grid,
+    role_census,
+    role_codes,
     silenced_sectors,
 )
 from .regions import (

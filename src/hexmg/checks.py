@@ -8,7 +8,9 @@ message counts, limiting fractions, tolerances) live here and nowhere else.
 :func:`all_checks` runs the groups on two cores: one child made by
 ``os.fork`` runs the ZF group while the calling process runs the other five,
 and the records come back in the same report order as a run in one process.
-So verify-all needs ``os.fork``, which Linux has.
+So verify-all needs ``os.fork``, which Linux has.  The five groups build no
+cluster plan for their role censuses (``clustering.role_codes``) and finish
+before the ZF child, so the child sets verify-all's wall time.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from . import clustering, lattice, partitions, precoding, regions, schedules
 #: Largest accepted gap between an interior census and its limiting density.
 FRACTION_TOL = Fraction(1, 50)
 
-#: Smallest ``verify-all`` radius: ``fraction_checks`` clusters it for t <= 4 (radius >= 3t).
+#: Smallest ``verify-all`` radius: ``fraction_checks`` takes its role census at t <= 4 (radius >= 3t).
 MIN_RADIUS = 12
 
 
@@ -113,8 +115,7 @@ def counting_checks() -> Iterator[Check]:
 
 
 def _role_error(net: lattice.Network, t: int) -> Fraction:
-    plan = clustering.assign_messages(clustering.clusters(net, t), clustering.MODE_MIXED)
-    fr = clustering.assignment_fractions(plan)
+    fr = clustering.role_census(net, clustering.role_codes(net, t, clustering.MODE_MIXED))
     want = {
         clustering.SILENT: Fraction(1, 3 * t),
         clustering.FAST: Fraction(1, 3),

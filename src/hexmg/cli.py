@@ -16,7 +16,7 @@ import math
 import os
 import sys
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from . import checks, clustering, lattice, partitions, precoding, regions, schedules
 from .checks import decimal_str
@@ -365,10 +365,36 @@ def _load_config(path: str) -> Dict[str, str]:
     return out
 
 
-def _command_parser(parser: argparse.ArgumentParser, argv: List[str]):
-    """The subparser of the first ``argv`` token that names a command, if any."""
-    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return next((subparsers.choices[a] for a in argv if a in subparsers.choices), None)
+class _Command:
+    """A subcommand's parser with the option strings and the mutually
+    exclusive groups ``_build_parser`` gives it, recorded as they are added
+    (argparse keeps its own record in private attributes)."""
+
+    def __init__(self, parser: argparse.ArgumentParser, options: List[str]) -> None:
+        self.parser = parser
+        self.options = ["--help", *options]
+        self.groups: List[Set[str]] = []
+
+    def add(self, *flags: str, **kwargs) -> None:
+        self.parser.add_argument(*flags, **kwargs)
+        self.options += flags
+
+    def exclusive(self) -> Callable[..., None]:
+        """An ``add`` into a new mutually exclusive group."""
+        group, flags = self.parser.add_mutually_exclusive_group(), set()
+        self.groups.append(flags)
+
+        def add(*names: str, **kwargs) -> None:
+            group.add_argument(*names, **kwargs)
+            self.options += names
+            flags.update(names)
+
+        return add
+
+
+def _command_of(commands: Dict[str, _Command], argv: List[str]) -> Optional[_Command]:
+    """The command of the first ``argv`` token that names one, if any."""
+    return next((commands[a] for a in argv if a in commands), None)
 
 
 def _option_named(arg: str, options) -> str:
@@ -380,29 +406,25 @@ def _option_named(arg: str, options) -> str:
     return flag if flag in options or len(hits) != 1 else hits[0]
 
 
-def _explicit_groups(parser: argparse.ArgumentParser, argv: List[str]) -> List[set]:
+def _explicit_groups(commands: Dict[str, _Command], argv: List[str]) -> List[Set[str]]:
     """The option strings of each mutually exclusive group of ``argv``'s
-    command that a flag in ``argv`` sets, read from argparse's own record of
-    the groups so that ``_build_parser`` stays the one place that states
-    them."""
-    sub = _command_parser(parser, argv)
-    if sub is None:
+    command that a flag in ``argv`` sets, as ``_build_parser`` recorded the
+    groups, so that it stays the one place that states them."""
+    command = _command_of(commands, argv)
+    if command is None:
         return []
-    options = sub._option_string_actions
-    explicit = {_option_named(arg, options) for arg in argv if arg.startswith("--")}
-    groups = [{s for a in g._group_actions for s in a.option_strings}
-              for g in sub._mutually_exclusive_groups]
-    return [group for group in groups if group & explicit]
+    explicit = {_option_named(arg, command.options) for arg in argv if arg.startswith("--")}
+    return [group for group in command.groups if group & explicit]
 
 
-def _inject_config(argv: List[str], parser: argparse.ArgumentParser) -> List[str]:
+def _inject_config(argv: List[str], commands: Dict[str, _Command]) -> List[str]:
     """Turn config-file entries into flags placed before the explicit ones,
     leaving out the entries of a mutually exclusive group that an explicit
     flag already sets.  ``--config FILE`` and ``--config=FILE`` are matched
     like the command's own flags, abbreviations included; argparse never
     sees them, so a second ``--config`` is refused as an unknown flag."""
-    sub = _command_parser(parser, argv)
-    options = ["--config", *(sub._option_string_actions if sub else ())]
+    command = _command_of(commands, argv)
+    options = ["--config", *(command.options if command else ())]
     at = next((i for i, arg in enumerate(argv)
                if arg.startswith("--") and _option_named(arg, options) == "--config"), None)
     if at is None:
@@ -414,7 +436,7 @@ def _inject_config(argv: List[str], parser: argparse.ArgumentParser) -> List[str
         path = argv[at + 1]
     kv = _load_config(path)
     rest = argv[:at] + argv[at + (1 if eq else 2) :]
-    for group in _explicit_groups(parser, rest):
+    for group in _explicit_groups(commands, rest):
         kv = {key: value for key, value in kv.items() if f"--{key}" not in group}
     flags: List[str] = []
     for key, value in kv.items():
@@ -429,10 +451,13 @@ def _inject_config(argv: List[str], parser: argparse.ArgumentParser) -> List[str
     return [rest[0]] + flags + rest[1:]
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, _Command]]:
+    """The parser, and each command by name with its recorded options and
+    mutually exclusive groups."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="directory for emitted files")
     common.add_argument("--seed", type=_nonnegative_int, default=0, help="global random seed")
+    shared = ["--out", "--seed"]
 
     parser = argparse.ArgumentParser(
         prog="hexmg",
@@ -441,75 +466,74 @@ def _build_parser() -> argparse.ArgumentParser:
         "'key = value' lines named after its flags; explicit flags win",
     )
     sub = parser.add_subparsers(dest="command")
+    commands: Dict[str, _Command] = {}
 
-    p = sub.add_parser("lattice", parents=[common], help="build the lattice and emit its interference links")
-    p.add_argument("--radius", type=_positive_int, required=True)
-    p.add_argument("--emit", help="CSV file for the directed interference links")
-    p.set_defaults(func=cmd_lattice)
+    def command(name: str, func, summary: str) -> _Command:
+        p = sub.add_parser(name, parents=[common], help=summary)
+        p.set_defaults(func=func)
+        commands[name] = _Command(p, shared)
+        return commands[name]
 
-    p = sub.add_parser("cluster", parents=[common], help="cluster decomposition and message assignment")
-    p.add_argument("--radius", type=_positive_int, required=True)
-    p.add_argument("--t", type=_positive_int, required=True)
-    p.add_argument("--mode", choices=("slow", "mixed"), default="slow")
-    p.add_argument("--check-counts", action="store_true")
-    p.add_argument("--emit", help="CSV file for per-sector roles")
-    p.set_defaults(func=cmd_cluster)
+    c = command("lattice", cmd_lattice, "build the lattice and emit its interference links")
+    c.add("--radius", type=_positive_int, required=True)
+    c.add("--emit", help="CSV file for the directed interference links")
 
-    p = sub.add_parser("region", parents=[common], help="inner/outer multiplexing-gain regions")
-    p.add_argument("--m", type=_positive_int, required=True)
-    p.add_argument("--mu-tx", type=_fraction, default=Fraction(0))
-    p.add_argument("--mu-rx", type=_fraction, default=Fraction(0))
-    p.add_argument("--d", type=_positive_int, required=True)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--inner", dest="which", action="store_const", const="inner")
-    group.add_argument("--outer", dest="which", action="store_const", const="outer")
-    group.add_argument("--both", dest="which", action="store_const", const="both")
-    p.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
-    p.add_argument("--samples", type=_sample_count, default=2, help="boundary sample count")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--t", type=_positive_int, default=None, help="single cluster parameter (default: floor((d-2)/4))")
-    group.add_argument("--t-sweep", action="store_true", help="sweep every admissible t")
-    p.add_argument("--emit", help="output file (default: stdout)")
-    p.set_defaults(func=cmd_region)
+    c = command("cluster", cmd_cluster, "cluster decomposition and message assignment")
+    c.add("--radius", type=_positive_int, required=True)
+    c.add("--t", type=_positive_int, required=True)
+    c.add("--mode", choices=("slow", "mixed"), default="slow")
+    c.add("--check-counts", action="store_true")
+    c.add("--emit", help="CSV file for per-sector roles")
 
-    p = sub.add_parser("zf", parents=[common], help="zero-forcing precoder certification")
-    p.add_argument("--t", type=_positive_int, required=True)
-    p.add_argument("--m", type=_positive_int, required=True)
-    p.add_argument("--trials", type=_positive_int, default=100)
-    p.add_argument("--tol", type=_tolerance, default=precoding.NULLING_TOL)
-    p.add_argument("--scheme", choices=tuple(precoding.SCHEME_MODES), default="s4")
-    p.add_argument("--emit", help="CSV file for per-trial results")
-    p.set_defaults(func=cmd_zf)
+    c = command("region", cmd_region, "inner/outer multiplexing-gain regions")
+    c.add("--m", type=_positive_int, required=True)
+    c.add("--mu-tx", type=_fraction, default=Fraction(0))
+    c.add("--mu-rx", type=_fraction, default=Fraction(0))
+    c.add("--d", type=_positive_int, required=True)
+    add = c.exclusive()
+    for which in ("inner", "outer", "both"):
+        add(f"--{which}", dest="which", action="store_const", const=which)
+    c.add("--format", choices=("csv", "json", "svg"), default="csv")
+    c.add("--samples", type=_sample_count, default=2, help="boundary sample count")
+    add = c.exclusive()
+    add("--t", type=_positive_int, default=None, help="single cluster parameter (default: floor((d-2)/4))")
+    add("--t-sweep", action="store_true", help="sweep every admissible t")
+    c.add("--emit", help="output file (default: stdout)")
 
-    p = sub.add_parser("converse", parents=[common], help="partition censuses for the outer bound")
-    p.add_argument("--radius", type=_positive_int, required=True)
-    p.add_argument("--d", type=_positive_int, default=None)
-    p.add_argument("--partition", choices=("two", "four"), default=None)
-    p.add_argument("--check-fractions", action="store_true")
-    p.add_argument("--emit", help="CSV file for the census (default: stdout)")
-    p.set_defaults(func=cmd_converse)
+    c = command("zf", cmd_zf, "zero-forcing precoder certification")
+    c.add("--t", type=_positive_int, required=True)
+    c.add("--m", type=_positive_int, required=True)
+    c.add("--trials", type=_positive_int, default=100)
+    c.add("--tol", type=_tolerance, default=precoding.NULLING_TOL)
+    c.add("--scheme", choices=tuple(precoding.SCHEME_MODES), default="s4")
+    c.add("--emit", help="CSV file for per-trial results")
 
-    p = sub.add_parser("schedule", parents=[common], help="super-receiver schedule validation")
-    p.add_argument("--algorithm", type=int, choices=(1, 2), required=True)
-    p.add_argument("--dt", type=int, required=True)
-    p.add_argument("--dr", type=int, required=True)
-    p.add_argument("--d", type=_nonnegative_int, default=None)
-    p.add_argument("--validate", action="store_true")
-    p.set_defaults(func=cmd_schedule)
+    c = command("converse", cmd_converse, "partition censuses for the outer bound")
+    c.add("--radius", type=_positive_int, required=True)
+    c.add("--d", type=_positive_int, default=None)
+    c.add("--partition", choices=("two", "four"), default=None)
+    c.add("--check-fractions", action="store_true")
+    c.add("--emit", help="CSV file for the census (default: stdout)")
 
-    p = sub.add_parser("verify-all", parents=[common], help="run every verification suite")
-    p.add_argument("--radius", type=_positive_int, default=30)
-    p.add_argument("--zf-trials", type=_positive_int, default=100)
-    p.set_defaults(func=cmd_verify_all)
+    c = command("schedule", cmd_schedule, "super-receiver schedule validation")
+    c.add("--algorithm", type=int, choices=(1, 2), required=True)
+    c.add("--dt", type=int, required=True)
+    c.add("--dr", type=int, required=True)
+    c.add("--d", type=_nonnegative_int, default=None)
+    c.add("--validate", action="store_true")
 
-    return parser
+    c = command("verify-all", cmd_verify_all, "run every verification suite")
+    c.add("--radius", type=_positive_int, default=30)
+    c.add("--zf-trials", type=_positive_int, default=100)
+
+    return parser, commands
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
-        argv = _inject_config(argv, parser)
+        argv = _inject_config(argv, commands)
     except (OSError, ValueError) as exc:
         print(f"hexmg: config error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -4,10 +4,12 @@ Master cells form the triangular sublattice spanned by ``(t, t)`` and
 ``(2t, -t)``: one master per ``3*t**2`` cells, nearest masters ``2*t`` hops
 (equivalently ``3*t`` hexagon side lengths) apart.  Selected users in cells at
 hop distance exactly ``t`` from their nearest master are switched off, which
-splits the interference graph into one finite cluster per master.  On top of
-a cluster plan, messages are assigned either all-slow or mixed fast/slow,
-where the fast sectors form an exact density-1/3 pattern with no two fast
-sectors interfering, laid out alike in every cluster.  An assigned plan also
+splits the interference graph into one finite cluster per master.  Messages
+are assigned either all-slow or mixed fast/slow, where the fast sectors form
+an exact density-1/3 pattern with no two fast sectors interfering, laid out
+alike in every cluster; the role rule (``role_codes``) reads the silencing
+and that pattern off the torus, so a role census needs no cluster plan, and
+``assign_messages`` attaches the same codes to a plan.  An assigned plan also
 lays out the links of the origin master's cluster (``ClusterPlan.origin_links``),
 once, for the zero-forcing trials, which so certify every cluster; the layout
 carries every index array the trials read (links by depth, own and cross
@@ -485,17 +487,24 @@ def _max_matching(adj: List[List[int]], n_cols: int) -> List[int]:
     return row_match
 
 
-def assign_messages(plan: ClusterPlan, mode: str) -> ClusterPlan:
-    """Attach a message assignment (FAST / SLOW / SILENT) to a cluster plan."""
+def role_codes(net: Network, t: int, mode: str) -> np.ndarray:
+    """The role rule: per sector id, the index of its role in ``ROLES``.  A
+    sector is SILENT where ``_torus_silenced`` switches it off, else FAST
+    where the mixed mode's ``fast_pattern`` has it, else SLOW; both tables
+    are torus rows, so the rule needs no cluster plan."""
     if mode not in (MODE_SLOW_ONLY, MODE_MIXED):
         raise ValueError(f"mode must be {MODE_SLOW_ONLY!r} or {MODE_MIXED!r}")
-    period = 3 * plan.t
-    torus = np.full((period * period, 3), ROLES.index(SLOW), dtype=np.int8)
+    _check_t(net, t)
+    torus = np.full((9 * t * t, 3), ROLES.index(SLOW), dtype=np.int8)
     if mode == MODE_MIXED:
-        torus[fast_pattern(plan.t)] = ROLES.index(FAST)
-    roles = torus[_torus_index(plan.net.q, plan.net.r, plan.t)].ravel()
-    roles[plan.silenced.labels] = ROLES.index(SILENT)
-    return replace(plan, roles=roles, mode=mode)
+        torus[fast_pattern(t)] = ROLES.index(FAST)
+    torus[_torus_silenced(t)] = ROLES.index(SILENT)
+    return torus[_torus_index(net.q, net.r, t)].ravel()
+
+
+def assign_messages(plan: ClusterPlan, mode: str) -> ClusterPlan:
+    """Attach a message assignment (FAST / SLOW / SILENT) to a cluster plan."""
+    return replace(plan, roles=role_codes(plan.net, plan.t, mode), mode=mode)
 
 
 def count_links(plan: ClusterPlan, side: str) -> int:
@@ -522,12 +531,18 @@ def count_links(plan: ClusterPlan, side: str) -> int:
     raise ValueError(f"side must be {TX!r} or {RX!r}")
 
 
-def assignment_fractions(plan: ClusterPlan, depth: int = 2) -> Dict[str, Fraction]:
-    """Census of role fractions over the interior sectors."""
-    if plan.roles is None:
-        raise ValueError("plan has no assignment; call assign_messages first")
-    interior = plan.roles.reshape(-1, 3)[plan.net.interior_mask(depth)]
+def role_census(net: Network, roles: np.ndarray, depth: int = 2) -> Dict[str, Fraction]:
+    """Census of role fractions over the interior sectors, from per-sector
+    role codes such as ``role_codes`` gives."""
+    interior = roles.reshape(-1, 3)[net.interior_mask(depth)]
     if interior.size == 0:
         raise ValueError("no interior sectors at this radius")
     counts = np.bincount(interior.ravel(), minlength=len(ROLES)).tolist()
     return {role: Fraction(n, interior.size) for role, n in zip(ROLES, counts)}
+
+
+def assignment_fractions(plan: ClusterPlan, depth: int = 2) -> Dict[str, Fraction]:
+    """Census of role fractions over the interior sectors."""
+    if plan.roles is None:
+        raise ValueError("plan has no assignment; call assign_messages first")
+    return role_census(plan.net, plan.roles, depth)

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, List, Optional
+from functools import lru_cache
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
 
 import numpy as np
 
@@ -74,10 +76,12 @@ def partition_four(net: Network, d: int) -> Partition:
     return Partition(kind=FOUR, d=d, net=net, codes=codes)
 
 
-def fraction_limits(kind: str, d: Optional[int] = None) -> Dict[str, Fraction]:
-    """Limiting colour densities on the infinite lattice."""
+@lru_cache(maxsize=1024)
+def fraction_limits(kind: str, d: Optional[int] = None) -> Mapping[str, Fraction]:
+    """Limiting colour densities on the infinite lattice, cached per
+    ``(kind, d)``; every caller shares the mapping, so it is read-only."""
     if kind == TWO:
-        return {RED: Fraction(1, 2), WHITE: Fraction(1, 2)}
+        return MappingProxyType({RED: Fraction(1, 2), WHITE: Fraction(1, 2)})
     if kind == FOUR:
         if d is None:
             raise ValueError("four-colour limits need d")
@@ -85,12 +89,12 @@ def fraction_limits(kind: str, d: Optional[int] = None) -> Dict[str, Fraction]:
         # six pink cells per red cell, shared by no other red cell once
         # d >= 2; at d = 1 every cell off the sublattice is pink
         pink = min(Fraction(3, n), Fraction(n - 1, n))
-        return {
+        return MappingProxyType({
             RED: Fraction(1, 2 * n),
             BLUE: Fraction(1, 2 * n),
             PINK: pink,
             WHITE: 1 - Fraction(1, n) - pink,
-        }
+        })
     raise ValueError(f"unknown partition kind {kind!r}")
 
 
@@ -119,7 +123,7 @@ def census_fractions(net: Network, part: Partition, depth: int = 2) -> List[Cens
     ]
 
 
-def cap_rule(kind: str, density: Dict[str, Fraction], params: SystemParams) -> Fraction:
+def cap_rule(kind: str, density: Mapping[str, Fraction], params: SystemParams) -> Fraction:
     """Per-user sum multiplexing-gain cap that a partition proves, at the
     colour densities ``density``.
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import groupby
-from typing import Callable, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 RX_CONF = "RX_CONF"
 TX_CONF = "TX_CONF"
@@ -93,20 +93,36 @@ def _rounds(msg: Message, pairs: Pairs, last: int) -> List[str]:
 
 def _phase(
     kind: str, name: str, budget: int, msg: Message, heard: Pairs, sent: Pairs, inputs: List[str]
-) -> Iterator[Step]:
-    """Rounds 1..budget of one conferencing phase: round j reads ``inputs``
-    and the ``heard`` messages of rounds 1..j-1 and produces its ``sent``
-    messages.  ``name`` is formatted with the round."""
+) -> Tuple[List[Step], List[str]]:
+    """Rounds 1..budget of one conferencing phase, and the messages heard in
+    them: round j reads ``inputs`` and the ``heard`` messages of rounds
+    1..j-1 and produces its ``sent`` messages, which are among the heard
+    ones.  ``name`` is formatted with the round.  Each round's messages are
+    formatted once; the heard ones grow one list, and the set each round
+    reads grows from the previous round's."""
+    at = [heard.index(pair) for pair in sent]
+    steps: List[Step] = []
+    read, heard_so_far = frozenset(inputs), []
     for j in range(1, budget + 1):
-        yield _step(
-            kind, name.format(j), inputs + _rounds(msg, heard, j - 1),
-            [msg(src, dst, j) for src, dst in sent], rnd=j,
-        )
+        now = [msg(src, dst, j) for src, dst in heard]
+        steps.append(Step(kind, name.format(j), read, frozenset([now[i] for i in at]), j))
+        read = read.union(now)
+        heard_so_far += now
+    return steps, heard_so_far
+
+
+#: Largest accepted ``d_t + d_r``.  A plan lists about ``3·(d_t + d_r)²``
+#: resource names; at the cap, about 3.5 M names, built in under a second in
+#: about 230 MB.
+MAX_ROUNDS = 1000
 
 
 def _check_budgets(d_t: int, d_r: int, d: Optional[int]) -> int:
     if d_t < 0 or d_r < 0:
         raise ValueError("conferencing budgets must be non-negative")
+    if d_t + d_r > MAX_ROUNDS:
+        raise ValueError(f"conferencing budgets d_t + d_r = {d_t + d_r} exceed the cap of "
+                         f"{MAX_ROUNDS} rounds")
     if d is None:
         d = d_t + d_r
     if d < 0:
@@ -126,21 +142,21 @@ def schedule_two_color(d_t: int, d_r: int, d: Optional[int] = None) -> ScheduleP
     d = _check_budgets(d_t, d_r, d)
     into_red = [("white", "red"), ("red", "red")]
     into_white = [("red", "white"), ("white", "white")]
+    red_rx, red_q = _phase(RX_CONF, "rx round {}: red-side receiver messages", d_r, q_msg,
+                           into_red, [("red", "red")], [y("red")])
+    red_tx, red_t = _phase(TX_CONF, "tx round {}: red-side transmitter messages", d_t, t_msg,
+                           into_red, [("red", "red")], [mhat("red")])
+    white_rx, white_q = _phase(RX_CONF, "rx round {}: white-side receiver messages", d_r, q_msg,
+                               into_white, into_white, [y("white"), y("red")])
     steps = [
-        *_phase(RX_CONF, "rx round {}: red-side receiver messages", d_r, q_msg,
-                into_red, [("red", "red")], [y("red")]),
-        _step(DECODE, "decode red messages", [y("red")] + _rounds(q_msg, into_red, d_r),
-              [mhat("red")]),
-        *_phase(TX_CONF, "tx round {}: red-side transmitter messages", d_t, t_msg,
-                into_red, [("red", "red")], [mhat("red")]),
-        _step(ENCODE, "re-encode red inputs", [mhat("red")] + _rounds(t_msg, into_red, d_t),
-              [x("red")]),
+        *red_rx,
+        _step(DECODE, "decode red messages", [y("red")] + red_q, [mhat("red")]),
+        *red_tx,
+        _step(ENCODE, "re-encode red inputs", [mhat("red")] + red_t, [x("red")]),
         _step(RECONSTRUCT, "reconstruct white outputs", [x("red"), y("red"), GENIE],
               [y("white")]),
-        *_phase(RX_CONF, "rx round {}: white-side receiver messages", d_r, q_msg,
-                into_white, into_white, [y("white"), y("red")]),
-        _step(DECODE, "decode white messages", [y("white")] + _rounds(q_msg, into_white, d_r),
-              [mhat("white")]),
+        *white_rx,
+        _step(DECODE, "decode white messages", [y("white")] + white_q, [mhat("white")]),
     ]
     from_white = [("white", "red")]
     initial = [y("red"), GENIE] + _rounds(q_msg, from_white, d_r) + _rounds(t_msg, from_white, d_t)
@@ -177,21 +193,24 @@ def schedule_four_color(d_t: int, d_r: int, d: Optional[int] = None) -> Schedule
     to_red = [("pink", "red")]
     full = [("all", "all")]
     observed = [y("red"), y("pink"), y("white")]
+    observed_rx, _ = _phase(RX_CONF, "rx round {}: observed-colour receiver messages", d_r, q_msg,
+                            pairs, pairs, observed)
+    tx, _ = _phase(TX_CONF, "tx round {}: transmitter messages", d_t, t_msg,
+                   pairs, pairs, [mhat("red")])
+    full_rx, full_q = _phase(RX_CONF, "rx round {}: full receiver conferencing", d_r, q_msg,
+                             full, full, observed + [y("blue")])
     steps = [
-        *_phase(RX_CONF, "rx round {}: observed-colour receiver messages", d_r, q_msg,
-                pairs, pairs, observed),
+        *observed_rx,
         _step(DECODE, "decode red messages", [y("red")] + _rounds(q_msg, to_red, d_r),
               [mhat("red")]),
-        *_phase(TX_CONF, "tx round {}: transmitter messages", d_t, t_msg,
-                pairs, pairs, [mhat("red")]),
+        *tx,
         _step(ENCODE, "re-encode red inputs", [mhat("red")] + _rounds(t_msg, to_red, d_t),
               [x("red")]),
         _step(RECONSTRUCT, "reconstruct blue outputs", [x("red")] + observed + [GENIE],
               [y("blue")]),
-        *_phase(RX_CONF, "rx round {}: full receiver conferencing", d_r, q_msg,
-                full, full, observed + [y("blue")]),
+        *full_rx,
         _step(DECODE, "decode pink, white and blue messages",
-              [y("pink"), y("white"), y("blue")] + _rounds(q_msg, full, d_r),
+              [y("pink"), y("white"), y("blue")] + full_q,
               [mhat("pink"), mhat("white"), mhat("blue")]),
     ]
     return SchedulePlan(

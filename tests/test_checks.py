@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from hexmg import checks, partitions, precoding, regions
+from hexmg import checks, clustering, partitions, precoding, regions
 from hexmg.cli import main
 
 RADIUS, TRIALS = 12, 3
@@ -188,3 +188,16 @@ def test_drifted_cap_weight_fails_the_structural_check(monkeypatch, capsys):
         "region: outer bound, small prelogs",
         "structural: outer bound at the paper's caps, inner bound inside it, over sweep",
     ]
+
+
+def test_role_censuses_build_no_cluster_plan(monkeypatch):
+    """The role censuses read the role rule off the torus: the fraction
+    group builds no cluster plan, and its records stay as they were."""
+    want = list(checks.fraction_checks(RADIUS))
+
+    def boom(*args, **kwargs):
+        raise AssertionError("fraction_checks built a cluster plan")
+
+    monkeypatch.setattr(clustering, "clusters", boom)
+    assert list(checks.fraction_checks(RADIUS)) == want
+    assert all(check.ok for check in want)

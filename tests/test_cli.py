@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hexmg import checks, clustering, lattice, partitions, precoding, regions
+from hexmg import checks, clustering, lattice, partitions, precoding, regions, schedules
 from hexmg.checks import decimal_str
 from hexmg.cli import main
 
@@ -412,6 +412,12 @@ EMIT_DIGESTS = {
         "5e7d267d8e5fad279fc0fe4b1e9223c0078e62b28d6d3b917486ac51ff8b27ca",
         "5e7d267d8e5fad279fc0fe4b1e9223c0078e62b28d6d3b917486ac51ff8b27ca",
     ),
+    # the smallest radius verify-all takes, where t=4 sits at 3t = radius:
+    # recorded before the role censuses stopped building clusters
+    ("verify-all", "--radius", str(checks.MIN_RADIUS), "--zf-trials", "2"): (
+        "8c7e95696a4b5edaa03705032cc6ca9e54f37b217f05ee49b8eaf54b2db41076",
+        "8c7e95696a4b5edaa03705032cc6ca9e54f37b217f05ee49b8eaf54b2db41076",
+    ),
 }
 
 
@@ -553,6 +559,17 @@ def test_schedule_accepts_zero_total_delay(capsys):
     assert "d=0" in stdout
     assert "schedule: VALID" in stdout
     assert stdout == run(capsys, "schedule", "--algorithm", "1", "--dt", "0", "--dr", "0", "--validate")[1]
+
+
+def test_schedule_past_the_round_cap_is_a_usage_error(capsys):
+    """A plan lists about 3(d_t + d_r)^2 names; budgets past the cap are
+    refused before any step is built."""
+    argv = ["schedule", "--algorithm", "2", "--dt", str(schedules.MAX_ROUNDS + 1), "--dr", "0"]
+    code, stdout, err = run(capsys, *argv, "--validate")
+    assert code == 2
+    assert stdout == ""
+    assert f"exceed the cap of {schedules.MAX_ROUNDS} rounds" in err
+    assert "Traceback" not in err
 
 
 def test_schedule_negative_total_delay_is_a_usage_error(capsys):

@@ -29,6 +29,8 @@ from hexmg.clustering import (
     is_master_cell,
     master_axes,
     master_grid,
+    role_census,
+    role_codes,
     silenced_sectors,
 )
 from hexmg.lattice import HEX_DIRS, Cell, SectorSet, build_network, cell_distance
@@ -437,6 +439,32 @@ def test_assignment_and_fractions_match_sector_oracle(t, mode):
         want = {role: Fraction(sum(roles[s] == role for s in interior), len(interior))
                 for role in (FAST, SLOW, SILENT)}
         assert assignment_fractions(plan, depth) == want
+
+
+def clustered_roles(plan, mode):
+    """Role codes on the clustered path: the fast pattern's torus rows, then
+    SILENT on the plan's own silencing."""
+    period = 3 * plan.t
+    torus = np.full((period * period, 3), ROLES.index(SLOW), dtype=np.int8)
+    if mode == MODE_MIXED:
+        torus[fast_pattern(plan.t)] = ROLES.index(FAST)
+    roles = torus[(plan.net.q % period) * period + plan.net.r % period].ravel()
+    roles[plan.silenced.labels] = ROLES.index(SILENT)
+    return roles
+
+
+@pytest.mark.parametrize("mode", [MODE_MIXED, MODE_SLOW_ONLY])
+@pytest.mark.parametrize("radius", [12, 20, 30, 40])
+def test_role_census_matches_the_clustered_path(radius, mode):
+    """The role rule builds no cluster plan, yet gives the clustered path's
+    codes, which ``assign_messages`` attaches, and its census."""
+    net = build_network(radius)
+    for t in range(1, radius // 3 + 1)[:4]:
+        codes = role_codes(net, t, mode)
+        plan = assign_messages(clusters(net, t), mode)
+        assert np.array_equal(codes, clustered_roles(plan, mode))
+        assert np.array_equal(codes, plan.roles)
+        assert role_census(net, codes) == assignment_fractions(plan)
 
 
 def test_mixed_assignment_fast_is_independent():

@@ -178,6 +178,18 @@ def test_four_coloring_validation():
         fraction_limits("five")
 
 
+def test_fraction_limits_are_cached_and_read_only():
+    """The outer bound reads the limits at every sweep point: one shared
+    mapping per (kind, d), which no caller can change."""
+    for kind, d in ((TWO, None), (FOUR, 3)):
+        limits = fraction_limits(kind, d)
+        assert fraction_limits(kind, d) is limits
+        with pytest.raises(TypeError):
+            limits[RED] = Fraction(1)
+    assert dict(fraction_limits(FOUR, 3)) == {
+        RED: Fraction(1, 26), BLUE: Fraction(1, 26), PINK: Fraction(3, 13), WHITE: Fraction(9, 13)}
+
+
 def test_four_colour_limits_are_densities():
     """For every d the four-colour limits are non-negative and sum to one;
     at d = 1, where the pink rings around the red cells overlap, they match

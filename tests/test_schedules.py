@@ -4,10 +4,12 @@ from typing import List, Optional
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hexmg import schedules
 from hexmg.schedules import (
     DECODE,
     ENCODE,
     GENIE,
+    MAX_ROUNDS,
     RECONSTRUCT,
     RX_CONF,
     TX_CONF,
@@ -453,6 +455,46 @@ def test_builders_equal_the_unrolled_oracles(builder, oracle, d_t):
                     assert getattr(a, f.name) == getattr(b, f.name), (d_t, d_r, d, b.name)
             for g, w in zip(_variants(got), _variants(want)):
                 assert validate_schedule(g).violations == tuple(oracle_validate(w))
+
+
+def oracle_phase(kind, name, budget, msg, heard, sent, inputs):
+    """The per-round phase construction that preceded formatting each
+    round's messages once: round j rebuilds and formats every heard message
+    of rounds 1..j-1, and the closing step formats every round again."""
+    def rounds(last):
+        return [msg(src, dst, i) for i in range(1, last + 1) for src, dst in heard]
+
+    steps = [
+        Step(kind, name.format(j), frozenset(inputs + rounds(j - 1)),
+             frozenset(msg(src, dst, j) for src, dst in sent), j)
+        for j in range(1, budget + 1)
+    ]
+    return steps, rounds(budget)
+
+
+@pytest.mark.parametrize("builder", [schedule_two_color, schedule_four_color], ids=["two", "four"])
+@pytest.mark.parametrize("d", [0, 1, 2, 3, 4, 20])
+def test_phases_equal_the_per_round_oracle(monkeypatch, builder, d):
+    plans = [builder(d_t, d - d_t, d) for d_t in range(d + 1)]
+    monkeypatch.setattr(schedules, "_phase", oracle_phase)
+    for got in plans:
+        want = builder(got.d_t, got.d_r, d)
+        assert len(got.steps) == len(want.steps)
+        for a, b in zip(got.steps, want.steps):
+            assert (a.kind, a.name, a.consumes, a.produces, a.round_index) == (
+                b.kind, b.name, b.consumes, b.produces, b.round_index)
+
+
+def test_budgets_past_the_round_cap_are_refused_before_any_step():
+    """A plan lists about 3(d_t + d_r)^2 names: budgets past MAX_ROUNDS are
+    refused at once, with the cap named, for every split."""
+    for builder in (schedule_two_color, schedule_four_color):
+        for d_t in (0, MAX_ROUNDS // 2, MAX_ROUNDS + 1):
+            d_r = MAX_ROUNDS + 1 - d_t
+            with pytest.raises(ValueError, match=f"cap of {MAX_ROUNDS} rounds"):
+                builder(d_t, d_r)
+        with pytest.raises(ValueError, match="cap"):
+            builder(10 ** 9, 10 ** 9, 1)
 
 
 @settings(max_examples=60, deadline=None)
