@@ -422,7 +422,12 @@ EMIT_DIGESTS = {
 
 
 def emit_id(argv):
-    return "-".join([argv[0]] + [argv[i + 1] for i, a in enumerate(argv) if a == "--scheme"])
+    """``zf-s3`` for an ``--scheme``; ``verify-all-min-radius`` for the
+    smallest verify-all, so the radius-30 case keeps the bare ``verify-all``."""
+    tags = [argv[i + 1] for i, a in enumerate(argv) if a == "--scheme"]
+    if argv[0] == "verify-all" and "--zf-trials" in argv:
+        tags.append("min-radius")
+    return "-".join([argv[0]] + tags)
 
 
 @pytest.mark.parametrize("argv", list(EMIT_DIGESTS), ids=emit_id)
