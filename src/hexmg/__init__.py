@@ -25,6 +25,7 @@ from .clustering import (
     UncutLatticeError,
     assign_messages,
     assignment_fractions,
+    cluster_link_count,
     clusters,
     count_links,
     fast_pattern,
@@ -57,6 +58,7 @@ from .precoding import (
     NullingReport,
     Precoder,
     RankDeficientError,
+    SystemTemplate,
     TrialResult,
     ZFSystem,
     build_zf_system,
@@ -65,6 +67,7 @@ from .precoding import (
     run_trials,
     sample_channels,
     solve_precoder,
+    system_template,
     verify_nulling,
 )
 from .partitions import (

@@ -294,10 +294,10 @@ class LinkLayout:
     tx_by_depth: np.ndarray
     slow_pos: np.ndarray
     fast_pos: np.ndarray
-    #: ``(position, message)`` index pairs of every message's own block
-    own: Tuple[np.ndarray, np.ndarray]
-    #: ``position * len(slow_pos) + message`` of the cross blocks at every
-    #: position, and at the fast positions only
+    #: ``position * len(slow_pos) + message`` of every message's own block,
+    #: by message; of the cross blocks at every position; and of the cross
+    #: blocks at the fast positions only
+    own: np.ndarray
     cross: np.ndarray
     fast_cross: np.ndarray
 
@@ -351,7 +351,8 @@ class ClusterPlan:
         fast = (roles == ROLES.index(FAST))[:, None]
         return LinkLayout(
             ids, rx, ends[valid], links[:, depths].T.copy(), tx[:, depths].T.copy(),
-            slow_pos, fast_pos, np.nonzero(own), np.flatnonzero(~own), np.flatnonzero(fast & ~own),
+            slow_pos, fast_pos, slow_pos * len(slow_pos) + np.arange(len(slow_pos)),
+            np.flatnonzero(~own), np.flatnonzero(fast & ~own),
         )
 
     def interior_masters(self) -> List[Cell]:
@@ -508,17 +509,26 @@ def assign_messages(plan: ClusterPlan, mode: str) -> ClusterPlan:
 
 
 def count_links(plan: ClusterPlan, side: str) -> int:
-    """Enumerate the conferencing links of one interior cluster.
+    """Enumerate the conferencing links of one interior cluster of ``plan``:
+    ``cluster_link_count`` on its lattice and t."""
+    return cluster_link_count(plan.net, plan.t, side)
+
+
+def cluster_link_count(net: Network, t: int, side: str) -> int:
+    """Enumerate the conferencing links of one interior cluster for
+    parameter t, with no cluster plan.
 
     Links are counted directionally and attributed to the cluster owning the
     cell of their source endpoint: user-to-user links on the ``tx`` side,
     links between adjacent base stations on the ``rx`` side.  A cell belongs
     to its lexicographically first nearest master, and ownership moves with
     every master translation, so the origin master's cells, read off the
-    torus within ``t`` hops, count for any master's; a plan's radius >= 3t
+    torus within ``t`` hops, count for any master's; a radius >= 3t
     (``_check_t``) keeps them and every cell adjacent to them on the lattice.
     """
-    net, t = plan.net, plan.t
+    if side not in (TX, RX):
+        raise ValueError(f"side must be {TX!r} or {RX!r}")
+    _check_t(net, t)
     q, r = np.mgrid[-t:t + 1, -t:t + 1].reshape(2, -1)
     first = _torus_nearest(t)[2][_torus_index(q, r, t)]
     # the origin owns the cells whose offset from their first master is their position
@@ -526,9 +536,7 @@ def count_links(plan: ClusterPlan, side: str) -> int:
     cell = cell_index(net.radius, q[own], r[own])
     if side == TX:
         return int(np.count_nonzero(net.nbr.reshape(len(net.q), -1)[cell] >= 0))
-    if side == RX:
-        return int(np.count_nonzero(net.adjacent(cell) >= 0))
-    raise ValueError(f"side must be {TX!r} or {RX!r}")
+    return int(np.count_nonzero(net.adjacent(cell) >= 0))
 
 
 def role_census(net: Network, roles: np.ndarray, depth: int = 2) -> Dict[str, Fraction]:

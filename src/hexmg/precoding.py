@@ -18,10 +18,13 @@ Every trial works on the plan's ``origin_links`` layout, built once per
 plan with everything that depends only on the cluster and the roles: the
 links, each receiver's links by depth, and the indices of the own blocks
 (the target's identity blocks) and of the cross blocks s3/s4 and s5 promise
-to null.  A realization is one ``(L, m, m)``
-array with a channel per link, drawn in a single call, and
-``build_zf_system`` scatters it into the block matrix with one indexed
-assignment.
+to null.  What depends on m as well, where each channel entry lands in the
+block matrix and the pinned target, is a ``SystemTemplate`` that
+``run_trials`` builds once per design point and drops when it returns.  A
+realization is one ``(L, m, m)`` array with a channel per link, drawn in a
+single call, and ``build_zf_system`` scatters it into the block matrix with
+one flat indexed assignment.  ``run_trials`` refuses a cluster of more than
+``MAX_ANTENNAS`` antennas before it builds anything.
 
 Every s5 message shares the same fast-sector rows, so the solve factors that
 block once: one reduced QR gives its row space, and the singular values of
@@ -32,19 +35,21 @@ and its minimum-norm precoder block.  The consistency check takes the fast
 rows of the whole precoder in one product and each message's own gain from
 its diagonal block only.
 
-The check adds each receiver's terms depth by depth, so in link order, with
-one batched product per depth.  Of the cross blocks it keeps only those whose
+The check adds each receiver's terms depth by depth, so in link order: one
+gather of every depth's channels, then one batched product per depth, the
+self link's starting the sum.  Of the cross blocks it keeps only those whose
 Frobenius norm could hold the largest spectral norm, and one SVD of the own
 blocks and those gives the self gains, their ranks and the worst cross
-talk.  A precoder carrying the plan's own layout object skips the id
-comparison that one from another plan object needs.
+talk; at m = 1 the absolute values give them, with no SVD.  A precoder
+carrying the plan's own layout object skips the id comparison that one from
+another plan object needs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
@@ -65,6 +70,12 @@ NULLING_TOL = 1e-9
 
 _CONSISTENCY_TOL = 1e-8
 
+#: Largest accepted antenna count m(9t² − 3t) of the certified cluster.  A
+#: trial peaks at about eight dense copies of the square ``h_net`` (s3,
+#: whose target is square too), so the largest accepted system, t = 20 and
+#: m = 1 with 3,540 antennas, peaks near 0.8 GB.
+MAX_ANTENNAS = 3600
+
 _EPS = np.finfo(np.float64).eps
 
 
@@ -77,6 +88,19 @@ class ChannelRealization:
     m: int
     #: (L, m, m): the channel of each link of ``plan.origin_links``, in its order
     h: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class SystemTemplate:
+    """What every ZF system of one plan and m shares, whatever the draw:
+    the flat index into ``h_net`` of each entry of ``ch.h``, in its order,
+    and the read-only pinned target.  ``run_trials`` builds one per design
+    point and drops it when it returns."""
+
+    m: int
+    layout: LinkLayout
+    scatter: np.ndarray
+    target: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,13 +145,31 @@ def sample_channels(plan: ClusterPlan, m: int, seed: int) -> ChannelRealization:
     return ChannelRealization(m, np.random.default_rng(seed).standard_normal((n_links, m, m)))
 
 
-def build_zf_system(plan: ClusterPlan, ch: ChannelRealization, scheme: str) -> ZFSystem:
+def system_template(plan: ClusterPlan, m: int) -> SystemTemplate:
+    """The draw-independent part of the ZF systems of ``plan`` at ``m``."""
+    lay = plan.origin_links
+    n, n_slow = len(lay.ids), len(lay.slow_pos)
+    a = np.arange(m)
+    # entry (k, a, b) of ch.h lands at row rx[k]·m + a, column tx[k]·m + b
+    rows = (lay.rx[:, None] * m + a) * (m * n)
+    scatter = (rows[:, :, None] + (lay.tx[:, None] * m + a)[:, None, :]).ravel()
+    target = np.zeros((m * n, m * n_slow))
+    target[(lay.slow_pos[:, None] * m + a).ravel(), np.arange(m * n_slow)] = 1.0
+    target.flags.writeable = False
+    return SystemTemplate(m, lay, scatter, target)
+
+
+def build_zf_system(
+    plan: ClusterPlan, ch: ChannelRealization, scheme: str,
+    template: Optional[SystemTemplate] = None,
+) -> ZFSystem:
     """Assemble the nulling constraints for the origin cluster.
 
     Unknowns are all precoder entries.  Per message the constraints read
     ``sum_l H[k,l] B[l] = delta[k, message] * I`` over the constrained receive
     sectors k: all active sectors for s3/s4, fast sectors plus the message's
-    own sector for s5.
+    own sector for s5.  ``template``, from ``system_template(plan, ch.m)``,
+    saves building the draw-independent part again.
     """
     if scheme not in SCHEME_MODES:
         raise ValueError(f"unknown precoding scheme {scheme!r}")
@@ -140,12 +182,13 @@ def build_zf_system(plan: ClusterPlan, ch: ChannelRealization, scheme: str) -> Z
     if not len(lay.slow_pos):
         raise ValueError("cluster carries no slow message")
     m = ch.m
+    if template is None:
+        template = system_template(plan, m)
+    elif template.layout is not lay or template.m != m:
+        raise ValueError("system template of another plan or m")
     n, n_slow = len(lay.ids), len(lay.slow_pos)
-    h_net = np.zeros((n, m, n, m))
-    h_net[lay.rx, :, lay.tx, :] = ch.h
-    target = np.zeros((n, m, n_slow, m))
-    pos, msg = lay.own
-    target[pos, :, msg, :] = np.eye(m)
+    h_net = np.zeros((m * n, m * n))
+    h_net.ravel()[template.scatter] = ch.h.ravel()  # ravel of a fresh array: a view
 
     n_unknowns = m * m * n * n_slow
     if scheme == "s5":
@@ -156,8 +199,8 @@ def build_zf_system(plan: ClusterPlan, ch: ChannelRealization, scheme: str) -> Z
         scheme=scheme,
         m=m,
         layout=lay,
-        h_net=h_net.reshape(m * n, m * n),
-        target=target.reshape(m * n, m * n_slow),
+        h_net=h_net,
+        target=template.target,
         n_unknowns=n_unknowns,
         n_constraints=n_constraints,
     )
@@ -176,11 +219,11 @@ def solve_precoder(system: ZFSystem) -> Precoder:
             b = np.linalg.solve(system.h_net, system.target)
         except np.linalg.LinAlgError as exc:
             raise RankDeficientError(str(exc)) from None
-        resid = np.linalg.norm(system.h_net @ b - system.target)
-        # one 1 per column of the target: its norm is the root of their number
-        if not np.isfinite(b).all() or resid > _CONSISTENCY_TOL * max(
-            1.0, math.sqrt(system.target.shape[1])
-        ):
+        r = (system.h_net @ b - system.target).ravel()
+        resid = math.sqrt(r @ r)
+        # one 1 per column of the target: its norm is the root of their
+        # number; a non-finite b leaves a non-finite residual, which fails
+        if not resid <= _CONSISTENCY_TOL * max(1.0, math.sqrt(system.target.shape[1])):
             raise RankDeficientError(f"inconsistent system, residual {resid:.3e}")
         return Precoder(m=m, layout=system.layout, matrix=b)
 
@@ -262,34 +305,58 @@ def verify_nulling(
     ):
         raise ValueError("precoder does not match the plan's origin cluster")
 
-    # Each receiver adds its terms depth by depth, so in link order: the
-    # rounding of a per-link loop, bit for bit.  Past its last link it adds
-    # a zero channel's product, a signed zero, which leaves a sum begun at
-    # +0 as it is.
-    rows = precoder.matrix.reshape(n, m, -1)
-    h = np.concatenate([ch.h, np.zeros((1, m, m))])
-    total = np.zeros_like(rows)
-    for links, tx in zip(lay.links_by_depth, lay.tx_by_depth):
-        total += h[links] @ rows[tx]
-    # block (k, j) is the effective channel from message j at position k
-    blocks = total.reshape(n, m, n_msg, m)
-
-    # one SVD of the own blocks and of the cross blocks that may hold the
-    # largest spectral norm: norm(g, 2) and matrix_rank(g) as numpy takes them
+    blocks = _effective_channels(lay, precoder.matrix.reshape(n, m, -1), ch.h)
     cross = lay.fast_cross if scheme == "s5" else lay.cross
-    fro2 = np.einsum("kajb,kajb->kj", blocks, blocks).ravel()[cross]
-    pos, msg = np.divmod(cross[_spectral_candidates(fro2, m)], n_msg)
-    pos, msg = np.concatenate([lay.own[0], pos]), np.concatenate([lay.own[1], msg])
-    sv = np.linalg.svd(blocks[pos, :, msg, :], compute_uv=False)
-    self_norms, max_cross = sv[:n_msg, 0], float(sv[n_msg:, 0].max(initial=0.0))
-    ranks = (sv[:n_msg] > self_norms[:, None] * (m * _EPS)).sum(axis=-1)
-    max_self = float(self_norms.max()) if n_msg else 0.0
-    min_rank = int(ranks.min()) if n_msg else 0
+    if m == 1:
+        # a 1 x 1 block's singular value is its absolute value, as LAPACK
+        # gives it: no SVD and no Frobenius prefilter
+        g = np.abs(blocks.ravel())
+        sv_self, max_cross = g[lay.own][:, None], float(g[cross].max(initial=0.0))
+    else:
+        # one SVD of the own blocks and of the cross blocks that may hold the
+        # largest spectral norm: norm(g, 2) and matrix_rank(g) as numpy takes
+        # them.  A block's squared Frobenius norm sums its columns' squares,
+        # then its m columns by one matrix-vector product.
+        fro2 = (np.einsum("kab,kab->kb", blocks, blocks).reshape(-1, m) @ np.ones(m))[cross]
+        keep = cross[_spectral_candidates(fro2, m)]
+        pos, msg = np.divmod(np.concatenate([lay.own, keep]), n_msg)
+        sv = np.linalg.svd(blocks.reshape(n, m, n_msg, m)[pos, :, msg, :], compute_uv=False)
+        sv_self, max_cross = sv[:n_msg], float(sv[n_msg:, 0].max(initial=0.0))
+    if not n_msg:
+        return NullingReport(float("inf") if max_cross > 0 else 0.0, 0, False)
+    self_norms = sv_self[:, 0]
+    max_self = float(self_norms.max())
+    cut = self_norms * (m * _EPS)
+    # singular values come in descending order: full rank iff the last is above the cut
+    if (sv_self[:, -1] > cut).all():
+        min_rank = m
+    else:
+        min_rank = min(map(sum, (sv_self > cut[:, None]).tolist()))
     if max_self == 0.0:
         residual = float("inf") if max_cross > 0 else 0.0
         return NullingReport(residual, min_rank, False)
     residual = max_cross / max_self
     return NullingReport(residual, min_rank, residual <= tol and min_rank == m)
+
+
+def _effective_channels(lay: LinkLayout, rows: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Per position k, ``(m, n_msg * m)``: the channels ``h`` of k's links
+    times their transmitters' precoder ``rows``, summed in link order.
+
+    Each receiver adds its terms depth by depth, so in link order: the
+    rounding of a per-link loop, bit for bit.  Depth 0 is every receiver's
+    self link, so its product starts the sum and needs no gather of rows;
+    past a receiver's last link it adds a zero channel's product, a signed
+    zero.  An m = 1 product is one rounded multiplication, as the 1 x 1
+    matrix product gives it.
+    """
+    m = rows.shape[1]
+    hd = np.concatenate([h, np.zeros((1, m, m))])[lay.links_by_depth]
+    mul = np.multiply if m == 1 else np.matmul
+    total = mul(hd[0], rows)
+    for d in range(1, len(hd)):
+        total += mul(hd[d], rows[lay.tx_by_depth[d]])
+    return total
 
 
 def _spectral_candidates(fro2: np.ndarray, m: int) -> np.ndarray:
@@ -312,11 +379,12 @@ def certification_plan(t: int, scheme: str = "s4") -> ClusterPlan:
 
 
 def run_trial(
-    plan: ClusterPlan, m: int, seed: int, scheme: str = "s4", tol: float = NULLING_TOL
+    plan: ClusterPlan, m: int, seed: int, scheme: str = "s4", tol: float = NULLING_TOL,
+    template: Optional[SystemTemplate] = None,
 ) -> TrialResult:
     """One seeded end-to-end certification: sample, solve, substitute, check."""
     ch = sample_channels(plan, m, seed)
-    system = build_zf_system(plan, ch, scheme)
+    system = build_zf_system(plan, ch, scheme, template)
     try:
         precoder = solve_precoder(system)
     except RankDeficientError:
@@ -328,8 +396,19 @@ def run_trial(
 
 
 def run_trials(
-    t: int, m: int, trials: int, seed: int = 0, scheme: str = "s4", tol: float = NULLING_TOL
+    t: int, m: int, trials: int, seed: int = 0, scheme: str = "s4", tol: float = NULLING_TOL,
+    plan: Optional[ClusterPlan] = None,
 ) -> List[TrialResult]:
-    """Independent seeded certification trials for one (t, m) design point."""
-    plan = certification_plan(t, scheme)
-    return [run_trial(plan, m, seed + i, scheme, tol) for i in range(trials)]
+    """Independent seeded certification trials for one (t, m) design point;
+    the trials share one ``system_template``.  ``plan`` is the point's
+    ``certification_plan(t, scheme)`` if the caller holds it already.  A
+    system past ``MAX_ANTENNAS`` is refused before any lattice is built."""
+    if t >= 1 and m >= 1 and m * (9 * t * t - 3 * t) > MAX_ANTENNAS:
+        raise ValueError(f"t={t}, m={m} gives a cluster of {m * (9 * t * t - 3 * t)} antennas, "
+                         f"past the cap of {MAX_ANTENNAS}")
+    if plan is None:
+        plan = certification_plan(t, scheme)
+    elif plan.t != t:
+        raise ValueError(f"plan is for t={plan.t}, not t={t}")
+    template = system_template(plan, m)
+    return [run_trial(plan, m, seed + i, scheme, tol, template) for i in range(trials)]

@@ -10,20 +10,22 @@ impossibility (outer) region is the intersection of a cap on the fast gain
 with two caps on the sum gain, the cap rules of the two partitions
 (``partitions.cap_rule``) at their limiting densities.  All vertices are
 ``fractions.Fraction`` pairs; nothing here touches floating point.  The
-arithmetic behind them runs on integers: ``convex_hull`` puts its points on
-one common denominator and sorts, dedupes and crosses the integer pairs,
-``scheme_point`` decides its time-share weight by cross-multiplying
-numerators and denominators and builds one ``Fraction`` per coordinate, and
-``_cross`` gives ``contains`` the sign of a cross product from the integer
-numerators and denominators of its three points.
+arithmetic behind them runs on integers: a set of points goes onto one
+common denominator (``_scale``), and the hull sorts, dedupes and crosses the
+integer pairs.  ``scheme_point`` decides its time-share weight by
+cross-multiplying numerators and denominators; ``inner_bound`` hulls the
+schemes' integer gains and builds a vertex's ``Fraction`` only when it is
+read.  A region keeps its vertices' integer form, so ``contains`` and ``is_subset``
+scale each region once and decide every side of a point by one integer
+cross product.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from . import partitions
@@ -70,98 +72,169 @@ class SystemParams:
             raise ValueError("cooperation prelogs must be non-negative")
 
 
-@dataclass(frozen=True)
 class Region:
     """Convex, downward-closed polygon in the (fast, slow) gain quadrant.
 
     Vertices are counterclockwise, starting at the origin, with no three
-    consecutive vertices collinear.
+    consecutive vertices collinear.  Immutable, and equal to a region with
+    the same vertices.  A region also holds its vertices as integer pairs on
+    one common denominator (``_scale``'s form), which ``contains`` and
+    ``is_subset`` read; a region built from those pairs makes its
+    ``Fraction`` vertices only when they are read.
     """
 
-    vertices: Tuple[MGPoint, ...]
+    __slots__ = ("_vertices", "_pairs")
+
+    def __init__(self, vertices: Tuple[MGPoint, ...]) -> None:
+        object.__setattr__(self, "_vertices", tuple(vertices))
+        object.__setattr__(self, "_pairs", None)
+
+    @classmethod
+    def _of_pairs(cls, den: int, pairs: List[Tuple[int, int]],
+                  vertices: Optional[Tuple[MGPoint, ...]] = None) -> "Region":
+        """The region whose vertices are ``pairs`` over ``den``, or, if
+        given, ``vertices``, their ``Fraction`` points."""
+        region = cls.__new__(cls)
+        object.__setattr__(region, "_vertices", vertices)
+        object.__setattr__(region, "_pairs", (den, pairs))
+        return region
+
+    @property
+    def vertices(self) -> Tuple[MGPoint, ...]:
+        if self._vertices is None:
+            den, pairs = self._pairs
+            object.__setattr__(self, "_vertices", tuple(_point(k, den) for k in pairs))
+        return self._vertices
+
+    @property
+    def _scaled(self) -> Tuple[int, List[Tuple[int, int]]]:
+        if self._pairs is None:
+            object.__setattr__(self, "_pairs", _scale(self._vertices))
+        return self._pairs
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Region):
+            return NotImplemented
+        return self.vertices == other.vertices
+
+    def __hash__(self) -> int:
+        return hash(self.vertices)
+
+    def __reduce__(self):
+        return Region, (self.vertices,)
+
+    def __repr__(self) -> str:
+        return f"Region(vertices={self.vertices!r})"
 
 
-def _cross(o: MGPoint, a: MGPoint, b: MGPoint) -> int:
-    """An int with the sign of the cross product ``(a - o) x (b - o)``, for
-    callers that only compare it with 0.  Multiplying the product by every
-    (positive) denominator of the six coordinates leaves integers, so no
-    ``Fraction`` is built and no gcd taken."""
-    (oxn, oxd), (oyn, oyd) = o.sf.as_integer_ratio(), o.ss.as_integer_ratio()
-    (axn, axd), (ayn, ayd) = a.sf.as_integer_ratio(), a.ss.as_integer_ratio()
-    (bxn, bxd), (byn, byd) = b.sf.as_integer_ratio(), b.ss.as_integer_ratio()
-    # (a - o).sf = (axn·oxd − oxn·axd) / (axd·oxd), and so on
-    return ((axn * oxd - oxn * axd) * (byn * oyd - oyn * byd) * ayd * bxd
-            - (ayn * oyd - oyn * ayd) * (bxn * oxd - oxn * bxd) * axd * byd)
+def _point(pair: Tuple[int, int], den: int) -> MGPoint:
+    """The point of the integer pair over ``den``; a zero coordinate reuses
+    _ZERO, so no gcd is taken for it."""
+    return MGPoint(*(Fraction(c, den) if c else _ZERO for c in pair))
+
+
+def _scale(points: Iterable[MGPoint]) -> Tuple[int, List[Tuple[int, int]]]:
+    """``(den, pairs)``: the points as integer pairs over the lcm ``den`` of
+    their denominators.  A positive common scale keeps their order and the
+    sign of every cross product."""
+    ratios = [(p.sf.as_integer_ratio(), p.ss.as_integer_ratio()) for p in points]
+    return _on_one_denominator(ratios)
+
+
+def _on_one_denominator(ratios: List[Tuple]) -> Tuple[int, List[Tuple[int, int]]]:
+    """``_scale`` of points given as ``((xn, xd), (yn, yd))`` with positive
+    denominators."""
+    den = lcm(*(d for pair in ratios for _, d in pair))
+    return den, [(xn * (den // xd), yn * (den // yd)) for (xn, xd), (yn, yd) in ratios]
+
+
+def _turn(o: Tuple[int, int], a: Tuple[int, int], b: Tuple[int, int]) -> int:
+    """The cross product ``(a - o) x (b - o)`` of integer pairs."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
 def _chain(keys: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
     """One half of Andrew's monotone chain: the points that turn left."""
     out: List[Tuple[int, int]] = []
-    for bx, by in keys:
-        while len(out) >= 2:
-            (ox, oy), (ax, ay) = out[-2], out[-1]
-            if (ax - ox) * (by - oy) - (ay - oy) * (bx - ox) > 0:
-                break
+    for b in keys:
+        while len(out) >= 2 and _turn(out[-2], out[-1], b) <= 0:
             out.pop()
-        out.append((bx, by))
+        out.append(b)
     return out
+
+
+def _hull_keys(keys: Iterable[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    """The canonical downward-closed hull of integer pairs, in ``Region``'s
+    vertex order; the origin and the axis projections make it downward
+    closed.  A point between the origin and an axis projection lies on the
+    segment joining them, so it is never a vertex and the chain skips it."""
+    keys = set(keys)
+    (rx, _), (_, ty) = max(keys), max(keys, key=lambda k: k[1])
+    keys = {(x, y) for x, y in keys if (x or not 0 <= y <= ty) and (y or not 0 <= x <= rx)}
+    keys.update(((0, 0), (rx, 0), (0, ty)))
+    keys = sorted(keys)
+    if len(keys) > 2:
+        # counterclockwise from the smallest point, which starts the lower chain
+        hull = _chain(keys)[:-1] + _chain(keys[::-1])[:-1]
+        keys = hull if len(hull) >= 3 else [keys[0], keys[-1]]  # else all collinear
+    return keys
 
 
 def convex_hull(points: Sequence[MGPoint]) -> Region:
     """Canonical downward-closed hull of a non-empty set of gain pairs.
 
-    The points are scaled to integers over the lcm of their denominators;
-    a positive common scale keeps their order, so sorting, deduping and the
-    chain run on the integer pairs.  The hull reuses the input points, and
-    an axis projection that is not one of them is built from their
-    coordinates.
+    The points are scaled to integers over the lcm of their denominators,
+    so sorting, deduping and the chain run on the integer pairs.  The hull
+    reuses the input points, and an axis projection that is not one of them
+    is built from its pair.
     """
     if not points:
         raise ValueError("need at least one point")
-    den = lcm(*(c.denominator for p in points for c in (p.sf, p.ss)))
+    den, keys = _scale(points)
     at: Dict[Tuple[int, int], MGPoint] = {}
-    for p in points:
-        key = (p.sf.numerator * (den // p.sf.denominator),
-               p.ss.numerator * (den // p.ss.denominator))
+    for key, p in zip(keys, points):
         at.setdefault(key, p)
-    # axis projections make the hull downward closed
-    right = max(at)
-    top = max(at, key=lambda k: k[1])
-    for key, sf, ss in (((0, 0), _ZERO, _ZERO),
-                        ((right[0], 0), at[right].sf, _ZERO),
-                        ((0, top[1]), _ZERO, at[top].ss)):
-        if key not in at:
-            at[key] = MGPoint(sf, ss)
-    keys = sorted(at)
-    if len(keys) > 2:
-        # counterclockwise from the smallest point, which starts the lower chain
-        hull = _chain(keys)[:-1] + _chain(keys[::-1])[:-1]
-        keys = hull if len(hull) >= 3 else [keys[0], keys[-1]]  # else all collinear
-    return Region(tuple(at[k] for k in keys))
+    hull = _hull_keys(keys)
+    return Region._of_pairs(den, hull, tuple(at[k] if k in at else _point(k, den) for k in hull))
+
+
+def _holds(v: List[Tuple[int, int]], pts: List[Tuple[int, int]]) -> bool:
+    """Whether the region with vertices ``v`` holds every point of ``pts``,
+    all integer pairs over one denominator: a point lies on the left of (or
+    on) every edge, or, for fewer than three vertices, on the region."""
+    if len(v) == 1:
+        return all(p == v[0] for p in pts)
+    if len(v) == 2:
+        a, b = v
+        return all(_turn(a, b, p) == 0 and min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
+                   and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]) for p in pts)
+    # _turn(a, b, p) >= 0 along every edge, each edge's vector taken once
+    edges = [(ax, ay, bx - ax, by - ay) for (ax, ay), (bx, by) in zip(v, v[1:] + v[:1])]
+    return all(dx * (y - ay) >= dy * (x - ax) for x, y in pts for ax, ay, dx, dy in edges)
+
+
+def _common(a: Tuple, b: Tuple) -> Tuple[List[Tuple[int, int]], List[Tuple[int, int]]]:
+    """Two ``_scale`` forms' pairs over the product of their denominators."""
+    (da, va), (db, vb) = a, b
+    return [(x * db, y * db) for x, y in va], [(x * da, y * da) for x, y in vb]
 
 
 def contains(region: Region, pt: MGPoint) -> bool:
     """Exact membership test."""
-    v = region.vertices
-    if len(v) == 1:
-        return (pt.sf, pt.ss) == (v[0].sf, v[0].ss)
-    if len(v) == 2:
-        a, b = v
-        if _cross(a, b, pt) != 0:
-            return False
-        return (
-            min(a.sf, b.sf) <= pt.sf <= max(a.sf, b.sf)
-            and min(a.ss, b.ss) <= pt.ss <= max(a.ss, b.ss)
-        )
-    for i in range(len(v)):
-        if _cross(v[i], v[(i + 1) % len(v)], pt) < 0:
-            return False
-    return True
+    pts, v = _common(_scale([pt]), region._scaled)
+    return _holds(v, pts)
 
 
 def is_subset(a: Region, b: Region) -> bool:
     """True iff region ``a`` lies inside region ``b`` (both convex)."""
-    return all(contains(b, v) for v in a.vertices)
+    pts, v = _common(a._scaled, b._scaled)
+    return _holds(v, pts)
 
 
 def max_sum_mg(region: Region) -> Fraction:
@@ -307,9 +380,7 @@ def scheme_point(family: str, t: int, p: SystemParams) -> MGPoint:
     Each cooperative scheme is time-shared with the no-cooperation baseline:
     the point is base + λ·(full − base), with the weight λ capped by the
     available per-link prelog divided by the prelog the full scheme needs.
-    λ = min(1, available/need) is decided by cross-multiplying integers, and
-    each coordinate is one ``Fraction`` built from an integer numerator and
-    denominator.
+    ``_gains`` decides it on integers; each coordinate is one ``Fraction``.
     """
     m = p.m
     if family == FAMILY_NO_COOP:
@@ -322,18 +393,37 @@ def scheme_point(family: str, t: int, p: SystemParams) -> MGPoint:
     if not on_dual and t not in rx_only:
         name = "all-slow" if family == FAMILY_SLOW else "mixed"
         raise ValueError(f"t={t} outside the {name} range for d={p.d}")
+    gains = _gains(family, m, t, _available(p, on_dual))
+    # a zero coordinate (every all-slow fast gain) reuses _ZERO: no gcd taken
+    return MGPoint(*(Fraction(n, d) if n else _ZERO for n, d in gains))
 
-    # available prelog an/ad: mu_rx, plus mu_tx on the dual branch
-    an, ad = p.mu_rx.numerator, p.mu_rx.denominator
-    if on_dual:
-        xn, xd = p.mu_tx.numerator, p.mu_tx.denominator
+
+def _available(p: SystemParams, dual: bool) -> Tuple[int, int]:
+    """The per-link prelog a scheme may spend, as (numerator, denominator):
+    mu_rx, plus mu_tx on the dual branch."""
+    an, ad = p.mu_rx.as_integer_ratio()
+    if dual:
+        xn, xd = p.mu_tx.as_integer_ratio()
         an, ad = an * xd + xn * ad, ad * xd
+    return an, ad
+
+
+def _gains(family: str, m: int, t: int, available: Tuple[int, int]) -> Tuple:
+    """(fast, slow) gains of the family at t with the ``available`` prelog,
+    each as (numerator, denominator) in lowest terms.  λ = min(1,
+    available/need) is decided by cross-multiplying integers."""
+    an, ad = available
     (nn, nd), (base_sf, base_ss), (sf, ss) = _family_prices(family, m, t)
     if an * nd < ad * nn:  # available < need: λ = (an/ad)/(nn/nd) < 1
         ln, ld = an * nd, ad * nn
         sf, ss = _time_share(base_sf, sf, ln, ld), _time_share(base_ss, ss, ln, ld)
-    # a zero coordinate (every all-slow fast gain) reuses _ZERO: no gcd taken
-    return MGPoint(Fraction(*sf) if sf[0] else _ZERO, Fraction(*ss) if ss[0] else _ZERO)
+    return _lowest(*sf), _lowest(*ss)
+
+
+def _lowest(n: int, d: int) -> Tuple[int, int]:
+    """n/d in lowest terms, d > 0; zero as (0, 1)."""
+    g = gcd(n, d)
+    return n // g, d // g
 
 
 def inner_bound(p: SystemParams, t_values: Optional[Iterable[int]] = None) -> Region:
@@ -342,16 +432,20 @@ def inner_bound(p: SystemParams, t_values: Optional[Iterable[int]] = None) -> Re
     ``t_values`` restricts the scheme parameter sweep (e.g. ``[4]`` evaluates
     the bound for a single cluster size); by default every admissible t for
     the delay budget enters the hull.  Only the selected t are visited, so a
-    hull at one t costs the same for any d.
+    hull at one t costs the same for any d.  The hull runs on the schemes'
+    integer gains; its vertices become ``Fraction`` points when read.
     """
     sel = None if t_values is None else sorted(set(t_values))
-    pts = [MGPoint(Fraction(0), Fraction(0)), scheme_point(FAMILY_NO_COOP, 1, p)]
+    gains = [(_lowest(p.m, 2), (0, 1))]  # no cooperation; the hull adds the origin
     for family in (FAMILY_SLOW, FAMILY_MIXED):
-        for ts in t_ranges(family, p.d):
+        for ts, dual in zip(t_ranges(family, p.d), (True, False)):
             # bounds, not `in`: `in` walks the range for a t that is not an int
             picked = ts if sel is None else [t for t in sel if ts.start <= t < ts.stop]
-            pts += [scheme_point(family, t, p) for t in picked]
-    return convex_hull(pts)
+            if picked:
+                available = _available(p, dual)
+                gains += [_gains(family, p.m, t, available) for t in picked]
+    den, keys = _on_one_denominator(gains)
+    return Region._of_pairs(den, _hull_keys(keys))
 
 
 def sum_gain_cap(p: SystemParams) -> Fraction:

@@ -201,3 +201,16 @@ def test_role_censuses_build_no_cluster_plan(monkeypatch):
     monkeypatch.setattr(clustering, "clusters", boom)
     assert list(checks.fraction_checks(RADIUS)) == want
     assert all(check.ok for check in want)
+
+
+def test_counting_checks_build_no_cluster_plan(monkeypatch):
+    """The link counts read the origin master's cells off the torus on one
+    lattice: the counting group builds no cluster plan, and all twelve of
+    its records pass."""
+    def boom(*args, **kwargs):
+        raise AssertionError("counting_checks built a cluster plan")
+
+    monkeypatch.setattr(clustering, "clusters", boom)
+    got = list(checks.counting_checks())
+    assert len(got) == 12
+    assert all(check.ok for check in got)

@@ -255,6 +255,20 @@ def test_rank_deficient_escape_is_a_usage_error(capsys, monkeypatch):
     assert stderr == "hexmg: row-rank deficiency at the fast sectors\n"
 
 
+def test_oversized_zf_system_is_a_usage_error(capsys, monkeypatch):
+    """``hexmg zf`` past ``precoding.MAX_ANTENNAS`` exits 2 with the cap
+    named, before any lattice is built."""
+    def no_plan(*args, **kwargs):
+        raise AssertionError("a plan was built")
+
+    monkeypatch.setattr(precoding, "certification_plan", no_plan)
+    code, stdout, stderr = run(capsys, "zf", "--t", "40", "--m", "1", "--trials", "1")
+    assert code == 2
+    assert stdout == ""
+    assert stderr == (f"hexmg: t=40, m=1 gives a cluster of 14280 antennas, "
+                      f"past the cap of {precoding.MAX_ANTENNAS}\n")
+
+
 def test_other_runtime_errors_keep_their_traceback(monkeypatch):
     """Only the two named errors become usage errors; any other
     ``RuntimeError`` is a fault of the program and propagates."""

@@ -24,6 +24,7 @@ from hexmg.clustering import (
     assign_messages,
     assignment_fractions,
     clusters,
+    cluster_link_count,
     count_links,
     fast_pattern,
     is_master_cell,
@@ -384,9 +385,12 @@ def count_links_oracle(plan, side):
 @pytest.mark.parametrize("t", range(1, 9))
 def test_link_counts_by_enumeration(t):
     for radius in (3 * t, 3 * t + 1, 6 * t):
-        plan = clusters(build_network(radius), t)
+        net = build_network(radius)
+        plan = clusters(net, t)
         assert count_links(plan, TX) == count_links_oracle(plan, TX) == 36 * t * t
         assert count_links(plan, RX) == count_links_oracle(plan, RX) == 18 * t * t
+        assert (cluster_link_count(net, t, TX), cluster_link_count(net, t, RX)) == (
+            36 * t * t, 18 * t * t)
 
 
 def test_link_count_needs_interior_cluster():
@@ -395,6 +399,10 @@ def test_link_count_needs_interior_cluster():
     assert count_links(plan, TX) == 36  # radius 3 still holds an interior region
     with pytest.raises(ValueError):
         count_links(plan, "sideways")
+    with pytest.raises(ValueError, match="side must be"):
+        cluster_link_count(net, 1, "sideways")
+    with pytest.raises(ValueError, match="too large"):
+        cluster_link_count(net, 2, TX)  # radius 3 < 3t
 
 
 def test_clusters_refuse_a_lattice_left_uncut(monkeypatch):

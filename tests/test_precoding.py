@@ -1,11 +1,18 @@
 import hashlib
+import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from functools import cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hexmg
+from hexmg import precoding
 from hexmg.clustering import FAST, ROLES, SLOW, clusters
 from hexmg.lattice import build_network
 from hexmg.precoding import (
@@ -423,24 +430,131 @@ def test_verify_takes_both_layout_paths(scheme):
 #: verify-all points and the three ``zf_scale`` points, recorded before the
 #: check and the layout gained their precomputed index arrays.  ``repr``
 #: spells a float's shortest round trip, so a residual one ulp off fails.
+#: The ``zf_scale`` points' products are large enough that their rounding
+#: follows BLAS's thread count, so they run in a child interpreter with BLAS
+#: on one thread, as the benchmark runs them; their digests were recorded so.
 TRIAL_DIGESTS = {
     ("s4", 1, 1, 100, 42): "b79431bab9ab294b2fdccdd312324232ba6ceb3f95f88efb7963be924e0d4b8b",
     ("s4", 1, 2, 100, 42): "c1f4e4d0395799fae8ca2b9af1c7985f7b35b6ad1d4ff915d93d9a9054c0558a",
     ("s4", 2, 1, 100, 42): "adbfefc3b4e089e49ab9f7d15a7b7976e43c7c7c9228ed531fe4ba5af454559c",
     ("s4", 2, 2, 100, 42): "cb0d2e2c474f6aac763f4522d8ccc6287e4462faede0e251b28123cdef8fa1f2",
-    ("s4", 4, 3, 1, 20211): "0de5780f7402815e729a723bf747affd7fcb53116b91cbbda899e05181aeda3f",
-    ("s5", 4, 3, 1, 20211): "c2c5dcdab9f71d9aa9e15547e29e7ba9d20e7aa9612ec1265045e11009c304d8",
+    ("s4", 4, 3, 1, 20211): "baab440b76411672a230df0aeeaede8654028137d20598c63651f2d34418f8c9",
+    ("s5", 4, 3, 1, 20211): "33d089379496348ec5fedda2e3955f0728ed330953ad97153ad5f1d1f176935e",
     ("s5", 6, 1, 1, 20211): "084e9ec3c23f84fb3d33039fa0274a6d2aa8a372dbca3e6af02d79045ba546c8",
 }
+ONE_BLAS_THREAD = [point for point in TRIAL_DIGESTS if point[1] >= 4]
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def trial_digest(point):
+    """``(number of results, digest)`` of the point's ``run_trials``."""
+    scheme, t, m, trials, seed = point
+    results = run_trials(t, m, trials, seed=seed, scheme=scheme)
+    return len(results), hashlib.sha256("\n".join(map(repr, results)).encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def one_thread_digests():
+    """``trial_digest`` of every ``ONE_BLAS_THREAD`` point, from one child
+    interpreter whose BLAS runs on one thread."""
+    env = dict(os.environ, **{name: "1" for name in BLAS_THREAD_VARIABLES})
+    src = str(Path(hexmg.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import json, sys; from test_precoding import trial_digest; "
+            "print(json.dumps([trial_digest(tuple(p)) for p in json.loads(sys.argv[1])]))")
+    out = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(ONE_BLAS_THREAD)], env=env,
+        cwd=Path(__file__).parent, capture_output=True, text=True, check=True, timeout=120,
+    ).stdout
+    return {point: tuple(got) for point, got in zip(ONE_BLAS_THREAD, json.loads(out))}
 
 
 @pytest.mark.parametrize("point", list(TRIAL_DIGESTS), ids=lambda p: "-".join(map(str, p)))
-def test_trial_results_are_bit_identical(point):
-    scheme, t, m, trials, seed = point
-    results = run_trials(t, m, trials, seed=seed, scheme=scheme)
-    assert len(results) == trials
-    got = hashlib.sha256("\n".join(map(repr, results)).encode()).hexdigest()
-    assert got == TRIAL_DIGESTS[point]
+def test_trial_results_are_bit_identical(point, request):
+    if point in ONE_BLAS_THREAD:
+        got = request.getfixturevalue("one_thread_digests")[point]
+    else:
+        got = trial_digest(point)
+    assert got == (point[3], TRIAL_DIGESTS[point])
+
+
+class PlanBuilt(Exception):
+    """Raised in place of building a certification plan."""
+
+
+@pytest.mark.parametrize("t,m", [(21, 1), (15, 2), (12, 3), (40, 1), (10**9, 10**9)])
+def test_oversized_system_is_refused_before_any_plan(monkeypatch, t, m):
+    """Past ``MAX_ANTENNAS`` antennas, m(9t² − 3t), ``run_trials`` refuses
+    the system with the cap named and builds nothing; at the largest
+    accepted sizes it goes on to build the plan, which is stubbed here so
+    nothing is allocated."""
+    def no_plan(*args, **kwargs):
+        raise PlanBuilt
+
+    monkeypatch.setattr(precoding, "certification_plan", no_plan)
+    with pytest.raises(ValueError, match=f"past the cap of {precoding.MAX_ANTENNAS}$"):
+        run_trials(t, m, 1, scheme="s3")
+    for t_ok, m_ok in ((20, 1), (14, 2), (11, 3), (1, 600)):
+        assert m_ok * (9 * t_ok * t_ok - 3 * t_ok) <= precoding.MAX_ANTENNAS
+        with pytest.raises(PlanBuilt):
+            run_trials(t_ok, m_ok, 1, scheme="s3")
+
+
+def test_system_template_of_another_plan_or_m_is_refused():
+    plan, other = shared_plan(1, "s4"), shared_plan(2, "s4")
+    ch = sample_channels(plan, 2, seed=0)
+    want = build_zf_system(plan, ch, "s4")
+    got = build_zf_system(plan, ch, "s4", precoding.system_template(plan, 2))
+    assert np.array_equal(got.h_net, want.h_net) and np.array_equal(got.target, want.target)
+    for template in (precoding.system_template(other, 2), precoding.system_template(plan, 1)):
+        with pytest.raises(ValueError, match="^system template of another plan or m$"):
+            build_zf_system(plan, ch, "s4", template)
+    with pytest.raises(ValueError, match="read-only"):
+        got.target[0, 0] = 2.0
+
+
+def test_run_trials_reads_a_given_plan():
+    """A caller's plan gives the trials ``run_trials`` gives on its own; a
+    plan for another t is refused."""
+    plan = shared_plan(1, "s4")
+    assert run_trials(1, 2, 3, seed=4, plan=plan) == run_trials(1, 2, 3, seed=4)
+    with pytest.raises(ValueError, match="^plan is for t=1, not t=2$"):
+        run_trials(2, 1, 1, plan=plan)
+
+
+def effective_channels_by_depth(precoder, plan, ch):
+    """The effective-channel sum as a per-depth loop from zero: at each
+    depth, every receiver's link of that depth (a zero channel past its
+    last) times its transmitter's precoder rows, added in depth order."""
+    lay = plan.origin_links
+    m = precoder.m
+    rows = precoder.matrix.reshape(len(lay.ids), m, -1)
+    h = np.concatenate([ch.h, np.zeros((1, m, m))])
+    total = np.zeros_like(rows)
+    for links, tx in zip(lay.links_by_depth, lay.tx_by_depth):
+        total += h[links] @ rows[tx]
+    return total
+
+
+@pytest.mark.parametrize("scheme", ["s3", "s4", "s5"])
+@pytest.mark.parametrize("t,m", [(t, m) for t in (1, 2, 3) for m in (1, 2, 3)])
+def test_effective_channels_match_the_depth_loop(scheme, t, m):
+    """The check's effective channels equal the per-depth loop's bit for
+    bit, and their substitution one link at a time up to rounding."""
+    plan = shared_plan(t, scheme)
+    lay = plan.origin_links
+    for seed in range(2):
+        ch = sample_channels(plan, m, seed)
+        precoder = solve_precoder(build_zf_system(plan, ch, scheme))
+        rows = precoder.matrix.reshape(len(lay.ids), m, -1)
+        got = precoding._effective_channels(lay, rows, ch.h)
+        assert np.array_equal(got, effective_channels_by_depth(precoder, plan, ch))
+        blocks = effective_channels_oracle(precoder, entries_of(plan, ch))
+        n_msg = len(lay.slow_pos)
+        want = np.stack([blocks[k, msg] for k in lay.ids.tolist()
+                         for msg in lay.ids[lay.slow_pos].tolist()])
+        got_blocks = got.reshape(len(lay.ids), m, n_msg, m).transpose(0, 2, 1, 3)
+        assert np.allclose(got_blocks.reshape(-1, m, m), want, rtol=0, atol=1e-12)
 
 
 def test_trial_determinism():

@@ -1,4 +1,5 @@
-from dataclasses import replace
+import pickle
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 from itertools import combinations
 from math import ceil, floor
@@ -26,10 +27,11 @@ from hexmg.regions import (
     sum_gain_cap,
     t_ranges,
     _base_gains,
-    _cross,
     _full_gains,
     _messages,
+    _scale,
     _time_share,
+    _turn,
 )
 
 
@@ -266,10 +268,61 @@ points = st.builds(MGPoint, rationals, rationals)
 def test_integer_cross_has_the_sign_of_the_fraction_cross(o, a, b, k, collinear):
     if collinear:  # b on the line through o and a: the cross product is 0
         b = MGPoint(o.sf + k * (a.sf - o.sf), o.ss + k * (a.ss - o.ss))
-    got = _cross(o, a, b)
+    _, (io, ia, ib) = _scale([o, a, b])
+    got = _turn(io, ia, ib)
     assert type(got) is int
     assert sign(got) == fraction_turn(o, a, b)
-    assert sign(_cross(o, b, a)) == -sign(got)
+    assert sign(_turn(io, ib, ia)) == -sign(got)
+
+
+def fraction_contains(region, pt):
+    """Membership in ``Fraction`` arithmetic, as ``contains`` decided it
+    before it ran on integers: one vertex is the point itself, two are a
+    segment, more are passed on the left (or on) of every edge."""
+    v = region.vertices
+    if len(v) == 1:
+        return (pt.sf, pt.ss) == (v[0].sf, v[0].ss)
+    if len(v) == 2:
+        a, b = v
+        return (fraction_turn(a, b, pt) == 0 and min(a.sf, b.sf) <= pt.sf <= max(a.sf, b.sf)
+                and min(a.ss, b.ss) <= pt.ss <= max(a.ss, b.ss))
+    return all(fraction_turn(a, b, pt) >= 0 for a, b in zip(v, v[1:] + v[:1]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(pts=st.lists(points, min_size=1, max_size=6), other=st.lists(points, min_size=1, max_size=6),
+       queries=st.lists(points, max_size=4), k=st.integers(1, 6))
+def test_integer_containment_matches_the_fraction_oracle(pts, other, queries, k):
+    """``contains`` and ``is_subset`` on integer pairs decide as the
+    ``Fraction`` oracle does, for regions that carry their pairs from the
+    hull and for regions scaled on first use, with denominators up to
+    10**30 and coordinates of either sign."""
+    region, sub, far = convex_hull(pts), convex_hull(pts[:k]), convex_hull(other)
+    for a in (region, Region(region.vertices)):
+        for q in queries + list(far.vertices) + list(sub.vertices) + pts:
+            assert contains(a, q) == fraction_contains(a, q)
+        for b in (sub, far, Region(far.vertices)):
+            assert is_subset(b, a) == all(fraction_contains(a, v) for v in b.vertices)
+            assert is_subset(a, b) == all(fraction_contains(b, v) for v in a.vertices)
+    if all(c >= 0 for p in pts for c in p):  # the quadrant, where hulls are downward closed
+        assert is_subset(sub, region)
+
+
+def test_region_from_pairs_is_the_region_of_its_vertices():
+    """A region built from integer pairs makes its vertices on first read:
+    it equals, hashes and prints as the region of those vertices, survives
+    pickling and, like it, takes no assignment."""
+    lazy = inner_bound(SMALL)
+    eager = Region(tuple(MGPoint(v.sf, v.ss) for v in inner_bound(SMALL).vertices))
+    assert lazy == eager and hash(lazy) == hash(eager) and repr(lazy) == repr(eager)
+    assert repr(eager).startswith("Region(vertices=(MGPoint(sf=Fraction(0, 1)")
+    assert pickle.loads(pickle.dumps(lazy)) == eager
+    assert lazy != eager.vertices
+    for region in (lazy, eager):
+        with pytest.raises(FrozenInstanceError):
+            region.vertices = ()
+        with pytest.raises(FrozenInstanceError):
+            del region.vertices
 
 
 gains = st.one_of(st.just(Fraction(0)), fractions(min_value=0, max_value=4, max_denominator=50))
