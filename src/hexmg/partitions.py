@@ -128,20 +128,14 @@ def cap_rule(kind: str, density: Mapping[str, Fraction], params: SystemParams) -
     colour densities ``density``.
 
     Two colours: the red users' own gain, plus the conferencing prelogs the
-    super receiver spends on the white users, m·red + 4/3·(1 − red)·(mu_rx +
-    2·mu_tx).  Four colours: every user but the reconstructed blue ones,
-    m·(1 − blue).  Each is one ``Fraction`` of integer numerators and
-    denominators.
+    super receiver spends on the white users.  Four colours: every user but
+    the reconstructed blue ones.
     """
     if kind == TWO:
-        (rn, rd), (an, ad), (bn, bd) = (
-            x.as_integer_ratio() for x in (density[RED], params.mu_rx, params.mu_tx))
-        # on the common denominator 3·rd·ad·bd
-        return Fraction(3 * params.m * rn * ad * bd + 4 * (rd - rn) * (an * bd + 2 * bn * ad),
-                        3 * rd * ad * bd)
+        red = density[RED]
+        return params.m * red + Fraction(4, 3) * (1 - red) * (params.mu_rx + 2 * params.mu_tx)
     if kind == FOUR:
-        bn, bd = density[BLUE].as_integer_ratio()
-        return Fraction(params.m * (bd - bn), bd)
+        return params.m * (1 - density[BLUE])
     raise ValueError(f"unknown partition kind {kind!r}")
 
 

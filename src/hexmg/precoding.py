@@ -327,11 +327,7 @@ def verify_nulling(
     self_norms = sv_self[:, 0]
     max_self = float(self_norms.max())
     cut = self_norms * (m * _EPS)
-    # singular values come in descending order: full rank iff the last is above the cut
-    if (sv_self[:, -1] > cut).all():
-        min_rank = m
-    else:
-        min_rank = min(map(sum, (sv_self > cut[:, None]).tolist()))
+    min_rank = int((sv_self > cut[:, None]).sum(axis=-1).min())
     if max_self == 0.0:
         residual = float("inf") if max_cross > 0 else 0.0
         return NullingReport(residual, min_rank, False)
@@ -396,19 +392,14 @@ def run_trial(
 
 
 def run_trials(
-    t: int, m: int, trials: int, seed: int = 0, scheme: str = "s4", tol: float = NULLING_TOL,
-    plan: Optional[ClusterPlan] = None,
+    t: int, m: int, trials: int, seed: int = 0, scheme: str = "s4", tol: float = NULLING_TOL
 ) -> List[TrialResult]:
     """Independent seeded certification trials for one (t, m) design point;
-    the trials share one ``system_template``.  ``plan`` is the point's
-    ``certification_plan(t, scheme)`` if the caller holds it already.  A
-    system past ``MAX_ANTENNAS`` is refused before any lattice is built."""
+    the trials share one ``system_template``.  A system past
+    ``MAX_ANTENNAS`` is refused before any lattice is built."""
     if t >= 1 and m >= 1 and m * (9 * t * t - 3 * t) > MAX_ANTENNAS:
         raise ValueError(f"t={t}, m={m} gives a cluster of {m * (9 * t * t - 3 * t)} antennas, "
                          f"past the cap of {MAX_ANTENNAS}")
-    if plan is None:
-        plan = certification_plan(t, scheme)
-    elif plan.t != t:
-        raise ValueError(f"plan is for t={plan.t}, not t={t}")
+    plan = certification_plan(t, scheme)
     template = system_template(plan, m)
     return [run_trial(plan, m, seed + i, scheme, tol, template) for i in range(trials)]

@@ -14,15 +14,15 @@ arithmetic behind them runs on integers: a set of points goes onto one
 common denominator (``_scale``), and the hull sorts, dedupes and crosses the
 integer pairs.  ``scheme_point`` decides its time-share weight by
 cross-multiplying numerators and denominators; ``inner_bound`` hulls the
-schemes' integer gains and builds a vertex's ``Fraction`` only when it is
-read.  A region keeps its vertices' integer form, so ``contains`` and ``is_subset``
+schemes' integer gains and builds a ``Fraction`` only for a vertex.  A
+region keeps its vertices' integer form, so ``contains`` and ``is_subset``
 scale each region once and decide every side of a point by one integer
 cross product.
 """
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -72,65 +72,36 @@ class SystemParams:
             raise ValueError("cooperation prelogs must be non-negative")
 
 
+@dataclass(frozen=True)
 class Region:
     """Convex, downward-closed polygon in the (fast, slow) gain quadrant.
 
     Vertices are counterclockwise, starting at the origin, with no three
-    consecutive vertices collinear.  Immutable, and equal to a region with
-    the same vertices.  A region also holds its vertices as integer pairs on
-    one common denominator (``_scale``'s form), which ``contains`` and
-    ``is_subset`` read; a region built from those pairs makes its
-    ``Fraction`` vertices only when they are read.
+    consecutive vertices collinear.  ``_pairs`` holds them as integer pairs
+    on one common denominator (``_scale``'s form), for ``contains`` and
+    ``is_subset``; ``_scaled`` fills it on first use.  It is no init field,
+    so ``dataclasses.replace`` does not carry it to other vertices.
     """
 
-    __slots__ = ("_vertices", "_pairs")
+    vertices: Tuple[MGPoint, ...]
+    _pairs: Optional[Tuple[int, List[Tuple[int, int]]]] = field(
+        default=None, init=False, compare=False, repr=False)
 
-    def __init__(self, vertices: Tuple[MGPoint, ...]) -> None:
-        object.__setattr__(self, "_vertices", tuple(vertices))
-        object.__setattr__(self, "_pairs", None)
 
-    @classmethod
-    def _of_pairs(cls, den: int, pairs: List[Tuple[int, int]],
-                  vertices: Optional[Tuple[MGPoint, ...]] = None) -> "Region":
-        """The region whose vertices are ``pairs`` over ``den``, or, if
-        given, ``vertices``, their ``Fraction`` points."""
-        region = cls.__new__(cls)
-        object.__setattr__(region, "_vertices", vertices)
-        object.__setattr__(region, "_pairs", (den, pairs))
-        return region
+def _scaled(region: Region) -> Tuple[int, List[Tuple[int, int]]]:
+    """The region's vertices in ``_scale``'s form, scaled once per region."""
+    if region._pairs is None:
+        object.__setattr__(region, "_pairs", _scale(region.vertices))
+    return region._pairs
 
-    @property
-    def vertices(self) -> Tuple[MGPoint, ...]:
-        if self._vertices is None:
-            den, pairs = self._pairs
-            object.__setattr__(self, "_vertices", tuple(_point(k, den) for k in pairs))
-        return self._vertices
 
-    @property
-    def _scaled(self) -> Tuple[int, List[Tuple[int, int]]]:
-        if self._pairs is None:
-            object.__setattr__(self, "_pairs", _scale(self._vertices))
-        return self._pairs
-
-    def __setattr__(self, name: str, value) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Region):
-            return NotImplemented
-        return self.vertices == other.vertices
-
-    def __hash__(self) -> int:
-        return hash(self.vertices)
-
-    def __reduce__(self):
-        return Region, (self.vertices,)
-
-    def __repr__(self) -> str:
-        return f"Region(vertices={self.vertices!r})"
+def _region_of_pairs(den: int, pairs: List[Tuple[int, int]],
+                     vertices: Optional[Tuple[MGPoint, ...]] = None) -> Region:
+    """The region whose vertices are ``pairs`` over ``den`` (or, if given,
+    ``vertices``, their points), holding that integer form."""
+    region = Region(tuple(_point(k, den) for k in pairs) if vertices is None else vertices)
+    object.__setattr__(region, "_pairs", (den, pairs))
+    return region
 
 
 def _point(pair: Tuple[int, int], den: int) -> MGPoint:
@@ -201,7 +172,7 @@ def convex_hull(points: Sequence[MGPoint]) -> Region:
     for key, p in zip(keys, points):
         at.setdefault(key, p)
     hull = _hull_keys(keys)
-    return Region._of_pairs(den, hull, tuple(at[k] if k in at else _point(k, den) for k in hull))
+    return _region_of_pairs(den, hull, tuple(at[k] if k in at else _point(k, den) for k in hull))
 
 
 def _holds(v: List[Tuple[int, int]], pts: List[Tuple[int, int]]) -> bool:
@@ -227,13 +198,13 @@ def _common(a: Tuple, b: Tuple) -> Tuple[List[Tuple[int, int]], List[Tuple[int, 
 
 def contains(region: Region, pt: MGPoint) -> bool:
     """Exact membership test."""
-    pts, v = _common(_scale([pt]), region._scaled)
+    pts, v = _common(_scale([pt]), _scaled(region))
     return _holds(v, pts)
 
 
 def is_subset(a: Region, b: Region) -> bool:
     """True iff region ``a`` lies inside region ``b`` (both convex)."""
-    pts, v = _common(a._scaled, b._scaled)
+    pts, v = _common(_scaled(a), _scaled(b))
     return _holds(v, pts)
 
 
@@ -385,8 +356,7 @@ def scheme_point(family: str, t: int, p: SystemParams) -> MGPoint:
     m = p.m
     if family == FAMILY_NO_COOP:
         return MGPoint(Fraction(m, 2), _ZERO)
-    if not isinstance(t, int) or t < 1:
-        raise ValueError(f"t must be a positive integer, got {t!r}")
+    _cluster_size(t)
 
     dual, rx_only = t_ranges(family, p.d)
     on_dual = t in dual
@@ -396,6 +366,14 @@ def scheme_point(family: str, t: int, p: SystemParams) -> MGPoint:
     gains = _gains(family, m, t, _available(p, on_dual))
     # a zero coordinate (every all-slow fast gain) reuses _ZERO: no gcd taken
     return MGPoint(*(Fraction(n, d) if n else _ZERO for n, d in gains))
+
+
+def _cluster_size(t: int) -> int:
+    """``t``, refused unless a positive int: the cached ``_family_prices``
+    would take 2.0 for 2."""
+    if not isinstance(t, int) or t < 1:
+        raise ValueError(f"t must be a positive integer, got {t!r}")
+    return t
 
 
 def _available(p: SystemParams, dual: bool) -> Tuple[int, int]:
@@ -433,19 +411,20 @@ def inner_bound(p: SystemParams, t_values: Optional[Iterable[int]] = None) -> Re
     the bound for a single cluster size); by default every admissible t for
     the delay budget enters the hull.  Only the selected t are visited, so a
     hull at one t costs the same for any d.  The hull runs on the schemes'
-    integer gains; its vertices become ``Fraction`` points when read.
+    integer gains, and only its vertices become ``Fraction`` points.
     """
     sel = None if t_values is None else sorted(set(t_values))
     gains = [(_lowest(p.m, 2), (0, 1))]  # no cooperation; the hull adds the origin
     for family in (FAMILY_SLOW, FAMILY_MIXED):
         for ts, dual in zip(t_ranges(family, p.d), (True, False)):
             # bounds, not `in`: `in` walks the range for a t that is not an int
-            picked = ts if sel is None else [t for t in sel if ts.start <= t < ts.stop]
+            picked = ts if sel is None else [
+                _cluster_size(t) for t in sel if ts.start <= t < ts.stop]
             if picked:
                 available = _available(p, dual)
                 gains += [_gains(family, p.m, t, available) for t in picked]
     den, keys = _on_one_denominator(gains)
-    return Region._of_pairs(den, _hull_keys(keys))
+    return _region_of_pairs(den, _hull_keys(keys))
 
 
 def sum_gain_cap(p: SystemParams) -> Fraction:

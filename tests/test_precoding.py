@@ -513,15 +513,6 @@ def test_system_template_of_another_plan_or_m_is_refused():
         got.target[0, 0] = 2.0
 
 
-def test_run_trials_reads_a_given_plan():
-    """A caller's plan gives the trials ``run_trials`` gives on its own; a
-    plan for another t is refused."""
-    plan = shared_plan(1, "s4")
-    assert run_trials(1, 2, 3, seed=4, plan=plan) == run_trials(1, 2, 3, seed=4)
-    with pytest.raises(ValueError, match="^plan is for t=1, not t=2$"):
-        run_trials(2, 1, 1, plan=plan)
-
-
 def effective_channels_by_depth(precoder, plan, ch):
     """The effective-channel sum as a per-depth loop from zero: at each
     depth, every receiver's link of that depth (a zero channel past its

@@ -1,9 +1,11 @@
 import pickle
+import re
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 from itertools import combinations
 from math import ceil, floor
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
@@ -308,21 +310,24 @@ def test_integer_containment_matches_the_fraction_oracle(pts, other, queries, k)
         assert is_subset(sub, region)
 
 
-def test_region_from_pairs_is_the_region_of_its_vertices():
-    """A region built from integer pairs makes its vertices on first read:
-    it equals, hashes and prints as the region of those vertices, survives
-    pickling and, like it, takes no assignment."""
-    lazy = inner_bound(SMALL)
-    eager = Region(tuple(MGPoint(v.sf, v.ss) for v in inner_bound(SMALL).vertices))
-    assert lazy == eager and hash(lazy) == hash(eager) and repr(lazy) == repr(eager)
-    assert repr(eager).startswith("Region(vertices=(MGPoint(sf=Fraction(0, 1)")
-    assert pickle.loads(pickle.dumps(lazy)) == eager
-    assert lazy != eager.vertices
-    for region in (lazy, eager):
+def test_region_with_pairs_is_the_region_of_its_vertices():
+    """A region holding its integer pairs equals, hashes and prints as the
+    region of its vertices alone, survives pickling and, like it, takes no
+    assignment; ``replace`` gives new vertices without the old pairs."""
+    held = inner_bound(SMALL)
+    bare = Region(tuple(MGPoint(v.sf, v.ss) for v in held.vertices))
+    assert held._pairs is not None and bare._pairs is None
+    assert held == bare and hash(held) == hash(bare) and repr(held) == repr(bare)
+    assert repr(bare).startswith("Region(vertices=(MGPoint(sf=Fraction(0, 1)")
+    assert pickle.loads(pickle.dumps(held)) == bare
+    assert held != bare.vertices
+    for region in (held, bare):
         with pytest.raises(FrozenInstanceError):
             region.vertices = ()
         with pytest.raises(FrozenInstanceError):
             del region.vertices
+    moved = replace(held, vertices=held.vertices[:2])
+    assert moved._pairs is None and not contains(moved, held.vertices[-1])
 
 
 gains = st.one_of(st.just(Fraction(0)), fractions(min_value=0, max_value=4, max_denominator=50))
@@ -714,6 +719,15 @@ def test_inner_bound_at_one_t_visits_only_that_t(mu):
         assert_exact(inner_bound(p, [t]), oracle_inner_bound(points, [t]))
     with pytest.raises(ValueError, match=r"^t must be a positive integer, got 2\.5$"):
         inner_bound(p, [2.5])
+
+
+@pytest.mark.parametrize("t", [2.0, Fraction(2), np.int64(2)], ids=["float", "Fraction", "int64"])
+def test_inner_bound_refuses_a_t_equal_to_a_cached_int(t):
+    """A t that equals an int but is none is refused even once the int's
+    prices are cached, whose key it would match."""
+    inner_bound(SMALL, [2])
+    with pytest.raises(ValueError, match=f"^{re.escape(f't must be a positive integer, got {t!r}')}$"):
+        inner_bound(SMALL, [t])
 
 
 #: non-negative coordinates: small denominators (ties, duplicates, collinear
