@@ -24,6 +24,7 @@ from fractions import Fraction
 from typing import Iterator, List, NamedTuple, Tuple
 
 from . import clustering, lattice, partitions, precoding, regions, schedules
+from .regions import decimal_str
 
 #: Largest accepted gap between an interior census and its limiting density.
 FRACTION_TOL = Fraction(1, 50)
@@ -36,15 +37,6 @@ class Check(NamedTuple):
     name: str
     ok: bool
     detail: str
-
-
-def decimal_str(fr: Fraction, places: int = 6) -> str:
-    """Exact decimal expansion of a rational of any size, round-half-even."""
-    n, d = fr.numerator, fr.denominator
-    q, r = divmod(abs(n) * 10 ** places, d)
-    q += 2 * r > d or (2 * r == d and q & 1)  # round half to even
-    whole, frac = divmod(q, 10 ** places)
-    return f"{'-' if n < 0 else ''}{whole}.{frac:0{places}d}"
 
 
 def links_per_cluster(t: int) -> Tuple[int, int]:

@@ -6,6 +6,12 @@ Subcommands: ``lattice``, ``cluster``, ``region``, ``zf``, ``converse``,
 flags override config values).  Exit codes: 0 success, 1 verification or
 validation failure, 2 usage error.  All emitted files are byte-identical for
 identical configurations.
+
+Importing this module loads the standard library and the numpy-free
+modules ``regions``, ``schedules``, ``densities`` and ``schemes``, no numpy.
+So ``region``, ``schedule``, ``--help`` and every usage error the parser
+finds run on the standard library alone.  Each other command imports the
+array modules it uses when it runs, and numpy with them.
 """
 
 from __future__ import annotations
@@ -18,8 +24,8 @@ import sys
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from . import checks, clustering, lattice, partitions, precoding, regions, schedules
-from .checks import decimal_str
+from . import regions, schedules, schemes
+from .regions import decimal_str
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -80,6 +86,8 @@ def _write_or_print(text: str, path: Optional[str], out_dir: Optional[str]) -> N
 # lattice
 
 def cmd_lattice(args: argparse.Namespace) -> int:
+    from . import lattice
+
     net = lattice.build_network(args.radius)
     src, dst = net.directed_edges()
     if args.emit:
@@ -102,6 +110,8 @@ def cmd_lattice(args: argparse.Namespace) -> int:
 # cluster
 
 def cmd_cluster(args: argparse.Namespace) -> int:
+    from . import checks, clustering, lattice
+
     net = lattice.build_network(args.radius)
     mode = clustering.MODE_MIXED if args.mode == "mixed" else clustering.MODE_SLOW_ONLY
     plan = clustering.assign_messages(clustering.clusters(net, args.t), mode)
@@ -246,6 +256,8 @@ def cmd_region(args: argparse.Namespace) -> int:
 # zf
 
 def cmd_zf(args: argparse.Namespace) -> int:
+    from . import precoding
+
     results = precoding.run_trials(
         args.t, args.m, args.trials, seed=args.seed, scheme=args.scheme, tol=args.tol
     )
@@ -271,6 +283,8 @@ def cmd_zf(args: argparse.Namespace) -> int:
 # converse
 
 def cmd_converse(args: argparse.Namespace) -> int:
+    from . import checks, lattice, partitions
+
     kind = args.partition or ("four" if args.d is not None else "two")
     if kind == "four" and args.d is None:
         raise ValueError("--d is required for the four-colour partition")
@@ -331,6 +345,8 @@ def cmd_schedule(args: argparse.Namespace) -> int:
 # verify-all
 
 def cmd_verify_all(args: argparse.Namespace) -> int:
+    from . import checks
+
     if args.radius < checks.MIN_RADIUS:
         raise ValueError(f"verify-all needs --radius >= {checks.MIN_RADIUS} "
                          f"(its t=4 checks need radius >= 3t), got {args.radius}")
@@ -504,8 +520,8 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, _Command]]:
     c.add("--t", type=_positive_int, required=True)
     c.add("--m", type=_positive_int, required=True)
     c.add("--trials", type=_positive_int, default=100)
-    c.add("--tol", type=_tolerance, default=precoding.NULLING_TOL)
-    c.add("--scheme", choices=tuple(precoding.SCHEME_MODES), default="s4")
+    c.add("--tol", type=_tolerance, default=schemes.NULLING_TOL)
+    c.add("--scheme", choices=tuple(schemes.SCHEME_MODES), default="s4")
     c.add("--emit", help="CSV file for per-trial results")
 
     c = command("converse", cmd_converse, "partition censuses for the outer bound")
@@ -529,6 +545,19 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, _Command]]:
     return parser, commands
 
 
+def _usage_errors() -> Tuple[type, ...]:
+    """The exceptions a command ends in as a usage error: ``ValueError``, a
+    degenerate channel draw and an uncut lattice.  The last two are read
+    from their modules only if the command loaded them, since a module that
+    was not loaded raised nothing."""
+    errors: List[type] = [ValueError]
+    for module, name in (("precoding", "RankDeficientError"), ("clustering", "UncutLatticeError")):
+        loaded = sys.modules.get(f"{__package__}.{module}")
+        if loaded is not None:
+            errors.append(getattr(loaded, name))
+    return tuple(errors)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, commands = _build_parser()
@@ -546,7 +575,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return USAGE_ERROR
     try:
         return args.func(args)
-    except (ValueError, precoding.RankDeficientError, clustering.UncutLatticeError) as exc:
+    except _usage_errors() as exc:
         print(f"hexmg: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except MemoryError as exc:  # e.g. a --radius whose lattice cannot be allocated

@@ -47,15 +47,13 @@ from .lattice import (
     cell_distance,
     cell_index,
 )
+from .schemes import MODE_MIXED, MODE_SLOW_ONLY
 
 FAST = "FAST"
 SLOW = "SLOW"
 SILENT = "SILENT"
 #: role names by code, as stored in ``ClusterPlan.roles``
 ROLES = (FAST, SLOW, SILENT)
-
-MODE_SLOW_ONLY = "SLOW_ONLY"
-MODE_MIXED = "MIXED"
 
 TX = "tx"
 RX = "rx"
@@ -382,7 +380,9 @@ def clusters(net: Network, t: int) -> ClusterPlan:
     cell = ids // 3
     is_master = is_master_cell((net.q, net.r), t)
     owned = is_master[cell]
-    pairs = np.unique(group[owned] * len(net.q) + cell[owned])
+    # sorted and deduped by hand: a plain np.unique imports numpy.ma
+    pairs = np.sort(group[owned] * len(net.q) + cell[owned])
+    pairs = pairs[np.diff(pairs, prepend=-1) != 0]
     owning_group, owner_cell = np.divmod(pairs, len(net.q))
     per_group = np.bincount(owning_group, minlength=len(first))
     if (per_group > 1).any():

@@ -6,36 +6,25 @@ half can decode everything, which prices the sum gain in conferencing
 prelogs.  The four-colour partition places red and blue cells on a sparse
 triangular sublattice (index d*d + d + 1), surrounds every red cell with six
 pink ones, and leaves the rest white; blue cells are reconstructed rather
-than observed, which caps the sum gain by the blue density.  Each cap is
-stated once, as ``cap_rule`` of a colour density: the outer bound reads it at
-the limiting densities (``fraction_limits``), ``bound_arithmetic`` at the
-census of a finite lattice.
+than observed, which caps the sum gain by the blue density.  The colours,
+their limiting densities and each partition's cap rule are stated once, in
+``densities``; ``bound_arithmetic`` reads the cap rule at the census of a
+finite lattice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from types import MappingProxyType
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
+from .densities import BLUE, COLORS, FOUR, PINK, RED, TWO, WHITE, cap_rule, fraction_limits
 from .lattice import Network
 
 if TYPE_CHECKING:
     from .regions import SystemParams
-
-RED = "RED"
-WHITE = "WHITE"
-PINK = "PINK"
-BLUE = "BLUE"
-#: colour names by code, as stored in ``Partition.codes``
-COLORS = (WHITE, RED, PINK, BLUE)
-
-TWO = "two"
-FOUR = "four"
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,28 +65,6 @@ def partition_four(net: Network, d: int) -> Partition:
     return Partition(kind=FOUR, d=d, net=net, codes=codes)
 
 
-@lru_cache(maxsize=1024)
-def fraction_limits(kind: str, d: Optional[int] = None) -> Mapping[str, Fraction]:
-    """Limiting colour densities on the infinite lattice, cached per
-    ``(kind, d)``; every caller shares the mapping, so it is read-only."""
-    if kind == TWO:
-        return MappingProxyType({RED: Fraction(1, 2), WHITE: Fraction(1, 2)})
-    if kind == FOUR:
-        if d is None:
-            raise ValueError("four-colour limits need d")
-        n = d * d + d + 1
-        # six pink cells per red cell, shared by no other red cell once
-        # d >= 2; at d = 1 every cell off the sublattice is pink
-        pink = min(Fraction(3, n), Fraction(n - 1, n))
-        return MappingProxyType({
-            RED: Fraction(1, 2 * n),
-            BLUE: Fraction(1, 2 * n),
-            PINK: pink,
-            WHITE: 1 - Fraction(1, n) - pink,
-        })
-    raise ValueError(f"unknown partition kind {kind!r}")
-
-
 @dataclass(frozen=True)
 class CensusRow:
     color: str
@@ -121,22 +88,6 @@ def census_fractions(net: Network, part: Partition, depth: int = 2) -> List[Cens
         CensusRow(color, counts[color], Fraction(counts[color], interior.size), limits[color])
         for color in sorted(limits)
     ]
-
-
-def cap_rule(kind: str, density: Mapping[str, Fraction], params: SystemParams) -> Fraction:
-    """Per-user sum multiplexing-gain cap that a partition proves, at the
-    colour densities ``density``.
-
-    Two colours: the red users' own gain, plus the conferencing prelogs the
-    super receiver spends on the white users.  Four colours: every user but
-    the reconstructed blue ones.
-    """
-    if kind == TWO:
-        red = density[RED]
-        return params.m * red + Fraction(4, 3) * (1 - red) * (params.mu_rx + 2 * params.mu_tx)
-    if kind == FOUR:
-        return params.m * (1 - density[BLUE])
-    raise ValueError(f"unknown partition kind {kind!r}")
 
 
 def bound_arithmetic(part: Partition, params: SystemParams) -> Fraction:

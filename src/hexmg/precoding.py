@@ -53,20 +53,9 @@ from typing import List, Optional
 
 import numpy as np
 
-from .clustering import (
-    MODE_MIXED,
-    MODE_SLOW_ONLY,
-    ClusterPlan,
-    LinkLayout,
-    assign_messages,
-    clusters,
-)
+from .clustering import ClusterPlan, LinkLayout, assign_messages, clusters
 from .lattice import build_network
-
-SCHEME_MODES = {"s3": MODE_SLOW_ONLY, "s4": MODE_MIXED, "s5": MODE_MIXED}
-
-#: default bound on the relative cross residual ``verify_nulling`` accepts
-NULLING_TOL = 1e-9
+from .schemes import NULLING_TOL, SCHEME_MODES
 
 _CONSISTENCY_TOL = 1e-8
 
@@ -75,6 +64,10 @@ _CONSISTENCY_TOL = 1e-8
 #: whose target is square too), so the largest accepted system, t = 20 and
 #: m = 1 with 3,540 antennas, peaks near 0.8 GB.
 MAX_ANTENNAS = 3600
+
+#: Largest accepted trial count of ``run_trials``, which keeps every
+#: ``TrialResult``: about 20 MB of them at the cap.
+MAX_TRIALS = 100_000
 
 _EPS = np.finfo(np.float64).eps
 
@@ -396,7 +389,10 @@ def run_trials(
 ) -> List[TrialResult]:
     """Independent seeded certification trials for one (t, m) design point;
     the trials share one ``system_template``.  A system past
-    ``MAX_ANTENNAS`` is refused before any lattice is built."""
+    ``MAX_ANTENNAS``, or more than ``MAX_TRIALS`` trials, is refused before
+    any lattice is built."""
+    if trials > MAX_TRIALS:
+        raise ValueError(f"{trials} trials exceed the cap of {MAX_TRIALS}")
     if t >= 1 and m >= 1 and m * (9 * t * t - 3 * t) > MAX_ANTENNAS:
         raise ValueError(f"t={t}, m={m} gives a cluster of {m * (9 * t * t - 3 * t)} antennas, "
                          f"past the cap of {MAX_ANTENNAS}")

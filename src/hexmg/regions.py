@@ -8,7 +8,7 @@ cluster sizes each scheme family may use at a delay once, as two integer
 ranges (``t_ranges``).  The
 impossibility (outer) region is the intersection of a cap on the fast gain
 with two caps on the sum gain, the cap rules of the two partitions
-(``partitions.cap_rule``) at their limiting densities.  All vertices are
+(``densities.cap_rule``) at their limiting densities.  All vertices are
 ``fractions.Fraction`` pairs; nothing here touches floating point.  The
 arithmetic behind them runs on integers: a set of points goes onto one
 common denominator (``_scale``), and the hull sorts, dedupes and crosses the
@@ -17,7 +17,8 @@ cross-multiplying numerators and denominators; ``inner_bound`` hulls the
 schemes' integer gains and builds a ``Fraction`` only for a vertex.  A
 region keeps its vertices' integer form, so ``contains`` and ``is_subset``
 scale each region once and decide every side of a point by one integer
-cross product.
+cross product.  ``decimal_str`` writes a rational out exactly, for every
+report the command line prints.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from . import partitions
+from . import densities
 
 RatLike = Union[int, str, Fraction]
 
@@ -41,6 +42,15 @@ _ZERO = Fraction(0)
 
 def _rat(x: RatLike) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def decimal_str(fr: Fraction, places: int = 6) -> str:
+    """Exact decimal expansion of a rational of any size, round-half-even."""
+    n, d = fr.numerator, fr.denominator
+    q, r = divmod(abs(n) * 10 ** places, d)
+    q += 2 * r > d or (2 * r == d and q & 1)  # round half to even
+    whole, frac = divmod(q, 10 ** places)
+    return f"{'-' if n < 0 else ''}{whole}.{frac:0{places}d}"
 
 
 @dataclass(frozen=True)
@@ -431,8 +441,8 @@ def sum_gain_cap(p: SystemParams) -> Fraction:
     """Binding cap on the sum multiplexing gain in the outer bound: the
     smaller of the two partitions' cap rules at their limiting densities."""
     return min(
-        partitions.cap_rule(partitions.TWO, partitions.fraction_limits(partitions.TWO), p),
-        partitions.cap_rule(partitions.FOUR, partitions.fraction_limits(partitions.FOUR, p.d), p),
+        densities.cap_rule(densities.TWO, densities.fraction_limits(densities.TWO), p),
+        densities.cap_rule(densities.FOUR, densities.fraction_limits(densities.FOUR, p.d), p),
     )
 
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from hexmg import checks, clustering, partitions, precoding, regions
+from hexmg import checks, clustering, densities, precoding, regions
 from hexmg.cli import main
 
 RADIUS, TRIALS = 12, 3
@@ -169,16 +169,16 @@ def test_drifted_cap_weight_fails_the_structural_check(monkeypatch, capsys):
     """A conferencing weight of 3/2 in place of 4/3 in the two-colour cap rule
     moves the outer bound off the paper's caps: the structural sweep and the
     starved-prelog fig6 vertices fail, and verify-all with them."""
-    real = partitions.cap_rule
+    real = densities.cap_rule
 
     def drifted(kind, density, params):
         cap = real(kind, density, params)
-        if kind == partitions.TWO:
+        if kind == densities.TWO:
             weight = Fraction(3, 2) - Fraction(4, 3)
-            cap += weight * (1 - density[partitions.RED]) * (params.mu_rx + 2 * params.mu_tx)
+            cap += weight * (1 - density[densities.RED]) * (params.mu_rx + 2 * params.mu_tx)
         return cap
 
-    monkeypatch.setattr(partitions, "cap_rule", drifted)
+    monkeypatch.setattr(densities, "cap_rule", drifted)
     failed = [name for name, ok, _ in checks.structural_checks() if not ok]
     assert failed == ["structural: outer bound at the paper's caps, inner bound inside it, over sweep"]
     assert main(["verify-all", "--radius", "12", "--zf-trials", "1"]) == 1

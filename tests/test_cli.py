@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import os
 import shlex
@@ -7,6 +8,7 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from typing import List, Tuple
 
 import numpy as np
 import pytest
@@ -269,6 +271,20 @@ def test_oversized_zf_system_is_a_usage_error(capsys, monkeypatch):
                       f"past the cap of {precoding.MAX_ANTENNAS}\n")
 
 
+def test_zf_trials_past_the_cap_is_a_usage_error(capsys, monkeypatch):
+    """``hexmg zf`` with more than ``precoding.MAX_TRIALS`` trials exits 2
+    with the cap named, before any lattice is built."""
+    def no_plan(*args, **kwargs):
+        raise AssertionError("a plan was built")
+
+    monkeypatch.setattr(precoding, "certification_plan", no_plan)
+    trials = precoding.MAX_TRIALS + 1
+    code, stdout, stderr = run(capsys, "zf", "--t", "1", "--m", "1", "--trials", str(trials))
+    assert code == 2
+    assert stdout == ""
+    assert stderr == f"hexmg: {trials} trials exceed the cap of {precoding.MAX_TRIALS}\n"
+
+
 def test_other_runtime_errors_keep_their_traceback(monkeypatch):
     """Only the two named errors become usage errors; any other
     ``RuntimeError`` is a fault of the program and propagates."""
@@ -340,25 +356,111 @@ def test_lattice_summary_builds_no_tuples(capsys, monkeypatch, radius):
     )
 
 
+def _fresh_python(code: str) -> List[str]:
+    """The stdout lines of ``code`` run in a fresh interpreter that imports
+    ``hexmg`` from this checkout."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.splitlines()
+
+
+def _commands_script(argvs: List[List[str]], packages: Tuple[str, ...]) -> str:
+    """Code that prints the loaded modules of ``packages`` (each named with a
+    trailing dot), then runs ``hexmg.cli.main`` on each argv with its output
+    swallowed and prints its exit code and those modules again."""
+    return (
+        "import contextlib, io, sys\n"
+        "import hexmg.cli\n"
+        f"loaded = lambda: sorted(m for m in sys.modules if (m + '.').startswith({packages!r}))\n"
+        "print(loaded())\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        code = hexmg.cli.main(argv)\n"
+        "    print(code, loaded())\n"
+    )
+
+
 def test_cli_import_loads_no_scipy():
     """The library needs numpy alone: importing the CLI in a fresh
     interpreter loads no scipy module (which cost 0.4 s and 30 MB a launch),
     and no ``multiprocessing`` or ``concurrent`` module (verify-all forks
-    its one child with ``os.fork``; a process pool adds about 20 ms a launch)."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
+    its one child with ``os.fork``; a process pool adds about 20 ms a launch).
+    Nor does it load numpy, which ``region``, ``schedule``, ``--help`` and a
+    usage error the parser finds never load either."""
+    argvs = [
+        ["region", "--m", "3", "--d", "20"],
+        ["region", "--m", "3", "--d", "20", "--format", "json", "--t-sweep"],
+        ["schedule", "--algorithm", "2", "--dt", "1", "--dr", "1", "--validate"],
+        ["--help"],
+        ["region", "--m", "0", "--d", "3"],
+    ]
+    out = _fresh_python("import hexmg; print(hexmg.__file__)\n"
+                        + _commands_script(argvs, ("numpy.", "scipy.", "multiprocessing.", "concurrent.")))
+    assert out[0].startswith(str(Path(__file__).resolve().parent.parent / "src"))
+    assert out[1:] == ["[]", "0 []", "0 []", "0 []", "0 []", "2 []"]
+
+
+#: The modules whose functions the perfbench tracer wraps; it finds each in
+#: ``sys.modules``, so the worker's import must load them all.
+TRACED_MODULES = ["cli", "clustering", "lattice", "partitions", "precoding", "regions", "schedules"]
+
+
+def test_worker_import_loads_the_traced_modules_and_commands_no_numpy_ma():
+    """The worker's ``from hexmg import ...`` loads the numpy-free
+    ``regions`` and ``schedules`` too, and ``cluster`` and ``zf`` leave
+    ``numpy.ma`` unloaded (a plain ``np.unique`` imports it)."""
+    argvs = [["cluster", "--t", "2", "--radius", "12"], ["zf", "--t", "1", "--m", "1", "--trials", "2"]]
     code = (
-        "import sys, hexmg, hexmg.cli; "
-        "print(hexmg.__file__); "
-        "print(sorted(m for m in sys.modules "
-        "if m.split('.')[0] in ('scipy', 'multiprocessing', 'concurrent')))"
+        "import sys\n"
+        "from hexmg import cli, clustering, lattice, partitions, precoding\n"
+        f"print([m for m in {TRACED_MODULES!r} if 'hexmg.' + m not in sys.modules])\n"
+        + _commands_script(argvs, ("numpy.ma.",))
     )
-    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stdout.splitlines()
-    assert out[0].startswith(src)
-    assert out[1] == "[]"
+    assert _fresh_python(code) == ["[]", "[]", "0 []", "0 []"]
+
+
+#: Every name ``hexmg`` re-exports, by the module that defines it.
+REEXPORTS = {
+    "lattice": ["HEX_DIRS", "NEIGHBOR_RULE", "Network", "build_network", "cell_distance",
+                "interference_graph", "tx_neighbors"],
+    "clustering": ["FAST", "RX", "SILENT", "SLOW", "TX", "Cluster", "ClusterPlan",
+                   "UncutLatticeError", "assign_messages", "assignment_fractions",
+                   "cluster_link_count", "clusters", "count_links", "fast_pattern",
+                   "master_grid", "role_census", "role_codes", "silenced_sectors"],
+    "schemes": ["MODE_MIXED", "MODE_SLOW_ONLY"],
+    "regions": ["FAMILY_MIXED", "FAMILY_NO_COOP", "FAMILY_SLOW", "MGPoint", "PrelogRequirement",
+                "Region", "SystemParams", "boundary_samples", "contains", "convex_hull",
+                "inner_bound", "is_subset", "max_sum_mg", "outer_bound", "required_prelogs",
+                "scheme_point", "sum_gain_cap"],
+    "precoding": ["ChannelRealization", "NullingReport", "Precoder", "RankDeficientError",
+                  "SystemTemplate", "TrialResult", "ZFSystem", "build_zf_system",
+                  "certification_plan", "run_trial", "run_trials", "sample_channels",
+                  "solve_precoder", "system_template", "verify_nulling"],
+    "densities": ["BLUE", "PINK", "RED", "WHITE", "cap_rule", "fraction_limits"],
+    "partitions": ["Partition", "bound_arithmetic", "census_fractions", "partition_four",
+                   "partition_two"],
+    "schedules": ["SchedulePlan", "Step", "ValidationReport", "schedule_four_color",
+                  "schedule_two_color", "validate_schedule"],
+}
+
+
+@pytest.mark.parametrize("module", sorted(REEXPORTS))
+def test_package_reexports_resolve_to_the_defining_module(module):
+    """``from hexmg import X`` gives the defining module's object, and
+    ``dir(hexmg)`` lists X; an unknown name is an ``AttributeError``."""
+    import hexmg
+
+    defining = importlib.import_module(f"hexmg.{module}")
+    for name in REEXPORTS[module]:
+        scope = {}
+        exec(f"from hexmg import {name}", scope)
+        assert scope[name] is getattr(defining, name)
+        assert name in dir(hexmg)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        hexmg.no_such_name
 
 
 @pytest.mark.parametrize("radius,cell", [(1, (0, 0)), (2, (1, 0))])
