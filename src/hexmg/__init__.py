@@ -18,12 +18,11 @@ _EXPORTS = {
         "interference_graph", "tx_neighbors",
     ),
     "clustering": (
-        "FAST", "RX", "SILENT", "SLOW", "TX", "Cluster", "ClusterPlan", "UncutLatticeError",
-        "assign_messages", "assignment_fractions", "cluster_link_count", "clusters",
-        "count_links", "fast_pattern", "master_grid", "role_census", "role_codes",
-        "silenced_sectors",
+        "FAST", "RX", "SILENT", "SLOW", "TX", "Cluster", "ClusterPlan", "assign_messages",
+        "assignment_fractions", "cluster_link_count", "clusters", "count_links",
+        "fast_pattern", "master_grid", "role_census", "role_codes", "silenced_sectors",
     ),
-    "schemes": ("MODE_MIXED", "MODE_SLOW_ONLY"),
+    "schemes": ("MODE_MIXED", "MODE_SLOW_ONLY", "RankDeficientError", "UncutLatticeError"),
     "regions": (
         "FAMILY_MIXED", "FAMILY_NO_COOP", "FAMILY_SLOW", "MGPoint", "PrelogRequirement",
         "Region", "SystemParams", "boundary_samples", "contains", "convex_hull",
@@ -31,10 +30,9 @@ _EXPORTS = {
         "scheme_point", "sum_gain_cap",
     ),
     "precoding": (
-        "ChannelRealization", "NullingReport", "Precoder", "RankDeficientError",
-        "SystemTemplate", "TrialResult", "ZFSystem", "build_zf_system", "certification_plan",
-        "run_trial", "run_trials", "sample_channels", "solve_precoder", "system_template",
-        "verify_nulling",
+        "ChannelRealization", "NullingReport", "Precoder", "SystemTemplate", "TrialResult",
+        "ZFSystem", "build_zf_system", "certification_plan", "run_trial", "run_trials",
+        "sample_channels", "solve_precoder", "system_template", "verify_nulling",
     ),
     "densities": ("BLUE", "PINK", "RED", "WHITE", "cap_rule", "fraction_limits"),
     "partitions": (

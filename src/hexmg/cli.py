@@ -345,11 +345,12 @@ def cmd_schedule(args: argparse.Namespace) -> int:
 # verify-all
 
 def cmd_verify_all(args: argparse.Namespace) -> int:
-    from . import checks
+    from . import checks, precoding
 
     if args.radius < checks.MIN_RADIUS:
         raise ValueError(f"verify-all needs --radius >= {checks.MIN_RADIUS} "
                          f"(its t=4 checks need radius >= 3t), got {args.radius}")
+    precoding.check_trial_count(args.zf_trials)
     results = list(checks.all_checks(args.radius, args.zf_trials, args.seed))
     lines = [
         f"CHECK {name}: {'PASS' if ok else 'FAIL'}" + (f" ({detail})" if detail else "")
@@ -545,19 +546,6 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, _Command]]:
     return parser, commands
 
 
-def _usage_errors() -> Tuple[type, ...]:
-    """The exceptions a command ends in as a usage error: ``ValueError``, a
-    degenerate channel draw and an uncut lattice.  The last two are read
-    from their modules only if the command loaded them, since a module that
-    was not loaded raised nothing."""
-    errors: List[type] = [ValueError]
-    for module, name in (("precoding", "RankDeficientError"), ("clustering", "UncutLatticeError")):
-        loaded = sys.modules.get(f"{__package__}.{module}")
-        if loaded is not None:
-            errors.append(getattr(loaded, name))
-    return tuple(errors)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, commands = _build_parser()
@@ -575,7 +563,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return USAGE_ERROR
     try:
         return args.func(args)
-    except _usage_errors() as exc:
+    except (ValueError, schemes.RankDeficientError, schemes.UncutLatticeError) as exc:
         print(f"hexmg: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except MemoryError as exc:  # e.g. a --radius whose lattice cannot be allocated

@@ -47,7 +47,7 @@ from .lattice import (
     cell_distance,
     cell_index,
 )
-from .schemes import MODE_MIXED, MODE_SLOW_ONLY
+from .schemes import MODE_MIXED, MODE_SLOW_ONLY, UncutLatticeError
 
 FAST = "FAST"
 SLOW = "SLOW"
@@ -236,10 +236,6 @@ def _component_labels(net: Network, t: int, active: np.ndarray) -> np.ndarray:
             if np.array_equal(up, labels[ids]):
                 break
             labels[ids] = up
-
-
-class UncutLatticeError(RuntimeError):
-    """A cluster holds more than one master: the silencing failed to cut it."""
 
 
 class Cluster:

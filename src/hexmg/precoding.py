@@ -55,7 +55,7 @@ import numpy as np
 
 from .clustering import ClusterPlan, LinkLayout, assign_messages, clusters
 from .lattice import build_network
-from .schemes import NULLING_TOL, SCHEME_MODES
+from .schemes import NULLING_TOL, SCHEME_MODES, RankDeficientError
 
 _CONSISTENCY_TOL = 1e-8
 
@@ -70,10 +70,6 @@ MAX_ANTENNAS = 3600
 MAX_TRIALS = 100_000
 
 _EPS = np.finfo(np.float64).eps
-
-
-class RankDeficientError(RuntimeError):
-    """The constraint matrix lost generic rank (degenerate channel draw)."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -384,6 +380,12 @@ def run_trial(
     )
 
 
+def check_trial_count(trials: int) -> None:
+    """Refuse more than ``MAX_TRIALS`` trials for one design point."""
+    if trials > MAX_TRIALS:
+        raise ValueError(f"{trials} trials exceed the cap of {MAX_TRIALS}")
+
+
 def run_trials(
     t: int, m: int, trials: int, seed: int = 0, scheme: str = "s4", tol: float = NULLING_TOL
 ) -> List[TrialResult]:
@@ -391,8 +393,7 @@ def run_trials(
     the trials share one ``system_template``.  A system past
     ``MAX_ANTENNAS``, or more than ``MAX_TRIALS`` trials, is refused before
     any lattice is built."""
-    if trials > MAX_TRIALS:
-        raise ValueError(f"{trials} trials exceed the cap of {MAX_TRIALS}")
+    check_trial_count(trials)
     if t >= 1 and m >= 1 and m * (9 * t * t - 3 * t) > MAX_ANTENNAS:
         raise ValueError(f"t={t}, m={m} gives a cluster of {m * (9 * t * t - 3 * t)} antennas, "
                          f"past the cap of {MAX_ANTENNAS}")

@@ -210,9 +210,22 @@ def test_verify_all_refuses_a_radius_below_12_before_any_check(capsys, monkeypat
     assert radii == [12]
 
 
+def test_verify_all_refuses_zf_trials_past_the_cap_before_any_check(capsys, monkeypatch):
+    """More than ``precoding.MAX_TRIALS`` ``--zf-trials`` exits 2 with the
+    cap named before any check runs, as ``hexmg zf --trials`` does."""
+    counts = []
+    monkeypatch.setattr(checks, "all_checks", lambda radius, trials, seed: counts.append(trials) or iter(()))
+    trials = precoding.MAX_TRIALS + 1
+    code, stdout, err = run(capsys, "verify-all", "--radius", "12", "--zf-trials", str(trials))
+    assert (code, stdout) == (2, "")
+    assert err == f"hexmg: {trials} trials exceed the cap of {precoding.MAX_TRIALS}\n"
+    assert run(capsys, "verify-all", "--radius", "12", "--zf-trials", str(trials - 1))[0] == 0
+    assert counts == [precoding.MAX_TRIALS]
+
+
 @pytest.mark.parametrize(
     "argv",
-    [["verify-all", "--radius", "12"], ["zf", "--t", "1", "--m", "1", "--trials", "1"]],
+    [["verify-all", "--radius", "12"],["zf", "--t", "1", "--m", "1", "--trials", "1"]],
     ids=["verify-all", "zf"],
 )
 def test_negative_seed_is_refused_before_any_check(capsys, monkeypatch, tmp_path, argv):
@@ -384,12 +397,12 @@ def _commands_script(argvs: List[List[str]], packages: Tuple[str, ...]) -> str:
 
 
 def test_cli_import_loads_no_scipy():
-    """The library needs numpy alone: importing the CLI in a fresh
-    interpreter loads no scipy module (which cost 0.4 s and 30 MB a launch),
-    and no ``multiprocessing`` or ``concurrent`` module (verify-all forks
-    its one child with ``os.fork``; a process pool adds about 20 ms a launch).
-    Nor does it load numpy, which ``region``, ``schedule``, ``--help`` and a
-    usage error the parser finds never load either."""
+    """Importing the CLI in a fresh interpreter loads no scipy module (which
+    cost 0.4 s and 30 MB a launch), and no ``multiprocessing`` or
+    ``concurrent`` module (verify-all forks its one child with ``os.fork``;
+    a process pool adds about 20 ms a launch).  Nor does it load numpy,
+    which ``region``, ``schedule``, ``--help`` and a usage error the parser
+    finds never load either."""
     argvs = [
         ["region", "--m", "3", "--d", "20"],
         ["region", "--m", "3", "--d", "20", "--format", "json", "--t-sweep"],
@@ -408,18 +421,28 @@ def test_cli_import_loads_no_scipy():
 TRACED_MODULES = ["cli", "clustering", "lattice", "partitions", "precoding", "regions", "schedules"]
 
 
-def test_worker_import_loads_the_traced_modules_and_commands_no_numpy_ma():
-    """The worker's ``from hexmg import ...`` loads the numpy-free
-    ``regions`` and ``schedules`` too, and ``cluster`` and ``zf`` leave
-    ``numpy.ma`` unloaded (a plain ``np.unique`` imports it)."""
-    argvs = [["cluster", "--t", "2", "--radius", "12"], ["zf", "--t", "1", "--m", "1", "--trials", "2"]]
+def test_library_loads_no_scipy_or_pool_and_the_worker_import_loads_the_traced_modules():
+    """The library needs numpy alone: with every module of the package
+    imported, the array ones and ``checks`` included, and ``cluster``,
+    ``zf`` and a small ``verify-all`` run, no scipy, ``multiprocessing`` or
+    ``concurrent`` module is loaded, nor ``numpy.ma`` (a plain ``np.unique``
+    imports it).  The worker's ``from hexmg import ...`` loads the
+    numpy-free ``regions`` and ``schedules`` too."""
+    argvs = [
+        ["cluster", "--t", "2", "--radius", "12"],
+        ["zf", "--t", "1", "--m", "1", "--trials", "2"],
+        ["verify-all", "--radius", "12", "--zf-trials", "1"],
+    ]
     code = (
-        "import sys\n"
+        "import pkgutil, sys\n"
         "from hexmg import cli, clustering, lattice, partitions, precoding\n"
         f"print([m for m in {TRACED_MODULES!r} if 'hexmg.' + m not in sys.modules])\n"
-        + _commands_script(argvs, ("numpy.ma.",))
+        "import hexmg\n"
+        "for info in pkgutil.iter_modules(hexmg.__path__):\n"
+        "    __import__('hexmg.' + info.name)\n"
+        + _commands_script(argvs, ("numpy.ma.", "scipy.", "multiprocessing.", "concurrent."))
     )
-    assert _fresh_python(code) == ["[]", "[]", "0 []", "0 []"]
+    assert _fresh_python(code) == ["[]", "[]", "0 []", "0 []", "0 []"]
 
 
 #: Every name ``hexmg`` re-exports, by the module that defines it.
@@ -427,18 +450,18 @@ REEXPORTS = {
     "lattice": ["HEX_DIRS", "NEIGHBOR_RULE", "Network", "build_network", "cell_distance",
                 "interference_graph", "tx_neighbors"],
     "clustering": ["FAST", "RX", "SILENT", "SLOW", "TX", "Cluster", "ClusterPlan",
-                   "UncutLatticeError", "assign_messages", "assignment_fractions",
-                   "cluster_link_count", "clusters", "count_links", "fast_pattern",
-                   "master_grid", "role_census", "role_codes", "silenced_sectors"],
-    "schemes": ["MODE_MIXED", "MODE_SLOW_ONLY"],
+                   "assign_messages", "assignment_fractions", "cluster_link_count",
+                   "clusters", "count_links", "fast_pattern", "master_grid", "role_census",
+                   "role_codes", "silenced_sectors"],
+    "schemes": ["MODE_MIXED", "MODE_SLOW_ONLY", "RankDeficientError", "UncutLatticeError"],
     "regions": ["FAMILY_MIXED", "FAMILY_NO_COOP", "FAMILY_SLOW", "MGPoint", "PrelogRequirement",
                 "Region", "SystemParams", "boundary_samples", "contains", "convex_hull",
                 "inner_bound", "is_subset", "max_sum_mg", "outer_bound", "required_prelogs",
                 "scheme_point", "sum_gain_cap"],
-    "precoding": ["ChannelRealization", "NullingReport", "Precoder", "RankDeficientError",
-                  "SystemTemplate", "TrialResult", "ZFSystem", "build_zf_system",
-                  "certification_plan", "run_trial", "run_trials", "sample_channels",
-                  "solve_precoder", "system_template", "verify_nulling"],
+    "precoding": ["ChannelRealization", "NullingReport", "Precoder", "SystemTemplate",
+                  "TrialResult", "ZFSystem", "build_zf_system", "certification_plan",
+                  "run_trial", "run_trials", "sample_channels", "solve_precoder",
+                  "system_template", "verify_nulling"],
     "densities": ["BLUE", "PINK", "RED", "WHITE", "cap_rule", "fraction_limits"],
     "partitions": ["Partition", "bound_arithmetic", "census_fractions", "partition_four",
                    "partition_two"],
