@@ -18,15 +18,20 @@ blocks), so a trial computes none of them.
 One period of the master grid, the 3t x 3t torus, states the periodic
 geometry once, as arrays over its rows ``(q mod 3t)·3t + (r mod 3t)``: the
 nearest masters, read for the silencing and the origin master's cells that
-link counting takes, the cluster owners, and the fast pattern, a read-only
+link counting takes, the origin master's cluster, and the fast pattern, a read-only
 ``(9t^2, 3)`` boolean table.
 
 A plan states everything per sector id: ``cluster_ids`` the cluster, ``roles``
 the role code, and each ``Cluster.sectors`` the cluster's ascending ids.
 Sector tuples appear only where a caller passes one in (``cluster_of``, set
-membership) or iterates a set.  ``clusters`` builds every ``Cluster`` at
-once; a cluster and its ``SectorSet`` have slots, and a cluster's master is
-the plan's own ``masters`` tuple, so each cluster costs two small objects.
+membership) or iterates a set.  Every cluster is a translate of the origin
+master's, and a translation keeps the ``(q, r, o)`` order that sector ids
+follow, so ``clusters`` lays out the ids of every cluster the lattice
+boundary leaves whole by shifting the origin cluster's offsets to its
+master; only the sectors of the clusters the boundary cuts go through
+connected components and a sort.  It builds every ``Cluster`` at once; a
+cluster and its ``SectorSet`` have slots, and a cluster's master is the
+plan's own ``masters`` tuple, so each cluster costs two small objects.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ import numpy as np
 
 from .lattice import (
     NEIGHBOR_RULE,
+    NUM_ORIENTATIONS,
     Cell,
     Network,
     Sector,
@@ -103,6 +109,13 @@ def _torus_index(q: np.ndarray, r: np.ndarray, t: int) -> np.ndarray:
     return (q % period) * period + r % period
 
 
+def _torus_rows(table: np.ndarray, net: Network, t: int) -> np.ndarray:
+    """Per sector id: its entry in ``table``, a ``(9t^2, 3)`` array over the
+    torus rows and orientations."""
+    # np.take copies whole rows, several times faster than fancy indexing
+    return np.take(table, _torus_index(net.q, net.r, t), axis=0).ravel()
+
+
 def _torus_nearest(t: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per torus row: the hop distance to the cell's nearest masters, their
     number, and the cell's offsets ``(dq, dr)`` from the lexicographically
@@ -150,14 +163,12 @@ def _torus_silenced(t: int) -> np.ndarray:
 def silenced_sectors(net: Network, t: int) -> SectorSet:
     """The silencing mask: sectors switched off to decouple the clusters."""
     _check_t(net, t)
-    return SectorSet(net, _torus_silenced(t)[_torus_index(net.q, net.r, t)].ravel())
+    return SectorSet(net, _torus_rows(_torus_silenced(t), net, t))
 
 
-def _torus_owners(t: int, silenced: np.ndarray) -> Optional[Tuple[np.ndarray, int]]:
-    """Per row of the ``_torus_silenced(t)`` table ``silenced`` and
-    orientation: the offset ``(dq, dr)`` from the cell to the master whose
-    cluster holds that sector, a ``(9t^2, 3, 2)`` array; and the hop radius
-    of a cluster.
+def _origin_cluster(t: int, silenced: np.ndarray) -> Optional[np.ndarray]:
+    """The origin master's cluster under the ``_torus_silenced(t)`` table
+    ``silenced``: its sectors' ``(dq, dr, o)`` rows, in ``(q, r, o)`` order.
 
     Every cluster is a translate of the origin master's, which a search from
     the master's first sector collects, and one period holds the three
@@ -177,51 +188,55 @@ def _torus_owners(t: int, silenced: np.ndarray) -> Optional[Tuple[np.ndarray, in
                 return None
             seen.add(s)
             stack.append(s)
-    dq, dr, o = np.array(list(seen)).T
-    offset = np.zeros((period * period, 3, 2), dtype=np.intp)
+    cluster = np.array(sorted(seen))
+    dq, dr, o = cluster.T
     claims = np.zeros((period * period, 3), dtype=np.intp)
     for mq, mr in ((0, 0), (t, t), (2 * t, 2 * t)):
-        row = ((mq + dq) % period) * period + (mr + dr) % period
-        offset[row, o] = np.column_stack([-dq, -dr])
-        np.add.at(claims, (row, o), 1)
+        np.add.at(claims, (((mq + dq) % period) * period + (mr + dr) % period, o), 1)
     if not np.array_equal(claims, ~silenced):
         return None
-    return offset, int(cell_distance((dq, dr), (0, 0)).max())
+    return cluster
 
 
-def _component_labels(net: Network, t: int, active: np.ndarray) -> np.ndarray:
-    """Per sector id: a label that the ``active`` sectors of one connected
-    component share.
+def _whole_clusters(
+    net: Network, t: int, silenced: np.ndarray, master_cells: np.ndarray
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """The clusters the boundary leaves whole, laid out by translation: the
+    indices into ``master_cells`` of their masters, and a ``(clusters,
+    size)`` array of each one's ascending sector ids.
 
-    The torus seeds it: ``_torus_owners`` gives every active sector its
-    cluster's master (the tests check, per t, that no edge between active
-    sectors joins two masters), and a cluster whose master lies a cluster
-    radius inside the ball is whole, so its sectors share a label past the
-    sector ids, read off the master's coordinates.  Min-label propagation
-    with pointer jumping over ``nbr`` joins the sectors of the clusters the
-    boundary cuts.  If ``active`` is not what the torus leaves active, the
-    seed is dropped and propagation covers every active sector."""
-    n = len(active)
-    labels = np.arange(n)
-    loose = active
+    Every cluster is a translate of the origin master's (``_origin_cluster``;
+    the tests check, per t, that no edge between active sectors joins two
+    masters), and one whose master lies a cluster radius inside the ball is
+    whole.  A translation keeps the ``(q, r, o)`` order, which sector ids
+    follow, so the origin cluster's rows, shifted by each master, give its
+    ids in ascending order.  None unless ``silenced``, over the sector ids,
+    is the torus silencing."""
     torus = _torus_silenced(t)
-    row = _torus_index(net.q, net.r, t)
-    owners = _torus_owners(t, torus)
-    if owners is not None and np.array_equal(torus[row].ravel(), ~active):
-        offset, reach = owners
-        radius = net.radius
-        master_q = (net.q[:, None] + offset[row, :, 0]).ravel()
-        master_r = (net.r[:, None] + offset[row, :, 1]).ravel()
-        whole = active & (cell_distance((master_q, master_r), (0, 0)) <= radius - reach)
-        # a whole cluster's master has |q|, |r| <= R: its key is in [n, n + (2R + 1)^2)
-        key = n + (master_q + radius) * (2 * radius + 1) + master_r + radius
-        labels = np.where(whole, key, labels)
-        loose = active & ~whole
+    cluster = _origin_cluster(t, torus)
+    if cluster is None or not np.array_equal(_torus_rows(torus, net, t), silenced):
+        return None
+    dq, dr, o = cluster.T
+    radius = net.radius
+    mq, mr = net.q[master_cells], net.r[master_cells]
+    whole = np.flatnonzero(
+        cell_distance((mq, mr), (0, 0)) <= radius - cell_distance((dq, dr), (0, 0)).max()
+    )
+    # cell ids run up each column: the id of (q, r) is column q's id at r = 0, plus r
+    column = NUM_ORIENTATIONS * cell_index(radius, np.arange(-radius, radius + 1), 0)
+    mq, mr = mq[whole, None] + radius, NUM_ORIENTATIONS * mr[whole, None]
+    return whole, column[mq + dq] + mr + (NUM_ORIENTATIONS * dr + o)
 
-    ids = np.flatnonzero(loose)
+
+def _component_labels(net: Network, active: np.ndarray) -> np.ndarray:
+    """Per sector id: for an ``active`` sector, the least id of its connected
+    component among the active sectors; for any other, its own id.  Min-label
+    propagation with pointer jumping over ``nbr``."""
+    labels = np.arange(len(active))
+    ids = np.flatnonzero(active)
     src = np.repeat(ids, net.nbr.shape[1])
     dst = net.nbr[ids].ravel()
-    keep = (dst >= 0) & loose[dst]
+    keep = (dst >= 0) & active[dst]
     src, dst = src[keep], dst[keep]
     while True:
         a, b = labels[src], labels[dst]
@@ -249,8 +264,8 @@ class Cluster:
     sectors: SectorSet
 
     def __init__(self, master: Optional[Cell], sectors: SectorSet) -> None:
-        object.__setattr__(self, "master", master)
-        object.__setattr__(self, "sectors", sectors)
+        _set_master(self, master)
+        _set_sectors(self, sectors)
 
     def __setattr__(self, name: str, value) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -263,6 +278,11 @@ class Cluster:
 
     def __repr__(self) -> str:
         return f"Cluster(master={self.master!r}, sectors={self.sectors!r})"
+
+
+# the slot descriptors store a field past the frozen ``__setattr__``
+_set_master = Cluster.master.__set__
+_set_sectors = Cluster.sectors.__set__
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,7 +333,7 @@ class ClusterPlan:
         i = self.net.id_of(sector)
         if i is None:
             return None
-        c = self.cluster_ids[i]
+        c = self.cluster_ids.item(i)
         return None if c < 0 else self.clusters[c]
 
     @cached_property
@@ -362,11 +382,18 @@ def clusters(net: Network, t: int) -> ClusterPlan:
     masters = master_grid(net, t)
     silenced = silenced_sectors(net, t)
     n = len(net.nbr)
-    active = ~silenced.labels
-    labels = _component_labels(net, t, active)
+    is_master = is_master_cell((net.q, net.r), t)
+    master_cells = np.flatnonzero(is_master)
+    layout = _whole_clusters(net, t, silenced.labels, master_cells)
+    if layout is None:
+        layout = np.empty(0, dtype=np.intp), np.empty((0, 1), dtype=np.intp)
+    whole, whole_ids = layout
+    loose = ~silenced.labels
+    loose[whole_ids] = False
 
-    # active sector ids grouped by component, ascending within each group
-    ids = np.flatnonzero(active)
+    # the loose sector ids grouped by component, ascending within each group
+    labels = _component_labels(net, loose)
+    ids = np.flatnonzero(loose)
     ids = ids[np.argsort(labels[ids], kind="stable")]
     new_group = np.diff(labels[ids], prepend=-1) != 0
     first = np.flatnonzero(new_group)
@@ -374,7 +401,6 @@ def clusters(net: Network, t: int) -> ClusterPlan:
 
     # any sector of a master cell makes that master the group's owner
     cell = ids // 3
-    is_master = is_master_cell((net.q, net.r), t)
     owned = is_master[cell]
     # sorted and deduped by hand: a plain np.unique imports numpy.ma
     pairs = np.sort(group[owned] * len(net.q) + cell[owned])
@@ -383,26 +409,27 @@ def clusters(net: Network, t: int) -> ClusterPlan:
     per_group = np.bincount(owning_group, minlength=len(first))
     if (per_group > 1).any():
         raise UncutLatticeError(f"cluster contains {per_group.max()} master cells")
-    owner = np.full(len(first), -1)
-    owner[owning_group] = owner_cell
+    # per cluster, whole ones first: its master's index in ``masters``, or -1
+    at = np.full(len(whole) + len(first), -1)
+    at[: len(whole)] = whole
+    at[len(whole) + owning_group] = np.searchsorted(master_cells, owner_cell)
 
-    # masters in cell order, then the partial clusters by their first sector
-    # (sector and cell ids sort like the tuples they stand for)
-    rank = np.lexsort((np.where(owner >= 0, owner, ids[first]), owner < 0))
-    position = np.empty(len(first), dtype=np.intp)
-    position[rank] = np.arange(len(first))
+    # masters in cell order, then the partial clusters without one.  A sort
+    # by master alone keeps the groups' own order, which is by first sector
+    # (sector ids sort like the tuples they stand for), among the clusters
+    # without one and those cut by the lattice boundary sharing a master cell.
+    rank = np.lexsort((at, at < 0))
+    position = np.empty(len(rank), dtype=np.intp)
+    position[rank] = np.arange(len(rank))
     cluster_ids = np.full(n, -1, dtype=np.intp)
-    cluster_ids[ids] = position[group]
+    cluster_ids[whole_ids] = position[: len(whole), None]
+    cluster_ids[ids] = position[len(whole) + group]
     stop = np.append(first[1:], len(ids))
-    # each master as master_grid's tuple (a cluster cut by the lattice
-    # boundary may share its master cell with another)
-    owners = owner[rank]
-    at = np.where(owners >= 0, np.searchsorted(np.flatnonzero(is_master), owners), -1)
-    spans = zip(first[rank].tolist(), stop[rank].tolist(), at.tolist())
+    spans = list(whole_ids) + [ids[a:b] for a, b in zip(first.tolist(), stop.tolist())]
     cells = masters + (None,)
     built = tuple(
-        Cluster(cells[k], SectorSet(net, cluster_ids, i, ids[a:b]))
-        for i, (a, b, k) in enumerate(spans)
+        Cluster(cells[k], SectorSet(net, cluster_ids, i, spans[j]))
+        for i, (j, k) in enumerate(zip(rank.tolist(), at[rank].tolist()))
     )
     return ClusterPlan(net, t, masters, silenced, built, cluster_ids)
 
@@ -496,7 +523,7 @@ def role_codes(net: Network, t: int, mode: str) -> np.ndarray:
     if mode == MODE_MIXED:
         torus[fast_pattern(t)] = ROLES.index(FAST)
     torus[_torus_silenced(t)] = ROLES.index(SILENT)
-    return torus[_torus_index(net.q, net.r, t)].ravel()
+    return _torus_rows(torus, net, t)
 
 
 def assign_messages(plan: ClusterPlan, mode: str) -> ClusterPlan:

@@ -11,7 +11,10 @@ A ``Network`` stores the lattice as arrays: the coordinates of the cells
 within ``radius`` hops of the origin, sorted by ``(q, r)``, and one
 ``(3·n_cells, 4)`` neighbour array over the integer sector ids
 ``3·cell + orientation``.  Since the cells are sorted, sector ids follow the
-sorted order of the ``(q, r, o)`` tuples.  Ids and arrays are the library's
+sorted order of the ``(q, r, o)`` tuples, and cell ids run up each column of
+constant q.  Every coupling offset is one of the six ``HEX_DIRS`` steps, so
+``build_network`` computes one adjacent-cell id array per step and fills the
+neighbour array from those six.  Ids and arrays are the library's
 only representation: ``cell_index`` maps coordinate arrays to cell ids and
 ``Network.id_of`` maps one sector tuple to its id, both in closed form, and
 the tuple forms a caller outside the library asks for (``sectors``,
@@ -193,11 +196,22 @@ def build_network(radius: int) -> Network:
     q, r = np.mgrid[-radius : radius + 1, -radius : radius + 1].reshape(2, -1)
     inside = cell_distance((q, r), (0, 0)) <= radius
     q, r = q[inside], r[inside]  # sorted by (q, r)
+    # every rule offset is a HEX_DIRS step.  Per step and cell: 3 x the
+    # adjacent cell's id, -3 off the ball, so adding o2 gives the sector id
+    # or a negative.  Cell ids run up each column, so the id of (q, r) is
+    # column q's id at r = 0, plus r; only a rim cell has a step off the ball.
+    column = NUM_ORIENTATIONS * cell_index(radius, np.arange(-radius - 1, radius + 2), 0)
+    rim = np.flatnonzero(cell_distance((q, r), (0, 0)) == radius)
+    step = {}
+    for dq, dr in HEX_DIRS:
+        step[dq, dr] = column[q + (radius + 1 + dq)] + NUM_ORIENTATIONS * (r + dr)
+        off = cell_distance((q[rim] + dq, r[rim] + dr), (0, 0)) > radius
+        step[dq, dr][rim[off]] = -NUM_ORIENTATIONS
     nbr = np.empty((NUM_ORIENTATIONS * len(q), 4), dtype=np.intp)
     for o, rule in NEIGHBOR_RULE.items():
         for k, (dq, dr, o2) in enumerate(rule):
-            cell = cell_index(radius, q + dq, r + dr)
-            nbr[o::NUM_ORIENTATIONS, k] = np.where(cell >= 0, NUM_ORIENTATIONS * cell + o2, -1)
+            np.add(step[dq, dr], o2, out=nbr[o::NUM_ORIENTATIONS, k])
+    np.maximum(nbr, -1, out=nbr)
     for a in (q, r, nbr):
         a.flags.writeable = False
     # views of read-only bases: a caller cannot set writeable back to True
@@ -205,11 +219,12 @@ def build_network(radius: int) -> Network:
 
 
 def tx_neighbors(net: Network, sector: Sector) -> FrozenSet[Sector]:
-    """Interference neighbourhood of one sector."""
-    try:
-        return net.tx_neighbors[sector]
-    except KeyError:
-        raise ValueError(f"unknown sector {sector!r}") from None
+    """Interference neighbourhood of one sector: ``net.tx_neighbors[sector]``,
+    with no ``SectorMap`` built per call."""
+    i = net.id_of(sector)
+    if i is None:
+        raise ValueError(f"unknown sector {sector!r}")
+    return net._tx_of(i)
 
 
 def interference_graph(net: Network) -> List[Tuple[Sector, Sector]]:

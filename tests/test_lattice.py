@@ -130,6 +130,39 @@ def test_neighbor_array_layout():
         assert not a.flags.writeable
 
 
+def twelve_gather_nbr(radius):
+    """The neighbour array as ``build_network`` once filled it: one
+    ``cell_index`` gather per orientation and rule entry."""
+    q, r = np.array(hex_ball(radius)).T
+    nbr = np.empty((NUM_ORIENTATIONS * len(q), 4), dtype=np.intp)
+    for o, rule in NEIGHBOR_RULE.items():
+        for k, (dq, dr, o2) in enumerate(rule):
+            cell = cell_index(radius, q + dq, r + dr)
+            nbr[o::NUM_ORIENTATIONS, k] = np.where(cell >= 0, NUM_ORIENTATIONS * cell + o2, -1)
+    return nbr
+
+
+@pytest.mark.parametrize("radius", [1, 2, 30, 120])
+def test_neighbor_array_matches_twelve_gathers(radius):
+    net = build_network(radius)
+    assert net.nbr.dtype == np.intp
+    assert np.array_equal(net.nbr, twelve_gather_nbr(radius))
+
+
+def test_tx_neighbors_function_matches_the_mapping():
+    """``tx_neighbors(net, s)`` answers as ``net.tx_neighbors[s]`` does, for
+    plain and numpy integer coordinates; what is no sector tuple is refused."""
+    net = build_network(6)
+    for s in net.sectors:
+        want = net.tx_neighbors[s]
+        assert tx_neighbors(net, s) == want
+        assert tx_neighbors(net, tuple(np.array(s))) == want
+        assert tx_neighbors(net, (np.int32(s[0]), np.int16(s[1]), np.uint8(s[2]))) == want
+    for bad in ([0, 0, 0], (0.0, 0, 0), (0, 0.5, 1), "000"):
+        with pytest.raises(ValueError, match="unknown sector"):
+            tx_neighbors(net, bad)
+
+
 @pytest.mark.parametrize("radius,cells,sectors", [(1, 7, 21), (2, 19, 57)])
 def test_ball_sizes(radius, cells, sectors):
     net = build_network(radius)

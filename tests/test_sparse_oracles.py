@@ -12,36 +12,63 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, maximum_bipartite_matching
 
 from hexmg import clustering
-from hexmg.clustering import _max_matching, _torus_silenced, clusters, fast_pattern
-from hexmg.lattice import NEIGHBOR_RULE, SectorSet, build_network
+from hexmg.clustering import (
+    _max_matching,
+    _torus_silenced,
+    clusters,
+    fast_pattern,
+    is_master_cell,
+)
+from hexmg.lattice import NEIGHBOR_RULE, SectorSet, build_network, cell_distance
 
 
-def scipy_labels(net, t, active):
+def scipy_plan(net, t):
+    """The decomposition ``clusters`` must give, from scipy's connected
+    components of the sectors ``clustering.silenced_sectors`` leaves active:
+    per cluster its master cell (None if it holds none) and its ascending
+    ids; the clusters with a master in master cell order, then the rest,
+    ties by first id; and the per-sector cluster index."""
+    active = ~clustering.silenced_sectors(net, t).labels
     n = len(active)
     src, dst = net.directed_edges()
     keep = active[src] & active[dst]
     ones = np.ones(np.count_nonzero(keep), dtype=np.int8)
     graph = csr_matrix((ones, (src[keep], dst[keep])), shape=(n, n))
-    return connected_components(graph, directed=False)[1]
-
-
-def scipy_plan(net, t):
-    """``clusters`` on scipy's connected components."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(clustering, "_component_labels", scipy_labels)
-        return clusters(net, t)
-
-
-def assert_same_plan(plan, want):
-    assert np.array_equal(plan.cluster_ids, want.cluster_ids)
-    assert plan.masters == want.masters
-    assert [cl.master for cl in plan.clusters] == [cl.master for cl in want.clusters]
-    assert all(
-        np.array_equal(cl.sectors.ids, w.sectors.ids) for cl, w in zip(plan.clusters, want.clusters)
+    labels = connected_components(graph, directed=False)[1]
+    ids = np.flatnonzero(active)
+    ids = ids[np.argsort(labels[ids], kind="stable")]
+    is_master = is_master_cell((net.q, net.r), t)
+    found = []
+    for group in np.split(ids, np.flatnonzero(np.diff(labels[ids])) + 1):
+        cells = np.unique(group // 3)
+        owners = cells[is_master[cells]].tolist()
+        assert len(owners) <= 1
+        found.append((owners[0] if owners else None, group))
+    found.sort(key=lambda c: (c[0] is None, c[1][0] if c[0] is None else c[0], c[1][0]))
+    cluster_ids = np.full(n, -1)
+    for i, (_, group) in enumerate(found):
+        cluster_ids[group] = i
+    coords = list(zip(net.q.tolist(), net.r.tolist()))
+    return (
+        cluster_ids,
+        tuple(coords[c] for c in np.flatnonzero(is_master)),
+        [None if c is None else coords[c] for c, _ in found],
+        [group for _, group in found],
     )
 
 
-@pytest.mark.parametrize("radius,ts", [(30, range(1, 11)), (31, range(1, 11)), (60, (7,))])
+def assert_same_plan(plan, want):
+    cluster_ids, masters, cluster_masters, groups = want
+    assert np.array_equal(plan.cluster_ids, cluster_ids)
+    assert plan.masters == masters
+    assert [cl.master for cl in plan.clusters] == cluster_masters
+    assert len(plan.clusters) == len(groups)
+    assert all(np.array_equal(cl.sectors.ids, g) for cl, g in zip(plan.clusters, groups))
+
+
+@pytest.mark.parametrize(
+    "radius,ts", [(30, range(1, 11)), (31, range(1, 11)), (60, (7,)), (120, (1, 4))]
+)
 def test_clusters_match_connected_components(radius, ts):
     net = build_network(radius)
     for t in ts:
@@ -58,8 +85,8 @@ def test_clusters_match_connected_components_on_small_lattices(t_radius):
 
 @pytest.mark.parametrize("t", [1, 2])
 def test_clusters_follow_a_silencing_the_torus_does_not_hold(monkeypatch, t):
-    """Extra silenced sectors split clusters the torus seed calls whole: the
-    seed is dropped, and the components are still scipy's."""
+    """Extra silenced sectors split clusters the torus calls whole: the
+    translation layout is dropped, and the components are still scipy's."""
     net = build_network(15)
     before = clusters(net, t)
     extra = np.random.default_rng(t).random(len(net.nbr)) < 0.05
@@ -80,7 +107,7 @@ def test_clusters_follow_a_silencing_the_torus_does_not_hold(monkeypatch, t):
 def test_clusters_without_a_seed_propagate_everywhere(monkeypatch):
     net = build_network(12)
     want = scipy_plan(net, 2)
-    monkeypatch.setattr(clustering, "_torus_owners", lambda t, silenced: None)
+    monkeypatch.setattr(clustering, "_origin_cluster", lambda t, silenced: None)
     assert_same_plan(clusters(net, 2), want)
 
 
@@ -91,7 +118,12 @@ def test_torus_owners_close_each_cluster(t):
     edges out of one period covers the plane."""
     period = 3 * t
     silenced = _torus_silenced(t)
-    offset, _ = clustering._torus_owners(t, silenced)
+    # per torus row and orientation: the offset to the master whose
+    # translate of the origin cluster holds that sector
+    cq, cr, co = clustering._origin_cluster(t, silenced).T
+    offset = np.zeros((period * period, 3, 2), dtype=np.intp)
+    for mq, mr in ((0, 0), (t, t), (2 * t, 2 * t)):
+        offset[((mq + cq) % period) * period + (mr + cr) % period, co] = np.column_stack([-cq, -cr])
     q, r = np.divmod(np.arange(period * period), period)
     for o, rule in NEIGHBOR_RULE.items():
         for dq, dr, o2 in rule:
@@ -103,17 +135,21 @@ def test_torus_owners_close_each_cluster(t):
 
 @pytest.mark.parametrize("t", [1, 2, 3])
 def test_torus_owners_refuse_a_silencing_that_does_not_tile(t):
-    """The seed exists only if the origin master's cluster closes within 3t
-    hops and its translates claim each active torus sector once."""
+    """The translation layout exists only if the origin master's cluster
+    closes within 3t hops and its translates claim each active torus sector
+    once."""
     table = _torus_silenced(t)
-    _, reach = clustering._torus_owners(t, table)
-    assert reach == t
-    assert clustering._torus_owners(t, np.zeros_like(table)) is None
+    cluster = clustering._origin_cluster(t, table)
+    # the origin master's cluster in (q, r, o) order, t hops across
+    assert cluster.tolist() == sorted(cluster.tolist())
+    assert len(cluster) == 9 * t * t - 3 * t
+    assert cell_distance(cluster.T[:2], (0, 0)).max() == t
+    assert clustering._origin_cluster(t, np.zeros_like(table)) is None
     # silence the (t, t) master's first sector, which the translate of the
     # origin master's cluster still claims
     extra = table.copy()
     extra[t * 3 * t + t, 0] = True
-    assert clustering._torus_owners(t, extra) is None
+    assert clustering._origin_cluster(t, extra) is None
 
 
 def triangle_graph(t):
