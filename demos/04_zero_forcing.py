@@ -12,21 +12,22 @@ from hexmg import (
     run_trials,
     sample_channels,
     solve_precoder,
+    system_template,
     verify_nulling,
 )
 
-# one trial, spelled out
+# one trial, spelled out: the design point (scheme, t, m) is checked once
 t, m = 1, 2
-plan = certification_plan(t, scheme="s4")
-ch = sample_channels(plan, m, seed=2024)
-system = build_zf_system(plan, ch, scheme="s4")
-lay = system.layout  # the origin cluster's members by sector id
+template = system_template(certification_plan(t, scheme="s4"), m, scheme="s4")
+ch = sample_channels(template, seed=2024)
+system = build_zf_system(template, ch)
+lay = template.layout  # the origin cluster's members by sector id
 print(f"t={t}, m={m}: {len(lay.ids)} active users,"
       f" {len(lay.slow_pos)} slow messages, {len(lay.fast_pos)} fast sectors")
 print(f"unknowns {system.n_unknowns}, constraints {system.n_constraints} (square)")
 
 precoder = solve_precoder(system)
-report = verify_nulling(precoder, plan, ch, scheme="s4")
+report = verify_nulling(precoder, template, ch)
 print(f"single trial: solvable={report.solvable},"
       f" min self rank {report.min_self_rank},"
       f" relative cross residual {report.max_cross_residual:.2e}")
@@ -43,13 +44,13 @@ for scheme in ("s3", "s4", "s5"):
 # a degenerate draw (all-zero channels into one receiver) is flagged, not hidden
 from hexmg import RankDeficientError
 
-plan = certification_plan(1, scheme="s4")
-ch = sample_channels(plan, 1, seed=0)
-# ch.h holds one channel per link of plan.origin_links; silence every link
+template = system_template(certification_plan(1, scheme="s4"), 1, scheme="s4")
+ch = sample_channels(template, seed=0)
+# ch.h holds one channel per link of template.layout; silence every link
 # into the cluster's first member
-ch.h[plan.origin_links.rx == 0] = 0.0
+ch.h[template.layout.rx == 0] = 0.0
 try:
-    solve_precoder(build_zf_system(plan, ch, "s4"))
+    solve_precoder(build_zf_system(template, ch))
     print("degenerate draw went unnoticed (unexpected)")
 except RankDeficientError as exc:
     print(f"degenerate draw correctly rejected: {exc}")

@@ -2,43 +2,33 @@
 
 Master cells form the triangular sublattice spanned by ``(t, t)`` and
 ``(2t, -t)``: one master per ``3*t**2`` cells, nearest masters ``2*t`` hops
-(equivalently ``3*t`` hexagon side lengths) apart.  Selected users in cells at
-hop distance exactly ``t`` from their nearest master are switched off, which
-splits the interference graph into one finite cluster per master.  Messages
-are assigned either all-slow or mixed fast/slow, where the fast sectors form
-an exact density-1/3 pattern with no two fast sectors interfering, laid out
-alike in every cluster; the role rule (``role_codes``) reads the silencing
-and that pattern off the torus, so a role census needs no cluster plan, and
-``assign_messages`` attaches the same codes to a plan.  An assigned plan also
-lays out the links of the origin master's cluster (``ClusterPlan.origin_links``),
-once, for the zero-forcing trials, which so certify every cluster; the layout
-carries every index array the trials read (links by depth, own and cross
-blocks), so a trial computes none of them.
+(equivalently ``3*t`` hexagon side lengths) apart.  Switching off selected
+users in the cells exactly ``t`` hops from their nearest masters splits the
+interference graph into one finite cluster per master, each a translate of
+the origin master's.  Messages are assigned all-slow or mixed; the mixed
+mode's fast sectors have density exactly 1/3, no two of them interfere, and
+every cluster lays them out alike.
 
-One period of the master grid, the 3t x 3t torus, states the periodic
-geometry once, as arrays over its rows ``(q mod 3t)·3t + (r mod 3t)``: the
-nearest masters, read for the silencing and the origin master's cells that
-link counting takes, the origin master's cluster, and the fast pattern, a read-only
-``(9t^2, 3)`` boolean table.
+The geometry is periodic in the 3t x 3t torus of the master grid and is
+stated once, as arrays over its rows ``(q mod 3t)·3t + (r mod 3t)``: the
+nearest masters, the silencing and the fast pattern, a read-only
+``(9t^2, 3)`` boolean table.  So the role rule (``role_codes``) and the
+link counts (``cluster_link_count``) need no cluster plan.
 
-A plan states everything per sector id: ``cluster_ids`` the cluster, ``roles``
-the role code, and each ``Cluster.sectors`` the cluster's ascending ids.
-Sector tuples appear only where a caller passes one in (``cluster_of``, set
-membership) or iterates a set.  Every cluster is a translate of the origin
-master's, and a translation keeps the ``(q, r, o)`` order that sector ids
-follow, so ``clusters`` lays out the ids of every cluster the lattice
-boundary leaves whole by shifting the origin cluster's offsets to its
-master; only the sectors of the clusters the boundary cuts go through
-connected components and a sort.  It builds every ``Cluster`` at once; a
-cluster and its ``SectorSet`` have slots, and a cluster's master is the
-plan's own ``masters`` tuple, so each cluster costs two small objects.
+A ``ClusterPlan`` states everything per sector id: ``cluster_ids`` the
+cluster, ``roles`` the role code, and each ``Cluster.sectors`` the
+cluster's ascending ids.  Sector tuples appear only where a caller passes
+one in (``cluster_of``, set membership) or iterates a set.  ``clusters``
+builds every ``Cluster`` of the lattice, each the connected component of
+its active sectors: it lays out the clusters the boundary leaves whole by
+translating the origin cluster, and finds the cut ones by components.
 """
 
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass, replace
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
@@ -286,37 +276,6 @@ _set_sectors = Cluster.sectors.__set__
 
 
 @dataclass(frozen=True, eq=False)
-class LinkLayout:
-    """The links of the origin master's cluster, in the order the zero-forcing
-    trials draw and sum their channels, and the index arrays every trial
-    reads off them.
-
-    A position indexes ``ids``, the members' ascending sector ids.  Link k
-    runs from transmitter ``tx[k]`` to receiver ``rx[k]``; each receiver's
-    links are consecutive, its self link first, then its in-cluster ``nbr``
-    links by ascending id.  Message j is carried by the sector at position
-    ``slow_pos[j]``.
-    """
-
-    ids: np.ndarray
-    rx: np.ndarray
-    tx: np.ndarray
-    #: ``(depth, position)``: the receiver's d-th link and that link's
-    #: transmitter; past the receiver's last link, ``len(rx)`` and the
-    #: receiver itself
-    links_by_depth: np.ndarray
-    tx_by_depth: np.ndarray
-    slow_pos: np.ndarray
-    fast_pos: np.ndarray
-    #: ``position * len(slow_pos) + message`` of every message's own block,
-    #: by message; of the cross blocks at every position; and of the cross
-    #: blocks at the fast positions only
-    own: np.ndarray
-    cross: np.ndarray
-    fast_cross: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class ClusterPlan:
     net: Network
     t: int
@@ -335,39 +294,6 @@ class ClusterPlan:
             return None
         c = self.cluster_ids.item(i)
         return None if c < 0 else self.clusters[c]
-
-    @cached_property
-    def origin_links(self) -> LinkLayout:
-        """The link layout of the cluster owning the origin master cell,
-        built on first use; needs the message assignment."""
-        if self.roles is None:
-            raise ValueError("plan has no assignment; call assign_messages first")
-        net = self.net
-        label = self.cluster_ids[net.id_of((0, 0, 0))]
-        ids = self.clusters[label].sectors.ids
-        n = len(ids)
-        # column 0 is the self link, then the in-cluster neighbours by
-        # ascending position, padded with n
-        nbr = net.nbr[ids]
-        inside = (nbr >= 0) & (self.cluster_ids[nbr] == label)
-        ends = np.sort(np.where(inside, np.searchsorted(ids, nbr), n), axis=1)
-        ends = np.column_stack([np.arange(n), ends])
-        valid = ends < n
-        rx, depth = np.nonzero(valid)
-        depths = slice(depth.max() + 1)
-        links = np.where(valid, np.cumsum(valid).reshape(valid.shape) - 1, len(rx))
-        tx = np.where(valid, ends, np.arange(n)[:, None])
-        roles = self.roles[ids]
-        slow_pos = np.flatnonzero(roles == ROLES.index(SLOW))
-        fast_pos = np.flatnonzero(roles == ROLES.index(FAST))
-        own = np.zeros((n, len(slow_pos)), dtype=bool)
-        own[slow_pos, np.arange(len(slow_pos))] = True
-        fast = (roles == ROLES.index(FAST))[:, None]
-        return LinkLayout(
-            ids, rx, ends[valid], links[:, depths].T.copy(), tx[:, depths].T.copy(),
-            slow_pos, fast_pos, slow_pos * len(slow_pos) + np.arange(len(slow_pos)),
-            np.flatnonzero(~own), np.flatnonzero(fast & ~own),
-        )
 
     def interior_masters(self) -> List[Cell]:
         """Masters whose whole cluster context lies inside the lattice: at

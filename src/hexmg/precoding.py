@@ -1,59 +1,45 @@
 """Numerical certification of the cluster-wide zero-forcing precoder.
 
-For one interior cluster we draw every channel matrix from a continuous
-distribution, assemble the linear system that forces each base-station sector
-to observe only its own slow stream, solve it, and measure the residual
-cross-interference by direct substitution.  One precoder column block per
-slow message, spread over all active antennas of the cluster.
+A design point is a scheme, a cluster parameter t and a stream count m.
+``system_template`` is its one validated form: it refuses an unknown
+scheme, a plan without the assignment mode the scheme needs, m < 1 and a
+cluster without a slow message, and lays out the origin cluster's links
+(``LinkLayout``), where each channel entry lands in the block matrix and
+the pinned target.  The trial functions read only the template:
 
-Schemes differ in where interference between slow streams is removed:
+* ``sample_channels`` draws one standard-normal m x m channel per link, in
+  the layout's link order, from ``default_rng(seed)``, so a seed fixes the
+  realization;
+* ``build_zf_system`` forces each message-carrying sector to see only its
+  own stream.  For ``s3`` / ``s4`` every active sector is a nulling target,
+  so the system is square.  ``s5`` nulls the slow streams only at the fast
+  sectors and subtracts slow-on-slow interference at the receivers;
+* ``solve_precoder`` gives the minimum-norm precoder with pinned self
+  gains, or raises ``RankDeficientError`` for a singular or inconsistent
+  system;
+* ``verify_nulling`` substitutes the drawn channels into the precoder and
+  judges what the scheme promises: full rank m for each message at its own
+  sector, and every promised cross block at most ``tol`` times the
+  strongest own gain.
 
-* ``s3`` / ``s4``: at the transmitter side; every active sector is a nulling
-  target, so the system is square and generically solvable.
-* ``s5``: the transmitter only nulls slow streams at fast sectors; the
-  remaining slow-on-slow interference is subtracted at the receivers, which
-  verification models by excluding those pairs from the residual.
-
-Every trial works on the plan's ``origin_links`` layout, built once per
-plan with everything that depends only on the cluster and the roles: the
-links, each receiver's links by depth, and the indices of the own blocks
-(the target's identity blocks) and of the cross blocks s3/s4 and s5 promise
-to null.  What depends on m as well, where each channel entry lands in the
-block matrix and the pinned target, is a ``SystemTemplate`` that
-``run_trials`` builds once per design point and drops when it returns.  A
-realization is one ``(L, m, m)`` array with a channel per link, drawn in a
-single call, and ``build_zf_system`` scatters it into the block matrix with
-one flat indexed assignment.  ``run_trials`` refuses a cluster of more than
-``MAX_ANTENNAS`` antennas before it builds anything.
-
-Every s5 message shares the same fast-sector rows, so the solve factors that
-block once: one reduced QR gives its row space, and the singular values of
-its small triangular factor give its row rank.  Two matrix products project
-every message's own rows onto the null space of the fast block at once, and
-one batched SVD of the projected m-column blocks gives each message's rank
-and its minimum-norm precoder block.  The consistency check takes the fast
-rows of the whole precoder in one product and each message's own gain from
-its diagonal block only.
-
-The check adds each receiver's terms depth by depth, so in link order: one
-gather of every depth's channels, then one batched product per depth, the
-self link's starting the sum.  Of the cross blocks it keeps only those whose
-Frobenius norm could hold the largest spectral norm, and one SVD of the own
-blocks and those gives the self gains, their ranks and the worst cross
-talk; at m = 1 the absolute values give them, with no SVD.  A precoder
-carrying the plan's own layout object skips the id comparison that one from
-another plan object needs.
+``run_trials`` builds one plan and one template per design point and runs
+one ``run_trial`` per seed.  Its results do not depend on how the stack of
+blocks is batched: the effective channels add each receiver's terms in
+link order, and every norm and rank equals numpy's ``norm(g, 2)`` and
+``matrix_rank(g)`` of that block, bit for bit.  A cluster past
+``MAX_ANTENNAS`` antennas, or more than ``MAX_TRIALS`` trials, is refused
+before any lattice is built.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
-from .clustering import ClusterPlan, LinkLayout, assign_messages, clusters
+from .clustering import FAST, ROLES, SLOW, ClusterPlan, assign_messages, clusters
 from .lattice import build_network
 from .schemes import NULLING_TOL, SCHEME_MODES, RankDeficientError
 
@@ -73,19 +59,50 @@ _EPS = np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True, eq=False)
+class LinkLayout:
+    """The links of the origin master's cluster, in the order the trials
+    draw and sum their channels, and the index arrays every trial reads.
+
+    A position indexes ``ids``, the members' ascending sector ids.  Link k
+    runs from transmitter ``tx[k]`` to receiver ``rx[k]``; each receiver's
+    links are consecutive, its self link first, then its in-cluster ``nbr``
+    links by ascending id.  Message j is carried by the sector at position
+    ``slow_pos[j]``.
+    """
+
+    ids: np.ndarray
+    rx: np.ndarray
+    tx: np.ndarray
+    #: ``(depth, position)``: the receiver's d-th link and that link's
+    #: transmitter; past the receiver's last link, ``len(rx)`` and the
+    #: receiver itself
+    links_by_depth: np.ndarray
+    tx_by_depth: np.ndarray
+    slow_pos: np.ndarray
+    fast_pos: np.ndarray
+    #: ``position * len(slow_pos) + message`` of every message's own block,
+    #: by message; of the cross blocks at every position; and of the cross
+    #: blocks at the fast positions only
+    own: np.ndarray
+    cross: np.ndarray
+    fast_cross: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
 class ChannelRealization:
     m: int
-    #: (L, m, m): the channel of each link of ``plan.origin_links``, in its order
+    #: (L, m, m): the channel of each link of the template's layout, in its order
     h: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class SystemTemplate:
-    """What every ZF system of one plan and m shares, whatever the draw:
-    the flat index into ``h_net`` of each entry of ``ch.h``, in its order,
-    and the read-only pinned target.  ``run_trials`` builds one per design
-    point and drops it when it returns."""
+    """One validated design point and what every ZF system of it shares,
+    whatever the draw: the origin cluster's layout, the flat index into
+    ``h_net`` of each entry of ``ch.h``, in its order, and the read-only
+    pinned target."""
 
+    scheme: str
     m: int
     layout: LinkLayout
     scatter: np.ndarray
@@ -96,7 +113,7 @@ class SystemTemplate:
 class ZFSystem:
     scheme: str
     m: int
-    layout: LinkLayout             # the plan's ``origin_links``: one message per slow position
+    layout: LinkLayout             # the template's: one message per slow position
     h_net: np.ndarray              # (m*n_active, m*n_active) block channel matrix
     target: np.ndarray             # (m*n_active, m*n_messages) pinned effective channels
     n_unknowns: int
@@ -125,18 +142,51 @@ class TrialResult:
     min_self_rank: int
 
 
-def sample_channels(plan: ClusterPlan, m: int, seed: int) -> ChannelRealization:
-    """Deterministic standard-normal channel matrices for all links incident
-    to the origin cluster (self links plus in-cluster interference links)."""
+def _origin_layout(plan: ClusterPlan) -> LinkLayout:
+    """The link layout of the assigned ``plan``'s cluster that owns the
+    origin master cell."""
+    net = plan.net
+    label = plan.cluster_ids[net.id_of((0, 0, 0))]
+    ids = plan.clusters[label].sectors.ids
+    n = len(ids)
+    # column 0 is the self link, then the in-cluster neighbours by
+    # ascending position, padded with n
+    nbr = net.nbr[ids]
+    inside = (nbr >= 0) & (plan.cluster_ids[nbr] == label)
+    ends = np.sort(np.where(inside, np.searchsorted(ids, nbr), n), axis=1)
+    ends = np.column_stack([np.arange(n), ends])
+    valid = ends < n
+    rx, depth = np.nonzero(valid)
+    depths = slice(depth.max() + 1)
+    links = np.where(valid, np.cumsum(valid).reshape(valid.shape) - 1, len(rx))
+    tx = np.where(valid, ends, np.arange(n)[:, None])
+    roles = plan.roles[ids]
+    slow_pos = np.flatnonzero(roles == ROLES.index(SLOW))
+    fast_pos = np.flatnonzero(roles == ROLES.index(FAST))
+    own = np.zeros((n, len(slow_pos)), dtype=bool)
+    own[slow_pos, np.arange(len(slow_pos))] = True
+    fast = (roles == ROLES.index(FAST))[:, None]
+    return LinkLayout(
+        ids, rx, ends[valid], links[:, depths].T.copy(), tx[:, depths].T.copy(),
+        slow_pos, fast_pos, slow_pos * len(slow_pos) + np.arange(len(slow_pos)),
+        np.flatnonzero(~own), np.flatnonzero(fast & ~own),
+    )
+
+
+def system_template(plan: ClusterPlan, m: int, scheme: str) -> SystemTemplate:
+    """The design point ``(scheme, plan.t, m)``, checked once: the scheme,
+    the plan's assignment mode, m and the cluster's slow messages."""
+    if scheme not in SCHEME_MODES:
+        raise ValueError(f"unknown precoding scheme {scheme!r}")
+    if plan.roles is None:
+        raise ValueError("plan has no assignment; call assign_messages first")
+    if plan.mode != SCHEME_MODES[scheme]:
+        raise ValueError(f"scheme {scheme} needs a {SCHEME_MODES[scheme]} assignment")
     if m < 1:
         raise ValueError("m must be positive")
-    n_links = len(plan.origin_links.rx)
-    return ChannelRealization(m, np.random.default_rng(seed).standard_normal((n_links, m, m)))
-
-
-def system_template(plan: ClusterPlan, m: int) -> SystemTemplate:
-    """The draw-independent part of the ZF systems of ``plan`` at ``m``."""
-    lay = plan.origin_links
+    lay = _origin_layout(plan)
+    if not len(lay.slow_pos):
+        raise ValueError("cluster carries no slow message")
     n, n_slow = len(lay.ids), len(lay.slow_pos)
     a = np.arange(m)
     # entry (k, a, b) of ch.h lands at row rx[k]·m + a, column tx[k]·m + b
@@ -145,47 +195,43 @@ def system_template(plan: ClusterPlan, m: int) -> SystemTemplate:
     target = np.zeros((m * n, m * n_slow))
     target[(lay.slow_pos[:, None] * m + a).ravel(), np.arange(m * n_slow)] = 1.0
     target.flags.writeable = False
-    return SystemTemplate(m, lay, scatter, target)
+    return SystemTemplate(scheme, m, lay, scatter, target)
 
 
-def build_zf_system(
-    plan: ClusterPlan, ch: ChannelRealization, scheme: str,
-    template: Optional[SystemTemplate] = None,
-) -> ZFSystem:
+def sample_channels(template: SystemTemplate, seed: int) -> ChannelRealization:
+    """Deterministic standard-normal channel matrices for all links incident
+    to the origin cluster (self links plus in-cluster interference links)."""
+    m = template.m
+    n_links = len(template.layout.rx)
+    return ChannelRealization(m, np.random.default_rng(seed).standard_normal((n_links, m, m)))
+
+
+def _check_realization(template: SystemTemplate, ch: ChannelRealization) -> None:
+    if ch.h.shape != (len(template.layout.rx), template.m, template.m):
+        raise ValueError("channel realization of another design point")
+
+
+def build_zf_system(template: SystemTemplate, ch: ChannelRealization) -> ZFSystem:
     """Assemble the nulling constraints for the origin cluster.
 
     Unknowns are all precoder entries.  Per message the constraints read
     ``sum_l H[k,l] B[l] = delta[k, message] * I`` over the constrained receive
     sectors k: all active sectors for s3/s4, fast sectors plus the message's
-    own sector for s5.  ``template``, from ``system_template(plan, ch.m)``,
-    saves building the draw-independent part again.
+    own sector for s5.
     """
-    if scheme not in SCHEME_MODES:
-        raise ValueError(f"unknown precoding scheme {scheme!r}")
-    if plan.roles is None:
-        raise ValueError("plan has no assignment; call assign_messages first")
-    if plan.mode != SCHEME_MODES[scheme]:
-        raise ValueError(f"scheme {scheme} needs a {SCHEME_MODES[scheme]} assignment")
-
-    lay = plan.origin_links
-    if not len(lay.slow_pos):
-        raise ValueError("cluster carries no slow message")
-    m = ch.m
-    if template is None:
-        template = system_template(plan, m)
-    elif template.layout is not lay or template.m != m:
-        raise ValueError("system template of another plan or m")
+    _check_realization(template, ch)
+    lay, m = template.layout, template.m
     n, n_slow = len(lay.ids), len(lay.slow_pos)
     h_net = np.zeros((m * n, m * n))
     h_net.ravel()[template.scatter] = ch.h.ravel()  # ravel of a fresh array: a view
 
     n_unknowns = m * m * n * n_slow
-    if scheme == "s5":
+    if template.scheme == "s5":
         n_constraints = m * m * n_slow * (len(lay.fast_pos) + 1)
     else:
         n_constraints = m * m * n * n_slow
     return ZFSystem(
-        scheme=scheme,
+        scheme=template.scheme,
         m=m,
         layout=lay,
         h_net=h_net,
@@ -261,13 +307,9 @@ def solve_precoder(system: ZFSystem) -> Precoder:
 
 
 def verify_nulling(
-    precoder: Precoder,
-    plan: ClusterPlan,
-    ch: ChannelRealization,
-    tol: float = NULLING_TOL,
-    scheme: str = "s4",
+    precoder: Precoder, template: SystemTemplate, ch: ChannelRealization, tol: float = NULLING_TOL
 ) -> NullingReport:
-    """Check the scheme's nulling promises on the substituted channels.
+    """Check the template scheme's nulling promises on the substituted channels.
 
     Every message-carrying sector must see its own stream at full rank m;
     every effective channel the scheme promises to remove (all unintended
@@ -275,17 +317,10 @@ def verify_nulling(
     sectors for s4/s5) must be negligible relative to the strongest intended
     gain.  The effective channels come from substituting the sampled
     ``ch.h`` into the precoder directly, never from the solved system, and
-    are judged as one stack of m x m blocks.  The scheme must fit the
-    plan's assignment mode, as in ``build_zf_system``.
+    are judged as one stack of m x m blocks.
     """
-    if plan.roles is None:
-        raise ValueError("plan has no assignment")
-    if scheme not in SCHEME_MODES:
-        raise ValueError(f"unknown precoding scheme {scheme!r}")
-    if plan.mode != SCHEME_MODES[scheme]:
-        raise ValueError(f"scheme {scheme} needs a {SCHEME_MODES[scheme]} assignment")
-    lay = plan.origin_links
-    m = precoder.m
+    _check_realization(template, ch)
+    lay, m = template.layout, template.m
     n, n_msg = len(lay.ids), len(lay.slow_pos)
     # the messages are named by the sector ids of their slow positions
     if precoder.matrix.shape != (m * n, m * n_msg) or not (
@@ -295,7 +330,7 @@ def verify_nulling(
         raise ValueError("precoder does not match the plan's origin cluster")
 
     blocks = _effective_channels(lay, precoder.matrix.reshape(n, m, -1), ch.h)
-    cross = lay.fast_cross if scheme == "s5" else lay.cross
+    cross = lay.fast_cross if template.scheme == "s5" else lay.cross
     if m == 1:
         # a 1 x 1 block's singular value is its absolute value, as LAPACK
         # gives it: no SVD and no Frobenius prefilter
@@ -311,8 +346,6 @@ def verify_nulling(
         pos, msg = np.divmod(np.concatenate([lay.own, keep]), n_msg)
         sv = np.linalg.svd(blocks.reshape(n, m, n_msg, m)[pos, :, msg, :], compute_uv=False)
         sv_self, max_cross = sv[:n_msg], float(sv[n_msg:, 0].max(initial=0.0))
-    if not n_msg:
-        return NullingReport(float("inf") if max_cross > 0 else 0.0, 0, False)
     self_norms = sv_self[:, 0]
     max_self = float(self_norms.max())
     cut = self_norms * (m * _EPS)
@@ -363,18 +396,15 @@ def certification_plan(t: int, scheme: str = "s4") -> ClusterPlan:
     return assign_messages(clusters(net, t), SCHEME_MODES[scheme])
 
 
-def run_trial(
-    plan: ClusterPlan, m: int, seed: int, scheme: str = "s4", tol: float = NULLING_TOL,
-    template: Optional[SystemTemplate] = None,
-) -> TrialResult:
+def run_trial(template: SystemTemplate, seed: int, tol: float = NULLING_TOL) -> TrialResult:
     """One seeded end-to-end certification: sample, solve, substitute, check."""
-    ch = sample_channels(plan, m, seed)
-    system = build_zf_system(plan, ch, scheme, template)
+    ch = sample_channels(template, seed)
+    system = build_zf_system(template, ch)
     try:
         precoder = solve_precoder(system)
     except RankDeficientError:
         return TrialResult(seed, False, float("inf"), 0)
-    report = verify_nulling(precoder, plan, ch, tol=tol, scheme=scheme)
+    report = verify_nulling(precoder, template, ch, tol)
     return TrialResult(
         seed, report.solvable, report.max_cross_residual, report.min_self_rank
     )
@@ -389,14 +419,12 @@ def check_trial_count(trials: int) -> None:
 def run_trials(
     t: int, m: int, trials: int, seed: int = 0, scheme: str = "s4", tol: float = NULLING_TOL
 ) -> List[TrialResult]:
-    """Independent seeded certification trials for one (t, m) design point;
-    the trials share one ``system_template``.  A system past
-    ``MAX_ANTENNAS``, or more than ``MAX_TRIALS`` trials, is refused before
-    any lattice is built."""
+    """Independent seeded certification trials for one (t, m) design point,
+    all on one ``system_template``.  A system past ``MAX_ANTENNAS``, or more
+    than ``MAX_TRIALS`` trials, is refused before any lattice is built."""
     check_trial_count(trials)
     if t >= 1 and m >= 1 and m * (9 * t * t - 3 * t) > MAX_ANTENNAS:
         raise ValueError(f"t={t}, m={m} gives a cluster of {m * (9 * t * t - 3 * t)} antennas, "
                          f"past the cap of {MAX_ANTENNAS}")
-    plan = certification_plan(t, scheme)
-    template = system_template(plan, m)
-    return [run_trial(plan, m, seed + i, scheme, tol, template) for i in range(trials)]
+    template = system_template(certification_plan(t, scheme), m, scheme)
+    return [run_trial(template, seed + i, tol) for i in range(trials)]

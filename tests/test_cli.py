@@ -15,7 +15,7 @@ import pytest
 
 from hexmg import checks, clustering, lattice, partitions, precoding, regions, schedules
 from hexmg.checks import decimal_str
-from hexmg.cli import main
+from hexmg.cli import MAX_SAMPLES, main
 
 
 def run(capsys, *argv):
@@ -108,6 +108,22 @@ def test_out_of_range_input_is_a_usage_error(capsys, argv):
     assert code == 2
     assert stdout == ""
     assert err.strip()
+
+
+def test_region_samples_past_the_cap_is_a_usage_error(capsys, monkeypatch):
+    """More than ``MAX_SAMPLES`` ``--samples`` exits 2 with the cap named,
+    before any region is built; the cap itself is accepted."""
+    argv = ["region", "--m", "3", "--d", "20", "--samples"]
+    with monkeypatch.context() as patch:
+        for name in ("inner_bound", "outer_bound"):
+            patch.setattr(regions, name, lambda *a: pytest.fail("a region was built"))
+        code, stdout, err = run(capsys, *argv, str(MAX_SAMPLES + 1))
+    assert (code, stdout) == (2, "")
+    assert err.endswith(f"argument --samples: {MAX_SAMPLES + 1} samples exceed the cap of "
+                        f"{MAX_SAMPLES}\n")
+    code, stdout, err = run(capsys, *argv, str(MAX_SAMPLES))
+    assert (code, err) == (0, "")
+    assert stdout.count("\n") == 1 + 2 * MAX_SAMPLES  # the header, then each bound's samples
 
 
 #: 10^400: gains of this size are past the float range (about 1.8e308)

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import pickle
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
@@ -323,7 +324,7 @@ def test_every_cluster_is_built_and_matches_the_labels(t):
     """``clusters`` builds every ``Cluster`` itself.  Each one's ids are its
     label's in ``cluster_ids``, and its master is the master cell among its
     cells, None for a boundary piece that holds none.  A cluster is
-    immutable, equal only to itself, and copyable."""
+    immutable, equal only to itself, copyable and picklable."""
     net = build_network(20)
     plan = clusters(net, t)
     assert type(plan.clusters) is tuple
@@ -347,6 +348,9 @@ def test_every_cluster_is_built_and_matches_the_labels(t):
     assert len({cl, twin, plan.clusters[0]}) == 2
     clone = copy.copy(cl)
     assert (clone is not cl, clone.master, clone.sectors) == (True, cl.master, cl.sectors)
+    thawed = pickle.loads(pickle.dumps(cl))
+    assert type(thawed) is clustering.Cluster and thawed.master == cl.master
+    assert np.array_equal(thawed.sectors.ids, cl.sectors.ids)
 
 
 def test_no_interference_edge_crosses_clusters():

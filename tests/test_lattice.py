@@ -329,7 +329,7 @@ def test_library_builds_no_sector_tuples():
     assert len(tx_neighbors(net, (1, 0, 2))) == 4
     for part in (partitions.partition_two(net), partitions.partition_four(net, 2)):
         partitions.census_fractions(net, part)
-    assert precoding.run_trial(plan, 2, seed=5).solvable
+    assert precoding.run_trial(precoding.system_template(plan, 2, "s4"), seed=5).solvable
     assert "sectors" not in vars(net)
     assert len(net.sectors) == 3 * len(hex_ball(6))  # built on first use
     assert "sectors" in vars(net)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -27,6 +28,7 @@ from hexmg.precoding import (
     run_trials,
     sample_channels,
     solve_precoder,
+    system_template,
     verify_nulling,
 )
 
@@ -43,10 +45,10 @@ def role_of(plan, i):
     return ROLES[plan.roles[i]]
 
 
-def entries_of(plan, ch):
+def entries_of(template, ch):
     """``(receiving sector id, transmitting sector id) -> m x m channel`` in
     link order: the channel realization as a dict, the form the oracles read."""
-    lay = plan.origin_links
+    lay = template.layout
     ids = lay.ids.tolist()
     return {(ids[i], ids[j]): h for i, j, h in zip(lay.rx.tolist(), lay.tx.tolist(), ch.h)}
 
@@ -145,33 +147,41 @@ def max_spectral_norm(blocks):
     return float(np.linalg.svd(blocks[keep], compute_uv=False)[:, 0].max(initial=0.0))
 
 
-#: Plans are read, never changed, by the tests below; build each one once.
+#: Plans and templates are read, never changed, by the tests below; build
+#: each one once.
 shared_plan = cache(certification_plan)
 
 
+@cache
+def shared_template(t, scheme, m):
+    """The design point ``(scheme, t, m)`` on ``shared_plan(t, scheme)``."""
+    return system_template(shared_plan(t, scheme), m, scheme)
+
+
 def test_same_seed_same_realization():
-    plan = certification_plan(1)
-    a = entries_of(plan, sample_channels(plan, 2, seed=11))
-    b = entries_of(plan, sample_channels(plan, 2, seed=11))
+    template = shared_template(1, "s4", 2)
+    a = entries_of(template, sample_channels(template, seed=11))
+    b = entries_of(template, sample_channels(template, seed=11))
     assert a.keys() == b.keys()
     for k in a:
         assert np.array_equal(a[k], b[k])
-    c = entries_of(plan, sample_channels(plan, 2, seed=12))
+    c = entries_of(template, sample_channels(template, seed=12))
     assert any(not np.array_equal(a[k], c[k]) for k in a)
 
 
 def test_scalar_channels_all_nonzero():
-    plan = certification_plan(1)
-    ch = sample_channels(plan, 1, seed=3)
-    for h in entries_of(plan, ch).values():
+    template = shared_template(1, "s4", 1)
+    ch = sample_channels(template, seed=3)
+    for h in entries_of(template, ch).values():
         assert h.shape == (1, 1)
         assert h[0, 0] != 0.0
 
 
 def test_link_set_matches_interference_graph_restriction():
-    plan = certification_plan(1)
+    plan = shared_plan(1, "s4")
     cl = origin_cluster(plan)
-    ch = sample_channels(plan, 1, seed=0)
+    template = shared_template(1, "s4", 1)
+    ch = sample_channels(template, seed=0)
     id_of = plan.net.id_of
     expected = set()
     for k in cl.sectors:
@@ -179,19 +189,17 @@ def test_link_set_matches_interference_graph_restriction():
         for l in plan.net.tx_neighbors[k]:
             if l in cl.sectors:
                 expected.add((id_of(k), id_of(l)))
-    assert set(entries_of(plan, ch)) == expected
+    assert set(entries_of(template, ch)) == expected
 
 
 def test_system_square_for_s3_and_s4_row_delta():
-    plan3 = certification_plan(1, "s3")
-    ch3 = sample_channels(plan3, 1, seed=0)
-    sys3 = build_zf_system(plan3, ch3, "s3")
+    template3 = shared_template(1, "s3", 1)
+    sys3 = build_zf_system(template3, sample_channels(template3, seed=0))
     assert sys3.n_unknowns >= sys3.n_constraints
     assert sys3.n_unknowns == sys3.n_constraints  # square by construction
 
-    plan4 = certification_plan(1, "s4")
-    ch4 = sample_channels(plan4, 1, seed=0)
-    sys4 = build_zf_system(plan4, ch4, "s4")
+    template4 = shared_template(1, "s4", 1)
+    sys4 = build_zf_system(template4, sample_channels(template4, seed=0))
     n_slow = len(sys4.layout.slow_pos)
     n_fast = len(sys4.layout.fast_pos)
     # versus constraining only the slow sectors, s4 adds one nulling row
@@ -201,15 +209,24 @@ def test_system_square_for_s3_and_s4_row_delta():
 
 
 def test_system_requires_matching_assignment():
-    plan = certification_plan(1, "s4")
-    ch = sample_channels(plan, 1, seed=0)
-    with pytest.raises(ValueError):
-        build_zf_system(plan, ch, "s3")
-    bare = clusters(build_network(4), 1)
-    with pytest.raises(ValueError):
-        build_zf_system(bare, ch, "s4")
-    with pytest.raises(ValueError):
-        build_zf_system(plan, ch, "s7")
+    """``system_template`` is the one place a design point is checked: it
+    refuses an unknown scheme, a plan without an assignment or with that of
+    another scheme, m < 1 and a cluster without a slow message, each with
+    its own text."""
+    plan = shared_plan(1, "s4")
+    no_slow = replace(plan, roles=np.where(
+        plan.roles == ROLES.index(SLOW), ROLES.index(FAST), plan.roles))
+    cases = [
+        (plan, 1, "s7", "unknown precoding scheme 's7'"),
+        (clusters(build_network(4), 1), 1, "s4",
+         "plan has no assignment; call assign_messages first"),
+        (plan, 1, "s3", "scheme s3 needs a SLOW_ONLY assignment"),
+        (plan, 0, "s4", "m must be positive"),
+        (no_slow, 1, "s4", "cluster carries no slow message"),
+    ]
+    for bad_plan, m, scheme, text in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            system_template(bad_plan, m, scheme)
 
 
 @pytest.mark.parametrize("t,m", [(1, 1), (1, 2), (2, 1), (2, 2)])
@@ -227,10 +244,10 @@ def test_s3_and_s5_trials_solvable():
 
 
 def test_fast_sectors_hear_no_slow_aggregate_s4():
-    plan = certification_plan(2, "s4")
-    ch = sample_channels(plan, 2, seed=9)
-    precoder = solve_precoder(build_zf_system(plan, ch, "s4"))
-    geff = effective_channels_oracle(precoder, entries_of(plan, ch))
+    plan, template = shared_plan(2, "s4"), shared_template(2, "s4", 2)
+    ch = sample_channels(template, seed=9)
+    precoder = solve_precoder(build_zf_system(template, ch))
+    geff = effective_channels_oracle(precoder, entries_of(template, ch))
     worst = max(
         float(np.abs(g).max()) for (k, _), g in geff.items() if role_of(plan, k) == FAST
     )
@@ -242,28 +259,26 @@ def test_fast_sectors_hear_no_slow_aggregate_s4():
 )
 def test_verify_refuses_scheme_of_another_assignment(plan_scheme, scheme):
     """A slow-only plan has no fast sector, so checked as s5 nothing would
-    count as cross talk and even a random precoder would pass: the check
-    refuses a scheme that does not fit the plan's assignment mode, with the
-    text ``build_zf_system`` uses."""
-    plan = shared_plan(2, plan_scheme)
-    lay = plan.origin_links
+    count as cross talk and even a random precoder would pass.  The check
+    reads its scheme off the design point, and ``system_template`` refuses a
+    scheme that does not fit the plan's assignment mode; on the plan's own
+    design point a random precoder fails."""
     m = 2
-    ch = sample_channels(plan, m, seed=0)
-    matrix = np.random.default_rng(1).standard_normal((m * len(lay.ids), m * len(lay.slow_pos)))
     mode = "MIXED" if scheme != "s3" else "SLOW_ONLY"
-    text = f"scheme {scheme} needs a {mode} assignment"
-    with pytest.raises(ValueError, match=f"^{text}$"):
-        build_zf_system(plan, ch, scheme)
-    with pytest.raises(ValueError, match=f"^{text}$"):
-        verify_nulling(Precoder(m, lay, matrix), plan, ch, scheme=scheme)
+    with pytest.raises(ValueError, match=f"^scheme {scheme} needs a {mode} assignment$"):
+        system_template(shared_plan(2, plan_scheme), m, scheme)
+    template = shared_template(2, plan_scheme, m)
+    lay = template.layout
+    matrix = np.random.default_rng(1).standard_normal((m * len(lay.ids), m * len(lay.slow_pos)))
+    ch = sample_channels(template, seed=0)
+    assert not verify_nulling(Precoder(m, lay, matrix), template, ch).solvable
 
 
 def test_zero_precoder_not_solvable():
-    plan = certification_plan(1, "s4")
-    ch = sample_channels(plan, 1, seed=1)
-    system = build_zf_system(plan, ch, "s4")
-    zero = Precoder(m=1, layout=system.layout, matrix=np.zeros_like(system.target))
-    report = verify_nulling(zero, plan, ch)
+    template = shared_template(1, "s4", 1)
+    ch = sample_channels(template, seed=1)
+    zero = Precoder(m=1, layout=template.layout, matrix=np.zeros_like(template.target))
+    report = verify_nulling(zero, template, ch)
     assert not report.solvable
     assert report.min_self_rank == 0
 
@@ -274,9 +289,9 @@ def test_self_rank_tolerance_matches_matrix_rank(scale):
     times the largest: only the self links carry a channel, the identity,
     so each self gain is its precoder block exactly."""
     m = 3
-    plan = shared_plan(1, "s4")
-    lay = plan.origin_links
-    ch = sample_channels(plan, m, seed=0)
+    plan, template = shared_plan(1, "s4"), shared_template(1, "s4", m)
+    lay = template.layout
+    ch = sample_channels(template, seed=0)
     ch.h[:] = 0.0
     ch.h[lay.rx == lay.tx] = np.eye(m)
     n, n_msg = len(lay.ids), len(lay.slow_pos)
@@ -284,8 +299,8 @@ def test_self_rank_tolerance_matches_matrix_rank(scale):
     matrix[lay.slow_pos, :, np.arange(n_msg), :] = np.eye(m)
     matrix[lay.slow_pos[0], :, 0, :] = np.diag([1.0, 1.0, scale * np.finfo(float).eps])
     precoder = Precoder(m, lay, matrix.reshape(m * n, m * n_msg))
-    report = verify_nulling(precoder, plan, ch)
-    assert report == verify_nulling_oracle(precoder, plan, entries_of(plan, ch))
+    report = verify_nulling(precoder, template, ch)
+    assert report == verify_nulling_oracle(precoder, plan, entries_of(template, ch))
     assert report.min_self_rank == (2 if scale < m else 3)
 
 
@@ -298,13 +313,13 @@ def test_degenerate_channels_flagged(scheme, role, match):
     """Zeroing every channel into one receiver costs the constraint matrix a
     row block.  For s5 a dead fast sector breaks the shared fast block and a
     dead slow sector breaks its own message's block."""
-    plan = certification_plan(1, scheme)
-    ch = sample_channels(plan, 1, seed=2)
+    plan, template = shared_plan(1, scheme), shared_template(1, scheme, 1)
+    ch = sample_channels(template, seed=2)
     members = origin_cluster(plan).sectors.ids.tolist()
     dead = next(s for s in members if role is None or role_of(plan, s) == role)
-    links = list(entries_of(plan, ch))
+    links = list(entries_of(template, ch))
     ch.h[[k for k, (rx, _) in enumerate(links) if rx == dead]] = 0.0
-    system = build_zf_system(plan, ch, scheme)
+    system = build_zf_system(template, ch)
     with pytest.raises(RankDeficientError, match=match) as err:
         solve_precoder(system)
     if role == SLOW:  # the message is named by its sector id
@@ -320,8 +335,8 @@ def _near_cut_off_s5(t, m, seed, block, scale):
     the own case sets the smallest singular value of ``h_own_j @ N``, with N
     the null-space basis of a full SVD of the fast rows."""
     eps = np.finfo(float).eps
-    plan = shared_plan(t, "s5")
-    system = build_zf_system(plan, sample_channels(plan, m, seed), "s5")
+    template = shared_template(t, "s5", m)
+    system = build_zf_system(template, sample_channels(template, seed))
     lay = system.layout
     n_ant = m * len(lay.ids)
     h = system.h_net.reshape(len(lay.ids), m, n_ant).copy()
@@ -379,51 +394,52 @@ def test_s5_non_finite_channel_flagged(role):
     solve fail to converge; that is reported as a rank deficiency, as the s4
     solve reports it, and ``run_trial``, which catches that error, records
     an unsolvable trial instead of raising."""
-    plan = shared_plan(1, "s5")
-    lay = plan.origin_links
-    ch = sample_channels(plan, 2, seed=0)
+    template = shared_template(1, "s5", 2)
+    lay = template.layout
+    ch = sample_channels(template, seed=0)
     pos = lay.fast_pos[0] if role == FAST else lay.slow_pos[0]
     ch.h[np.flatnonzero(lay.rx == pos)[0], 0, 0] = np.nan
     with pytest.raises(RankDeficientError):
-        solve_precoder(build_zf_system(plan, ch, "s5"))
+        solve_precoder(build_zf_system(template, ch))
 
 
 def test_precoder_for_another_cluster_rejected():
     """A precoder of another cluster is refused, by its shape or, at equal
     shape, by the sector ids of its messages."""
-    plan, other = certification_plan(1, "s4"), certification_plan(2, "s4")
-    ch = sample_channels(plan, 1, seed=0)
-    foreign = solve_precoder(build_zf_system(other, sample_channels(other, 1, seed=0), "s4"))
-    own = solve_precoder(build_zf_system(plan, ch, "s4"))
+    template, other = shared_template(1, "s4", 1), shared_template(2, "s4", 1)
+    ch = sample_channels(template, seed=0)
+    foreign = solve_precoder(build_zf_system(other, sample_channels(other, seed=0)))
+    own = solve_precoder(build_zf_system(template, ch))
     shifted = replace(own, layout=replace(own.layout, ids=own.layout.ids + 1))
     for precoder in (foreign, shifted):
         with pytest.raises(ValueError, match="does not match the plan's origin cluster"):
-            verify_nulling(precoder, plan, ch)
-    assert verify_nulling(own, plan, ch).solvable
+            verify_nulling(precoder, template, ch)
+    assert verify_nulling(own, template, ch).solvable
 
 
 @pytest.mark.parametrize("scheme", ["s3", "s4", "s5"])
 def test_verify_takes_both_layout_paths(scheme):
-    """A precoder carries its plan's own ``origin_links`` object, which the
+    """A precoder carries its template's own ``layout`` object, which the
     check accepts at once; an equal layout of another object is compared by
     its message ids and gives the same report, the oracle's.  A precoder of
     another cluster is refused either way."""
-    plan = shared_plan(2, scheme)
-    ch = sample_channels(plan, 2, seed=5)
-    precoder = solve_precoder(build_zf_system(plan, ch, scheme))
-    assert precoder.layout is plan.origin_links
+    template = shared_template(2, scheme, 2)
+    ch = sample_channels(template, seed=5)
+    precoder = solve_precoder(build_zf_system(template, ch))
+    assert precoder.layout is template.layout
     copy = replace(precoder, layout=replace(precoder.layout))
-    assert copy.layout is not plan.origin_links
-    want = verify_nulling_oracle(precoder, plan, entries_of(plan, ch), scheme=scheme)
-    assert verify_nulling(precoder, plan, ch, scheme=scheme) == want
-    assert verify_nulling(copy, plan, ch, scheme=scheme) == want
+    assert copy.layout is not template.layout
+    want = verify_nulling_oracle(
+        precoder, shared_plan(2, scheme), entries_of(template, ch), scheme=scheme)
+    assert verify_nulling(precoder, template, ch) == want
+    assert verify_nulling(copy, template, ch) == want
 
-    other = shared_plan(1, scheme)
-    foreign = solve_precoder(build_zf_system(other, sample_channels(other, 2, seed=5), scheme))
+    other = shared_template(1, scheme, 2)
+    foreign = solve_precoder(build_zf_system(other, sample_channels(other, seed=5)))
     shifted = replace(precoder, layout=replace(precoder.layout, ids=precoder.layout.ids + 1))
     for bad in (foreign, shifted):
         with pytest.raises(ValueError, match="does not match the plan's origin cluster"):
-            verify_nulling(bad, plan, ch, scheme=scheme)
+            verify_nulling(bad, template, ch)
 
 
 #: sha256 of the ``repr`` of each ``TrialResult``, one per line: the four
@@ -501,23 +517,32 @@ def test_oversized_system_is_refused_before_any_plan(monkeypatch, t, m):
 
 
 def test_system_template_of_another_plan_or_m_is_refused():
-    plan, other = shared_plan(1, "s4"), shared_plan(2, "s4")
-    ch = sample_channels(plan, 2, seed=0)
-    want = build_zf_system(plan, ch, "s4")
-    got = build_zf_system(plan, ch, "s4", precoding.system_template(plan, 2))
-    assert np.array_equal(got.h_net, want.h_net) and np.array_equal(got.target, want.target)
-    for template in (precoding.system_template(other, 2), precoding.system_template(plan, 1)):
-        with pytest.raises(ValueError, match="^system template of another plan or m$"):
-            build_zf_system(plan, ch, "s4", template)
+    """A realization drawn for the design point of another plan or m is
+    refused, by the shape of its channels, by the system and by the check;
+    one of the template's own design point gives the oracle's system on the
+    template's read-only target."""
+    template = shared_template(1, "s4", 2)
+    ch = sample_channels(template, seed=0)
+    got = build_zf_system(template, ch)
+    h_net, target = build_zf_system_oracle(shared_plan(1, "s4"), entries_of(template, ch), 2)
+    assert np.array_equal(got.h_net, h_net) and np.array_equal(got.target, target)
+    assert got.target is template.target
+    precoder = solve_precoder(got)
+    for other in (shared_template(2, "s4", 2), shared_template(1, "s4", 1)):
+        foreign = sample_channels(other, seed=0)
+        with pytest.raises(ValueError, match="^channel realization of another design point$"):
+            build_zf_system(template, foreign)
+        with pytest.raises(ValueError, match="^channel realization of another design point$"):
+            verify_nulling(precoder, template, foreign)
     with pytest.raises(ValueError, match="read-only"):
         got.target[0, 0] = 2.0
 
 
-def effective_channels_by_depth(precoder, plan, ch):
+def effective_channels_by_depth(precoder, template, ch):
     """The effective-channel sum as a per-depth loop from zero: at each
     depth, every receiver's link of that depth (a zero channel past its
     last) times its transmitter's precoder rows, added in depth order."""
-    lay = plan.origin_links
+    lay = template.layout
     m = precoder.m
     rows = precoder.matrix.reshape(len(lay.ids), m, -1)
     h = np.concatenate([ch.h, np.zeros((1, m, m))])
@@ -532,15 +557,15 @@ def effective_channels_by_depth(precoder, plan, ch):
 def test_effective_channels_match_the_depth_loop(scheme, t, m):
     """The check's effective channels equal the per-depth loop's bit for
     bit, and their substitution one link at a time up to rounding."""
-    plan = shared_plan(t, scheme)
-    lay = plan.origin_links
+    template = shared_template(t, scheme, m)
+    lay = template.layout
     for seed in range(2):
-        ch = sample_channels(plan, m, seed)
-        precoder = solve_precoder(build_zf_system(plan, ch, scheme))
+        ch = sample_channels(template, seed)
+        precoder = solve_precoder(build_zf_system(template, ch))
         rows = precoder.matrix.reshape(len(lay.ids), m, -1)
         got = precoding._effective_channels(lay, rows, ch.h)
-        assert np.array_equal(got, effective_channels_by_depth(precoder, plan, ch))
-        blocks = effective_channels_oracle(precoder, entries_of(plan, ch))
+        assert np.array_equal(got, effective_channels_by_depth(precoder, template, ch))
+        blocks = effective_channels_oracle(precoder, entries_of(template, ch))
         n_msg = len(lay.slow_pos)
         want = np.stack([blocks[k, msg] for k in lay.ids.tolist()
                          for msg in lay.ids[lay.slow_pos].tolist()])
@@ -549,9 +574,9 @@ def test_effective_channels_match_the_depth_loop(scheme, t, m):
 
 
 def test_trial_determinism():
-    plan = certification_plan(1, "s4")
-    a = run_trial(plan, 2, seed=77)
-    b = run_trial(plan, 2, seed=77)
+    template = shared_template(1, "s4", 2)
+    a = run_trial(template, seed=77)
+    b = run_trial(template, seed=77)
     assert a == b
 
 
@@ -562,11 +587,11 @@ def test_trial_determinism():
 def test_batched_verify_matches_per_pair_oracle(scheme, t, m, seed):
     """The stacked substitution, norms and ranks reproduce the per-pair loop
     exactly: every field of the report is equal, not merely close."""
-    plan = shared_plan(t, scheme)
-    ch = sample_channels(plan, m, seed)
-    precoder = solve_precoder(build_zf_system(plan, ch, scheme))
-    got = verify_nulling(precoder, plan, ch, scheme=scheme)
-    assert got == verify_nulling_oracle(precoder, plan, entries_of(plan, ch), scheme=scheme)
+    plan, template = shared_plan(t, scheme), shared_template(t, scheme, m)
+    ch = sample_channels(template, seed)
+    precoder = solve_precoder(build_zf_system(template, ch))
+    got = verify_nulling(precoder, template, ch)
+    assert got == verify_nulling_oracle(precoder, plan, entries_of(template, ch), scheme=scheme)
     assert got.solvable
 
 
@@ -578,21 +603,21 @@ def test_array_channels_match_dict_oracles(scheme, t, m, seed):
     """The single draw, the scattered system and the slot-wise check
     reproduce the dict-based chain exactly: the same channel per link in the
     same order, equal ``h_net`` and ``target``, equal report and trial."""
-    plan = shared_plan(t, scheme)
-    ch = sample_channels(plan, m, seed)
+    plan, template = shared_plan(t, scheme), shared_template(t, scheme, m)
+    ch = sample_channels(template, seed)
     entries = sample_channels_oracle(plan, m, seed)
-    assert list(entries_of(plan, ch)) == list(entries)
+    assert list(entries_of(template, ch)) == list(entries)
     assert np.array_equal(ch.h, np.stack(list(entries.values())))
 
-    system = build_zf_system(plan, ch, scheme)
+    system = build_zf_system(template, ch)
     h_net, target = build_zf_system_oracle(plan, entries, m)
     assert np.array_equal(system.h_net, h_net)
     assert np.array_equal(system.target, target)
 
     precoder = solve_precoder(replace(system, h_net=h_net, target=target))
     report = verify_nulling_oracle(precoder, plan, entries, scheme=scheme)
-    assert verify_nulling(solve_precoder(system), plan, ch, scheme=scheme) == report
-    assert run_trial(plan, m, seed, scheme) == TrialResult(
+    assert verify_nulling(solve_precoder(system), template, ch) == report
+    assert run_trial(template, seed) == TrialResult(
         seed, report.solvable, report.max_cross_residual, report.min_self_rank
     )
 
@@ -602,11 +627,11 @@ def test_array_channels_match_dict_oracles(scheme, t, m, seed):
 def test_cross_norm_filter_matches_unfiltered_stack(scheme, t, m):
     """Decomposing only the blocks that can hold the largest spectral norm
     gives the maximum over the whole stack, bit for bit."""
-    plan = shared_plan(t, scheme)
+    plan, template = shared_plan(t, scheme), shared_template(t, scheme, m)
     for seed in range(4):
-        ch = sample_channels(plan, m, seed)
-        precoder = solve_precoder(build_zf_system(plan, ch, scheme))
-        blocks = effective_channels_oracle(precoder, entries_of(plan, ch))
+        ch = sample_channels(template, seed)
+        precoder = solve_precoder(build_zf_system(template, ch))
+        blocks = effective_channels_oracle(precoder, entries_of(template, ch))
         heard = {FAST, SLOW} if scheme != "s5" else {FAST}
         cross = np.stack([g for (k, msg), g in blocks.items()
                           if k != msg and role_of(plan, k) in heard])
@@ -657,15 +682,15 @@ def assert_s5_solve_matches_lstsq_oracle(system):
 @settings(max_examples=6, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_factored_s5_solve_matches_lstsq_oracle(t, m, seed):
-    plan = shared_plan(t, "s5")
-    assert_s5_solve_matches_lstsq_oracle(build_zf_system(plan, sample_channels(plan, m, seed), "s5"))
+    template = shared_template(t, "s5", m)
+    assert_s5_solve_matches_lstsq_oracle(build_zf_system(template, sample_channels(template, seed)))
 
 
 def test_factored_s5_solve_matches_lstsq_oracle_at_benchmark_size():
     """The solve-bound s5 point of the ``zf_scale`` benchmark, t=4 and m=3:
     84 messages against 144 fast rows over 396 antennas."""
-    plan = shared_plan(4, "s5")
-    system = build_zf_system(plan, sample_channels(plan, 3, 20), "s5")
+    template = shared_template(4, "s5", 3)
+    system = build_zf_system(template, sample_channels(template, 20))
     assert (len(system.layout.slow_pos), 3 * len(system.layout.fast_pos)) == (84, 144)
     assert_s5_solve_matches_lstsq_oracle(system)
 
@@ -680,8 +705,8 @@ def test_s5_solvable_at_t8():
 def test_factored_s5_solve_without_fast_sectors():
     """With no fast rows the null space is the whole space and each message
     only pins its own gain."""
-    plan = certification_plan(1, "s5")
-    system = build_zf_system(plan, sample_channels(plan, 2, 4), "s5")
+    template = shared_template(1, "s5", 2)
+    system = build_zf_system(template, sample_channels(template, 4))
     system = replace(system, layout=replace(system.layout, fast_pos=system.layout.fast_pos[:0]))
     b = solve_precoder(system).matrix
     ref = solve_s5_oracle(system)
