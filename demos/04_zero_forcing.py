@@ -8,7 +8,6 @@ numerical round-off.  Repeats over seeds to exercise genericity.
 
 from hexmg import (
     build_zf_system,
-    certification_plan,
     run_trials,
     sample_channels,
     solve_precoder,
@@ -16,18 +15,18 @@ from hexmg import (
     verify_nulling,
 )
 
-# one trial, spelled out: the design point (scheme, t, m) is checked once
+# one trial, spelled out: the design point (t, m, scheme) is checked once
 t, m = 1, 2
-template = system_template(certification_plan(t, scheme="s4"), m, scheme="s4")
-ch = sample_channels(template, seed=2024)
-system = build_zf_system(template, ch)
+template = system_template(t, m, scheme="s4")
+h = sample_channels(template, seed=2024)
+system = build_zf_system(template, h)
 lay = template.layout  # the origin cluster's members by sector id
 print(f"t={t}, m={m}: {len(lay.ids)} active users,"
       f" {len(lay.slow_pos)} slow messages, {len(lay.fast_pos)} fast sectors")
 print(f"unknowns {system.n_unknowns}, constraints {system.n_constraints} (square)")
 
 precoder = solve_precoder(system)
-report = verify_nulling(precoder, template, ch)
+report = verify_nulling(precoder, h)
 print(f"single trial: solvable={report.solvable},"
       f" min self rank {report.min_self_rank},"
       f" relative cross residual {report.max_cross_residual:.2e}")
@@ -44,13 +43,13 @@ for scheme in ("s3", "s4", "s5"):
 # a degenerate draw (all-zero channels into one receiver) is flagged, not hidden
 from hexmg import RankDeficientError
 
-template = system_template(certification_plan(1, scheme="s4"), 1, scheme="s4")
-ch = sample_channels(template, seed=0)
-# ch.h holds one channel per link of template.layout; silence every link
-# into the cluster's first member
-ch.h[template.layout.rx == 0] = 0.0
+template = system_template(1, 1, scheme="s4")
+h = sample_channels(template, seed=0)
+# h holds one channel per link of template.layout; silence every link into
+# the cluster's first member
+h[template.layout.rx == 0] = 0.0
 try:
-    solve_precoder(build_zf_system(template, ch))
+    solve_precoder(build_zf_system(template, h))
     print("degenerate draw went unnoticed (unexpected)")
 except RankDeficientError as exc:
     print(f"degenerate draw correctly rejected: {exc}")

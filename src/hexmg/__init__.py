@@ -30,8 +30,8 @@ _EXPORTS = {
         "scheme_point", "sum_gain_cap",
     ),
     "precoding": (
-        "ChannelRealization", "NullingReport", "Precoder", "SystemTemplate", "TrialResult",
-        "ZFSystem", "build_zf_system", "certification_plan", "run_trial", "run_trials",
+        "NullingReport", "Precoder", "SystemTemplate", "TrialResult", "ZFSystem",
+        "build_zf_system", "certification_plan", "run_trial", "run_trials",
         "sample_channels", "solve_precoder", "system_template", "verify_nulling",
     ),
     "densities": ("BLUE", "PINK", "RED", "WHITE", "cap_rule", "fraction_limits"),

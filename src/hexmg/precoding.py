@@ -1,15 +1,17 @@
 """Numerical certification of the cluster-wide zero-forcing precoder.
 
-A design point is a scheme, a cluster parameter t and a stream count m.
-``system_template`` is its one validated form: it refuses an unknown
-scheme, a plan without the assignment mode the scheme needs, m < 1 and a
-cluster without a slow message, and lays out the origin cluster's links
-(``LinkLayout``), where each channel entry lands in the block matrix and
-the pinned target.  The trial functions read only the template:
+A design point is a cluster parameter t, a stream count m and a scheme.
+``system_template(t, m, scheme)`` is its one validated form: it refuses an
+unknown scheme, m < 1 and a cluster past ``MAX_ANTENNAS`` antennas before
+any lattice is built, then lays out the origin cluster of
+``certification_plan(t, scheme)`` (``LinkLayout``), where each channel
+entry lands in the block matrix and the pinned target.  Every cluster has
+the origin's layout, so the template stands for all of them.  A trial's
+objects carry only what its draw adds to the template:
 
 * ``sample_channels`` draws one standard-normal m x m channel per link, in
-  the layout's link order, from ``default_rng(seed)``, so a seed fixes the
-  realization;
+  the layout's link order, from ``default_rng(seed)``: a ``(links, m, m)``
+  array, fixed by the seed;
 * ``build_zf_system`` forces each message-carrying sector to see only its
   own stream.  For ``s3`` / ``s4`` every active sector is a nulling target,
   so the system is square.  ``s5`` nulls the slow streams only at the fast
@@ -18,17 +20,17 @@ the pinned target.  The trial functions read only the template:
   gains, or raises ``RankDeficientError`` for a singular or inconsistent
   system;
 * ``verify_nulling`` substitutes the drawn channels into the precoder and
-  judges what the scheme promises: full rank m for each message at its own
-  sector, and every promised cross block at most ``tol`` times the
-  strongest own gain.
+  judges what the precoder's scheme promises: full rank m for each message
+  at its own sector, and every promised cross block at most ``tol`` times
+  the strongest own gain.  Channels of another design point, or a matrix
+  of another shape, are refused.
 
-``run_trials`` builds one plan and one template per design point and runs
-one ``run_trial`` per seed.  Its results do not depend on how the stack of
-blocks is batched: the effective channels add each receiver's terms in
-link order, and every norm and rank equals numpy's ``norm(g, 2)`` and
-``matrix_rank(g)`` of that block, bit for bit.  A cluster past
-``MAX_ANTENNAS`` antennas, or more than ``MAX_TRIALS`` trials, is refused
-before any lattice is built.
+``run_trials`` builds one template per design point and runs one
+``run_trial`` per seed, after refusing more than ``MAX_TRIALS`` trials.
+Its results do not depend on how the stack of blocks is batched: the
+effective channels add each receiver's terms in link order, and every norm
+and rank equals numpy's ``norm(g, 2)`` and ``matrix_rank(g)`` of that
+block, bit for bit.
 """
 
 from __future__ import annotations
@@ -89,18 +91,11 @@ class LinkLayout:
 
 
 @dataclass(frozen=True, eq=False)
-class ChannelRealization:
-    m: int
-    #: (L, m, m): the channel of each link of the template's layout, in its order
-    h: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class SystemTemplate:
     """One validated design point and what every ZF system of it shares,
     whatever the draw: the origin cluster's layout, the flat index into
-    ``h_net`` of each entry of ``ch.h``, in its order, and the read-only
-    pinned target."""
+    ``h_net`` of each entry of the channels, in their order, and the
+    read-only pinned target."""
 
     scheme: str
     m: int
@@ -111,19 +106,15 @@ class SystemTemplate:
 
 @dataclass(frozen=True, eq=False)
 class ZFSystem:
-    scheme: str
-    m: int
-    layout: LinkLayout             # the template's: one message per slow position
+    template: SystemTemplate
     h_net: np.ndarray              # (m*n_active, m*n_active) block channel matrix
-    target: np.ndarray             # (m*n_active, m*n_messages) pinned effective channels
     n_unknowns: int
     n_constraints: int
 
 
 @dataclass(frozen=True, eq=False)
 class Precoder:
-    m: int
-    layout: LinkLayout
+    template: SystemTemplate
     matrix: np.ndarray             # (m*n_active, m*n_messages)
 
 
@@ -173,23 +164,21 @@ def _origin_layout(plan: ClusterPlan) -> LinkLayout:
     )
 
 
-def system_template(plan: ClusterPlan, m: int, scheme: str) -> SystemTemplate:
-    """The design point ``(scheme, plan.t, m)``, checked once: the scheme,
-    the plan's assignment mode, m and the cluster's slow messages."""
+def system_template(t: int, m: int, scheme: str) -> SystemTemplate:
+    """The design point ``(t, m, scheme)``.  The scheme, m and the
+    ``MAX_ANTENNAS`` cap are checked before any lattice is built."""
     if scheme not in SCHEME_MODES:
         raise ValueError(f"unknown precoding scheme {scheme!r}")
-    if plan.roles is None:
-        raise ValueError("plan has no assignment; call assign_messages first")
-    if plan.mode != SCHEME_MODES[scheme]:
-        raise ValueError(f"scheme {scheme} needs a {SCHEME_MODES[scheme]} assignment")
     if m < 1:
         raise ValueError("m must be positive")
-    lay = _origin_layout(plan)
-    if not len(lay.slow_pos):
-        raise ValueError("cluster carries no slow message")
+    antennas = m * (9 * t * t - 3 * t)
+    if t >= 1 and antennas > MAX_ANTENNAS:
+        raise ValueError(f"t={t}, m={m} gives a cluster of {antennas} antennas, "
+                         f"past the cap of {MAX_ANTENNAS}")
+    lay = _origin_layout(certification_plan(t, scheme))
     n, n_slow = len(lay.ids), len(lay.slow_pos)
     a = np.arange(m)
-    # entry (k, a, b) of ch.h lands at row rx[k]·m + a, column tx[k]·m + b
+    # entry (k, a, b) of the channels lands at row rx[k]·m + a, column tx[k]·m + b
     rows = (lay.rx[:, None] * m + a) * (m * n)
     scatter = (rows[:, :, None] + (lay.tx[:, None] * m + a)[:, None, :]).ravel()
     target = np.zeros((m * n, m * n_slow))
@@ -198,20 +187,20 @@ def system_template(plan: ClusterPlan, m: int, scheme: str) -> SystemTemplate:
     return SystemTemplate(scheme, m, lay, scatter, target)
 
 
-def sample_channels(template: SystemTemplate, seed: int) -> ChannelRealization:
-    """Deterministic standard-normal channel matrices for all links incident
-    to the origin cluster (self links plus in-cluster interference links)."""
+def sample_channels(template: SystemTemplate, seed: int) -> np.ndarray:
+    """Deterministic standard-normal channel matrices, ``(links, m, m)``, for
+    all links incident to the origin cluster (self links plus in-cluster
+    interference links), in the template's link order."""
     m = template.m
-    n_links = len(template.layout.rx)
-    return ChannelRealization(m, np.random.default_rng(seed).standard_normal((n_links, m, m)))
+    return np.random.default_rng(seed).standard_normal((len(template.layout.rx), m, m))
 
 
-def _check_realization(template: SystemTemplate, ch: ChannelRealization) -> None:
-    if ch.h.shape != (len(template.layout.rx), template.m, template.m):
+def _check_channels(template: SystemTemplate, h: np.ndarray) -> None:
+    if h.shape != (len(template.layout.rx), template.m, template.m):
         raise ValueError("channel realization of another design point")
 
 
-def build_zf_system(template: SystemTemplate, ch: ChannelRealization) -> ZFSystem:
+def build_zf_system(template: SystemTemplate, h: np.ndarray) -> ZFSystem:
     """Assemble the nulling constraints for the origin cluster.
 
     Unknowns are all precoder entries.  Per message the constraints read
@@ -219,26 +208,18 @@ def build_zf_system(template: SystemTemplate, ch: ChannelRealization) -> ZFSyste
     sectors k: all active sectors for s3/s4, fast sectors plus the message's
     own sector for s5.
     """
-    _check_realization(template, ch)
+    _check_channels(template, h)
     lay, m = template.layout, template.m
     n, n_slow = len(lay.ids), len(lay.slow_pos)
     h_net = np.zeros((m * n, m * n))
-    h_net.ravel()[template.scatter] = ch.h.ravel()  # ravel of a fresh array: a view
+    h_net.ravel()[template.scatter] = h.ravel()  # ravel of a fresh array: a view
 
     n_unknowns = m * m * n * n_slow
     if template.scheme == "s5":
         n_constraints = m * m * n_slow * (len(lay.fast_pos) + 1)
     else:
         n_constraints = m * m * n * n_slow
-    return ZFSystem(
-        scheme=template.scheme,
-        m=m,
-        layout=lay,
-        h_net=h_net,
-        target=template.target,
-        n_unknowns=n_unknowns,
-        n_constraints=n_constraints,
-    )
+    return ZFSystem(template, h_net, n_unknowns, n_constraints)
 
 
 def solve_precoder(system: ZFSystem) -> Precoder:
@@ -248,19 +229,20 @@ def solve_precoder(system: ZFSystem) -> Precoder:
     or the pinned gains are unreachable; for continuous channel laws this
     happens with probability zero.
     """
-    m = system.m
-    if system.scheme in ("s3", "s4"):
+    template = system.template
+    lay, m, target = template.layout, template.m, template.target
+    if template.scheme in ("s3", "s4"):
         try:
-            b = np.linalg.solve(system.h_net, system.target)
+            b = np.linalg.solve(system.h_net, target)
         except np.linalg.LinAlgError as exc:
             raise RankDeficientError(str(exc)) from None
-        r = (system.h_net @ b - system.target).ravel()
+        r = (system.h_net @ b - target).ravel()
         resid = math.sqrt(r @ r)
         # one 1 per column of the target: its norm is the root of their
         # number; a non-finite b leaves a non-finite residual, which fails
-        if not resid <= _CONSISTENCY_TOL * max(1.0, math.sqrt(system.target.shape[1])):
+        if not resid <= _CONSISTENCY_TOL * max(1.0, math.sqrt(target.shape[1])):
             raise RankDeficientError(f"inconsistent system, residual {resid:.3e}")
-        return Precoder(m=m, layout=system.layout, matrix=b)
+        return Precoder(template, b)
 
     # s5: every message is nulled at the same fast rows H_F, so factor them
     # once.  The reduced QR H_F^T = q r gives H_F's singular values (those of
@@ -270,7 +252,6 @@ def solve_precoder(system: ZFSystem) -> Precoder:
     # with W_j = U S V^T the minimum-norm solution of [H_F; G_j] B_j = [0; I]
     # is B_j = W_j (W_j^T W_j)^-1 = U S^-1 V^T, formed as its transpose
     # V S^-1 U^T, whose stack of m x n_ant rows is the precoder's transpose.
-    lay = system.layout
     n_ant = m * len(lay.ids)
     h = system.h_net.reshape(len(lay.ids), m, n_ant)
     h_fast = h[lay.fast_pos].reshape(-1, n_ant)
@@ -303,33 +284,29 @@ def solve_precoder(system: ZFSystem) -> Precoder:
         j = np.argmax(resid)  # the first NaN, if any
         raise RankDeficientError(f"inconsistent system for message at sector id "
                                  f"{lay.ids[lay.slow_pos[j]]}, residual {resid[j]:.3e}")
-    return Precoder(m=m, layout=lay, matrix=b)
+    return Precoder(template, b)
 
 
-def verify_nulling(
-    precoder: Precoder, template: SystemTemplate, ch: ChannelRealization, tol: float = NULLING_TOL
-) -> NullingReport:
-    """Check the template scheme's nulling promises on the substituted channels.
+def verify_nulling(precoder: Precoder, h: np.ndarray, tol: float = NULLING_TOL) -> NullingReport:
+    """Check the nulling promises of the precoder's scheme on the channels
+    ``h`` of its design point.
 
     Every message-carrying sector must see its own stream at full rank m;
     every effective channel the scheme promises to remove (all unintended
     streams at slow sectors for s3/s4, the whole slow aggregate at fast
     sectors for s4/s5) must be negligible relative to the strongest intended
-    gain.  The effective channels come from substituting the sampled
-    ``ch.h`` into the precoder directly, never from the solved system, and
-    are judged as one stack of m x m blocks.
+    gain.  The effective channels come from substituting ``h`` into the
+    precoder directly, never from the solved system, and are judged as one
+    stack of m x m blocks.
     """
-    _check_realization(template, ch)
+    template = precoder.template
+    _check_channels(template, h)
     lay, m = template.layout, template.m
     n, n_msg = len(lay.ids), len(lay.slow_pos)
-    # the messages are named by the sector ids of their slow positions
-    if precoder.matrix.shape != (m * n, m * n_msg) or not (
-        precoder.layout is lay
-        or np.array_equal(precoder.layout.ids[precoder.layout.slow_pos], lay.ids[lay.slow_pos])
-    ):
-        raise ValueError("precoder does not match the plan's origin cluster")
+    if precoder.matrix.shape != (m * n, m * n_msg):
+        raise ValueError("precoder matrix of another design point")
 
-    blocks = _effective_channels(lay, precoder.matrix.reshape(n, m, -1), ch.h)
+    blocks = _effective_channels(lay, precoder.matrix.reshape(n, m, -1), h)
     cross = lay.fast_cross if template.scheme == "s5" else lay.cross
     if m == 1:
         # a 1 x 1 block's singular value is its absolute value, as LAPACK
@@ -387,7 +364,7 @@ def _spectral_candidates(fro2: np.ndarray, m: int) -> np.ndarray:
     return ~(fro2 < fro2.max(initial=0.0) / m * (1 - 2e-12))
 
 
-def certification_plan(t: int, scheme: str = "s4") -> ClusterPlan:
+def certification_plan(t: int, scheme: str) -> ClusterPlan:
     """Smallest lattice holding one interior cluster, with the assignment
     mode the scheme expects."""
     if scheme not in SCHEME_MODES:
@@ -398,13 +375,13 @@ def certification_plan(t: int, scheme: str = "s4") -> ClusterPlan:
 
 def run_trial(template: SystemTemplate, seed: int, tol: float = NULLING_TOL) -> TrialResult:
     """One seeded end-to-end certification: sample, solve, substitute, check."""
-    ch = sample_channels(template, seed)
-    system = build_zf_system(template, ch)
+    h = sample_channels(template, seed)
+    system = build_zf_system(template, h)
     try:
         precoder = solve_precoder(system)
     except RankDeficientError:
         return TrialResult(seed, False, float("inf"), 0)
-    report = verify_nulling(precoder, template, ch, tol)
+    report = verify_nulling(precoder, h, tol)
     return TrialResult(
         seed, report.solvable, report.max_cross_residual, report.min_self_rank
     )
@@ -420,11 +397,8 @@ def run_trials(
     t: int, m: int, trials: int, seed: int = 0, scheme: str = "s4", tol: float = NULLING_TOL
 ) -> List[TrialResult]:
     """Independent seeded certification trials for one (t, m) design point,
-    all on one ``system_template``.  A system past ``MAX_ANTENNAS``, or more
-    than ``MAX_TRIALS`` trials, is refused before any lattice is built."""
+    all on one ``system_template``.  Too many trials, or a design point the
+    template refuses, are refused before any lattice is built."""
     check_trial_count(trials)
-    if t >= 1 and m >= 1 and m * (9 * t * t - 3 * t) > MAX_ANTENNAS:
-        raise ValueError(f"t={t}, m={m} gives a cluster of {m * (9 * t * t - 3 * t)} antennas, "
-                         f"past the cap of {MAX_ANTENNAS}")
-    template = system_template(certification_plan(t, scheme), m, scheme)
+    template = system_template(t, m, scheme)
     return [run_trial(template, seed + i, tol) for i in range(trials)]

@@ -126,6 +126,17 @@ def test_region_samples_past_the_cap_is_a_usage_error(capsys, monkeypatch):
     assert stdout.count("\n") == 1 + 2 * MAX_SAMPLES  # the header, then each bound's samples
 
 
+def test_region_sweep_past_the_cap_is_a_usage_error(capsys, monkeypatch):
+    """A ``--t-sweep`` past ``regions.MAX_SWEEP_POINTS`` scheme points exits
+    2 with the cap named and nothing on stdout, before any gain is
+    computed."""
+    monkeypatch.setattr(regions, "_gains", lambda *a: pytest.fail("a gain was computed"))
+    code, stdout, err = run(capsys, "region", "--m", "1", "--d", "200000", "--t-sweep")
+    assert (code, stdout) == (2, "")
+    assert err == ("hexmg: a sweep at d=200000 visits 199998 scheme points, past the cap of "
+                   f"{regions.MAX_SWEEP_POINTS}\n")
+
+
 #: 10^400: gains of this size are past the float range (about 1.8e308)
 HUGE = 10 ** 400
 
@@ -474,10 +485,9 @@ REEXPORTS = {
                 "Region", "SystemParams", "boundary_samples", "contains", "convex_hull",
                 "inner_bound", "is_subset", "max_sum_mg", "outer_bound", "required_prelogs",
                 "scheme_point", "sum_gain_cap"],
-    "precoding": ["ChannelRealization", "NullingReport", "Precoder", "SystemTemplate",
-                  "TrialResult", "ZFSystem", "build_zf_system", "certification_plan",
-                  "run_trial", "run_trials", "sample_channels", "solve_precoder",
-                  "system_template", "verify_nulling"],
+    "precoding": ["NullingReport", "Precoder", "SystemTemplate", "TrialResult", "ZFSystem",
+                  "build_zf_system", "certification_plan", "run_trial", "run_trials",
+                  "sample_channels", "solve_precoder", "system_template", "verify_nulling"],
     "densities": ["BLUE", "PINK", "RED", "WHITE", "cap_rule", "fraction_limits"],
     "partitions": ["Partition", "bound_arithmetic", "census_fractions", "partition_four",
                    "partition_two"],

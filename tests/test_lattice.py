@@ -314,10 +314,18 @@ def test_rx_neighbors_are_cell_adjacency():
             assert len(near[c]) == 6
 
 
-def test_library_builds_no_sector_tuples():
+def test_library_builds_no_sector_tuples(monkeypatch):
     """Ids and arrays are the library's only lattice representation: a whole
-    pipeline over one lattice never builds its ``sectors`` tuple, which is
-    left for callers outside the library."""
+    pipeline over one lattice, and a ZF trial over the lattice its design
+    point builds, never build a ``sectors`` tuple, which is left for callers
+    outside the library."""
+    built = []
+
+    def recording(radius):
+        built.append(build_network(radius))
+        return built[-1]
+
+    monkeypatch.setattr(precoding, "build_network", recording)
     net = build_network(6)
     for t in (1, 2):
         plan = clustering.assign_messages(clustering.clusters(net, t), clustering.MODE_MIXED)
@@ -329,8 +337,9 @@ def test_library_builds_no_sector_tuples():
     assert len(tx_neighbors(net, (1, 0, 2))) == 4
     for part in (partitions.partition_two(net), partitions.partition_four(net, 2)):
         partitions.census_fractions(net, part)
-    assert precoding.run_trial(precoding.system_template(plan, 2, "s4"), seed=5).solvable
-    assert "sectors" not in vars(net)
+    assert precoding.run_trial(precoding.system_template(2, 2, "s4"), seed=5).solvable
+    assert len(built) == 1
+    assert all("sectors" not in vars(n) for n in (net, *built))
     assert len(net.sectors) == 3 * len(hex_ball(6))  # built on first use
     assert "sectors" in vars(net)
 

@@ -14,8 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import hexmg
 from hexmg import precoding
-from hexmg.clustering import FAST, ROLES, SLOW, clusters
-from hexmg.lattice import build_network
+from hexmg.clustering import FAST, ROLES, SLOW
 from hexmg.precoding import (
     NullingReport,
     Precoder,
@@ -45,12 +44,12 @@ def role_of(plan, i):
     return ROLES[plan.roles[i]]
 
 
-def entries_of(template, ch):
+def entries_of(template, h):
     """``(receiving sector id, transmitting sector id) -> m x m channel`` in
     link order: the channel realization as a dict, the form the oracles read."""
     lay = template.layout
     ids = lay.ids.tolist()
-    return {(ids[i], ids[j]): h for i, j, h in zip(lay.rx.tolist(), lay.tx.tolist(), ch.h)}
+    return {(ids[i], ids[j]): g for i, j, g in zip(lay.rx.tolist(), lay.tx.tolist(), h)}
 
 
 def sample_channels_oracle(plan, m, seed):
@@ -86,8 +85,8 @@ def build_zf_system_oracle(plan, entries, m):
 def effective_channels_oracle(precoder, entries):
     """Reference substitution: one matrix product per (receiver, link) pair,
     summed in the entries' insertion order."""
-    m = precoder.m
-    lay = precoder.layout
+    m = precoder.template.m
+    lay = precoder.template.layout
     active, messages = lay.ids.tolist(), lay.ids[lay.slow_pos].tolist()
     idx = {s: i for i, s in enumerate(active)}
     out = {}
@@ -104,7 +103,7 @@ def effective_channels_oracle(precoder, entries):
 
 def verify_nulling_oracle(precoder, plan, entries, tol=1e-9, scheme="s4"):
     """Reference check: one ``norm`` and one ``matrix_rank`` per block."""
-    m = precoder.m
+    m = precoder.template.m
     self_norms, ranks, cross = [], [], []
     for (k, msg), g in effective_channels_oracle(precoder, entries).items():
         if k == msg:
@@ -126,14 +125,14 @@ def verify_nulling_oracle(precoder, plan, entries, tol=1e-9, scheme="s4"):
 def solve_s5_oracle(system):
     """Reference s5 solve: one minimum-norm ``lstsq`` per slow message over
     the fast rows and the message's own rows."""
-    m = system.m
-    lay = system.layout
+    m = system.template.m
+    lay = system.template.layout
     fast_rows = [r for i in lay.fast_pos.tolist() for r in range(m * i, m * i + m)]
     b = np.zeros((m * len(lay.ids), m * len(lay.slow_pos)))
     for j, i in enumerate(lay.slow_pos.tolist()):
         rows = fast_rows + list(range(m * i, m * i + m))
         sol, _, rank, _ = np.linalg.lstsq(
-            system.h_net[rows, :], system.target[rows, m * j : m * j + m], rcond=None
+            system.h_net[rows, :], system.template.target[rows, m * j : m * j + m], rcond=None
         )
         assert rank == len(rows)
         b[:, m * j : m * j + m] = sol
@@ -148,18 +147,14 @@ def max_spectral_norm(blocks):
 
 
 #: Plans and templates are read, never changed, by the tests below; build
-#: each one once.
+#: each one once.  A template lays out the origin cluster of its own plan,
+#: which ``shared_plan(t, scheme)`` rebuilds for the oracles.
 shared_plan = cache(certification_plan)
-
-
-@cache
-def shared_template(t, scheme, m):
-    """The design point ``(scheme, t, m)`` on ``shared_plan(t, scheme)``."""
-    return system_template(shared_plan(t, scheme), m, scheme)
+shared_template = cache(system_template)
 
 
 def test_same_seed_same_realization():
-    template = shared_template(1, "s4", 2)
+    template = shared_template(1, 2, "s4")
     a = entries_of(template, sample_channels(template, seed=11))
     b = entries_of(template, sample_channels(template, seed=11))
     assert a.keys() == b.keys()
@@ -170,18 +165,18 @@ def test_same_seed_same_realization():
 
 
 def test_scalar_channels_all_nonzero():
-    template = shared_template(1, "s4", 1)
-    ch = sample_channels(template, seed=3)
-    for h in entries_of(template, ch).values():
-        assert h.shape == (1, 1)
-        assert h[0, 0] != 0.0
+    template = shared_template(1, 1, "s4")
+    h = sample_channels(template, seed=3)
+    for g in entries_of(template, h).values():
+        assert g.shape == (1, 1)
+        assert g[0, 0] != 0.0
 
 
 def test_link_set_matches_interference_graph_restriction():
     plan = shared_plan(1, "s4")
     cl = origin_cluster(plan)
-    template = shared_template(1, "s4", 1)
-    ch = sample_channels(template, seed=0)
+    template = shared_template(1, 1, "s4")
+    h = sample_channels(template, seed=0)
     id_of = plan.net.id_of
     expected = set()
     for k in cl.sectors:
@@ -189,44 +184,47 @@ def test_link_set_matches_interference_graph_restriction():
         for l in plan.net.tx_neighbors[k]:
             if l in cl.sectors:
                 expected.add((id_of(k), id_of(l)))
-    assert set(entries_of(template, ch)) == expected
+    assert set(entries_of(template, h)) == expected
 
 
 def test_system_square_for_s3_and_s4_row_delta():
-    template3 = shared_template(1, "s3", 1)
+    template3 = shared_template(1, 1, "s3")
     sys3 = build_zf_system(template3, sample_channels(template3, seed=0))
     assert sys3.n_unknowns >= sys3.n_constraints
     assert sys3.n_unknowns == sys3.n_constraints  # square by construction
 
-    template4 = shared_template(1, "s4", 1)
+    template4 = shared_template(1, 1, "s4")
     sys4 = build_zf_system(template4, sample_channels(template4, seed=0))
-    n_slow = len(sys4.layout.slow_pos)
-    n_fast = len(sys4.layout.fast_pos)
+    n_slow = len(sys4.template.layout.slow_pos)
+    n_fast = len(sys4.template.layout.fast_pos)
     # versus constraining only the slow sectors, s4 adds one nulling row
     # block per (fast sector, slow stream block) pair
     slow_only_rows = 1 * 1 * n_slow * n_slow
     assert sys4.n_constraints - slow_only_rows == 1 * 1 * n_fast * n_slow
 
 
-def test_system_requires_matching_assignment():
+def test_system_requires_matching_assignment(monkeypatch):
     """``system_template`` is the one place a design point is checked: it
-    refuses an unknown scheme, a plan without an assignment or with that of
-    another scheme, m < 1 and a cluster without a slow message, each with
-    its own text."""
-    plan = shared_plan(1, "s4")
-    no_slow = replace(plan, roles=np.where(
-        plan.roles == ROLES.index(SLOW), ROLES.index(FAST), plan.roles))
+    refuses an unknown scheme, then m < 1, then a cluster past
+    ``MAX_ANTENNAS`` antennas, each with its own text, before it builds a
+    plan, which is stubbed here."""
+    def no_plan(*args, **kwargs):
+        raise PlanBuilt
+
+    monkeypatch.setattr(precoding, "certification_plan", no_plan)
+    cap = f"t=21, m=1 gives a cluster of 3906 antennas, past the cap of {precoding.MAX_ANTENNAS}"
     cases = [
-        (plan, 1, "s7", "unknown precoding scheme 's7'"),
-        (clusters(build_network(4), 1), 1, "s4",
-         "plan has no assignment; call assign_messages first"),
-        (plan, 1, "s3", "scheme s3 needs a SLOW_ONLY assignment"),
-        (plan, 0, "s4", "m must be positive"),
-        (no_slow, 1, "s4", "cluster carries no slow message"),
+        (1, 1, "s7", "unknown precoding scheme 's7'"),
+        (21, 0, "s7", "unknown precoding scheme 's7'"),
+        (1, 0, "s4", "m must be positive"),
+        (21, 0, "s4", "m must be positive"),
+        (21, 1, "s4", cap),
     ]
-    for bad_plan, m, scheme, text in cases:
+    for t, m, scheme, text in cases:
         with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
-            system_template(bad_plan, m, scheme)
+            system_template(t, m, scheme)
+    with pytest.raises(PlanBuilt):
+        system_template(1, 1, "s4")
 
 
 @pytest.mark.parametrize("t,m", [(1, 1), (1, 2), (2, 1), (2, 2)])
@@ -244,10 +242,10 @@ def test_s3_and_s5_trials_solvable():
 
 
 def test_fast_sectors_hear_no_slow_aggregate_s4():
-    plan, template = shared_plan(2, "s4"), shared_template(2, "s4", 2)
-    ch = sample_channels(template, seed=9)
-    precoder = solve_precoder(build_zf_system(template, ch))
-    geff = effective_channels_oracle(precoder, entries_of(template, ch))
+    plan, template = shared_plan(2, "s4"), shared_template(2, 2, "s4")
+    h = sample_channels(template, seed=9)
+    precoder = solve_precoder(build_zf_system(template, h))
+    geff = effective_channels_oracle(precoder, entries_of(template, h))
     worst = max(
         float(np.abs(g).max()) for (k, _), g in geff.items() if role_of(plan, k) == FAST
     )
@@ -259,26 +257,27 @@ def test_fast_sectors_hear_no_slow_aggregate_s4():
 )
 def test_verify_refuses_scheme_of_another_assignment(plan_scheme, scheme):
     """A slow-only plan has no fast sector, so checked as s5 nothing would
-    count as cross talk and even a random precoder would pass.  The check
-    reads its scheme off the design point, and ``system_template`` refuses a
-    scheme that does not fit the plan's assignment mode; on the plan's own
-    design point a random precoder fails."""
+    count as cross talk and even a random precoder would pass.  A precoder
+    carries its design point and the check reads the scheme off it: the
+    channels drawn for ``scheme`` at the same t and m are the same draw,
+    and on them a random precoder of ``plan_scheme`` fails.  A matrix
+    shaped for the other scheme's messages is refused."""
     m = 2
-    mode = "MIXED" if scheme != "s3" else "SLOW_ONLY"
-    with pytest.raises(ValueError, match=f"^scheme {scheme} needs a {mode} assignment$"):
-        system_template(shared_plan(2, plan_scheme), m, scheme)
-    template = shared_template(2, plan_scheme, m)
+    template, other = shared_template(2, m, plan_scheme), shared_template(2, m, scheme)
     lay = template.layout
     matrix = np.random.default_rng(1).standard_normal((m * len(lay.ids), m * len(lay.slow_pos)))
-    ch = sample_channels(template, seed=0)
-    assert not verify_nulling(Precoder(m, lay, matrix), template, ch).solvable
+    h = sample_channels(other, seed=0)
+    assert np.array_equal(h, sample_channels(template, seed=0))
+    assert not verify_nulling(Precoder(template, matrix), h).solvable
+    with pytest.raises(ValueError, match="^precoder matrix of another design point$"):
+        verify_nulling(Precoder(template, np.zeros_like(other.target)), h)
 
 
 def test_zero_precoder_not_solvable():
-    template = shared_template(1, "s4", 1)
-    ch = sample_channels(template, seed=1)
-    zero = Precoder(m=1, layout=template.layout, matrix=np.zeros_like(template.target))
-    report = verify_nulling(zero, template, ch)
+    template = shared_template(1, 1, "s4")
+    h = sample_channels(template, seed=1)
+    zero = Precoder(template, np.zeros_like(template.target))
+    report = verify_nulling(zero, h)
     assert not report.solvable
     assert report.min_self_rank == 0
 
@@ -289,18 +288,18 @@ def test_self_rank_tolerance_matches_matrix_rank(scale):
     times the largest: only the self links carry a channel, the identity,
     so each self gain is its precoder block exactly."""
     m = 3
-    plan, template = shared_plan(1, "s4"), shared_template(1, "s4", m)
+    plan, template = shared_plan(1, "s4"), shared_template(1, m, "s4")
     lay = template.layout
-    ch = sample_channels(template, seed=0)
-    ch.h[:] = 0.0
-    ch.h[lay.rx == lay.tx] = np.eye(m)
+    h = sample_channels(template, seed=0)
+    h[:] = 0.0
+    h[lay.rx == lay.tx] = np.eye(m)
     n, n_msg = len(lay.ids), len(lay.slow_pos)
     matrix = np.zeros((n, m, n_msg, m))
     matrix[lay.slow_pos, :, np.arange(n_msg), :] = np.eye(m)
     matrix[lay.slow_pos[0], :, 0, :] = np.diag([1.0, 1.0, scale * np.finfo(float).eps])
-    precoder = Precoder(m, lay, matrix.reshape(m * n, m * n_msg))
-    report = verify_nulling(precoder, template, ch)
-    assert report == verify_nulling_oracle(precoder, plan, entries_of(template, ch))
+    precoder = Precoder(template, matrix.reshape(m * n, m * n_msg))
+    report = verify_nulling(precoder, h)
+    assert report == verify_nulling_oracle(precoder, plan, entries_of(template, h))
     assert report.min_self_rank == (2 if scale < m else 3)
 
 
@@ -313,13 +312,13 @@ def test_degenerate_channels_flagged(scheme, role, match):
     """Zeroing every channel into one receiver costs the constraint matrix a
     row block.  For s5 a dead fast sector breaks the shared fast block and a
     dead slow sector breaks its own message's block."""
-    plan, template = shared_plan(1, scheme), shared_template(1, scheme, 1)
-    ch = sample_channels(template, seed=2)
+    plan, template = shared_plan(1, scheme), shared_template(1, 1, scheme)
+    h = sample_channels(template, seed=2)
     members = origin_cluster(plan).sectors.ids.tolist()
     dead = next(s for s in members if role is None or role_of(plan, s) == role)
-    links = list(entries_of(template, ch))
-    ch.h[[k for k, (rx, _) in enumerate(links) if rx == dead]] = 0.0
-    system = build_zf_system(template, ch)
+    links = list(entries_of(template, h))
+    h[[k for k, (rx, _) in enumerate(links) if rx == dead]] = 0.0
+    system = build_zf_system(template, h)
     with pytest.raises(RankDeficientError, match=match) as err:
         solve_precoder(system)
     if role == SLOW:  # the message is named by its sector id
@@ -335,9 +334,9 @@ def _near_cut_off_s5(t, m, seed, block, scale):
     the own case sets the smallest singular value of ``h_own_j @ N``, with N
     the null-space basis of a full SVD of the fast rows."""
     eps = np.finfo(float).eps
-    template = shared_template(t, "s5", m)
+    template = shared_template(t, m, "s5")
     system = build_zf_system(template, sample_channels(template, seed))
-    lay = system.layout
+    lay = system.template.layout
     n_ant = m * len(lay.ids)
     h = system.h_net.reshape(len(lay.ids), m, n_ant).copy()
     k = m * len(lay.fast_pos)
@@ -394,52 +393,35 @@ def test_s5_non_finite_channel_flagged(role):
     solve fail to converge; that is reported as a rank deficiency, as the s4
     solve reports it, and ``run_trial``, which catches that error, records
     an unsolvable trial instead of raising."""
-    template = shared_template(1, "s5", 2)
+    template = shared_template(1, 2, "s5")
     lay = template.layout
-    ch = sample_channels(template, seed=0)
+    h = sample_channels(template, seed=0)
     pos = lay.fast_pos[0] if role == FAST else lay.slow_pos[0]
-    ch.h[np.flatnonzero(lay.rx == pos)[0], 0, 0] = np.nan
+    h[np.flatnonzero(lay.rx == pos)[0], 0, 0] = np.nan
     with pytest.raises(RankDeficientError):
-        solve_precoder(build_zf_system(template, ch))
+        solve_precoder(build_zf_system(template, h))
 
 
 def test_precoder_for_another_cluster_rejected():
-    """A precoder of another cluster is refused, by its shape or, at equal
-    shape, by the sector ids of its messages."""
-    template, other = shared_template(1, "s4", 1), shared_template(2, "s4", 1)
-    ch = sample_channels(template, seed=0)
-    foreign = solve_precoder(build_zf_system(other, sample_channels(other, seed=0)))
-    own = solve_precoder(build_zf_system(template, ch))
-    shifted = replace(own, layout=replace(own.layout, ids=own.layout.ids + 1))
-    for precoder in (foreign, shifted):
-        with pytest.raises(ValueError, match="does not match the plan's origin cluster"):
-            verify_nulling(precoder, template, ch)
-    assert verify_nulling(own, template, ch).solvable
-
-
-@pytest.mark.parametrize("scheme", ["s3", "s4", "s5"])
-def test_verify_takes_both_layout_paths(scheme):
-    """A precoder carries its template's own ``layout`` object, which the
-    check accepts at once; an equal layout of another object is compared by
-    its message ids and gives the same report, the oracle's.  A precoder of
-    another cluster is refused either way."""
-    template = shared_template(2, scheme, 2)
-    ch = sample_channels(template, seed=5)
-    precoder = solve_precoder(build_zf_system(template, ch))
-    assert precoder.layout is template.layout
-    copy = replace(precoder, layout=replace(precoder.layout))
-    assert copy.layout is not template.layout
-    want = verify_nulling_oracle(
-        precoder, shared_plan(2, scheme), entries_of(template, ch), scheme=scheme)
-    assert verify_nulling(precoder, template, ch) == want
-    assert verify_nulling(copy, template, ch) == want
-
-    other = shared_template(1, scheme, 2)
-    foreign = solve_precoder(build_zf_system(other, sample_channels(other, seed=5)))
-    shifted = replace(precoder, layout=replace(precoder.layout, ids=precoder.layout.ids + 1))
-    for bad in (foreign, shifted):
-        with pytest.raises(ValueError, match="does not match the plan's origin cluster"):
-            verify_nulling(bad, template, ch)
+    """For every scheme, a precoder checked on channels drawn for another
+    design point (another t or m) is refused by their shape, and so is a
+    matrix of another design point's shape; on its own channels the check
+    gives the oracle's report."""
+    for scheme in ("s3", "s4", "s5"):
+        template = shared_template(2, 2, scheme)
+        h = sample_channels(template, seed=5)
+        precoder = solve_precoder(build_zf_system(template, h))
+        assert precoder.template is template
+        want = verify_nulling_oracle(
+            precoder, shared_plan(2, scheme), entries_of(template, h), scheme=scheme)
+        assert verify_nulling(precoder, h) == want and want.solvable
+        for other in (shared_template(1, 2, scheme), shared_template(2, 1, scheme)):
+            h_other = sample_channels(other, seed=5)
+            with pytest.raises(ValueError, match="^channel realization of another design point$"):
+                verify_nulling(precoder, h_other)
+            foreign = solve_precoder(build_zf_system(other, h_other))
+            with pytest.raises(ValueError, match="^precoder matrix of another design point$"):
+                verify_nulling(replace(precoder, matrix=foreign.matrix), h)
 
 
 #: sha256 of the ``repr`` of each ``TrialResult``, one per line: the four
@@ -501,9 +483,9 @@ class PlanBuilt(Exception):
 @pytest.mark.parametrize("t,m", [(21, 1), (15, 2), (12, 3), (40, 1), (10**9, 10**9)])
 def test_oversized_system_is_refused_before_any_plan(monkeypatch, t, m):
     """Past ``MAX_ANTENNAS`` antennas, m(9t² − 3t), ``run_trials`` refuses
-    the system with the cap named and builds nothing; at the largest
-    accepted sizes it goes on to build the plan, which is stubbed here so
-    nothing is allocated."""
+    the system with the cap named (its ``system_template`` does) and builds
+    nothing; at the largest accepted sizes it goes on to build the plan,
+    which is stubbed here so nothing is allocated."""
     def no_plan(*args, **kwargs):
         raise PlanBuilt
 
@@ -517,35 +499,34 @@ def test_oversized_system_is_refused_before_any_plan(monkeypatch, t, m):
 
 
 def test_system_template_of_another_plan_or_m_is_refused():
-    """A realization drawn for the design point of another plan or m is
-    refused, by the shape of its channels, by the system and by the check;
-    one of the template's own design point gives the oracle's system on the
-    template's read-only target."""
-    template = shared_template(1, "s4", 2)
-    ch = sample_channels(template, seed=0)
-    got = build_zf_system(template, ch)
-    h_net, target = build_zf_system_oracle(shared_plan(1, "s4"), entries_of(template, ch), 2)
-    assert np.array_equal(got.h_net, h_net) and np.array_equal(got.target, target)
-    assert got.target is template.target
+    """Channels drawn for the design point of another t or m are refused, by
+    their shape, by the system and by the check; those of the template's own
+    design point give the oracle's system on the template's read-only
+    target."""
+    template = shared_template(1, 2, "s4")
+    h = sample_channels(template, seed=0)
+    got = build_zf_system(template, h)
+    h_net, target = build_zf_system_oracle(shared_plan(1, "s4"), entries_of(template, h), 2)
+    assert np.array_equal(got.h_net, h_net) and np.array_equal(template.target, target)
+    assert got.template is template
     precoder = solve_precoder(got)
-    for other in (shared_template(2, "s4", 2), shared_template(1, "s4", 1)):
+    for other in (shared_template(2, 2, "s4"), shared_template(1, 1, "s4")):
         foreign = sample_channels(other, seed=0)
         with pytest.raises(ValueError, match="^channel realization of another design point$"):
             build_zf_system(template, foreign)
         with pytest.raises(ValueError, match="^channel realization of another design point$"):
-            verify_nulling(precoder, template, foreign)
+            verify_nulling(precoder, foreign)
     with pytest.raises(ValueError, match="read-only"):
-        got.target[0, 0] = 2.0
+        template.target[0, 0] = 2.0
 
 
-def effective_channels_by_depth(precoder, template, ch):
+def effective_channels_by_depth(precoder, h):
     """The effective-channel sum as a per-depth loop from zero: at each
     depth, every receiver's link of that depth (a zero channel past its
     last) times its transmitter's precoder rows, added in depth order."""
-    lay = template.layout
-    m = precoder.m
+    lay, m = precoder.template.layout, precoder.template.m
     rows = precoder.matrix.reshape(len(lay.ids), m, -1)
-    h = np.concatenate([ch.h, np.zeros((1, m, m))])
+    h = np.concatenate([h, np.zeros((1, m, m))])
     total = np.zeros_like(rows)
     for links, tx in zip(lay.links_by_depth, lay.tx_by_depth):
         total += h[links] @ rows[tx]
@@ -557,15 +538,15 @@ def effective_channels_by_depth(precoder, template, ch):
 def test_effective_channels_match_the_depth_loop(scheme, t, m):
     """The check's effective channels equal the per-depth loop's bit for
     bit, and their substitution one link at a time up to rounding."""
-    template = shared_template(t, scheme, m)
+    template = shared_template(t, m, scheme)
     lay = template.layout
     for seed in range(2):
-        ch = sample_channels(template, seed)
-        precoder = solve_precoder(build_zf_system(template, ch))
+        h = sample_channels(template, seed)
+        precoder = solve_precoder(build_zf_system(template, h))
         rows = precoder.matrix.reshape(len(lay.ids), m, -1)
-        got = precoding._effective_channels(lay, rows, ch.h)
-        assert np.array_equal(got, effective_channels_by_depth(precoder, template, ch))
-        blocks = effective_channels_oracle(precoder, entries_of(template, ch))
+        got = precoding._effective_channels(lay, rows, h)
+        assert np.array_equal(got, effective_channels_by_depth(precoder, h))
+        blocks = effective_channels_oracle(precoder, entries_of(template, h))
         n_msg = len(lay.slow_pos)
         want = np.stack([blocks[k, msg] for k in lay.ids.tolist()
                          for msg in lay.ids[lay.slow_pos].tolist()])
@@ -574,7 +555,7 @@ def test_effective_channels_match_the_depth_loop(scheme, t, m):
 
 
 def test_trial_determinism():
-    template = shared_template(1, "s4", 2)
+    template = shared_template(1, 2, "s4")
     a = run_trial(template, seed=77)
     b = run_trial(template, seed=77)
     assert a == b
@@ -587,11 +568,11 @@ def test_trial_determinism():
 def test_batched_verify_matches_per_pair_oracle(scheme, t, m, seed):
     """The stacked substitution, norms and ranks reproduce the per-pair loop
     exactly: every field of the report is equal, not merely close."""
-    plan, template = shared_plan(t, scheme), shared_template(t, scheme, m)
-    ch = sample_channels(template, seed)
-    precoder = solve_precoder(build_zf_system(template, ch))
-    got = verify_nulling(precoder, template, ch)
-    assert got == verify_nulling_oracle(precoder, plan, entries_of(template, ch), scheme=scheme)
+    plan, template = shared_plan(t, scheme), shared_template(t, m, scheme)
+    h = sample_channels(template, seed)
+    precoder = solve_precoder(build_zf_system(template, h))
+    got = verify_nulling(precoder, h)
+    assert got == verify_nulling_oracle(precoder, plan, entries_of(template, h), scheme=scheme)
     assert got.solvable
 
 
@@ -603,20 +584,20 @@ def test_array_channels_match_dict_oracles(scheme, t, m, seed):
     """The single draw, the scattered system and the slot-wise check
     reproduce the dict-based chain exactly: the same channel per link in the
     same order, equal ``h_net`` and ``target``, equal report and trial."""
-    plan, template = shared_plan(t, scheme), shared_template(t, scheme, m)
-    ch = sample_channels(template, seed)
+    plan, template = shared_plan(t, scheme), shared_template(t, m, scheme)
+    h = sample_channels(template, seed)
     entries = sample_channels_oracle(plan, m, seed)
-    assert list(entries_of(template, ch)) == list(entries)
-    assert np.array_equal(ch.h, np.stack(list(entries.values())))
+    assert list(entries_of(template, h)) == list(entries)
+    assert np.array_equal(h, np.stack(list(entries.values())))
 
-    system = build_zf_system(template, ch)
+    system = build_zf_system(template, h)
     h_net, target = build_zf_system_oracle(plan, entries, m)
     assert np.array_equal(system.h_net, h_net)
-    assert np.array_equal(system.target, target)
+    assert np.array_equal(system.template.target, target)
 
-    precoder = solve_precoder(replace(system, h_net=h_net, target=target))
+    precoder = solve_precoder(replace(system, h_net=h_net))
     report = verify_nulling_oracle(precoder, plan, entries, scheme=scheme)
-    assert verify_nulling(solve_precoder(system), template, ch) == report
+    assert verify_nulling(solve_precoder(system), h) == report
     assert run_trial(template, seed) == TrialResult(
         seed, report.solvable, report.max_cross_residual, report.min_self_rank
     )
@@ -627,11 +608,11 @@ def test_array_channels_match_dict_oracles(scheme, t, m, seed):
 def test_cross_norm_filter_matches_unfiltered_stack(scheme, t, m):
     """Decomposing only the blocks that can hold the largest spectral norm
     gives the maximum over the whole stack, bit for bit."""
-    plan, template = shared_plan(t, scheme), shared_template(t, scheme, m)
+    plan, template = shared_plan(t, scheme), shared_template(t, m, scheme)
     for seed in range(4):
-        ch = sample_channels(template, seed)
-        precoder = solve_precoder(build_zf_system(template, ch))
-        blocks = effective_channels_oracle(precoder, entries_of(template, ch))
+        h = sample_channels(template, seed)
+        precoder = solve_precoder(build_zf_system(template, h))
+        blocks = effective_channels_oracle(precoder, entries_of(template, h))
         heard = {FAST, SLOW} if scheme != "s5" else {FAST}
         cross = np.stack([g for (k, msg), g in blocks.items()
                           if k != msg and role_of(plan, k) in heard])
@@ -662,12 +643,12 @@ def test_cross_norm_filter_near_the_threshold(seed, m, n):
 def assert_s5_solve_matches_lstsq_oracle(system):
     """The factored s5 precoder is the per-message minimum-norm ``lstsq``
     solution, nulls every fast row and pins every own gain to I."""
-    m = system.m
+    m = system.template.m
     b = solve_precoder(system).matrix
     ref = solve_s5_oracle(system)
     assert np.linalg.norm(b - ref) <= 1e-9 * np.linalg.norm(ref)
 
-    lay = system.layout
+    lay = system.template.layout
     h = system.h_net.reshape(len(lay.ids), m, -1)
     h_fast = h[lay.fast_pos].reshape(-1, h.shape[-1])
     assert np.abs(h_fast @ b).max() <= 1e-9
@@ -682,16 +663,17 @@ def assert_s5_solve_matches_lstsq_oracle(system):
 @settings(max_examples=6, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_factored_s5_solve_matches_lstsq_oracle(t, m, seed):
-    template = shared_template(t, "s5", m)
+    template = shared_template(t, m, "s5")
     assert_s5_solve_matches_lstsq_oracle(build_zf_system(template, sample_channels(template, seed)))
 
 
 def test_factored_s5_solve_matches_lstsq_oracle_at_benchmark_size():
     """The solve-bound s5 point of the ``zf_scale`` benchmark, t=4 and m=3:
     84 messages against 144 fast rows over 396 antennas."""
-    template = shared_template(4, "s5", 3)
+    template = shared_template(4, 3, "s5")
     system = build_zf_system(template, sample_channels(template, 20))
-    assert (len(system.layout.slow_pos), 3 * len(system.layout.fast_pos)) == (84, 144)
+    lay = template.layout
+    assert (len(lay.slow_pos), 3 * len(lay.fast_pos)) == (84, 144)
     assert_s5_solve_matches_lstsq_oracle(system)
 
 
@@ -705,9 +687,10 @@ def test_s5_solvable_at_t8():
 def test_factored_s5_solve_without_fast_sectors():
     """With no fast rows the null space is the whole space and each message
     only pins its own gain."""
-    template = shared_template(1, "s5", 2)
+    template = shared_template(1, 2, "s5")
     system = build_zf_system(template, sample_channels(template, 4))
-    system = replace(system, layout=replace(system.layout, fast_pos=system.layout.fast_pos[:0]))
+    no_fast = replace(template.layout, fast_pos=template.layout.fast_pos[:0])
+    system = replace(system, template=replace(template, layout=no_fast))
     b = solve_precoder(system).matrix
     ref = solve_s5_oracle(system)
     assert np.linalg.norm(b - ref) <= 1e-9 * np.linalg.norm(ref)

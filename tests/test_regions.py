@@ -10,8 +10,10 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
+from hexmg import regions
 from hexmg.checks import SUM_GAIN_CAPS
 from hexmg.regions import (
+    MAX_SWEEP_POINTS,
     FAMILY_MIXED,
     FAMILY_NO_COOP,
     FAMILY_SLOW,
@@ -728,6 +730,38 @@ def test_inner_bound_refuses_a_t_equal_to_a_cached_int(t):
     inner_bound(SMALL, [2])
     with pytest.raises(ValueError, match=f"^{re.escape(f't must be a positive integer, got {t!r}')}$"):
         inner_bound(SMALL, [t])
+
+
+def sweep_points(d):
+    """The number of scheme points a full sweep of ``inner_bound`` visits at
+    delay d."""
+    return sum(len(ts) for family in (FAMILY_SLOW, FAMILY_MIXED) for ts in t_ranges(family, d))
+
+
+@pytest.mark.parametrize("d", [2, 6, 9, 40])
+def test_sweep_at_the_cap_is_accepted(monkeypatch, d):
+    """A full sweep of exactly ``MAX_SWEEP_POINTS`` scheme points is the hull
+    of every admissible t; under a cap one point lower it is refused, with
+    the cap named, before any gain is computed."""
+    p, n = replace(SMALL, d=d), sweep_points(d)
+    monkeypatch.setattr(regions, "MAX_SWEEP_POINTS", n)
+    assert inner_bound(p).vertices == inner_bound(p, range(1, d)).vertices
+    monkeypatch.setattr(regions, "MAX_SWEEP_POINTS", n - 1)
+    monkeypatch.setattr(regions, "_gains", lambda *a: pytest.fail("a gain was computed"))
+    text = f"a sweep at d={d} visits {n} scheme points, past the cap of {n - 1}"
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        inner_bound(p)
+
+
+def test_sweep_cap_admits_d_10001():
+    """The cap admits the sweep at d = 10,001 (9,998 points) and refuses the
+    one at d = 10,002 (10,001 points); a single t is never capped."""
+    assert sweep_points(10_001) == 9_998 <= MAX_SWEEP_POINTS < sweep_points(10_002) == 10_001
+    inner_bound(SystemParams(m=1, mu_tx=0, mu_rx=0, d=10_001))
+    p = replace(SMALL, d=10_002)
+    with pytest.raises(ValueError, match=f"past the cap of {MAX_SWEEP_POINTS}$"):
+        inner_bound(p)
+    assert inner_bound(p, [4]).vertices == inner_bound(replace(SMALL, d=20), [4]).vertices
 
 
 #: non-negative coordinates: small denominators (ties, duplicates, collinear
