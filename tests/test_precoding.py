@@ -403,25 +403,47 @@ def test_s5_non_finite_channel_flagged(role):
 
 
 def test_precoder_for_another_cluster_rejected():
-    """For every scheme, a precoder checked on channels drawn for another
-    design point (another t or m) is refused by their shape, and so is a
-    matrix of another design point's shape; on its own channels the check
-    gives the oracle's report."""
-    for scheme in ("s3", "s4", "s5"):
-        template = shared_template(2, 2, scheme)
-        h = sample_channels(template, seed=5)
-        precoder = solve_precoder(build_zf_system(template, h))
-        assert precoder.template is template
-        want = verify_nulling_oracle(
-            precoder, shared_plan(2, scheme), entries_of(template, h), scheme=scheme)
-        assert verify_nulling(precoder, h) == want and want.solvable
-        for other in (shared_template(1, 2, scheme), shared_template(2, 1, scheme)):
-            h_other = sample_channels(other, seed=5)
-            with pytest.raises(ValueError, match="^channel realization of another design point$"):
-                verify_nulling(precoder, h_other)
-            foreign = solve_precoder(build_zf_system(other, h_other))
-            with pytest.raises(ValueError, match="^precoder matrix of another design point$"):
-                verify_nulling(replace(precoder, matrix=foreign.matrix), h)
+    """A precoder checked on channels drawn for another design point (another
+    t or m) is refused by their shape, and so is a matrix of another design
+    point's shape; on its own channels the check passes."""
+    template = shared_template(1, 1, "s4")
+    h = sample_channels(template, seed=0)
+    own = solve_precoder(build_zf_system(template, h))
+    for other in (shared_template(2, 1, "s4"), shared_template(1, 2, "s4")):
+        h_other = sample_channels(other, seed=0)
+        with pytest.raises(ValueError, match="^channel realization of another design point$"):
+            verify_nulling(own, h_other)
+        foreign = solve_precoder(build_zf_system(other, h_other))
+        with pytest.raises(ValueError, match="^precoder matrix of another design point$"):
+            verify_nulling(replace(own, matrix=foreign.matrix), h)
+    assert verify_nulling(own, h).solvable
+
+
+@pytest.mark.parametrize("scheme", ["s3", "s4", "s5"])
+def test_verify_takes_both_layout_paths(scheme):
+    """The check reads the layout off the precoder's template, whether that
+    is the template object its channels were drawn for or an equal template
+    built apart, and gives the oracle's report either way.  A precoder of
+    another cluster is refused either way, by its channels or its matrix."""
+    template = shared_template(2, 2, scheme)
+    h = sample_channels(template, seed=5)
+    precoder = solve_precoder(build_zf_system(template, h))
+    assert precoder.template is template
+    apart = replace(precoder, template=system_template(2, 2, scheme))
+    assert apart.template is not template
+    want = verify_nulling_oracle(
+        precoder, shared_plan(2, scheme), entries_of(template, h), scheme=scheme)
+    assert verify_nulling(precoder, h) == want and want.solvable
+    assert verify_nulling(apart, h) == want
+
+    other = shared_template(1, 2, scheme)
+    h_other = sample_channels(other, seed=5)
+    foreign = solve_precoder(build_zf_system(other, h_other))
+    for own in (precoder, apart):
+        with pytest.raises(ValueError, match="^channel realization of another design point$"):
+            verify_nulling(own, h_other)
+        with pytest.raises(ValueError, match="^precoder matrix of another design point$"):
+            verify_nulling(replace(own, matrix=foreign.matrix), h)
 
 
 #: sha256 of the ``repr`` of each ``TrialResult``, one per line: the four
