@@ -570,6 +570,21 @@ EMIT_DIGESTS = {
         "7b86e51cbfcb20ec0b23accc049dde8da5dc6273903548e1310240de2487c1b8",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
+    # a full sweep at d = 1,001 (324 vertices) and the sampled csv and svg
+    # boundaries, recorded while the hull still put every point on one
+    # common denominator (1,437 bits for the sweep)
+    ("region", "--m", "1", "--mu-tx", "1", "--mu-rx", "1", "--d", "1001", "--t-sweep", "--format", "json"): (
+        "bc42896e9076c2aa84916ff082f4e5c074bc037b9fad01b774fd2d55f24c8d56",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    ("region", "--m", "3", "--mu-tx", "1/10", "--mu-rx", "1/5", "--d", "20", "--format", "csv", "--samples", "40"): (
+        "99df75b7295dce24cba30018978f38ff1870318e8eaf3a30ee473fca21b86322",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    ("region", "--m", "3", "--mu-tx", "1/10", "--mu-rx", "1/5", "--d", "20", "--format", "svg", "--samples", "40"): (
+        "d1628992f1c9b17de3ebaf9a4b476076529d299f3e3efa38e5f2144cd8a42748",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
     # verify-all writes its report to --out DIR; the report is its stdout.  It
     # was re-recorded when the census caps, the outer bound's paper caps and
     # the sum-gain drops joined three records' names and details
@@ -588,8 +603,12 @@ EMIT_DIGESTS = {
 
 def emit_id(argv):
     """``zf-s3`` for an ``--scheme``; ``verify-all-min-radius`` for the
-    smallest verify-all, so the radius-30 case keeps the bare ``verify-all``."""
+    smallest verify-all, so the radius-30 case keeps the bare ``verify-all``;
+    ``region-sweep`` for a ``--t-sweep`` and ``region-csv`` for a
+    ``--format`` other than json, so the json region keeps the bare ``region``."""
     tags = [argv[i + 1] for i, a in enumerate(argv) if a == "--scheme"]
+    tags += ["sweep" for a in argv if a == "--t-sweep"]
+    tags += [argv[i + 1] for i, a in enumerate(argv) if a == "--format" and argv[i + 1] != "json"]
     if argv[0] == "verify-all" and "--zf-trials" in argv:
         tags.append("min-radius")
     return "-".join([argv[0]] + tags)
