@@ -10,23 +10,24 @@ impossibility (outer) region is the intersection of a cap on the fast gain
 with two caps on the sum gain, the cap rules of the two partitions
 (``densities.cap_rule``) at their limiting densities.  All vertices are
 ``fractions.Fraction`` pairs; nothing here touches floating point.  The
-arithmetic behind them runs on integers: a set of points goes onto one
-common denominator (``_scale``), and the hull sorts, dedupes and crosses the
-integer pairs.  ``scheme_point`` decides its time-share weight by
+arithmetic behind them runs on integers, each point on its own
+denominators as ``(xn, xd, yn, yd)``: the hull sorts by an exact
+cross-multiplied order, dedupes the lowest-terms tuples and crosses them
+(``_turn``).  ``scheme_point`` decides its time-share weight by
 cross-multiplying numerators and denominators; ``inner_bound`` hulls the
-schemes' integer gains and builds a ``Fraction`` only for a vertex.  A
-region keeps its vertices' integer form, so ``contains`` and ``is_subset``
-scale each region once and decide every side of a point by one integer
-cross product.  ``decimal_str`` writes a rational out exactly, for every
-report the command line prints.
+schemes' integer gains and builds a ``Fraction`` only for a vertex, so a
+full sweep of about d points costs O(d log d).  ``contains`` and
+``is_subset`` make each edge an integer line once and decide every side of
+a point by three products.  ``decimal_str`` writes a rational out exactly,
+for every report the command line prints.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd, lcm
+from functools import cmp_to_key, lru_cache
+from math import gcd
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from . import densities
@@ -40,11 +41,11 @@ FAMILY_MIXED = "mixed"       # alternating fast/slow schemes
 _ZERO = Fraction(0)
 
 #: Largest number of scheme points a full sweep of ``inner_bound`` visits,
-#: about d of them.  With a positive prelog the points' denominators differ
-#: with t, and the hull's common denominator grows with all of them: d =
-#: 10,001 (9,998 points) takes about 3.6 s and 50 MB at μ = 1 on a 2-vCPU
-#: Xeon, and ten times that d went past 2 minutes and 2.8 GB.
-MAX_SWEEP_POINTS = 10_000
+#: about d of them.  Each point stays on its own denominators, so a sweep
+#: costs O(d log d): at the cap, d = 100,001 (99,998 points, 32,324
+#: vertices) takes about 1.6 s and 60 MB at m = 1, μ = 1 on a 2-vCPU Xeon,
+#: and ``hexmg region --t-sweep --format json`` writes 5.1 MB.
+MAX_SWEEP_POINTS = 100_000
 
 
 def _rat(x: RatLike) -> Fraction:
@@ -81,10 +82,8 @@ class SystemParams:
     def __post_init__(self):
         object.__setattr__(self, "mu_tx", _rat(self.mu_tx))
         object.__setattr__(self, "mu_rx", _rat(self.mu_rx))
-        if self.m < 1:
-            raise ValueError("m must be a positive integer")
-        if self.d < 1:
-            raise ValueError("d must be a positive integer")
+        _positive_int("m", self.m)
+        _positive_int("d", self.d)
         if self.mu_tx < 0 or self.mu_rx < 0:
             raise ValueError("cooperation prelogs must be non-negative")
 
@@ -94,62 +93,45 @@ class Region:
     """Convex, downward-closed polygon in the (fast, slow) gain quadrant.
 
     Vertices are counterclockwise, starting at the origin, with no three
-    consecutive vertices collinear.  ``_pairs`` holds them as integer pairs
-    on one common denominator (``_scale``'s form), for ``contains`` and
-    ``is_subset``; ``_scaled`` fills it on first use.  It is no init field,
-    so ``dataclasses.replace`` does not carry it to other vertices.
+    consecutive vertices collinear.
     """
 
     vertices: Tuple[MGPoint, ...]
-    _pairs: Optional[Tuple[int, List[Tuple[int, int]]]] = field(
-        default=None, init=False, compare=False, repr=False)
 
 
-def _scaled(region: Region) -> Tuple[int, List[Tuple[int, int]]]:
-    """The region's vertices in ``_scale``'s form, scaled once per region."""
-    if region._pairs is None:
-        object.__setattr__(region, "_pairs", _scale(region.vertices))
-    return region._pairs
+def _ratios(points: Iterable[MGPoint]) -> List[Tuple[int, int, int, int]]:
+    """Each point as the integers ``(xn, xd, yn, yd)`` of its coordinates
+    in lowest terms, so two equal points give equal tuples."""
+    return [p.sf.as_integer_ratio() + p.ss.as_integer_ratio() for p in points]
 
 
-def _region_of_pairs(den: int, pairs: List[Tuple[int, int]],
-                     vertices: Optional[Tuple[MGPoint, ...]] = None) -> Region:
-    """The region whose vertices are ``pairs`` over ``den`` (or, if given,
-    ``vertices``, their points), holding that integer form."""
-    region = Region(tuple(_point(k, den) for k in pairs) if vertices is None else vertices)
-    object.__setattr__(region, "_pairs", (den, pairs))
-    return region
+def _point(key: Tuple[int, int, int, int]) -> MGPoint:
+    """The point of ``(xn, xd, yn, yd)`` in lowest terms; a zero coordinate
+    reuses _ZERO, so no gcd is taken for it."""
+    xn, xd, yn, yd = key
+    return MGPoint(Fraction(xn, xd) if xn else _ZERO, Fraction(yn, yd) if yn else _ZERO)
 
 
-def _point(pair: Tuple[int, int], den: int) -> MGPoint:
-    """The point of the integer pair over ``den``; a zero coordinate reuses
-    _ZERO, so no gcd is taken for it."""
-    return MGPoint(*(Fraction(c, den) if c else _ZERO for c in pair))
+def _xy_order(a: Tuple, b: Tuple) -> int:
+    """An integer with the sign of ``a`` against ``b`` in (x, y) order."""
+    return a[0] * b[1] - b[0] * a[1] or a[2] * b[3] - b[2] * a[3]
 
 
-def _scale(points: Iterable[MGPoint]) -> Tuple[int, List[Tuple[int, int]]]:
-    """``(den, pairs)``: the points as integer pairs over the lcm ``den`` of
-    their denominators.  A positive common scale keeps their order and the
-    sign of every cross product."""
-    ratios = [(p.sf.as_integer_ratio(), p.ss.as_integer_ratio()) for p in points]
-    return _on_one_denominator(ratios)
+def _turn(o: Tuple, a: Tuple, b: Tuple) -> int:
+    """An integer with the sign of the cross product ``(a - o) x (b - o)``
+    of ``(xn, xd, yn, yd)`` points.  Each difference is its numerator over
+    the product of the two denominators; the factor ``oxd·oyd`` that both
+    products of the cross share is left out."""
+    oxn, oxd, oyn, oyd = o
+    axn, axd, ayn, ayd = a
+    bxn, bxd, byn, byd = b
+    return ((axn * oxd - oxn * axd) * (byn * oyd - oyn * byd) * ayd * bxd
+            - (ayn * oyd - oyn * ayd) * (bxn * oxd - oxn * bxd) * axd * byd)
 
 
-def _on_one_denominator(ratios: List[Tuple]) -> Tuple[int, List[Tuple[int, int]]]:
-    """``_scale`` of points given as ``((xn, xd), (yn, yd))`` with positive
-    denominators."""
-    den = lcm(*(d for pair in ratios for _, d in pair))
-    return den, [(xn * (den // xd), yn * (den // yd)) for (xn, xd), (yn, yd) in ratios]
-
-
-def _turn(o: Tuple[int, int], a: Tuple[int, int], b: Tuple[int, int]) -> int:
-    """The cross product ``(a - o) x (b - o)`` of integer pairs."""
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _chain(keys: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
+def _chain(keys: List[Tuple]) -> List[Tuple]:
     """One half of Andrew's monotone chain: the points that turn left."""
-    out: List[Tuple[int, int]] = []
+    out: List[Tuple] = []
     for b in keys:
         while len(out) >= 2 and _turn(out[-2], out[-1], b) <= 0:
             out.pop()
@@ -157,16 +139,20 @@ def _chain(keys: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
     return out
 
 
-def _hull_keys(keys: Iterable[Tuple[int, int]]) -> List[Tuple[int, int]]:
-    """The canonical downward-closed hull of integer pairs, in ``Region``'s
-    vertex order; the origin and the axis projections make it downward
-    closed.  A point between the origin and an axis projection lies on the
-    segment joining them, so it is never a vertex and the chain skips it."""
+def _hull_keys(keys: Iterable[Tuple]) -> List[Tuple]:
+    """The canonical downward-closed hull of ``(xn, xd, yn, yd)`` points in
+    lowest terms, in ``Region``'s vertex order; the origin and the axis
+    projections make it downward closed.  A point between the origin and an
+    axis projection lies on the segment joining them, so it is never a
+    vertex and the chain skips it."""
     keys = set(keys)
-    (rx, _), (_, ty) = max(keys), max(keys, key=lambda k: k[1])
-    keys = {(x, y) for x, y in keys if (x or not 0 <= y <= ty) and (y or not 0 <= x <= rx)}
-    keys.update(((0, 0), (rx, 0), (0, ty)))
-    keys = sorted(keys)
+    rxn, rxd, _, _ = max(keys, key=cmp_to_key(_xy_order))
+    _, _, tyn, tyd = max(keys, key=cmp_to_key(lambda a, b: a[2] * b[3] - b[2] * a[3]))
+    keys = {k for k in keys
+            if (k[0] or not 0 <= k[2] * tyd <= tyn * k[3])
+            and (k[2] or not 0 <= k[0] * rxd <= rxn * k[1])}
+    keys.update(((0, 1, 0, 1), (rxn, rxd, 0, 1), (0, 1, tyn, tyd)))
+    keys = sorted(keys, key=cmp_to_key(_xy_order))
     if len(keys) > 2:
         # counterclockwise from the smallest point, which starts the lower chain
         hull = _chain(keys)[:-1] + _chain(keys[::-1])[:-1]
@@ -177,52 +163,50 @@ def _hull_keys(keys: Iterable[Tuple[int, int]]) -> List[Tuple[int, int]]:
 def convex_hull(points: Sequence[MGPoint]) -> Region:
     """Canonical downward-closed hull of a non-empty set of gain pairs.
 
-    The points are scaled to integers over the lcm of their denominators,
-    so sorting, deduping and the chain run on the integer pairs.  The hull
-    reuses the input points, and an axis projection that is not one of them
-    is built from its pair.
+    Sorting, deduping and the chain run on each point's own integer
+    numerators and denominators.  The hull reuses the input points, and an
+    axis projection that is not one of them is built from its integers.
     """
     if not points:
         raise ValueError("need at least one point")
-    den, keys = _scale(points)
-    at: Dict[Tuple[int, int], MGPoint] = {}
+    keys = _ratios(points)
+    at: Dict[Tuple, MGPoint] = {}
     for key, p in zip(keys, points):
         at.setdefault(key, p)
-    hull = _hull_keys(keys)
-    return _region_of_pairs(den, hull, tuple(at[k] if k in at else _point(k, den) for k in hull))
+    return Region(tuple(at[k] if k in at else _point(k) for k in _hull_keys(keys)))
 
 
-def _holds(v: List[Tuple[int, int]], pts: List[Tuple[int, int]]) -> bool:
+def _holds(v: List[Tuple], pts: List[Tuple]) -> bool:
     """Whether the region with vertices ``v`` holds every point of ``pts``,
-    all integer pairs over one denominator: a point lies on the left of (or
-    on) every edge, or, for fewer than three vertices, on the region."""
+    all ``(xn, xd, yn, yd)`` in lowest terms: a point lies on the left of
+    (or on) every edge, and, for two vertices, between them.  In the
+    homogeneous form ``(xn·yd, yn·xd, xd·yd)`` of the points, an edge
+    ``a → b`` is the line ``a × b``, and a point's dot product with it has
+    the sign of ``_turn(a, b, point)``."""
     if len(v) == 1:
         return all(p == v[0] for p in pts)
-    if len(v) == 2:
-        a, b = v
-        return all(_turn(a, b, p) == 0 and min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
-                   and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]) for p in pts)
-    # _turn(a, b, p) >= 0 along every edge, each edge's vector taken once
-    edges = [(ax, ay, bx - ax, by - ay) for (ax, ay), (bx, by) in zip(v, v[1:] + v[:1])]
-    return all(dx * (y - ay) >= dy * (x - ax) for x, y in pts for ax, ay, dx, dy in edges)
-
-
-def _common(a: Tuple, b: Tuple) -> Tuple[List[Tuple[int, int]], List[Tuple[int, int]]]:
-    """Two ``_scale`` forms' pairs over the product of their denominators."""
-    (da, va), (db, vb) = a, b
-    return [(x * db, y * db) for x, y in va], [(x * da, y * da) for x, y in vb]
+    hv = [(xn * yd, yn * xd, xd * yd) for xn, xd, yn, yd in v]
+    hp = [(xn * yd, yn * xd, xd * yd) for xn, xd, yn, yd in pts]
+    # for two vertices the lines are a × b and b × a: both hold only on the line
+    lines = [(ay * bw - aw * by, aw * bx - ax * bw, ax * by - ay * bx)
+             for (ax, ay, aw), (bx, by, bw) in zip(hv, hv[1:] + hv[:1])]
+    if not all(a * x + b * y + c * w >= 0 for x, y, w in hp for a, b, c in lines):
+        return False
+    if len(v) == 2:  # on the segment: (p - a)·(p - b) <= 0
+        (ax, ay, aw), (bx, by, bw) = hv
+        return all((x * aw - ax * w) * (x * bw - bx * w) + (y * aw - ay * w) * (y * bw - by * w) <= 0
+                   for x, y, w in hp)
+    return True
 
 
 def contains(region: Region, pt: MGPoint) -> bool:
     """Exact membership test."""
-    pts, v = _common(_scale([pt]), _scaled(region))
-    return _holds(v, pts)
+    return _holds(_ratios(region.vertices), _ratios([pt]))
 
 
 def is_subset(a: Region, b: Region) -> bool:
     """True iff region ``a`` lies inside region ``b`` (both convex)."""
-    pts, v = _common(_scaled(a), _scaled(b))
-    return _holds(v, pts)
+    return _holds(_ratios(b.vertices), _ratios(a.vertices))
 
 
 def max_sum_mg(region: Region) -> Fraction:
@@ -277,7 +261,6 @@ def boundary_samples(region: Region, n: int) -> List[MGPoint]:
 # ---------------------------------------------------------------------------
 # Scheme operating points
 
-@lru_cache(maxsize=1024)
 def t_ranges(family: str, d: int) -> Tuple[range, range]:
     """The cluster sizes t a scheme family may use at delay d, as ``(dual,
     rx_only)``: on ``dual`` the Tx and Rx cooperation prelogs both pay for
@@ -323,9 +306,8 @@ class PrelogRequirement:
 def required_prelogs(scheme: str, t: int, m: int) -> PrelogRequirement:
     """Per-link cooperation prelogs a scheme needs, as exact rationals: its
     messages per cluster over the cluster's 36t² tx and 18t² rx links."""
-    _cluster_size(t)
-    if m < 1:
-        raise ValueError("m must be positive")
+    _positive_int("t", t)
+    _positive_int("m", m)
     tx, rx = _messages(scheme, m, t)
     return PrelogRequirement(Fraction(tx, 36 * t * t), Fraction(rx, 18 * t * t))
 
@@ -372,7 +354,7 @@ def scheme_point(family: str, t: int, p: SystemParams) -> MGPoint:
     m = p.m
     if family == FAMILY_NO_COOP:
         return MGPoint(Fraction(m, 2), _ZERO)
-    _cluster_size(t)
+    _positive_int("t", t)
 
     dual, rx_only = t_ranges(family, p.d)
     on_dual = t in dual
@@ -384,12 +366,12 @@ def scheme_point(family: str, t: int, p: SystemParams) -> MGPoint:
     return MGPoint(*(Fraction(n, d) if n else _ZERO for n, d in gains))
 
 
-def _cluster_size(t: int) -> int:
-    """``t``, refused unless a positive int: the cached ``_family_prices``
-    would take 2.0 for 2."""
-    if not isinstance(t, int) or t < 1:
-        raise ValueError(f"t must be a positive integer, got {t!r}")
-    return t
+def _positive_int(name: str, value: int) -> int:
+    """``value``, refused unless a positive int: the cached ``_family_prices``
+    would take 2.0 for 2, and ``range`` and ``gcd`` refuse it late."""
+    if not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return value
 
 
 def _available(p: SystemParams, dual: bool) -> Tuple[int, int]:
@@ -428,8 +410,8 @@ def inner_bound(p: SystemParams, t_values: Optional[Iterable[int]] = None) -> Re
     the delay budget enters the hull, about d points, refused past
     ``MAX_SWEEP_POINTS`` before any is computed.  Only the selected t are
     visited, so a hull at one t costs the same for any d.  The hull runs on
-    the schemes' integer gains, and only its vertices become ``Fraction``
-    points.
+    the schemes' gains as integer numerators and denominators, each point on
+    its own, and only its vertices become ``Fraction`` points.
     """
     sel = None if t_values is None else sorted(set(t_values))
     ranges = {family: t_ranges(family, p.d) for family in (FAMILY_SLOW, FAMILY_MIXED)}
@@ -443,12 +425,11 @@ def inner_bound(p: SystemParams, t_values: Optional[Iterable[int]] = None) -> Re
         for ts, dual in zip(pair, (True, False)):
             # bounds, not `in`: `in` walks the range for a t that is not an int
             picked = ts if sel is None else [
-                _cluster_size(t) for t in sel if ts.start <= t < ts.stop]
+                _positive_int("t", t) for t in sel if ts.start <= t < ts.stop]
             if picked:
                 available = _available(p, dual)
                 gains += [_gains(family, p.m, t, available) for t in picked]
-    den, keys = _on_one_denominator(gains)
-    return _region_of_pairs(den, _hull_keys(keys))
+    return Region(tuple(_point(k) for k in _hull_keys(sf + ss for sf, ss in gains)))
 
 
 def sum_gain_cap(p: SystemParams) -> Fraction:

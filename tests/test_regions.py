@@ -27,13 +27,14 @@ from hexmg.regions import (
     is_subset,
     max_sum_mg,
     outer_bound,
+    required_prelogs,
     scheme_point,
     sum_gain_cap,
     t_ranges,
     _base_gains,
     _full_gains,
     _messages,
-    _scale,
+    _ratios,
     _time_share,
     _turn,
 )
@@ -272,7 +273,7 @@ points = st.builds(MGPoint, rationals, rationals)
 def test_integer_cross_has_the_sign_of_the_fraction_cross(o, a, b, k, collinear):
     if collinear:  # b on the line through o and a: the cross product is 0
         b = MGPoint(o.sf + k * (a.sf - o.sf), o.ss + k * (a.ss - o.ss))
-    _, (io, ia, ib) = _scale([o, a, b])
+    io, ia, ib = _ratios([o, a, b])
     got = _turn(io, ia, ib)
     assert type(got) is int
     assert sign(got) == fraction_turn(o, a, b)
@@ -297,10 +298,9 @@ def fraction_contains(region, pt):
 @given(pts=st.lists(points, min_size=1, max_size=6), other=st.lists(points, min_size=1, max_size=6),
        queries=st.lists(points, max_size=4), k=st.integers(1, 6))
 def test_integer_containment_matches_the_fraction_oracle(pts, other, queries, k):
-    """``contains`` and ``is_subset`` on integer pairs decide as the
-    ``Fraction`` oracle does, for regions that carry their pairs from the
-    hull and for regions scaled on first use, with denominators up to
-    10**30 and coordinates of either sign."""
+    """``contains`` and ``is_subset`` on integers decide as the ``Fraction``
+    oracle does, for a hull's region and for the region of its vertices,
+    with denominators up to 10**30 and coordinates of either sign."""
     region, sub, far = convex_hull(pts), convex_hull(pts[:k]), convex_hull(other)
     for a in (region, Region(region.vertices)):
         for q in queries + list(far.vertices) + list(sub.vertices) + pts:
@@ -312,13 +312,12 @@ def test_integer_containment_matches_the_fraction_oracle(pts, other, queries, k)
         assert is_subset(sub, region)
 
 
-def test_region_with_pairs_is_the_region_of_its_vertices():
-    """A region holding its integer pairs equals, hashes and prints as the
-    region of its vertices alone, survives pickling and, like it, takes no
-    assignment; ``replace`` gives new vertices without the old pairs."""
+def test_region_is_the_frozen_dataclass_of_its_vertices():
+    """A region from ``inner_bound`` equals, hashes and prints as the region
+    of copies of its vertices, survives pickling and, like it, takes no
+    assignment; ``replace`` gives a region of the new vertices."""
     held = inner_bound(SMALL)
     bare = Region(tuple(MGPoint(v.sf, v.ss) for v in held.vertices))
-    assert held._pairs is not None and bare._pairs is None
     assert held == bare and hash(held) == hash(bare) and repr(held) == repr(bare)
     assert repr(bare).startswith("Region(vertices=(MGPoint(sf=Fraction(0, 1)")
     assert pickle.loads(pickle.dumps(held)) == bare
@@ -329,7 +328,7 @@ def test_region_with_pairs_is_the_region_of_its_vertices():
         with pytest.raises(FrozenInstanceError):
             del region.vertices
     moved = replace(held, vertices=held.vertices[:2])
-    assert moved._pairs is None and not contains(moved, held.vertices[-1])
+    assert not contains(moved, held.vertices[-1])
 
 
 gains = st.one_of(st.just(Fraction(0)), fractions(min_value=0, max_value=4, max_denominator=50))
@@ -508,6 +507,23 @@ def test_params_validation():
         SystemParams(m=1, mu_tx=-1, mu_rx=0, d=20)
     with pytest.raises(ValueError):
         SystemParams(m=1, mu_tx=0, mu_rx=0, d=0)
+
+
+@pytest.mark.parametrize("field, value", [("m", 2.0), ("m", Fraction(2)), ("m", "3"),
+                                          ("d", 20.0), ("d", Fraction(20)), ("d", "3")])
+def test_params_refuse_an_m_or_d_that_is_no_int(field, value):
+    """An m or d that is no int is refused by name, before and after a d = 20
+    sweep at m = 2 has run, whose 2 and 20 the floats 2.0 and 20.0 hash as;
+    ``required_prelogs`` refuses such an m too."""
+    text = f"{field} must be a positive integer, got {value!r}"
+    if field == "m":
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            required_prelogs("s4", 1, value)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            SystemParams(**{"m": 2, "mu_tx": 1, "mu_rx": 1, "d": 20, field: value})
+        p = SystemParams(m=2, mu_tx=1, mu_rx=1, d=20)
+        assert len(inner_bound(p).vertices) == 9 and is_subset(inner_bound(p), outer_bound(p))
 
 
 def test_slow_point_equals_literal_min_expression():
@@ -710,6 +726,16 @@ def test_mixed_gap_is_refused_at_huge_delay():
     assert_exact(scheme_point(FAMILY_MIXED, gap + 1, p), oracle_scheme_point(FAMILY_MIXED, gap + 1, p))
 
 
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("mu", [1, Fraction(1, 7)], ids=["mu-1", "mu-1-7"])
+@pytest.mark.parametrize("d", [1_001, 4_001])
+def test_full_sweep_matches_the_fraction_oracle_at_scale(d, mu, m):
+    """A full sweep of a few thousand points, each on its own denominators,
+    is the ``Fraction`` oracle's hull of the oracle's scheme points."""
+    p = SystemParams(m=m, mu_tx=mu, mu_rx=mu, d=d)
+    assert_exact(inner_bound(p), oracle_inner_bound(oracle_scheme_points(p)))
+
+
 @pytest.mark.parametrize("mu", [0, 10**12], ids=["zero-prelogs", "full-cooperation"])
 def test_inner_bound_at_one_t_visits_only_that_t(mu):
     """A hull at selected t costs the same for any d: at d = 10**12 it
@@ -753,12 +779,12 @@ def test_sweep_at_the_cap_is_accepted(monkeypatch, d):
         inner_bound(p)
 
 
-def test_sweep_cap_admits_d_10001():
-    """The cap admits the sweep at d = 10,001 (9,998 points) and refuses the
-    one at d = 10,002 (10,001 points); a single t is never capped."""
-    assert sweep_points(10_001) == 9_998 <= MAX_SWEEP_POINTS < sweep_points(10_002) == 10_001
-    inner_bound(SystemParams(m=1, mu_tx=0, mu_rx=0, d=10_001))
-    p = replace(SMALL, d=10_002)
+def test_sweep_cap_admits_d_100001():
+    """The cap admits the sweep at d = 100,001 (99,998 points) and refuses
+    the one at d = 100,002 (100,001 points); a single t is never capped."""
+    assert sweep_points(100_001) == 99_998 <= MAX_SWEEP_POINTS < sweep_points(100_002) == 100_001
+    inner_bound(SystemParams(m=1, mu_tx=0, mu_rx=0, d=100_001))
+    p = replace(SMALL, d=100_002)
     with pytest.raises(ValueError, match=f"past the cap of {MAX_SWEEP_POINTS}$"):
         inner_bound(p)
     assert inner_bound(p, [4]).vertices == inner_bound(replace(SMALL, d=20), [4]).vertices
