@@ -446,7 +446,8 @@ def _inject_config(argv: List[str], commands: Dict[str, _Command]) -> List[str]:
     leaving out the entries of a mutually exclusive group that an explicit
     flag already sets.  ``--config FILE`` and ``--config=FILE`` are matched
     like the command's own flags, abbreviations included; argparse never
-    sees them, so a second ``--config`` is refused as an unknown flag."""
+    sees them, so a second ``--config`` is refused as an unknown flag.
+    Without a command nothing is injected, so ``main`` prints the usage."""
     command = _command_of(commands, argv)
     options = ["--config", *(command.options if command else ())]
     at = next((i for i, arg in enumerate(argv)
@@ -458,8 +459,10 @@ def _inject_config(argv: List[str], commands: Dict[str, _Command]) -> List[str]:
         if at + 1 >= len(argv):
             raise ValueError("--config needs a file path")
         path = argv[at + 1]
-    kv = _load_config(path)
     rest = argv[:at] + argv[at + (1 if eq else 2) :]
+    if command is None:
+        return rest
+    kv = _load_config(path)
     for group in _explicit_groups(commands, rest):
         kv = {key: value for key, value in kv.items() if f"--{key}" not in group}
     flags: List[str] = []
@@ -470,8 +473,6 @@ def _inject_config(argv: List[str], commands: Dict[str, _Command]) -> List[str]:
             continue
         else:
             flags.extend([f"--{key}", value])
-    if not rest:
-        return flags
     return [rest[0]] + flags + rest[1:]
 
 

@@ -21,7 +21,8 @@ cluster's ascending ids.  Sector tuples appear only where a caller passes
 one in (``cluster_of``, set membership) or iterates a set.  ``clusters``
 builds every ``Cluster`` of the lattice, each the connected component of
 its active sectors: it lays out the clusters the boundary leaves whole by
-translating the origin cluster, and finds the cut ones by components.
+translating the origin cluster, and finds the cut ones by components; a
+silencing whose translates do not tile is refused before any search.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .lattice import (
     cell_distance,
     cell_index,
 )
-from .schemes import MODE_MIXED, MODE_SLOW_ONLY, UncutLatticeError
+from .schemes import MODE_MIXED, MODE_SLOW_ONLY, UncutLatticeError, positive_int
 
 FAST = "FAST"
 SLOW = "SLOW"
@@ -87,9 +88,7 @@ def master_grid(net: Network, t: int) -> Tuple[Cell, ...]:
 
 
 def _check_t(net: Network, t: int) -> None:
-    if not isinstance(t, int) or t < 1:
-        raise ValueError(f"t must be a positive integer, got {t!r}")
-    if 3 * t > net.radius:
+    if 3 * positive_int("t", t) > net.radius:
         raise ValueError(f"t={t} too large for lattice radius {net.radius}")
 
 
@@ -188,24 +187,22 @@ def _origin_cluster(t: int, silenced: np.ndarray) -> Optional[np.ndarray]:
     return cluster
 
 
-def _whole_clusters(
-    net: Network, t: int, silenced: np.ndarray, master_cells: np.ndarray
-) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+def _whole_clusters(net: Network, t: int, master_cells: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The clusters the boundary leaves whole, laid out by translation: the
     indices into ``master_cells`` of their masters, and a ``(clusters,
     size)`` array of each one's ascending sector ids.
 
-    Every cluster is a translate of the origin master's (``_origin_cluster``;
-    the tests check, per t, that no edge between active sectors joins two
-    masters), and one whose master lies a cluster radius inside the ball is
-    whole.  A translation keeps the ``(q, r, o)`` order, which sector ids
-    follow, so the origin cluster's rows, shifted by each master, give its
-    ids in ascending order.  None unless ``silenced``, over the sector ids,
-    is the torus silencing."""
-    torus = _torus_silenced(t)
-    cluster = _origin_cluster(t, torus)
-    if cluster is None or not np.array_equal(_torus_rows(torus, net, t), silenced):
-        return None
+    Every cluster is a translate of the origin master's (``_origin_cluster``
+    on the ``_torus_silenced`` table; the tests check, per t, that no edge
+    between active sectors joins two masters), and one whose master lies a
+    cluster radius inside the ball is whole.  A translation keeps the
+    ``(q, r, o)`` order, which sector ids follow, so the origin cluster's
+    rows, shifted by each master, give its ids in ascending order.
+    ``UncutLatticeError`` if the translates do not tile the torus."""
+    cluster = _origin_cluster(t, _torus_silenced(t))
+    if cluster is None:
+        raise UncutLatticeError(
+            f"the silencing at t={t} does not cut the lattice into translates of one cluster")
     dq, dr, o = cluster.T
     radius = net.radius
     mq, mr = net.q[master_cells], net.r[master_cells]
@@ -304,16 +301,13 @@ class ClusterPlan:
 
 
 def clusters(net: Network, t: int) -> ClusterPlan:
-    """Decompose the lattice into non-interfering clusters for parameter t."""
+    """Decompose the lattice into non-interfering clusters for parameter t;
+    ``UncutLatticeError`` unless the silencing tiles it (``_whole_clusters``)."""
     masters = master_grid(net, t)
     silenced = silenced_sectors(net, t)
-    n = len(net.nbr)
     is_master = is_master_cell((net.q, net.r), t)
     master_cells = np.flatnonzero(is_master)
-    layout = _whole_clusters(net, t, silenced.labels, master_cells)
-    if layout is None:
-        layout = np.empty(0, dtype=np.intp), np.empty((0, 1), dtype=np.intp)
-    whole, whole_ids = layout
+    whole, whole_ids = _whole_clusters(net, t, master_cells)
     loose = ~silenced.labels
     loose[whole_ids] = False
 
@@ -347,7 +341,7 @@ def clusters(net: Network, t: int) -> ClusterPlan:
     rank = np.lexsort((at, at < 0))
     position = np.empty(len(rank), dtype=np.intp)
     position[rank] = np.arange(len(rank))
-    cluster_ids = np.full(n, -1, dtype=np.intp)
+    cluster_ids = np.full(len(net.nbr), -1, dtype=np.intp)
     cluster_ids[whole_ids] = position[: len(whole), None]
     cluster_ids[ids] = position[len(whole) + group]
     stop = np.append(first[1:], len(ids))

@@ -31,6 +31,8 @@ from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from .schemes import positive_int
+
 Cell = Tuple[int, int]
 Sector = Tuple[int, int, int]  # (cell q, cell r, orientation)
 
@@ -191,8 +193,7 @@ def cell_index(radius: int, q: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 def build_network(radius: int) -> Network:
     """Build the hexagonal ball of the given radius with 3 sectors per cell."""
-    if not isinstance(radius, int) or radius < 1:
-        raise ValueError(f"radius must be a positive integer, got {radius!r}")
+    positive_int("radius", radius)
     q, r = np.mgrid[-radius : radius + 1, -radius : radius + 1].reshape(2, -1)
     inside = cell_distance((q, r), (0, 0)) <= radius
     q, r = q[inside], r[inside]  # sorted by (q, r)

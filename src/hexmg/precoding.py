@@ -43,7 +43,7 @@ import numpy as np
 
 from .clustering import FAST, ROLES, SLOW, ClusterPlan, assign_messages, clusters
 from .lattice import build_network
-from .schemes import NULLING_TOL, SCHEME_MODES, RankDeficientError
+from .schemes import NULLING_TOL, SCHEME_MODES, RankDeficientError, positive_int
 
 _CONSISTENCY_TOL = 1e-8
 
@@ -165,14 +165,13 @@ def _origin_layout(plan: ClusterPlan) -> LinkLayout:
 
 
 def system_template(t: int, m: int, scheme: str) -> SystemTemplate:
-    """The design point ``(t, m, scheme)``.  The scheme, m and the
+    """The design point ``(t, m, scheme)``.  The scheme, t, m and the
     ``MAX_ANTENNAS`` cap are checked before any lattice is built."""
     if scheme not in SCHEME_MODES:
         raise ValueError(f"unknown precoding scheme {scheme!r}")
-    if m < 1:
-        raise ValueError("m must be positive")
-    antennas = m * (9 * t * t - 3 * t)
-    if t >= 1 and antennas > MAX_ANTENNAS:
+    positive_int("t", t)
+    antennas = positive_int("m", m) * (9 * t * t - 3 * t)
+    if antennas > MAX_ANTENNAS:
         raise ValueError(f"t={t}, m={m} gives a cluster of {antennas} antennas, "
                          f"past the cap of {MAX_ANTENNAS}")
     lay = _origin_layout(certification_plan(t, scheme))
@@ -369,7 +368,7 @@ def certification_plan(t: int, scheme: str) -> ClusterPlan:
     mode the scheme expects."""
     if scheme not in SCHEME_MODES:
         raise ValueError(f"unknown precoding scheme {scheme!r}")
-    net = build_network(max(3 * t, t + 3))
+    net = build_network(max(3 * positive_int("t", t), t + 3))
     return assign_messages(clusters(net, t), SCHEME_MODES[scheme])
 
 
@@ -388,8 +387,9 @@ def run_trial(template: SystemTemplate, seed: int, tol: float = NULLING_TOL) -> 
 
 
 def check_trial_count(trials: int) -> None:
-    """Refuse more than ``MAX_TRIALS`` trials for one design point."""
-    if trials > MAX_TRIALS:
+    """Refuse a trial count that is not a positive int, or more than
+    ``MAX_TRIALS`` trials for one design point."""
+    if positive_int("trials", trials) > MAX_TRIALS:
         raise ValueError(f"{trials} trials exceed the cap of {MAX_TRIALS}")
 
 

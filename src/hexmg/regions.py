@@ -31,6 +31,7 @@ from math import gcd
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from . import densities
+from .schemes import positive_int
 
 RatLike = Union[int, str, Fraction]
 
@@ -82,8 +83,8 @@ class SystemParams:
     def __post_init__(self):
         object.__setattr__(self, "mu_tx", _rat(self.mu_tx))
         object.__setattr__(self, "mu_rx", _rat(self.mu_rx))
-        _positive_int("m", self.m)
-        _positive_int("d", self.d)
+        positive_int("m", self.m)
+        positive_int("d", self.d)
         if self.mu_tx < 0 or self.mu_rx < 0:
             raise ValueError("cooperation prelogs must be non-negative")
 
@@ -306,8 +307,8 @@ class PrelogRequirement:
 def required_prelogs(scheme: str, t: int, m: int) -> PrelogRequirement:
     """Per-link cooperation prelogs a scheme needs, as exact rationals: its
     messages per cluster over the cluster's 36t² tx and 18t² rx links."""
-    _positive_int("t", t)
-    _positive_int("m", m)
+    positive_int("t", t)
+    positive_int("m", m)
     tx, rx = _messages(scheme, m, t)
     return PrelogRequirement(Fraction(tx, 36 * t * t), Fraction(rx, 18 * t * t))
 
@@ -354,7 +355,7 @@ def scheme_point(family: str, t: int, p: SystemParams) -> MGPoint:
     m = p.m
     if family == FAMILY_NO_COOP:
         return MGPoint(Fraction(m, 2), _ZERO)
-    _positive_int("t", t)
+    positive_int("t", t)
 
     dual, rx_only = t_ranges(family, p.d)
     on_dual = t in dual
@@ -364,14 +365,6 @@ def scheme_point(family: str, t: int, p: SystemParams) -> MGPoint:
     gains = _gains(family, m, t, _available(p, on_dual))
     # a zero coordinate (every all-slow fast gain) reuses _ZERO: no gcd taken
     return MGPoint(*(Fraction(n, d) if n else _ZERO for n, d in gains))
-
-
-def _positive_int(name: str, value: int) -> int:
-    """``value``, refused unless a positive int: the cached ``_family_prices``
-    would take 2.0 for 2, and ``range`` and ``gcd`` refuse it late."""
-    if not isinstance(value, int) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
-    return value
 
 
 def _available(p: SystemParams, dual: bool) -> Tuple[int, int]:
@@ -425,7 +418,7 @@ def inner_bound(p: SystemParams, t_values: Optional[Iterable[int]] = None) -> Re
         for ts, dual in zip(pair, (True, False)):
             # bounds, not `in`: `in` walks the range for a t that is not an int
             picked = ts if sel is None else [
-                _positive_int("t", t) for t in sel if ts.start <= t < ts.stop]
+                positive_int("t", t) for t in sel if ts.start <= t < ts.stop]
             if picked:
                 available = _available(p, dual)
                 gains += [_gains(family, p.m, t, available) for t in picked]

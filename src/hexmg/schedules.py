@@ -118,6 +118,8 @@ MAX_ROUNDS = 1000
 
 
 def _check_budgets(d_t: int, d_r: int, d: Optional[int]) -> int:
+    if not all(isinstance(v, int) for v in (d_t, d_r, 0 if d is None else d)):
+        raise ValueError(f"budgets and delay must be integers, got {(d_t, d_r, d)!r}")
     if d_t < 0 or d_r < 0:
         raise ValueError("conferencing budgets must be non-negative")
     if d_t + d_r > MAX_ROUNDS:

@@ -1,12 +1,13 @@
 """The message assignment each zero-forcing scheme needs, its tolerance,
-and the two errors a certification can end in.
+the two errors a certification can end in, and the rule for counts.
 
 ``clustering.assign_messages`` assigns messages in one of two modes, and
 ``precoding`` certifies a scheme on a plan assigned in the mode
 ``SCHEME_MODES`` names, accepting cross residuals up to ``NULLING_TOL`` by
 default.  The ``hexmg zf`` parser reads both when it is built, and
 ``cli.main`` reports ``RankDeficientError`` and ``UncutLatticeError`` as
-usage errors; nothing here needs numpy, so neither loads any.
+usage errors.  ``positive_int`` checks each radius, t, m, d and trial
+count the library takes.  Nothing here needs numpy, so neither loads any.
 """
 
 MODE_SLOW_ONLY = "SLOW_ONLY"
@@ -23,4 +24,12 @@ class RankDeficientError(RuntimeError):
 
 
 class UncutLatticeError(RuntimeError):
-    """A cluster holds more than one master: the silencing failed to cut it."""
+    """The silencing failed to cut the lattice into one-master clusters."""
+
+
+def positive_int(name: str, value: int) -> int:
+    """``value``, refused unless a positive int: 2.0 hashes like 2 in a
+    cache, and numpy, ``range`` and ``gcd`` refuse it late or not at all."""
+    if not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return value

@@ -271,17 +271,15 @@ def test_negative_seed_is_refused_before_any_check(capsys, monkeypatch, tmp_path
         assert err.endswith(f"hexmg {argv[0]}: error: argument --seed: must be a non-negative integer, got -1\n")
 
 
-def test_uncut_lattice_is_a_usage_error(capsys, monkeypatch):
-    """The two-masters ``UncutLatticeError`` of ``clusters`` ends in a message,
-    not a traceback; no CLI input reaches it, so silencing is switched off."""
-    monkeypatch.setattr(
-        clustering, "silenced_sectors",
-        lambda net, t: lattice.SectorSet(net, np.zeros(len(net.sectors), dtype=bool)),
-    )
+def test_uncut_lattice_is_a_usage_error(capsys, torus_table):
+    """The ``UncutLatticeError`` of ``clusters`` ends in a message, not a
+    traceback; no CLI input reaches it, so silencing is switched off."""
+    torus_table(np.zeros((9, 3), dtype=bool))
     code, stdout, stderr = run(capsys, "cluster", "--radius", "6", "--t", "1")
     assert code == 2
     assert stdout == ""
-    assert stderr.startswith("hexmg: cluster contains ") and stderr.endswith(" master cells\n")
+    assert stderr == ("hexmg: the silencing at t=1 does not cut the lattice into "
+                      "translates of one cluster\n")
 
 
 def test_rank_deficient_escape_is_a_usage_error(capsys, monkeypatch):
@@ -833,6 +831,61 @@ def test_second_config_is_refused(capsys, tmp_path):
     code, stdout, err = run(capsys, "region", "--config", str(cfg), "--config", str(cfg))
     assert (code, stdout) == (2, "")
     assert "unrecognized arguments: --config" in err
+
+
+def test_config_skips_comments_and_blank_lines(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# a comment\n\n  \nm = 3\n  # indented comment\nd = 20\n")
+    want = run(capsys, "region", "--m", "3", "--d", "20")
+    assert want[0] == 0
+    assert run(capsys, "region", "--config", str(cfg)) == want
+
+
+@pytest.mark.parametrize(
+    "argv,write,err",
+    [
+        (["region", "--config", "bad.cfg"], "m 3\n", "bad config line: m 3"),
+        (["region", "--config", "nope.cfg"], None,
+         "[Errno 2] No such file or directory: 'nope.cfg'"),
+        (["region", "--config"], None, "--config needs a file path"),
+    ],
+    ids=["bad-line", "missing-file", "no-path"],
+)
+def test_config_errors_are_usage_errors(capsys, tmp_path, monkeypatch, argv, write, err):
+    """A config that cannot be read ends in one ``hexmg: config error:``
+    line and exit 2, before any command runs."""
+    monkeypatch.chdir(tmp_path)
+    if write is not None:
+        (tmp_path / "bad.cfg").write_text(write)
+    assert run(capsys, *argv) == (2, "", f"hexmg: config error: {err}\n")
+
+
+@pytest.mark.parametrize("value,want", [("true", ["--check-counts"]), ("false", [])])
+def test_config_true_is_a_flag_and_false_is_dropped(capsys, tmp_path, value, want):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"radius = 6\nt = 1\ncheck-counts = {value}\n")
+    expected = run(capsys, "cluster", "--radius", "6", "--t", "1", *want)
+    assert expected[0] == 0 and ("tx links" in expected[1]) == bool(want)
+    assert run(capsys, "cluster", "--config", str(cfg)) == expected
+
+
+def test_config_without_a_command_prints_the_usage(capsys, tmp_path):
+    """A config with no command injects nothing, so the usage is printed and
+    the exit is 2, as for a bare ``hexmg``."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("m = 3\n")
+    bare = run(capsys)
+    assert bare[0] == 2 and bare[1].startswith("usage: hexmg ") and bare[2] == ""
+    assert run(capsys, "--config", str(cfg)) == bare
+    assert run(capsys, f"--config={cfg}") == bare
+
+
+def test_non_rational_prelog_is_a_usage_error(capsys):
+    code, stdout, err = run(capsys, "region", "--m", "1", "--d", "20", "--mu-tx", "abc")
+    assert (code, stdout) == (2, "")
+    # argparse's usage, then one error line
+    assert err.startswith("usage: hexmg region ")
+    assert err.endswith("\nhexmg region: error: argument --mu-tx: not a rational number: 'abc'\n")
 
 
 @pytest.mark.parametrize(

@@ -35,7 +35,7 @@ from hexmg.clustering import (
     role_codes,
     silenced_sectors,
 )
-from hexmg.lattice import HEX_DIRS, Cell, SectorSet, build_network, cell_distance
+from hexmg.lattice import HEX_DIRS, Cell, build_network, cell_distance
 from hexmg.regions import FAMILY_MIXED, FAMILY_SLOW, _family_prices, required_prelogs
 from test_lattice import hex_ball
 
@@ -409,12 +409,11 @@ def test_link_count_needs_interior_cluster():
         cluster_link_count(net, 2, TX)  # radius 3 < 3t
 
 
-def test_clusters_refuse_a_lattice_left_uncut(monkeypatch):
-    def nothing_silenced(net, t):
-        return SectorSet(net, np.zeros(len(net.sectors), dtype=bool))
-
-    monkeypatch.setattr(clustering, "silenced_sectors", nothing_silenced)
-    with pytest.raises(clustering.UncutLatticeError, match="master cells"):
+def test_clusters_refuse_a_lattice_left_uncut(torus_table):
+    """With nothing silenced, the origin master's cluster never closes, and
+    ``clusters`` refuses the lattice, naming t."""
+    torus_table(np.zeros((9, 3), dtype=bool))
+    with pytest.raises(clustering.UncutLatticeError, match="^the silencing at t=1 does not cut"):
         clusters(build_network(6), 1)
 
 

@@ -205,9 +205,9 @@ def test_system_square_for_s3_and_s4_row_delta():
 
 def test_system_requires_matching_assignment(monkeypatch):
     """``system_template`` is the one place a design point is checked: it
-    refuses an unknown scheme, then m < 1, then a cluster past
-    ``MAX_ANTENNAS`` antennas, each with its own text, before it builds a
-    plan, which is stubbed here."""
+    refuses an unknown scheme, then an m that is not a positive int, then a
+    cluster past ``MAX_ANTENNAS`` antennas, each with its own text, before
+    it builds a plan, which is stubbed here."""
     def no_plan(*args, **kwargs):
         raise PlanBuilt
 
@@ -216,8 +216,8 @@ def test_system_requires_matching_assignment(monkeypatch):
     cases = [
         (1, 1, "s7", "unknown precoding scheme 's7'"),
         (21, 0, "s7", "unknown precoding scheme 's7'"),
-        (1, 0, "s4", "m must be positive"),
-        (21, 0, "s4", "m must be positive"),
+        (1, 0, "s4", "m must be a positive integer, got 0"),
+        (21, 0, "s4", "m must be a positive integer, got 0"),
         (21, 1, "s4", cap),
     ]
     for t, m, scheme, text in cases:
@@ -225,6 +225,42 @@ def test_system_requires_matching_assignment(monkeypatch):
             system_template(t, m, scheme)
     with pytest.raises(PlanBuilt):
         system_template(1, 1, "s4")
+
+
+@pytest.mark.parametrize("call,text", [
+    (lambda: system_template(2.0, 1, "s4"), "t must be a positive integer, got 2.0"),
+    (lambda: system_template(0, 1, "s4"), "t must be a positive integer, got 0"),
+    (lambda: system_template(1, 2.0, "s4"), "m must be a positive integer, got 2.0"),
+    (lambda: run_trials(1, 1, 2.5), "trials must be a positive integer, got 2.5"),
+    (lambda: certification_plan(2.0, "s4"), "t must be a positive integer, got 2.0"),
+], ids=["float-t", "zero-t", "float-m", "float-trials", "plan-float-t"])
+def test_non_integer_counts_are_refused_before_any_lattice(monkeypatch, call, text):
+    """A t, m or trial count that is not a positive int is refused by its
+    own name, before any lattice is built, not by numpy or the lattice."""
+    monkeypatch.setattr(precoding, "build_network", lambda *a: pytest.fail("a lattice was built"))
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        call()
+
+
+def nan_channels(template, seed):
+    """The seeded channels with one entry NaN."""
+    h = sample_channels(template, seed)
+    h[0, 0, 0] = np.nan
+    return h
+
+
+def test_nan_channel_makes_the_solve_rank_deficient():
+    template = shared_template(1, 1, "s4")
+    system = build_zf_system(template, nan_channels(template, 0))
+    with pytest.raises(RankDeficientError, match="^inconsistent system, residual nan$"):
+        solve_precoder(system)
+
+
+def test_rank_deficient_trial_is_an_unsolvable_result(monkeypatch):
+    """``run_trial`` turns a ``RankDeficientError`` into an unsolvable
+    result with an infinite residual and rank 0."""
+    monkeypatch.setattr(precoding, "sample_channels", nan_channels)
+    assert run_trial(shared_template(1, 1, "s4"), 7) == TrialResult(7, False, float("inf"), 0)
 
 
 @pytest.mark.parametrize("t,m", [(1, 1), (1, 2), (2, 1), (2, 2)])

@@ -31,6 +31,7 @@ from hexmg.regions import (
     scheme_point,
     sum_gain_cap,
     t_ranges,
+    upper_right_chain,
     _base_gains,
     _full_gains,
     _messages,
@@ -851,3 +852,12 @@ def test_integer_hull_matches_fraction_oracle(pts):
 def test_integer_hull_matches_fraction_oracle_on_edge_cases(pts):
     points = [MGPoint(Fraction(a), Fraction(b)) for a, b in pts]
     assert_exact(convex_hull(points), oracle_convex_hull(points))
+
+
+def test_upper_right_chain_of_one_and_two_vertices():
+    """A point region is its own chain; a segment runs from its slow end to
+    its fast end, whichever axis it lies on."""
+    origin, fast, slow = MGPoint(0, 0), MGPoint(1, 0), MGPoint(0, 1)
+    assert upper_right_chain(convex_hull([origin])) == [origin]
+    assert upper_right_chain(convex_hull([fast])) == [origin, fast]
+    assert upper_right_chain(convex_hull([slow])) == [slow, origin]

@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields, replace
 from typing import List, Optional
 
@@ -146,6 +147,21 @@ def test_negative_budgets_rejected():
         schedule_two_color(-1, 2)
     with pytest.raises(ValueError):
         schedule_four_color(1, -2)
+
+
+@pytest.mark.parametrize("builder", [schedule_two_color, schedule_four_color])
+@pytest.mark.parametrize("budgets,got", [
+    ((1.5, 0), "(1.5, 0, None)"), ((1, 1, 2.5), "(1, 1, 2.5)"), ((1, "2"), "(1, '2', None)")],
+    ids=["float-budget", "float-delay", "str-budget"])
+def test_non_integer_budgets_are_refused(monkeypatch, builder, budgets, got):
+    """A budget or delay that is not an int is refused with its values
+    named, before any step is built and with no lattice."""
+    from hexmg import lattice
+
+    monkeypatch.setattr(lattice, "build_network", lambda *a: pytest.fail("a lattice was built"))
+    monkeypatch.setattr(schedules, "_phase", lambda *a: pytest.fail("a phase was built"))
+    with pytest.raises(ValueError, match=re.escape(f"budgets and delay must be integers, got {got}")):
+        builder(*budgets)
 
 
 def test_four_color_red_decode_uses_only_red_and_pink_to_red():

@@ -19,7 +19,7 @@ from hexmg.clustering import (
     fast_pattern,
     is_master_cell,
 )
-from hexmg.lattice import NEIGHBOR_RULE, SectorSet, build_network, cell_distance
+from hexmg.lattice import NEIGHBOR_RULE, build_network, cell_distance
 
 
 def scipy_plan(net, t):
@@ -84,31 +84,17 @@ def test_clusters_match_connected_components_on_small_lattices(t_radius):
 
 
 @pytest.mark.parametrize("t", [1, 2])
-def test_clusters_follow_a_silencing_the_torus_does_not_hold(monkeypatch, t):
-    """Extra silenced sectors split clusters the torus calls whole: the
-    translation layout is dropped, and the components are still scipy's."""
-    net = build_network(15)
-    before = clusters(net, t)
-    extra = np.random.default_rng(t).random(len(net.nbr)) < 0.05
-    monkeypatch.setattr(
-        clustering, "silenced_sectors",
-        lambda net, t: SectorSet(net, before.silenced.labels | extra),
-    )
-    plan = clusters(net, t)
-    # some sectors of whole clusters are cut off from their master
-    had_master, has_master = (
-        np.array([cl.master is not None for cl in p.clusters]) for p in (before, plan)
-    )
-    ids = np.flatnonzero(plan.cluster_ids >= 0)
-    assert (had_master[before.cluster_ids[ids]] & ~has_master[plan.cluster_ids[ids]]).any()
-    assert_same_plan(plan, scipy_plan(net, t))
-
-
-def test_clusters_without_a_seed_propagate_everywhere(monkeypatch):
-    net = build_network(12)
-    want = scipy_plan(net, 2)
-    monkeypatch.setattr(clustering, "_origin_cluster", lambda t, silenced: None)
-    assert_same_plan(clusters(net, 2), want)
+def test_clusters_refuse_a_silencing_that_does_not_tile(monkeypatch, torus_table, t):
+    """A silencing whose translates of the origin cluster do not tile, the
+    one ``test_torus_owners_refuse_a_silencing_that_does_not_tile`` builds,
+    is refused with t named, before any component search."""
+    extra = _torus_silenced(t).copy()
+    extra[t * 3 * t + t, 0] = True
+    torus_table(extra)
+    monkeypatch.setattr(clustering, "_component_labels",
+                        lambda *a: pytest.fail("a component search ran"))
+    with pytest.raises(clustering.UncutLatticeError, match=f"^the silencing at t={t} does not"):
+        clusters(build_network(15), t)
 
 
 @pytest.mark.parametrize("t", range(1, 13))
