@@ -1,11 +1,13 @@
 """Command-line entry point wiring all modules together.
 
 Subcommands: ``lattice``, ``cluster``, ``region``, ``zf``, ``converse``,
-``schedule``, ``verify-all``.  Common flags: ``--out DIR``, ``--seed S``,
-``--config FILE`` (a flat ``key = value`` file mirroring flag names; explicit
-flags override config values).  Exit codes: 0 success, 1 verification or
-validation failure, 2 usage error.  All emitted files are byte-identical for
-identical configurations.
+``schedule``, ``verify-all``.  Every command takes ``--config FILE`` (a flat
+``key = value`` file mirroring flag names; explicit flags override config
+values), every command but ``schedule``, which writes no file, takes ``--out
+DIR``, and only ``zf`` and ``verify-all``, whose trials draw channels, take
+``--seed S``.  ``converse`` takes the four-colour partition iff ``--d`` is
+given.  Exit codes: 0 success, 1 verification or validation failure, 2 usage
+error.  All emitted files are byte-identical for identical configurations.
 
 Importing this module loads the standard library and the numpy-free
 modules ``regions``, ``schedules``, ``densities`` and ``schemes``, no numpy.
@@ -292,17 +294,11 @@ def cmd_zf(args: argparse.Namespace) -> int:
 def cmd_converse(args: argparse.Namespace) -> int:
     from . import checks, lattice, partitions
 
-    kind = args.partition or ("four" if args.d is not None else "two")
-    if kind == "four" and args.d is None:
-        raise ValueError("--d is required for the four-colour partition")
-    if kind == "two" and args.d is not None:
-        raise ValueError("--d applies only to the four-colour partition")
     net = lattice.build_network(args.radius)
-    part = (
-        partitions.partition_two(net)
-        if kind == "two"
-        else partitions.partition_four(net, args.d)
-    )
+    if args.d is None:
+        kind, part = "two", partitions.partition_two(net)
+    else:  # --d spaces the four-colour partition
+        kind, part = "four", partitions.partition_four(net, args.d)
     rows = partitions.census_fractions(net, part)
     lines = ["color,count,fraction,limit,abs_error"]
     for row in rows:
@@ -394,9 +390,9 @@ class _Command:
     exclusive groups ``_build_parser`` gives it, recorded as they are added
     (argparse keeps its own record in private attributes)."""
 
-    def __init__(self, parser: argparse.ArgumentParser, options: List[str]) -> None:
+    def __init__(self, parser: argparse.ArgumentParser) -> None:
         self.parser = parser
-        self.options = ["--help", *options]
+        self.options = ["--help"]
         self.groups: List[Set[str]] = []
 
     def add(self, *flags: str, **kwargs) -> None:
@@ -416,11 +412,6 @@ class _Command:
         return add
 
 
-def _command_of(commands: Dict[str, _Command], argv: List[str]) -> Optional[_Command]:
-    """The command of the first ``argv`` token that names one, if any."""
-    return next((commands[a] for a in argv if a in commands), None)
-
-
 def _option_named(arg: str, options) -> str:
     """The option a ``--`` flag names, matched as argparse matches it:
     exactly, else as the unique option it abbreviates (``--inn`` for
@@ -430,25 +421,16 @@ def _option_named(arg: str, options) -> str:
     return flag if flag in options or len(hits) != 1 else hits[0]
 
 
-def _explicit_groups(commands: Dict[str, _Command], argv: List[str]) -> List[Set[str]]:
-    """The option strings of each mutually exclusive group of ``argv``'s
-    command that a flag in ``argv`` sets, as ``_build_parser`` recorded the
-    groups, so that it stays the one place that states them."""
-    command = _command_of(commands, argv)
-    if command is None:
-        return []
-    explicit = {_option_named(arg, command.options) for arg in argv if arg.startswith("--")}
-    return [group for group in command.groups if group & explicit]
-
-
 def _inject_config(argv: List[str], commands: Dict[str, _Command]) -> List[str]:
     """Turn config-file entries into flags placed before the explicit ones,
     leaving out the entries of a mutually exclusive group that an explicit
-    flag already sets.  ``--config FILE`` and ``--config=FILE`` are matched
-    like the command's own flags, abbreviations included; argparse never
-    sees them, so a second ``--config`` is refused as an unknown flag.
-    Without a command nothing is injected, so ``main`` prints the usage."""
-    command = _command_of(commands, argv)
+    flag already sets, as ``_build_parser`` recorded the groups.  ``--config
+    FILE`` and ``--config=FILE`` are matched like the command's own flags,
+    abbreviations included; argparse never sees them, so a second
+    ``--config`` is refused as an unknown flag.  Without a command (no
+    ``argv`` token names one) nothing is injected, so ``main`` prints the
+    usage."""
+    command = next((commands[a] for a in argv if a in commands), None)
     options = ["--config", *(command.options if command else ())]
     at = next((i for i, arg in enumerate(argv)
                if arg.startswith("--") and _option_named(arg, options) == "--config"), None)
@@ -463,8 +445,10 @@ def _inject_config(argv: List[str], commands: Dict[str, _Command]) -> List[str]:
     if command is None:
         return rest
     kv = _load_config(path)
-    for group in _explicit_groups(commands, rest):
-        kv = {key: value for key, value in kv.items() if f"--{key}" not in group}
+    explicit = {_option_named(arg, command.options) for arg in rest if arg.startswith("--")}
+    for group in command.groups:
+        if group & explicit:
+            kv = {key: value for key, value in kv.items() if f"--{key}" not in group}
     flags: List[str] = []
     for key, value in kv.items():
         if value.lower() == "true":
@@ -479,11 +463,6 @@ def _inject_config(argv: List[str], commands: Dict[str, _Command]) -> List[str]:
 def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, _Command]]:
     """The parser, and each command by name with its recorded options and
     mutually exclusive groups."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", help="directory for emitted files")
-    common.add_argument("--seed", type=_nonnegative_int, default=0, help="global random seed")
-    shared = ["--out", "--seed"]
-
     parser = argparse.ArgumentParser(
         prog="hexmg",
         description="sectorized hexagonal network multiplexing-gain toolkit",
@@ -493,11 +472,16 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, _Command]]:
     sub = parser.add_subparsers(dest="command")
     commands: Dict[str, _Command] = {}
 
-    def command(name: str, func, summary: str) -> _Command:
-        p = sub.add_parser(name, parents=[common], help=summary)
+    def command(name: str, func, summary: str, *, out: bool = True) -> _Command:
+        p = sub.add_parser(name, help=summary)
         p.set_defaults(func=func)
-        commands[name] = _Command(p, shared)
-        return commands[name]
+        commands[name] = c = _Command(p)
+        if out:
+            c.add("--out", help="directory for emitted files")
+        return c
+
+    seed = dict(type=_nonnegative_int, default=0,
+                help="seed of the first ZF trial's channel draw; trial i draws with seed + i")
 
     c = command("lattice", cmd_lattice, "build the lattice and emit its interference links")
     c.add("--radius", type=_positive_int, required=True)
@@ -531,16 +515,17 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, _Command]]:
     c.add("--trials", type=_positive_int, default=100)
     c.add("--tol", type=_tolerance, default=schemes.NULLING_TOL)
     c.add("--scheme", choices=tuple(schemes.SCHEME_MODES), default="s4")
+    c.add("--seed", **seed)
     c.add("--emit", help="CSV file for per-trial results")
 
     c = command("converse", cmd_converse, "partition censuses for the outer bound")
     c.add("--radius", type=_positive_int, required=True)
-    c.add("--d", type=_positive_int, default=None)
-    c.add("--partition", choices=("two", "four"), default=None)
+    c.add("--d", type=_positive_int, default=None,
+          help="spacing of the four-colour partition (default: the two-colour one)")
     c.add("--check-fractions", action="store_true")
     c.add("--emit", help="CSV file for the census (default: stdout)")
 
-    c = command("schedule", cmd_schedule, "super-receiver schedule validation")
+    c = command("schedule", cmd_schedule, "super-receiver schedule validation", out=False)
     c.add("--algorithm", type=int, choices=(1, 2), required=True)
     c.add("--dt", type=int, required=True)
     c.add("--dr", type=int, required=True)
@@ -550,6 +535,7 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, _Command]]:
     c = command("verify-all", cmd_verify_all, "run every verification suite")
     c.add("--radius", type=_positive_int, default=30)
     c.add("--zf-trials", type=_positive_int, default=100)
+    c.add("--seed", **seed)
 
     return parser, commands
 

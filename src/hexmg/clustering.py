@@ -319,20 +319,14 @@ def clusters(net: Network, t: int) -> ClusterPlan:
     first = np.flatnonzero(new_group)
     group = np.cumsum(new_group) - 1
 
-    # any sector of a master cell makes that master the group's owner
+    # per cluster, whole ones first: its master's index in ``masters``, or -1.
+    # Any sector of a master cell makes that master the group's owner; the
+    # tiling puts each group inside one translate, so it holds at most one.
     cell = ids // 3
     owned = is_master[cell]
-    # sorted and deduped by hand: a plain np.unique imports numpy.ma
-    pairs = np.sort(group[owned] * len(net.q) + cell[owned])
-    pairs = pairs[np.diff(pairs, prepend=-1) != 0]
-    owning_group, owner_cell = np.divmod(pairs, len(net.q))
-    per_group = np.bincount(owning_group, minlength=len(first))
-    if (per_group > 1).any():
-        raise UncutLatticeError(f"cluster contains {per_group.max()} master cells")
-    # per cluster, whole ones first: its master's index in ``masters``, or -1
     at = np.full(len(whole) + len(first), -1)
     at[: len(whole)] = whole
-    at[len(whole) + owning_group] = np.searchsorted(master_cells, owner_cell)
+    at[len(whole) + group[owned]] = np.searchsorted(master_cells, cell[owned])
 
     # masters in cell order, then the partial clusters without one.  A sort
     # by master alone keeps the groups' own order, which is by first sector

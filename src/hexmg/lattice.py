@@ -94,9 +94,11 @@ class Network:
 
     @cached_property
     def sectors(self) -> Tuple[Sector, ...]:
-        """Every sector as a ``(q, r, o)`` tuple, indexed by sector id."""
-        qs = np.repeat(self.q, NUM_ORIENTATIONS).tolist()
-        rs = np.repeat(self.r, NUM_ORIENTATIONS).tolist()
+        """Every sector as a ``(q, r, o)`` tuple, indexed by sector id.  The
+        tuples share one int per coordinate value, read off by ``q + radius``."""
+        coordinate = list(range(-self.radius, self.radius + 1)).__getitem__
+        qs = map(coordinate, np.repeat(self.q + self.radius, NUM_ORIENTATIONS).tolist())
+        rs = map(coordinate, np.repeat(self.r + self.radius, NUM_ORIENTATIONS).tolist())
         return tuple(zip(qs, rs, list(range(NUM_ORIENTATIONS)) * len(self.q)))
 
     @cached_property

@@ -394,7 +394,7 @@ def check_trial_count(trials: int) -> None:
 
 
 def run_trials(
-    t: int, m: int, trials: int, seed: int = 0, scheme: str = "s4", tol: float = NULLING_TOL
+    t: int, m: int, trials: int, *, scheme: str, seed: int = 0, tol: float = NULLING_TOL
 ) -> List[TrialResult]:
     """Independent seeded certification trials for one (t, m) design point,
     all on one ``system_template``.  Too many trials, or a design point the

@@ -596,6 +596,23 @@ EMIT_DIGESTS = {
         "8c7e95696a4b5edaa03705032cc6ca9e54f37b217f05ee49b8eaf54b2db41076",
         "8c7e95696a4b5edaa03705032cc6ca9e54f37b217f05ee49b8eaf54b2db41076",
     ),
+    # both partitions, recorded while ``--partition`` still chose between
+    # them; at radius 10 the census misses the fraction tolerance, so the
+    # check fails and the exit is 1 (``EMIT_EXIT_CODES``)
+    ("converse", "--radius", "10", "--check-fractions"): (
+        "3a2e5b0c4cdb5a7c868929f720e7fba3f8170b4fe9cf491f056f62e1998360cb",
+        "b200fc622dd2f2c2c87303adbb90b3ab921338e0ce2ca3ce9bd5dc588ea162a5",
+    ),
+    ("converse", "--radius", "10", "--d", "3", "--check-fractions"): (
+        "aea88b44aefcd0c31058b7ed505a545b02ae9cd14e9e3e758208bf3407e8498d",
+        "3a31df5bf0e502f304813b03c148aaf14fdb6fc9cb2218630737a6ff1d763bae",
+    ),
+}
+
+#: the exit code of each ``EMIT_DIGESTS`` run that is not 0
+EMIT_EXIT_CODES = {
+    ("converse", "--radius", "10", "--check-fractions"): 1,
+    ("converse", "--radius", "10", "--d", "3", "--check-fractions"): 1,
 }
 
 
@@ -603,8 +620,11 @@ def emit_id(argv):
     """``zf-s3`` for an ``--scheme``; ``verify-all-min-radius`` for the
     smallest verify-all, so the radius-30 case keeps the bare ``verify-all``;
     ``region-sweep`` for a ``--t-sweep`` and ``region-csv`` for a
-    ``--format`` other than json, so the json region keeps the bare ``region``."""
+    ``--format`` other than json, so the json region keeps the bare ``region``;
+    ``converse-two`` or ``converse-four`` by the partition ``--d`` picks."""
     tags = [argv[i + 1] for i, a in enumerate(argv) if a == "--scheme"]
+    if argv[0] == "converse":
+        tags.append("four" if "--d" in argv else "two")
     tags += ["sweep" for a in argv if a == "--t-sweep"]
     tags += [argv[i + 1] for i, a in enumerate(argv) if a == "--format" and argv[i + 1] != "json"]
     if argv[0] == "verify-all" and "--zf-trials" in argv:
@@ -614,13 +634,15 @@ def emit_id(argv):
 
 @pytest.mark.parametrize("argv", list(EMIT_DIGESTS), ids=emit_id)
 def test_emitted_outputs_are_byte_identical(capsys, tmp_path, argv):
+    """Each file is written under ``--out``; an ``--emit`` name relative to
+    it keeps the temporary directory out of the stdout ``converse`` prints."""
     if argv[0] == "verify-all":
         out = tmp_path / "verify_report.txt"
         code, stdout, _ = run(capsys, *argv, "--out", str(tmp_path))
     else:
         out = tmp_path / "emit.csv"
-        code, stdout, _ = run(capsys, *argv, "--emit", str(out))
-    assert code == 0
+        code, stdout, _ = run(capsys, *argv, "--out", str(tmp_path), "--emit", out.name)
+    assert code == EMIT_EXIT_CODES.get(argv, 0)
     got = (
         hashlib.sha256(out.read_bytes()).hexdigest(),
         hashlib.sha256(stdout.encode()).hexdigest(),
@@ -683,19 +705,72 @@ def test_converse_census(capsys, tmp_path):
 
 
 def test_converse_four_without_d_is_a_usage_error(capsys):
+    """``--d`` alone picks the partition, so ``--partition`` is no option."""
     code, stdout, err = run(capsys, "converse", "--radius", "10", "--partition", "four")
-    assert code == 2
-    assert stdout == ""
-    assert err == "hexmg: --d is required for the four-colour partition\n"
-    assert "Traceback" not in err
+    assert (code, stdout) == (2, "")
+    assert err.endswith("hexmg: error: unrecognized arguments: --partition four\n")
 
 
 def test_converse_two_with_d_is_a_usage_error(capsys):
-    """``--d`` spaces the four-colour partition; the two-colour one has no
-    use for it, so the pair is refused rather than ignored."""
+    """``--d`` spaces the four-colour partition and picks it; there is no
+    ``--partition`` to contradict it."""
     code, stdout, err = run(capsys, "converse", "--radius", "10", "--partition", "two", "--d", "3")
     assert (code, stdout) == (2, "")
-    assert err == "hexmg: --d applies only to the four-colour partition\n"
+    assert err.endswith("hexmg: error: unrecognized arguments: --partition two\n")
+
+
+def test_converse_without_check_fractions_exits_0(capsys):
+    """Without ``--check-fractions`` the census is printed and no tolerance
+    is judged, even at a radius whose census misses it."""
+    code, stdout, err = run(capsys, "converse", "--radius", "2")
+    assert (code, err) == (0, "")
+    assert stdout.startswith("color,count,fraction,limit,abs_error\n")
+
+
+def test_converse_without_interior_cells_is_a_usage_error(capsys):
+    assert run(capsys, "converse", "--radius", "1") == (
+        2, "", "hexmg: no interior cells at this radius\n")
+
+
+def test_cluster_check_counts_mismatch_exits_1(capsys, monkeypatch):
+    """A link count off the closed form is reported as ``MISMATCH`` with
+    exit 1, a failed check, not a usage error."""
+    count_links = clustering.count_links
+    monkeypatch.setattr(clustering, "count_links", lambda plan, side: count_links(plan, side) + 1)
+    code, stdout, err = run(capsys, "cluster", "--radius", "6", "--t", "1", "--check-counts")
+    assert (code, err) == (1, "")
+    assert "tx links 37 (want 36)" in stdout and ": MISMATCH\n" in stdout
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["lattice", "--radius", "2"], "--seed 1"),
+        (["cluster", "--radius", "6", "--t", "1"], "--seed 1"),
+        (["region", "--m", "1", "--d", "20"], "--seed 1"),
+        (["converse", "--radius", "2"], "--seed 1"),
+        (["schedule", "--algorithm", "1", "--dt", "1", "--dr", "1"], "--seed 1"),
+        (["schedule", "--algorithm", "1", "--dt", "1", "--dr", "1"], "--out DIR"),
+    ],
+    ids=["lattice-seed", "cluster-seed", "region-seed", "converse-seed", "schedule-seed",
+         "schedule-out"],
+)
+def test_flags_a_command_does_not_use_are_refused(capsys, argv, flag):
+    """Only ``zf`` and ``verify-all`` draw channels, so only they take
+    ``--seed``; ``schedule`` writes no file, so it takes no ``--out``."""
+    code, stdout, err = run(capsys, *argv, *flag.split())
+    assert (code, stdout) == (2, "")
+    assert err.endswith(f"hexmg: error: unrecognized arguments: {flag}\n")
+
+
+def test_config_naming_a_removed_flag_is_refused(capsys, tmp_path):
+    """A config entry is injected as its flag, so ``seed`` is refused on
+    ``region`` as the flag is."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("m = 1\nd = 20\nseed = 1\n")
+    code, stdout, err = run(capsys, "region", "--config", str(cfg))
+    assert (code, stdout) == (2, "")
+    assert err.endswith("hexmg: error: unrecognized arguments: --seed 1\n")
 
 
 def readme_commands():

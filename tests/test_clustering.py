@@ -353,6 +353,25 @@ def test_every_cluster_is_built_and_matches_the_labels(t):
     assert np.array_equal(thawed.sectors.ids, cl.sectors.ids)
 
 
+def test_cluster_fields_cannot_be_deleted_and_repr_names_both():
+    cl = clusters(build_network(6), 1).cluster_of((0, 0, 0))
+    for name in ("master", "sectors"):
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot delete field '{name}'$"):
+            delattr(cl, name)
+    assert cl.master == (0, 0)
+    assert repr(cl) == f"Cluster(master=(0, 0), sectors={cl.sectors!r})"
+
+
+def test_censuses_refuse_what_they_cannot_count():
+    """A radius with no interior sector, and a plan not yet assigned, have
+    no role census."""
+    net = build_network(1)
+    with pytest.raises(ValueError, match="^no interior sectors at this radius$"):
+        role_census(net, np.zeros(len(net.nbr), dtype=np.intp))
+    with pytest.raises(ValueError, match="^plan has no assignment; call assign_messages first$"):
+        assignment_fractions(clusters(build_network(6), 1))
+
+
 def test_no_interference_edge_crosses_clusters():
     net = build_network(12)
     plan = clusters(net, 2)

@@ -163,6 +163,24 @@ def test_tx_neighbors_function_matches_the_mapping():
             tx_neighbors(net, bad)
 
 
+def test_tx_neighbors_mapping_refuses_an_unknown_sector_and_counts_every_sector():
+    net = build_network(2)
+    with pytest.raises(KeyError):
+        net.tx_neighbors[(99, 0, 0)]
+    assert len(net.tx_neighbors) == len(net.sectors) == 57
+
+
+def test_sectors_share_one_int_per_coordinate():
+    """``sectors`` holds the coordinate arrays' values as tuples, and past
+    the interpreter's cache of small ints (below -5) each coordinate value
+    is one object, not one per tuple."""
+    net = build_network(12)
+    qs, rs = np.repeat(net.q, NUM_ORIENTATIONS).tolist(), np.repeat(net.r, NUM_ORIENTATIONS).tolist()
+    assert net.sectors == tuple(zip(qs, rs, [0, 1, 2] * len(net.q)))
+    low = {id(v) for s in net.sectors for v in s[:2] if v < -5}
+    assert len(low) <= 7  # the values -12..-6
+
+
 @pytest.mark.parametrize("radius,cells,sectors", [(1, 7, 21), (2, 19, 57)])
 def test_ball_sizes(radius, cells, sectors):
     net = build_network(radius)

@@ -190,6 +190,11 @@ def test_fraction_limits_are_cached_and_read_only():
         RED: Fraction(1, 26), BLUE: Fraction(1, 26), PINK: Fraction(3, 13), WHITE: Fraction(9, 13)}
 
 
+def test_four_colour_limits_need_d():
+    with pytest.raises(ValueError, match="^four-colour limits need d$"):
+        fraction_limits(FOUR)
+
+
 def test_four_colour_limits_are_densities():
     """For every d the four-colour limits are non-negative and sum to one;
     at d = 1, where the pink rings around the red cells overlap, they match

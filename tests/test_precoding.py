@@ -231,7 +231,7 @@ def test_system_requires_matching_assignment(monkeypatch):
     (lambda: system_template(2.0, 1, "s4"), "t must be a positive integer, got 2.0"),
     (lambda: system_template(0, 1, "s4"), "t must be a positive integer, got 0"),
     (lambda: system_template(1, 2.0, "s4"), "m must be a positive integer, got 2.0"),
-    (lambda: run_trials(1, 1, 2.5), "trials must be a positive integer, got 2.5"),
+    (lambda: run_trials(1, 1, 2.5, scheme="s4"), "trials must be a positive integer, got 2.5"),
     (lambda: certification_plan(2.0, "s4"), "t must be a positive integer, got 2.0"),
 ], ids=["float-t", "zero-t", "float-m", "float-trials", "plan-float-t"])
 def test_non_integer_counts_are_refused_before_any_lattice(monkeypatch, call, text):
