@@ -5,7 +5,9 @@ Subcommands: ``lattice``, ``cluster``, ``region``, ``zf``, ``converse``,
 ``key = value`` file mirroring flag names; explicit flags override config
 values), every command but ``schedule``, which writes no file, takes ``--out
 DIR``, and only ``zf`` and ``verify-all``, whose trials draw channels, take
-``--seed S``.  ``converse`` takes the four-colour partition iff ``--d`` is
+``--seed S``.  ``region`` makes each of its two choices with one flag:
+``--bound inner|outer|both`` and ``--t T`` or ``--t all`` for every
+admissible t.  ``converse`` takes the four-colour partition iff ``--d`` is
 given.  Exit codes: 0 success, 1 verification or validation failure, 2 usage
 error.  All emitted files are byte-identical for identical configurations.
 
@@ -24,7 +26,7 @@ import math
 import os
 import sys
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import regions, schedules, schemes
 from .regions import decimal_str
@@ -45,31 +47,41 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+def _int_at_least(text: str, least: int, expected: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value, text = None, repr(text)
+    if value is None or value < least:
+        raise argparse.ArgumentTypeError(f"must be {expected}, got {text}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1, "a positive integer")
 
 
 def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
-    return value
+    return _int_at_least(text, 0, "a non-negative integer")
+
+
+def _t_choice(text: str):
+    """A cluster size t, or ``all`` for every admissible t."""
+    return text if text == "all" else _int_at_least(text, 1, "a positive integer or 'all'")
 
 
 def _sample_count(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"need at least 2 samples, got {text}")
+    value = _int_at_least(text, 2, "an integer of at least 2")
     if value > MAX_SAMPLES:
         raise argparse.ArgumentTypeError(f"{value} samples exceed the cap of {MAX_SAMPLES}")
     return value
 
 
 def _tolerance(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        value, text = math.nan, repr(text)
     if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
     return value
@@ -127,7 +139,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
     if args.emit:
         # each master cell's orientation-0 sector is its cluster's master user
-        master_users = {(*cl.master, 0) for cl in plan.clusters if cl.master is not None}
+        master_users = {(*cell, 0) for cell in plan.masters}
         lines = ["cell_q,cell_r,orientation,role,cluster_id"]
         for s, code, cid in zip(net.sectors, plan.roles.tolist(), plan.cluster_ids.tolist()):
             role = "MASTER" if s in master_users else clustering.ROLES[code]
@@ -153,7 +165,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     )
     print(
         f"cluster t={t} mode={args.mode}: {len(plan.masters)} masters, "
-        f"{len(plan.clusters)} clusters, interior fractions: {frac_str}"
+        f"{plan.cluster_ids.max() + 1} clusters, interior fractions: {frac_str}"
     )
     return status
 
@@ -200,7 +212,10 @@ def region_svg(curves: Sequence[Tuple[str, List[regions.MGPoint]]]) -> str:
 
 
 def _default_t_values(args: argparse.Namespace) -> Optional[List[int]]:
-    if args.t_sweep:
+    """The t the inner bound visits, None for every admissible t: ``--t``'s
+    value, else the mixed dual range's largest t, else (d < 6, where that
+    range is empty) every t."""
+    if args.t == "all":
         return None
     if args.t is not None:
         return [args.t]
@@ -212,17 +227,15 @@ def cmd_region(args: argparse.Namespace) -> int:
     params = regions.SystemParams(m=args.m, mu_tx=args.mu_tx, mu_rx=args.mu_rx, d=args.d)
     ranges = [r for family in (regions.FAMILY_SLOW, regions.FAMILY_MIXED)
               for r in regions.t_ranges(family, args.d)]
-    if args.t is not None and not any(args.t in r for r in ranges):
-        raise ValueError(
-            f"--t {args.t} enters no scheme for --d {args.d}; "
-            f"t must be at most {max(r.stop for r in ranges) - 1}"
-        )
+    if isinstance(args.t, int) and not any(args.t in r for r in ranges):
+        largest = max(r.stop for r in ranges) - 1
+        bound = f"t must be at most {largest}" if largest else f"at d = {args.d} no t enters any scheme"
+        raise ValueError(f"--t {args.t} enters no scheme for --d {args.d}; {bound}")
     t_values = _default_t_values(args)
-    which = args.which or "both"
     curves: List[Tuple[str, regions.Region]] = []
-    if which in ("inner", "both"):
+    if args.bound in ("inner", "both"):
         curves.append(("inner", regions.inner_bound(params, t_values)))
-    if which in ("outer", "both"):
+    if args.bound in ("outer", "both"):
         curves.append(("outer", regions.outer_bound(params)))
 
     if args.format == "json":
@@ -385,53 +398,25 @@ def _load_config(path: str) -> Dict[str, str]:
     return out
 
 
-class _Command:
-    """A subcommand's parser with the option strings and the mutually
-    exclusive groups ``_build_parser`` gives it, recorded as they are added
-    (argparse keeps its own record in private attributes)."""
-
-    def __init__(self, parser: argparse.ArgumentParser) -> None:
-        self.parser = parser
-        self.options = ["--help"]
-        self.groups: List[Set[str]] = []
-
-    def add(self, *flags: str, **kwargs) -> None:
-        self.parser.add_argument(*flags, **kwargs)
-        self.options += flags
-
-    def exclusive(self) -> Callable[..., None]:
-        """An ``add`` into a new mutually exclusive group."""
-        group, flags = self.parser.add_mutually_exclusive_group(), set()
-        self.groups.append(flags)
-
-        def add(*names: str, **kwargs) -> None:
-            group.add_argument(*names, **kwargs)
-            self.options += names
-            flags.update(names)
-
-        return add
-
-
 def _option_named(arg: str, options) -> str:
     """The option a ``--`` flag names, matched as argparse matches it:
-    exactly, else as the unique option it abbreviates (``--inn`` for
-    ``--inner``); ``--flag=value`` names ``--flag``."""
+    exactly, else as the unique option it abbreviates (``--conf`` for
+    ``--config``); ``--flag=value`` names ``--flag``."""
     flag = arg.split("=", 1)[0]
     hits = [o for o in options if o.startswith(flag)]
     return flag if flag in options or len(hits) != 1 else hits[0]
 
 
-def _inject_config(argv: List[str], commands: Dict[str, _Command]) -> List[str]:
+def _inject_config(argv: List[str], commands: Dict[str, List[str]]) -> List[str]:
     """Turn config-file entries into flags placed before the explicit ones,
-    leaving out the entries of a mutually exclusive group that an explicit
-    flag already sets, as ``_build_parser`` recorded the groups.  ``--config
+    so an explicit flag wins by argparse's last-wins rule.  ``--config
     FILE`` and ``--config=FILE`` are matched like the command's own flags,
-    abbreviations included; argparse never sees them, so a second
-    ``--config`` is refused as an unknown flag.  Without a command (no
-    ``argv`` token names one) nothing is injected, so ``main`` prints the
-    usage."""
+    as ``_build_parser`` recorded them, abbreviations included; argparse
+    never sees them, so a second ``--config`` is refused as an unknown
+    flag.  Without a command (no ``argv`` token names one) nothing is
+    injected, so ``main`` prints the usage."""
     command = next((commands[a] for a in argv if a in commands), None)
-    options = ["--config", *(command.options if command else ())]
+    options = ["--config", *(command or ())]
     at = next((i for i, arg in enumerate(argv)
                if arg.startswith("--") and _option_named(arg, options) == "--config"), None)
     if at is None:
@@ -444,13 +429,8 @@ def _inject_config(argv: List[str], commands: Dict[str, _Command]) -> List[str]:
     rest = argv[:at] + argv[at + (1 if eq else 2) :]
     if command is None:
         return rest
-    kv = _load_config(path)
-    explicit = {_option_named(arg, command.options) for arg in rest if arg.startswith("--")}
-    for group in command.groups:
-        if group & explicit:
-            kv = {key: value for key, value in kv.items() if f"--{key}" not in group}
     flags: List[str] = []
-    for key, value in kv.items():
+    for key, value in _load_config(path).items():
         if value.lower() == "true":
             flags.append(f"--{key}")
         elif value.lower() == "false":
@@ -460,9 +440,10 @@ def _inject_config(argv: List[str], commands: Dict[str, _Command]) -> List[str]:
     return [rest[0]] + flags + rest[1:]
 
 
-def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, _Command]]:
-    """The parser, and each command by name with its recorded options and
-    mutually exclusive groups."""
+def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, List[str]]]:
+    """The parser, and each command's option strings by its name, recorded
+    as they are added (argparse keeps its own record in private
+    attributes)."""
     parser = argparse.ArgumentParser(
         prog="hexmg",
         description="sectorized hexagonal network multiplexing-gain toolkit",
@@ -470,72 +451,76 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, _Command]]:
         "'key = value' lines named after its flags; explicit flags win",
     )
     sub = parser.add_subparsers(dest="command")
-    commands: Dict[str, _Command] = {}
+    commands: Dict[str, List[str]] = {}
 
-    def command(name: str, func, summary: str, *, out: bool = True) -> _Command:
+    def command(name: str, func, summary: str, *, out: bool = True) -> Callable[..., None]:
+        """An ``add`` of options to a new command's parser."""
         p = sub.add_parser(name, help=summary)
         p.set_defaults(func=func)
-        commands[name] = c = _Command(p)
+        options = commands[name] = []
+
+        def add(*flags: str, **kwargs) -> None:
+            p.add_argument(*flags, **kwargs)
+            options.extend(flags)
+
         if out:
-            c.add("--out", help="directory for emitted files")
-        return c
+            add("--out", help="directory for emitted files")
+        return add
 
     seed = dict(type=_nonnegative_int, default=0,
                 help="seed of the first ZF trial's channel draw; trial i draws with seed + i")
 
-    c = command("lattice", cmd_lattice, "build the lattice and emit its interference links")
-    c.add("--radius", type=_positive_int, required=True)
-    c.add("--emit", help="CSV file for the directed interference links")
+    add = command("lattice", cmd_lattice, "build the lattice and emit its interference links")
+    add("--radius", type=_positive_int, required=True)
+    add("--emit", help="CSV file for the directed interference links")
 
-    c = command("cluster", cmd_cluster, "cluster decomposition and message assignment")
-    c.add("--radius", type=_positive_int, required=True)
-    c.add("--t", type=_positive_int, required=True)
-    c.add("--mode", choices=("slow", "mixed"), default="slow")
-    c.add("--check-counts", action="store_true")
-    c.add("--emit", help="CSV file for per-sector roles")
+    add = command("cluster", cmd_cluster, "cluster decomposition and message assignment")
+    add("--radius", type=_positive_int, required=True)
+    add("--t", type=_positive_int, required=True)
+    add("--mode", choices=("slow", "mixed"), default="slow")
+    add("--check-counts", action="store_true")
+    add("--emit", help="CSV file for per-sector roles")
 
-    c = command("region", cmd_region, "inner/outer multiplexing-gain regions")
-    c.add("--m", type=_positive_int, required=True)
-    c.add("--mu-tx", type=_fraction, default=Fraction(0))
-    c.add("--mu-rx", type=_fraction, default=Fraction(0))
-    c.add("--d", type=_positive_int, required=True)
-    add = c.exclusive()
-    for which in ("inner", "outer", "both"):
-        add(f"--{which}", dest="which", action="store_const", const=which)
-    c.add("--format", choices=("csv", "json", "svg"), default="csv")
-    c.add("--samples", type=_sample_count, default=2, help="boundary sample count")
-    add = c.exclusive()
-    add("--t", type=_positive_int, default=None, help="single cluster parameter (default: floor((d-2)/4))")
-    add("--t-sweep", action="store_true", help="sweep every admissible t")
-    c.add("--emit", help="output file (default: stdout)")
+    add = command("region", cmd_region, "inner/outer multiplexing-gain regions")
+    add("--m", type=_positive_int, required=True)
+    add("--mu-tx", type=_fraction, default=Fraction(0))
+    add("--mu-rx", type=_fraction, default=Fraction(0))
+    add("--d", type=_positive_int, required=True)
+    add("--bound", choices=("inner", "outer", "both"), default="both")
+    add("--format", choices=("csv", "json", "svg"), default="csv")
+    add("--samples", type=_sample_count, default=2, help="boundary sample count")
+    add("--t", type=_t_choice, default=None,
+        help="one cluster parameter, or 'all' for every admissible t (default: "
+        "floor((d-2)/4), or every t when d < 6, where that is below 1)")
+    add("--emit", help="output file (default: stdout)")
 
-    c = command("zf", cmd_zf, "zero-forcing precoder certification")
-    c.add("--t", type=_positive_int, required=True)
-    c.add("--m", type=_positive_int, required=True)
-    c.add("--trials", type=_positive_int, default=100)
-    c.add("--tol", type=_tolerance, default=schemes.NULLING_TOL)
-    c.add("--scheme", choices=tuple(schemes.SCHEME_MODES), default="s4")
-    c.add("--seed", **seed)
-    c.add("--emit", help="CSV file for per-trial results")
+    add = command("zf", cmd_zf, "zero-forcing precoder certification")
+    add("--t", type=_positive_int, required=True)
+    add("--m", type=_positive_int, required=True)
+    add("--trials", type=_positive_int, default=100)
+    add("--tol", type=_tolerance, default=schemes.NULLING_TOL)
+    add("--scheme", choices=tuple(schemes.SCHEME_MODES), default="s4")
+    add("--seed", **seed)
+    add("--emit", help="CSV file for per-trial results")
 
-    c = command("converse", cmd_converse, "partition censuses for the outer bound")
-    c.add("--radius", type=_positive_int, required=True)
-    c.add("--d", type=_positive_int, default=None,
-          help="spacing of the four-colour partition (default: the two-colour one)")
-    c.add("--check-fractions", action="store_true")
-    c.add("--emit", help="CSV file for the census (default: stdout)")
+    add = command("converse", cmd_converse, "partition censuses for the outer bound")
+    add("--radius", type=_positive_int, required=True)
+    add("--d", type=_positive_int, default=None,
+        help="spacing of the four-colour partition (default: the two-colour one)")
+    add("--check-fractions", action="store_true")
+    add("--emit", help="CSV file for the census (default: stdout)")
 
-    c = command("schedule", cmd_schedule, "super-receiver schedule validation", out=False)
-    c.add("--algorithm", type=int, choices=(1, 2), required=True)
-    c.add("--dt", type=int, required=True)
-    c.add("--dr", type=int, required=True)
-    c.add("--d", type=_nonnegative_int, default=None)
-    c.add("--validate", action="store_true")
+    add = command("schedule", cmd_schedule, "super-receiver schedule validation", out=False)
+    add("--algorithm", type=int, choices=(1, 2), required=True)
+    add("--dt", type=int, required=True)
+    add("--dr", type=int, required=True)
+    add("--d", type=_nonnegative_int, default=None)
+    add("--validate", action="store_true")
 
-    c = command("verify-all", cmd_verify_all, "run every verification suite")
-    c.add("--radius", type=_positive_int, default=30)
-    c.add("--zf-trials", type=_positive_int, default=100)
-    c.add("--seed", **seed)
+    add = command("verify-all", cmd_verify_all, "run every verification suite")
+    add("--radius", type=_positive_int, default=30)
+    add("--zf-trials", type=_positive_int, default=100)
+    add("--seed", **seed)
 
     return parser, commands
 

@@ -138,7 +138,7 @@ def _origin_layout(plan: ClusterPlan) -> LinkLayout:
     origin master cell."""
     net = plan.net
     label = plan.cluster_ids[net.id_of((0, 0, 0))]
-    ids = plan.clusters[label].sectors.ids
+    ids = np.flatnonzero(plan.cluster_ids == label)
     n = len(ids)
     # column 0 is the self link, then the in-cluster neighbours by
     # ascending position, padded with n

@@ -45,7 +45,8 @@ _ZERO = Fraction(0)
 #: about d of them.  Each point stays on its own denominators, so a sweep
 #: costs O(d log d): at the cap, d = 100,001 (99,998 points, 32,324
 #: vertices) takes about 1.6 s and 60 MB at m = 1, μ = 1 on a 2-vCPU Xeon,
-#: and ``hexmg region --t-sweep --format json`` writes 5.1 MB.
+#: and ``hexmg region --m 1 --mu-tx 1 --mu-rx 1 --d 100001 --t all --format
+#: json`` writes 5.1 MB.
 MAX_SWEEP_POINTS = 100_000
 
 

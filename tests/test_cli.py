@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import importlib
 import json
@@ -15,7 +16,7 @@ import pytest
 
 from hexmg import checks, clustering, lattice, partitions, precoding, regions, schedules
 from hexmg.checks import decimal_str
-from hexmg.cli import MAX_SAMPLES, main
+from hexmg.cli import MAX_SAMPLES, _build_parser, main
 
 
 def run(capsys, *argv):
@@ -39,7 +40,7 @@ def test_region_csv_matches_reference_curves(capsys, tmp_path):
     code, _, _ = run(
         capsys,
         "region", "--m", "3", "--mu-tx", "0.1", "--mu-rx", "0.2", "--d", "20",
-        "--both", "--format", "csv", "--emit", str(out),
+        "--bound", "both", "--format", "csv", "--emit", str(out),
     )
     assert code == 0
     text = out.read_text()
@@ -59,7 +60,7 @@ def test_region_json_exact_rationals(capsys, tmp_path):
     code, _, _ = run(
         capsys,
         "region", "--m", "3", "--mu-tx", "1/10", "--mu-rx", "1/5", "--d", "20",
-        "--inner", "--format", "json", "--emit", str(out),
+        "--bound", "inner", "--format", "json", "--emit", str(out),
     )
     assert code == 0
     payload = json.loads(out.read_text())
@@ -94,14 +95,16 @@ def test_region_usage_error(capsys):
         ["region", "--m", "3", "--d", "20", "--t", "11"],
         ["region", "--m", "3", "--d", "20", "--samples", "-5"],
         ["region", "--m", "3", "--d", "20", "--samples", "1"],
-        # a sweep would silently drop --t
+        # --t-sweep is gone: --t all sweeps, so t and a sweep cannot both be asked
         ["region", "--m", "3", "--d", "20", "--t", "2", "--t-sweep", "--format", "json"],
+        ["region", "--m", "3", "--d", "20", "--t", "0"],
+        ["region", "--m", "3", "--d", "20", "--t", "sweep"],
         ["zf", "--t", "1", "--m", "1", "--trials", "1", "--tol", "nan"],
         ["zf", "--t", "1", "--m", "1", "--trials", "1", "--tol", "-1"],
         ["zf", "--t", "1", "--m", "1", "--trials", "1", "--tol", "inf"],
     ],
     ids=["t-beyond-slow-range", "samples-negative", "samples-one", "t-with-t-sweep",
-         "tol-nan", "tol-negative", "tol-inf"],
+         "t-zero", "t-sweep-word", "tol-nan", "tol-negative", "tol-inf"],
 )
 def test_out_of_range_input_is_a_usage_error(capsys, argv):
     code, stdout, err = run(capsys, *argv)
@@ -127,11 +130,11 @@ def test_region_samples_past_the_cap_is_a_usage_error(capsys, monkeypatch):
 
 
 def test_region_sweep_past_the_cap_is_a_usage_error(capsys, monkeypatch):
-    """A ``--t-sweep`` past ``regions.MAX_SWEEP_POINTS`` scheme points exits
+    """A ``--t all`` past ``regions.MAX_SWEEP_POINTS`` scheme points exits
     2 with the cap named and nothing on stdout, before any gain is
     computed."""
     monkeypatch.setattr(regions, "_gains", lambda *a: pytest.fail("a gain was computed"))
-    code, stdout, err = run(capsys, "region", "--m", "1", "--d", "200000", "--t-sweep")
+    code, stdout, err = run(capsys, "region", "--m", "1", "--d", "200000", "--t", "all")
     assert (code, stdout) == (2, "")
     assert err == ("hexmg: a sweep at d=200000 visits 199998 scheme points, past the cap of "
                    f"{regions.MAX_SWEEP_POINTS}\n")
@@ -430,7 +433,7 @@ def test_cli_import_loads_no_scipy():
     finds never load either."""
     argvs = [
         ["region", "--m", "3", "--d", "20"],
-        ["region", "--m", "3", "--d", "20", "--format", "json", "--t-sweep"],
+        ["region", "--m", "3", "--d", "20", "--format", "json", "--t", "all"],
         ["schedule", "--algorithm", "2", "--dt", "1", "--dr", "1", "--validate"],
         ["--help"],
         ["region", "--m", "0", "--d", "3"],
@@ -570,8 +573,9 @@ EMIT_DIGESTS = {
     ),
     # a full sweep at d = 1,001 (324 vertices) and the sampled csv and svg
     # boundaries, recorded while the hull still put every point on one
-    # common denominator (1,437 bits for the sweep)
-    ("region", "--m", "1", "--mu-tx", "1", "--mu-rx", "1", "--d", "1001", "--t-sweep", "--format", "json"): (
+    # common denominator (1,437 bits for the sweep), and while the sweep was
+    # still asked for with --t-sweep
+    ("region", "--m", "1", "--mu-tx", "1", "--mu-rx", "1", "--d", "1001", "--t", "all", "--format", "json"): (
         "bc42896e9076c2aa84916ff082f4e5c074bc037b9fad01b774fd2d55f24c8d56",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
@@ -619,13 +623,13 @@ EMIT_EXIT_CODES = {
 def emit_id(argv):
     """``zf-s3`` for an ``--scheme``; ``verify-all-min-radius`` for the
     smallest verify-all, so the radius-30 case keeps the bare ``verify-all``;
-    ``region-sweep`` for a ``--t-sweep`` and ``region-csv`` for a
+    ``region-sweep`` for a ``--t all`` and ``region-csv`` for a
     ``--format`` other than json, so the json region keeps the bare ``region``;
     ``converse-two`` or ``converse-four`` by the partition ``--d`` picks."""
     tags = [argv[i + 1] for i, a in enumerate(argv) if a == "--scheme"]
     if argv[0] == "converse":
         tags.append("four" if "--d" in argv else "two")
-    tags += ["sweep" for a in argv if a == "--t-sweep"]
+    tags += ["sweep" for i, a in enumerate(argv) if a == "--t" and argv[i + 1] == "all"]
     tags += [argv[i + 1] for i, a in enumerate(argv) if a == "--format" and argv[i + 1] != "json"]
     if argv[0] == "verify-all" and "--zf-trials" in argv:
         tags.append("min-radius")
@@ -966,27 +970,88 @@ def test_non_rational_prelog_is_a_usage_error(capsys):
 @pytest.mark.parametrize(
     "config,explicit,want",
     [
-        ("both = true\n", ["--inner"], ["--inner"]),
-        ("inner = true\nt = 1\n", ["--both", "--t", "2"], ["--both", "--t", "2"]),
-        ("t = 2\n", ["--t-sweep"], ["--t-sweep"]),
-        ("t-sweep = true\n", ["--t=1"], ["--t=1"]),
-        ("t = 2\nboth = true\n", ["--outer"], ["--t", "2", "--outer"]),
-        # abbreviated flags name their option as argparse reads them
-        ("both = true\n", ["--inn"], ["--inner"]),
-        ("t = 2\n", ["--t-s"], ["--t-sweep"]),
+        ("bound = both\n", ["--bound", "inner"], ["--bound", "inner"]),
+        ("bound = inner\nt = 1\n", ["--bound", "both", "--t", "2"], ["--bound", "both", "--t", "2"]),
+        ("t = 2\n", ["--t", "all"], ["--t", "all"]),
+        ("t = all\n", ["--t=1"], ["--t=1"]),
+        ("t = 2\nbound = both\n", ["--bound", "inner"], ["--t", "2", "--bound", "inner"]),
+        # an abbreviated flag names its option as argparse reads it
+        ("bound = both\n", ["--bou", "inner"], ["--bound", "inner"]),
+        ("t = 2\n", ["--t=all"], ["--t", "all"]),
     ],
     ids=["which", "which-and-t", "t-sweep-over-t", "t-over-t-sweep", "other-group-kept",
-         "abbreviated-which", "abbreviated-t-sweep"],
+         "abbreviated-which", "equals-t-all"],
 )
 def test_explicit_flag_drops_config_entries_of_its_group(capsys, tmp_path, config, explicit, want):
-    """An explicit flag wins over the config entries of its mutually
-    exclusive group, as over any config value; the other entries stay."""
+    """Each of ``region``'s choices is one flag, its group: ``--bound`` for
+    the bounds, ``--t`` for one t or ``all``.  The config's flags go before
+    the explicit ones, so an explicit flag wins over the config entry of its
+    choice by argparse's last-wins rule; the other entries stay."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config)
     base = ["--m", "1", "--d", "20", "--format", "json"]
     code, stdout, err = run(capsys, "region", "--config", str(cfg), *base, *explicit)
     assert (code, err) == (0, "")
     assert (code, stdout, err) == run(capsys, "region", *base, *want)
+    assert stdout != run(capsys, "region", "--config", str(cfg), *base)[1]
+
+
+def test_parser_records_its_options_and_has_no_exclusive_group():
+    """``_build_parser`` records each command's option strings as argparse
+    declares them, ``--help`` aside: 41 in all, ``region`` making each
+    choice with one flag, and no command keeps a mutually exclusive group."""
+    parser, commands = _build_parser()
+    assert sum(map(len, commands.values())) == 41
+    assert commands["region"] == ["--out", "--m", "--mu-tx", "--mu-rx", "--d", "--bound",
+                                  "--format", "--samples", "--t", "--emit"]
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(commands)
+    for name, p in sub.choices.items():
+        declared = [o for a in p._actions for o in a.option_strings if o not in ("-h", "--help")]
+        assert declared == commands[name]
+        assert p._mutually_exclusive_groups == []
+
+
+@pytest.mark.parametrize("flag", ["--inner", "--outer", "--both", "--t-sweep"])
+def test_removed_region_flags_are_refused(capsys, tmp_path, flag):
+    """``--bound`` and ``--t all`` replaced these flags: each is refused as
+    an unrecognized argument, explicit or from a config."""
+    base = ["region", "--m", "1", "--d", "20"]
+    code, stdout, err = run(capsys, *base, flag)
+    assert (code, stdout) == (2, "")
+    assert err.endswith(f"hexmg: error: unrecognized arguments: {flag}\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{flag[2:]} = true\n")
+    assert run(capsys, *base, "--config", str(cfg)) == (code, stdout, err)
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (["region", "--d", "3", "--m"], "a positive integer"),
+        (["schedule", "--algorithm", "1", "--dt", "1", "--dr", "1", "--d"], "a non-negative integer"),
+        (["region", "--m", "3", "--d", "3", "--samples"], "an integer of at least 2"),
+        (["zf", "--t", "1", "--m", "1", "--tol"], "finite and positive"),
+        (["region", "--m", "3", "--d", "3", "--t"], "a positive integer or 'all'"),
+    ],
+    ids=["positive-int", "nonnegative-int", "sample-count", "tolerance", "t-choice"],
+)
+def test_parser_errors_name_what_they_expect(capsys, argv, expected):
+    """A value the flag's type cannot read is refused with what the flag
+    expects, not with the name of the function that reads it."""
+    code, stdout, err = run(capsys, *argv, "abc")
+    assert (code, stdout) == (2, "")
+    assert err.endswith(f"hexmg {argv[0]}: error: argument {argv[-1]}: must be {expected}, got 'abc'\n")
+
+
+def test_region_t_at_delay_one_says_no_t_enters(capsys):
+    """At d = 1 no t enters any scheme, so a ``--t`` names that rather than
+    a largest t of 0; ``--t all`` and the default both hull no scheme point."""
+    code, stdout, err = run(capsys, "region", "--m", "3", "--d", "1", "--t", "1")
+    assert (code, stdout) == (2, "")
+    assert err == "hexmg: --t 1 enters no scheme for --d 1; at d = 1 no t enters any scheme\n"
+    swept = run(capsys, "region", "--m", "3", "--d", "1", "--t", "all", "--format", "json")
+    assert swept[0] == 0 and swept == run(capsys, "region", "--m", "3", "--d", "1", "--format", "json")
 
 
 @pytest.mark.parametrize(
