@@ -77,6 +77,13 @@ def _sample_count(text: str) -> int:
     return value
 
 
+def _radius(text: str) -> int:
+    value = _positive_int(text)
+    if value > schemes.MAX_RADIUS:
+        raise argparse.ArgumentTypeError(f"radius {value} exceeds the cap of {schemes.MAX_RADIUS}")
+    return value
+
+
 def _tolerance(text: str) -> float:
     try:
         value = float(text)
@@ -471,11 +478,11 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, List[str]]]:
                 help="seed of the first ZF trial's channel draw; trial i draws with seed + i")
 
     add = command("lattice", cmd_lattice, "build the lattice and emit its interference links")
-    add("--radius", type=_positive_int, required=True)
+    add("--radius", type=_radius, required=True)
     add("--emit", help="CSV file for the directed interference links")
 
     add = command("cluster", cmd_cluster, "cluster decomposition and message assignment")
-    add("--radius", type=_positive_int, required=True)
+    add("--radius", type=_radius, required=True)
     add("--t", type=_positive_int, required=True)
     add("--mode", choices=("slow", "mixed"), default="slow")
     add("--check-counts", action="store_true")
@@ -504,7 +511,7 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, List[str]]]:
     add("--emit", help="CSV file for per-trial results")
 
     add = command("converse", cmd_converse, "partition censuses for the outer bound")
-    add("--radius", type=_positive_int, required=True)
+    add("--radius", type=_radius, required=True)
     add("--d", type=_positive_int, default=None,
         help="spacing of the four-colour partition (default: the two-colour one)")
     add("--check-fractions", action="store_true")
@@ -518,7 +525,7 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, List[str]]]:
     add("--validate", action="store_true")
 
     add = command("verify-all", cmd_verify_all, "run every verification suite")
-    add("--radius", type=_positive_int, default=30)
+    add("--radius", type=_radius, default=30)
     add("--zf-trials", type=_positive_int, default=100)
     add("--seed", **seed)
 
@@ -545,7 +552,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, schemes.RankDeficientError, schemes.UncutLatticeError) as exc:
         print(f"hexmg: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except MemoryError as exc:  # e.g. a --radius whose lattice cannot be allocated
+    except MemoryError as exc:  # e.g. a host with less free memory than MAX_RADIUS assumes
         print(f"hexmg: out of memory: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -17,8 +17,11 @@ constant q.  Every coupling offset is one of the six ``HEX_DIRS`` steps, so
 neighbour array from those six.  Ids and arrays are the library's
 only representation: ``cell_index`` maps coordinate arrays to cell ids and
 ``Network.id_of`` maps one sector tuple to its id, both in closed form, and
-the tuple forms a caller outside the library asks for (``sectors``,
-``cells``, ``tx_neighbors``) are built from the arrays on first use.
+the tuple forms a caller outside the library asks for (``sectors`` and
+``cells``) are built from the arrays on first use.  A point query reads no
+array: ``id_of`` and the ``tx_neighbors`` sets are computed in plain ints,
+the sets from ``NEIGHBOR_RULE`` and membership of the ball.  ``build_network``
+refuses a radius past ``MAX_RADIUS``.
 """
 
 from __future__ import annotations
@@ -27,11 +30,11 @@ from collections.abc import Mapping, Set
 from dataclasses import dataclass
 from functools import cached_property
 from operator import index
-from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .schemes import positive_int
+from .schemes import MAX_RADIUS, positive_int
 
 Cell = Tuple[int, int]
 Sector = Tuple[int, int, int]  # (cell q, cell r, orientation)
@@ -82,14 +85,10 @@ class Network:
     def id_of(self, sector) -> Optional[int]:
         """The id of sector ``(q, r, o)``, or None unless ``sector`` is a
         3-tuple of integers naming a sector of this lattice."""
-        if not isinstance(sector, tuple) or len(sector) != 3:
+        found = _parse_sector(self.radius, sector)
+        if found is None:
             return None
-        try:
-            q, r, o = map(index, sector)
-        except TypeError:
-            return None
-        if not 0 <= o < NUM_ORIENTATIONS or cell_distance((q, r), (0, 0)) > self.radius:
-            return None
+        q, r, o = found
         return NUM_ORIENTATIONS * _cell_id(self.radius, q, r) + o
 
     @cached_property
@@ -107,14 +106,7 @@ class Network:
 
     @property
     def tx_neighbors(self) -> Mapping:
-        return SectorMap(self, self._tx_of)
-
-    def _tx_of(self, i: int) -> FrozenSet[Sector]:
-        q, r = self.q.item(i // NUM_ORIENTATIONS), self.r.item(i // NUM_ORIENTATIONS)
-        rule = NEIGHBOR_RULE[i % NUM_ORIENTATIONS]
-        return frozenset(
-            (q + dq, r + dr, o2) for (dq, dr, o2), j in zip(rule, self.nbr[i].tolist()) if j >= 0
-        )
+        return SectorMap(self)
 
     def adjacent(self, cell) -> np.ndarray:
         """Per cell id in ``cell`` (an int or an array): the ids of its six
@@ -135,16 +127,16 @@ class Network:
 
 
 class SectorMap(Mapping):
-    """Read-only ``sector -> value`` view; ``value`` maps a sector id to it."""
+    """Read-only ``sector -> tx_neighbors(net, sector)`` view."""
 
-    def __init__(self, net: Network, value: Callable[[int], object]) -> None:
-        self._net, self._value = net, value
+    def __init__(self, net: Network) -> None:
+        self._net = net
 
-    def __getitem__(self, sector: Sector):
-        i = self._net.id_of(sector)
-        if i is None:
+    def __getitem__(self, sector: Sector) -> FrozenSet[Sector]:
+        found = _parse_sector(self._net.radius, sector)
+        if found is None:
             raise KeyError(sector)
-        return self._value(i)
+        return _tx_set(self._net.radius, *found)
 
     def __iter__(self) -> Iterator[Sector]:
         return iter(self._net.sectors)
@@ -178,6 +170,36 @@ class SectorSet(Set):
         return len(self.ids)
 
 
+def _parse_sector(radius: int, sector) -> Optional[Sector]:
+    """``sector`` as a tuple of three ints, or None unless it is a 3-tuple
+    of integers naming a sector of the ball of this radius.  An exact tuple
+    of exact ints is read as it stands; anything else goes through
+    ``operator.index``, which takes numpy ints and bools and refuses floats.
+    ``|q| + |r| + |q + r|`` is twice the cell's distance from the origin."""
+    if not (type(sector) is tuple and len(sector) == 3
+            and type(sector[0]) is type(sector[1]) is type(sector[2]) is int):
+        if not isinstance(sector, tuple) or len(sector) != 3:
+            return None
+        try:
+            sector = tuple(map(index, sector))
+        except TypeError:
+            return None
+    q, r, o = sector
+    on_ball = 0 <= o < NUM_ORIENTATIONS and abs(q) + abs(r) + abs(q + r) <= 2 * radius
+    return sector if on_ball else None
+
+
+def _tx_set(radius: int, q: int, r: int, o: int) -> FrozenSet[Sector]:
+    """The sectors coupled with sector ``(q, r, o)`` of the ball of this
+    radius: its ``NEIGHBOR_RULE`` offsets, less those off the ball, which
+    only a rim cell (``radius`` hops out) has."""
+    rule = NEIGHBOR_RULE[o]
+    if abs(q) + abs(r) + abs(q + r) < 2 * radius:
+        return frozenset([(q + dq, r + dr, o2) for dq, dr, o2 in rule])
+    return frozenset([(q + dq, r + dr, o2) for dq, dr, o2 in rule
+                      if cell_distance((q + dq, r + dr), (0, 0)) <= radius])
+
+
 def _cell_id(radius: int, q, r):
     """The id of the on-ball cell ``(q, r)`` in the sorted cell order, for
     ints or elementwise for arrays.  That order walks the columns q = -R..R
@@ -194,8 +216,10 @@ def cell_index(radius: int, q: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def build_network(radius: int) -> Network:
-    """Build the hexagonal ball of the given radius with 3 sectors per cell."""
-    positive_int("radius", radius)
+    """Build the hexagonal ball of the given radius with 3 sectors per cell;
+    a radius past ``MAX_RADIUS`` is refused before anything is allocated."""
+    if positive_int("radius", radius) > MAX_RADIUS:
+        raise ValueError(f"radius {radius} exceeds the cap of {MAX_RADIUS}")
     q, r = np.mgrid[-radius : radius + 1, -radius : radius + 1].reshape(2, -1)
     inside = cell_distance((q, r), (0, 0)) <= radius
     q, r = q[inside], r[inside]  # sorted by (q, r)
@@ -224,10 +248,10 @@ def build_network(radius: int) -> Network:
 def tx_neighbors(net: Network, sector: Sector) -> FrozenSet[Sector]:
     """Interference neighbourhood of one sector: ``net.tx_neighbors[sector]``,
     with no ``SectorMap`` built per call."""
-    i = net.id_of(sector)
-    if i is None:
+    found = _parse_sector(net.radius, sector)
+    if found is None:
         raise ValueError(f"unknown sector {sector!r}")
-    return net._tx_of(i)
+    return _tx_set(net.radius, *found)
 
 
 def interference_graph(net: Network) -> List[Tuple[Sector, Sector]]:

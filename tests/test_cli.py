@@ -17,6 +17,7 @@ import pytest
 from hexmg import checks, clustering, lattice, partitions, precoding, regions, schedules
 from hexmg.checks import decimal_str
 from hexmg.cli import MAX_SAMPLES, _build_parser, main
+from hexmg.schemes import MAX_RADIUS
 
 
 def run(capsys, *argv):
@@ -1054,19 +1055,41 @@ def test_region_t_at_delay_one_says_no_t_enters(capsys):
     assert swept[0] == 0 and swept == run(capsys, "region", "--m", "3", "--d", "1", "--format", "json")
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["lattice"], ["cluster", "--t", "1"], ["converse"], ["verify-all", "--zf-trials", "1"]],
-    ids=lambda argv: argv[0],
-)
-def test_unallocatable_radius_is_a_usage_error(capsys, argv):
-    """A radius whose lattice arrays cannot be allocated ends in one
-    ``hexmg:`` line and exit 2.  At 10**7 the request (petabytes) fails at
-    once; a radius near 10**4 would really fill memory, so none is tried."""
-    code, stdout, err = run(capsys, *argv, "--radius", str(10**7))
+RADIUS_COMMANDS = [["lattice"], ["cluster", "--t", "1"], ["converse"],
+                   ["verify-all", "--zf-trials", "1"]]
+
+
+@pytest.mark.parametrize("argv", RADIUS_COMMANDS, ids=lambda argv: argv[0])
+def test_unallocatable_radius_is_a_usage_error(capsys, monkeypatch, argv):
+    """A lattice that cannot be allocated at an allowed radius (a host with
+    less memory than ``MAX_RADIUS`` assumes) ends in one ``hexmg:`` line and
+    exit 2.  ``build_network`` is made to fail, so nothing is allocated."""
+    def unallocatable(radius):
+        raise MemoryError(f"Unable to allocate the lattice of radius {radius}")
+
+    monkeypatch.setattr(lattice, "build_network", unallocatable)
+    code, stdout, err = run(capsys, *argv, "--radius", str(checks.MIN_RADIUS))
     assert (code, stdout) == (2, "")
     assert err.startswith("hexmg: out of memory: Unable to allocate ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("radius", [MAX_RADIUS + 1, 10**7])
+@pytest.mark.parametrize("argv", RADIUS_COMMANDS, ids=lambda argv: argv[0])
+def test_radius_past_the_cap_is_a_usage_error(capsys, monkeypatch, argv, radius):
+    """Every ``--radius`` refuses a radius past ``MAX_RADIUS``, one past it or
+    one whose arrays would take petabytes, before any lattice is built; its
+    parser accepts ``MAX_RADIUS`` itself."""
+    def refused(radius):
+        raise AssertionError(f"build_network({radius}) was called")
+
+    monkeypatch.setattr(lattice, "build_network", refused)
+    code, stdout, err = run(capsys, *argv, "--radius", str(radius))
+    assert (code, stdout) == (2, "")
+    assert err.endswith(f"hexmg {argv[0]}: error: argument --radius: radius {radius} "
+                        f"exceeds the cap of {MAX_RADIUS}\n")
+    parser, _ = _build_parser()
+    assert parser.parse_args([*argv, "--radius", str(MAX_RADIUS)]).radius == MAX_RADIUS
 
 
 def test_unknown_command(capsys):

@@ -1,4 +1,6 @@
-from collections import deque
+from collections import deque, namedtuple
+from functools import lru_cache
+from operator import index
 
 import numpy as np
 import pytest
@@ -8,8 +10,10 @@ from hexmg import clustering, partitions, precoding
 from hexmg.cli import main
 from hexmg.lattice import (
     HEX_DIRS,
+    MAX_RADIUS,
     NEIGHBOR_RULE,
     NUM_ORIENTATIONS,
+    _cell_id,
     build_network,
     cell_distance,
     cell_index,
@@ -417,3 +421,111 @@ def test_tx_relation_invariant_under_rotation(radius, data):
     s = data.draw(st.sampled_from(net.sectors))
     assert _rotate(_rotate(_rotate(s))) == s
     assert {_rotate(n) for n in net.tx_neighbors[s]} == net.tx_neighbors[_rotate(s)]
+
+
+# ---------------------------------------------------------------------------
+# point-query oracles: ``id_of``, ``tx_neighbors`` and ``cluster_of`` as they
+# were written before they answered in plain ints, reading the arrays
+
+
+def id_of_oracle(net, sector):
+    if not isinstance(sector, tuple) or len(sector) != 3:
+        return None
+    try:
+        q, r, o = map(index, sector)
+    except TypeError:
+        return None
+    if not 0 <= o < NUM_ORIENTATIONS or cell_distance((q, r), (0, 0)) > net.radius:
+        return None
+    return NUM_ORIENTATIONS * _cell_id(net.radius, q, r) + o
+
+
+def tx_of_oracle(net, i):
+    """The sectors coupled with sector id ``i``, read off its row of ``nbr``."""
+    q, r = net.q.item(i // NUM_ORIENTATIONS), net.r.item(i // NUM_ORIENTATIONS)
+    rule = NEIGHBOR_RULE[i % NUM_ORIENTATIONS]
+    return frozenset(
+        (q + dq, r + dr, o2) for (dq, dr, o2), j in zip(rule, net.nbr[i].tolist()) if j >= 0
+    )
+
+
+def cluster_of_oracle(plan, sector):
+    i = id_of_oracle(plan.net, sector)
+    if i is None:
+        return None
+    c = plan.cluster_ids.item(i)
+    return None if c < 0 else plan.clusters[c]
+
+
+@lru_cache(maxsize=None)
+def net_and_plans(radius):
+    """The lattice of this radius and its cluster plans for every t with 3t <= radius."""
+    net = build_network(radius)
+    return net, tuple(clustering.clusters(net, t) for t in range(1, radius // 3 + 1))
+
+
+def assert_queries_match_oracles(radius, sector):
+    """``id_of``, both ``tx_neighbors`` entry points and ``cluster_of`` answer
+    ``sector`` as the oracles do, refusals and their messages included."""
+    net, plans = net_and_plans(radius)
+    want = id_of_oracle(net, sector)
+    got = net.id_of(sector)
+    assert got == want and type(got) is type(want)
+    if want is None:
+        with pytest.raises(ValueError) as refused:
+            tx_neighbors(net, sector)
+        assert str(refused.value) == f"unknown sector {sector!r}"
+        with pytest.raises(KeyError):
+            net.tx_neighbors[sector]
+    else:
+        assert tx_neighbors(net, sector) == net.tx_neighbors[sector] == tx_of_oracle(net, want)
+    for plan in plans:
+        assert plan.cluster_of(sector) is cluster_of_oracle(plan, sector)
+
+
+@pytest.mark.parametrize("radius", range(1, 13))
+def test_point_queries_match_array_oracles_on_every_sector(radius):
+    """Every sector of the ball and every cell one step past it, as exact int
+    tuples, with orientations -1..3."""
+    for q, r in hex_ball(radius + 1):
+        for o in range(-1, NUM_ORIENTATIONS + 1):
+            assert_queries_match_oracles(radius, (q, r, o))
+
+
+NamedSector = namedtuple("NamedSector", "q r o")
+
+_coordinate = st.integers(-14, 14)
+_numpy_int = st.sampled_from([np.int64, np.int32, np.int16, np.intp])
+#: what a caller may pass as a sector: exact int tuples, numpy ints, bools
+#: and a namedtuple (all read through ``operator.index``), then floats,
+#: strings, lists and tuples of the wrong length, which are refused
+sector_like = st.one_of(
+    st.tuples(_coordinate, _coordinate, st.integers(-2, 4)),
+    st.tuples(_coordinate, _coordinate, st.integers(0, 2)).flatmap(
+        lambda s: _numpy_int.map(lambda kind: tuple(kind(v) for v in s))),
+    st.tuples(st.one_of(_coordinate, st.booleans()), st.one_of(_coordinate, st.booleans()),
+              st.one_of(st.integers(0, 2), st.booleans())),
+    st.builds(NamedSector, _coordinate, _coordinate, st.integers(-1, 3)),
+    st.tuples(st.one_of(_coordinate, st.floats(-3, 3)), _coordinate, st.integers(0, 2)),
+    st.tuples(_coordinate, _coordinate, st.integers(0, 2)).map(list),
+    st.lists(_coordinate, min_size=2, max_size=4).map(tuple),
+    st.text(max_size=3),
+    st.none(),
+)
+
+
+def rim_sectors(radius):
+    """Sectors of the cells ``radius`` hops out, which lose their off-ball neighbours."""
+    rim = [c for c in hex_ball(radius) if cell_distance(c, (0, 0)) == radius]
+    return st.builds(lambda c, o: (*c, o), st.sampled_from(rim), st.integers(0, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(radius=st.integers(1, 12), data=st.data())
+def test_point_queries_match_array_oracles_on_drawn_inputs(radius, data):
+    assert_queries_match_oracles(radius, data.draw(st.one_of(sector_like, rim_sectors(radius))))
+
+
+def test_radius_past_the_cap_is_refused():
+    with pytest.raises(ValueError, match=f"radius {MAX_RADIUS + 1} exceeds the cap of {MAX_RADIUS}"):
+        build_network(MAX_RADIUS + 1)
